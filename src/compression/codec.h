@@ -259,6 +259,12 @@ class CodecSystem
      * order. Stateless schemes return an empty list. Safe to call
      * concurrently for distinct @p dst (it touches only that
      * decoder's queue), but not concurrently with decodes of @p dst.
+     *
+     * Notifications come only from decodes at @p dst (decoder
+     * learning), never from encodes or the passage of time, so a
+     * destination that decoded nothing since its last drain has
+     * nothing to drain. The NoC layer relies on this: it drains only
+     * the endpoints whose NI decoded a block since the last drain.
      */
     virtual std::vector<Notification>
     drainNotifications(NodeId dst)

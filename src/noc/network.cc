@@ -11,8 +11,12 @@
 namespace approxnoc {
 
 namespace {
-/** Cycles without any flit movement (while loaded) before we panic. */
-constexpr Cycle kDeadlockWindow = 50000;
+/** Cycles between deadlock-watchdog samples; a power of two. */
+constexpr Cycle kWatchdogPeriod = 1024;
+/** Cycles without any flit movement (while loaded) before we panic. A
+ *  whole number of sample periods, so the panic comes within one
+ *  period of the window closing. */
+constexpr Cycle kDeadlockWindow = 49 * kWatchdogPeriod;
 } // namespace
 
 void
@@ -41,8 +45,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec,
                     cfg_.topology == Topology::Mesh,
                 "west-first turn-model routing is only valid on a mesh");
 
-    auto route = [this](RouterId at, const Packet &p) {
-        return routeFor(at, p);
+    const Router::RouteFn route = [this](RouterId at, NodeId dst) {
+        return routeFor(at, dst);
     };
 
     routers_.reserve(cfg_.routers());
@@ -184,11 +188,11 @@ Network::enableRegionParallel(Simulator &sim, unsigned sim_jobs)
 }
 
 std::vector<unsigned>
-Network::routeFor(RouterId at, const Packet &pkt) const
+Network::routeFor(RouterId at, NodeId dst) const
 {
-    RouterId dest = cfg_.routerOf(pkt.dst);
+    RouterId dest = cfg_.routerOf(dst);
     if (at == dest)
-        return {kLocalBase + cfg_.localPortOf(pkt.dst)};
+        return {kLocalBase + cfg_.localPortOf(dst)};
     unsigned ac = cfg_.colOf(at), dc = cfg_.colOf(dest);
     unsigned ar = cfg_.rowOf(at), dr = cfg_.rowOf(dest);
 
@@ -289,6 +293,8 @@ Network::onDelivery(const PacketPtr &pkt, Cycle now)
             return;
         }
     }
+    if (pkt->carries_block)
+        decoded_.push_back(pkt->dst);
     stats_.queue_lat.add(static_cast<double>(pkt->queueLatency()));
     stats_.net_lat.add(static_cast<double>(pkt->netLatency()));
     stats_.decode_lat.add(static_cast<double>(pkt->decodeLatency()));
@@ -619,11 +625,27 @@ Network::evaluate(Cycle)
 void
 Network::advance(Cycle now)
 {
+    if (!decoded_.empty())
+        drainDecoded(now);
+    if (now % kWatchdogPeriod == 0)
+        checkProgress(now);
+}
+
+void
+Network::drainDecoded(Cycle now)
+{
     // Inject dictionary update notifications as control packets, one
-    // decoder endpoint at a time (the per-destination drain API; each
-    // stream arrives in seq order, so the injection order at any one
-    // NI matches the order its decoder emitted).
-    for (NodeId d = 0; d < static_cast<NodeId>(nis_.size()); ++d) {
+    // decoder endpoint at a time in ascending node order (the
+    // per-destination drain API; each stream arrives in seq order, so
+    // the injection order at any one NI matches the order its decoder
+    // emitted). A decoder notifies only while decoding, so the
+    // endpoints that decoded since the last drain hold every queued
+    // notification: the same packets, in the same order, as draining
+    // every endpoint every cycle.
+    std::sort(decoded_.begin(), decoded_.end());
+    decoded_.erase(std::unique(decoded_.begin(), decoded_.end()),
+                   decoded_.end());
+    for (NodeId d : decoded_) {
         for (const auto &n : codec_->drainNotifications(d)) {
             if (!model_notifications_ || n.from == n.to)
                 continue;
@@ -632,17 +654,25 @@ Network::advance(Cycle now)
             nis_[n.from]->enqueue(p, now);
         }
     }
+    decoded_.clear();
+}
 
+void
+Network::checkProgress(Cycle now)
+{
     // Deadlock watchdog: flits buffered but nothing moved for a while.
-    std::uint64_t progress = routerFlitsForwarded() + flitsInjected();
+    // Movement is seen at the first sample after it, so the panic comes
+    // between kDeadlockWindow and kDeadlockWindow + kWatchdogPeriod
+    // cycles after the last flit moved.
+    const std::uint64_t progress = routerFlitsForwarded() + flitsInjected();
     if (progress != last_progress_count_) {
         last_progress_count_ = progress;
         last_progress_cycle_ = now;
-    } else if (routerOccupancy() > 0 &&
-               now - last_progress_cycle_ > kDeadlockWindow) {
+    } else if (now - last_progress_cycle_ >= kDeadlockWindow &&
+               routerOccupancy() > 0) {
         ANOC_PANIC("network deadlock: no flit movement for ",
-                   kDeadlockWindow, " cycles with ", routerOccupancy(),
-                   " flits buffered");
+                   now - last_progress_cycle_, " cycles with ",
+                   routerOccupancy(), " flits buffered");
     }
 }
 

@@ -182,8 +182,12 @@ class Network : public Clocked
     void collectTelemetry(telemetry::MetricRegistry &reg) const;
 
   private:
-    std::vector<unsigned> routeFor(RouterId at, const Packet &pkt) const;
+    std::vector<unsigned> routeFor(RouterId at, NodeId dst) const;
     void onDelivery(const PacketPtr &pkt, Cycle now);
+    /** Inject the notifications of the decoders listed in decoded_. */
+    void drainDecoded(Cycle now);
+    /** One deadlock-watchdog sample of the progress counters. */
+    void checkProgress(Cycle now);
 
     NocConfig cfg_;
     CodecSystem *codec_;
@@ -203,7 +207,12 @@ class Network : public Clocked
 
     std::uint64_t next_packet_id_ = 1;
 
-    /** Deadlock watchdog. */
+    /** Destinations whose NI decoded a block since the last drain, in
+     *  delivery order, repeats allowed. Notifications come only from
+     *  decodes, so these are the only decoders that can hold any. */
+    std::vector<NodeId> decoded_;
+
+    /** Deadlock watchdog, sampled every kWatchdogPeriod cycles. */
     std::uint64_t last_progress_count_ = 0;
     Cycle last_progress_cycle_ = 0;
 

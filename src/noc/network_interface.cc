@@ -9,9 +9,11 @@ namespace approxnoc {
 NetworkInterface::NetworkInterface(NodeId id, const NocConfig &cfg,
                                    CodecSystem *codec)
     : Clocked("ni" + std::to_string(id)), id_(id), cfg_(cfg), codec_(codec),
-      vc_busy_(cfg.vcs, false), credits_(cfg.vcs, cfg.vc_depth)
+      credits_(cfg.vcs, cfg.vc_depth)
 {
     ANOC_ASSERT(codec != nullptr, "NI requires a codec (use BaselineCodec)");
+    ANOC_ASSERT(cfg_.vcs <= Router::kMaxVcs, "NI ", id_, ": ", cfg_.vcs,
+                " VCs do not fit its VC mask");
 }
 
 void
@@ -77,16 +79,16 @@ NetworkInterface::evaluate(Cycle now)
     if (!current_) {
         if (inj_q_.empty() || inj_q_.front().ready > now)
             return;
-        current_ = inj_q_.front().pkt;
+        current_ = std::move(inj_q_.front().pkt);
         inj_q_.pop_front();
         next_seq_ = 0;
         alloc_vc_ = -1;
     }
     if (next_seq_ == 0 && alloc_vc_ < 0) {
         for (unsigned vc = 0; vc < cfg_.vcs; ++vc) {
-            if (!vc_busy_[vc] && credits_[vc] > 0) {
+            if (!(vc_busy_ & (1u << vc)) && credits_[vc] > 0) {
                 alloc_vc_ = static_cast<int>(vc);
-                vc_busy_[vc] = true;
+                vc_busy_ |= 1u << vc;
                 break;
             }
         }
@@ -101,20 +103,12 @@ NetworkInterface::advance(Cycle now)
     if (!send_this_cycle_)
         return;
     ANOC_ASSERT(current_ && router_, "NI advance without packet or router");
-    unsigned vc = static_cast<unsigned>(alloc_vc_);
+    const unsigned vc = static_cast<unsigned>(alloc_vc_);
+    const bool tail = next_seq_ + 1 == current_->n_flits;
 
-    Flit f;
-    f.pkt = current_;
-    f.seq = next_seq_;
-    f.is_tail = next_seq_ + 1 == current_->n_flits;
-    f.arrival = now + 1;
-
-    --credits_[vc];
-    router_->acceptFlit(router_port_, vc, f);
     ++flits_injected_;
     if (current_->cls == PacketClass::Data)
         ++data_flits_injected_;
-
     if (next_seq_ == 0) {
         current_->inject_start = now;
         ++packets_injected_;
@@ -125,24 +119,34 @@ NetworkInterface::advance(Cycle now)
                                  ", \"dst\": " +
                                  std::to_string(current_->dst) + "}");
     }
-    ++next_seq_;
-    if (f.is_tail) {
-        vc_busy_[vc] = false;
-        current_.reset();
+
+    Flit f;
+    f.seq = next_seq_;
+    f.is_tail = tail;
+    f.arrival = now + 1;
+    // The tail flit takes over this NI's reference to the packet.
+    f.pkt = tail ? std::move(current_) : current_;
+    --credits_[vc];
+    router_->acceptFlit(router_port_, vc, std::move(f));
+
+    if (tail) {
+        vc_busy_ &= ~(1u << vc);
         next_seq_ = 0;
         alloc_vc_ = -1;
+    } else {
+        ++next_seq_;
     }
 }
 
 void
-NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
+NetworkInterface::acceptEjectedFlit(Flit f, Cycle now)
 {
 #ifndef NDEBUG
     ANOC_ASSERT(sim_current_region() < 0 ||
                     sim_current_region() == regionTag(),
                 "cross-region ejection at NI ", id_);
 #endif
-    PacketPtr pkt = f.pkt;
+    PacketPtr pkt = std::move(f.pkt);
     ++pkt->ejected_flits;
     if (pkt->ejected_flits < pkt->n_flits)
         return;

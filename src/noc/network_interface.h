@@ -52,8 +52,9 @@ class NetworkInterface : public Clocked, public FlitSource
      */
     void enqueue(const PacketPtr &pkt, Cycle now);
 
-    /** Ejection-side link interface, called by the router's advance. */
-    void acceptEjectedFlit(const Flit &f, Cycle now);
+    /** Ejection-side link interface, called by the router's advance;
+     *  the flit and its packet reference are moved in. */
+    void acceptEjectedFlit(Flit f, Cycle now);
 
     void creditReturn(unsigned out_port, unsigned vc) override;
 
@@ -110,7 +111,7 @@ class NetworkInterface : public Clocked, public FlitSource
     ANOC_SHARD_LOCAL PacketPtr current_;       ///< packet mid-injection
     ANOC_SHARD_LOCAL unsigned next_seq_ = 0;   ///< next flit of current_
     ANOC_SHARD_LOCAL int alloc_vc_ = -1;       ///< VC allocated for current_
-    ANOC_SHARD_LOCAL std::vector<bool> vc_busy_;
+    ANOC_SHARD_LOCAL std::uint32_t vc_busy_ = 0; ///< bit v: VC v carries current_
     ANOC_SHARD_LOCAL std::vector<unsigned> credits_;
     ANOC_SHARD_LOCAL bool send_this_cycle_ = false; ///< evaluate() decision
 

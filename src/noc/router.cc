@@ -1,26 +1,85 @@
 #include "noc/router.h"
 
+#include <bit>
+
 #include "common/log.h"
 #include "noc/network_interface.h"
 #include "sim/region_scheduler.h"
 
 namespace approxnoc {
 
-Router::Router(RouterId id, const NocConfig &cfg, RouteFn route)
+namespace {
+
+/**
+ * @p mask, a set over indices [0, width), rotated right by @p start:
+ * bit b of the result stands for index start + b, wrapped at @p width.
+ * Walking the result from bit 0 up visits the set indices in
+ * round-robin order from @p start. Requires start < width <= 32.
+ */
+std::uint64_t
+rotated(std::uint32_t mask, unsigned start, unsigned width)
+{
+    const std::uint64_t m = mask;
+    return ((m >> start) | (m << (width - start))) &
+           ((std::uint64_t{1} << width) - 1);
+}
+
+/** The index the lowest set bit of rotated(..., start, width) stands for. */
+unsigned
+lowestIndex(std::uint64_t rot, unsigned start, unsigned width)
+{
+    const unsigned i = start + static_cast<unsigned>(std::countr_zero(rot));
+    return i >= width ? i - width : i;
+}
+
+/** @p i + 1, wrapped at @p n. */
+unsigned
+nextWrapped(unsigned i, unsigned n)
+{
+    return i + 1 == n ? 0 : i + 1;
+}
+
+} // namespace
+
+Router::Router(RouterId id, const NocConfig &cfg, const RouteFn &route)
     : Clocked("router" + std::to_string(id)), id_(id), cfg_(cfg),
-      route_(std::move(route)),
       n_ports_(kLocalBase + cfg.concentration)
 {
+    ANOC_ASSERT(n_ports_ <= kMaxPorts && cfg_.vcs >= 1 &&
+                    cfg_.vcs <= kMaxVcs,
+                "router ", id_, ": ", n_ports_, " ports x ", cfg_.vcs,
+                " VCs do not fit its ", kMaxPorts, " x ", kMaxVcs,
+                " state masks");
+
+    routes_.resize(cfg_.nodes());
+    for (NodeId dst = 0; dst < cfg_.nodes(); ++dst) {
+        const std::vector<unsigned> cands = route(id_, dst);
+        ANOC_ASSERT(!cands.empty() && cands.size() <= kMaxRouteCandidates,
+                    "router ", id_, " has ", cands.size(),
+                    " route candidates for node ", dst);
+        Route &r = routes_[dst];
+        for (unsigned port : cands) {
+            ANOC_ASSERT(port < n_ports_, "router ", id_, " routes node ",
+                        dst, " to port ", port, " of ", n_ports_);
+            r.port[r.n++] = static_cast<std::uint8_t>(port);
+        }
+    }
+
+    slots_.resize(std::size_t{n_ports_} * cfg_.vcs * cfg_.vc_depth);
     in_.resize(n_ports_);
     out_.resize(n_ports_);
     grants_.resize(n_ports_);
     rr_vc_.resize(n_ports_, 0);
-    for (auto &ip : in_)
+    Flit *ring = slots_.data();
+    for (auto &ip : in_) {
         ip.vcs.resize(cfg_.vcs);
-    for (auto &op : out_) {
-        op.vc_busy.assign(cfg_.vcs, false);
-        op.credits.assign(cfg_.vcs, cfg_.vc_depth);
+        for (auto &vb : ip.vcs) {
+            vb.ring = ring;
+            ring += cfg_.vc_depth;
+        }
     }
+    for (auto &op : out_)
+        op.credits.assign(cfg_.vcs, cfg_.vc_depth);
 }
 
 void
@@ -79,27 +138,29 @@ Router::allowedVcClass(const InPort &in, unsigned in_vc,
 }
 
 unsigned
-Router::selectRoute(const Packet &pkt) const
+Router::selectRoute(NodeId dst) const
 {
-    std::vector<unsigned> cands = route_(id_, pkt);
-    ANOC_ASSERT(!cands.empty(), "router ", id_, " has no route for packet");
-    if (cands.size() == 1)
-        return cands[0];
+    ANOC_ASSERT(dst < routes_.size(), "router ", id_, ": destination ",
+                dst, " out of range");
+    const Route &r = routes_[dst];
+    if (r.n == 1)
+        return r.port[0];
     // Congestion-aware selection: the candidate whose downstream
     // buffers have the most free credits wins; ties keep preference
     // order.
-    unsigned best = cands[0];
-    unsigned best_credits = 0;
-    bool first = true;
-    for (unsigned c : cands) {
-        const OutPort &op = out_[c];
-        unsigned credits = 0;
-        for (unsigned v : op.credits)
-            credits += v;
-        if (first || credits > best_credits) {
-            best = c;
+    auto free_credits = [this](unsigned port) {
+        unsigned n = 0;
+        for (unsigned c : out_[port].credits)
+            n += c;
+        return n;
+    };
+    unsigned best = r.port[0];
+    unsigned best_credits = free_credits(best);
+    for (unsigned i = 1; i < r.n; ++i) {
+        const unsigned credits = free_credits(r.port[i]);
+        if (credits > best_credits) {
+            best = r.port[i];
             best_credits = credits;
-            first = false;
         }
     }
     return best;
@@ -119,12 +180,37 @@ Router::acceptFlit(unsigned in_port, unsigned vc, Flit f)
                 "cross-region acceptFlit at router ", id_,
                 " from region ", sim_current_region());
 #endif
-    auto &q = in_[in_port].vcs[vc].q;
-    ANOC_ASSERT(q.size() < cfg_.vc_depth,
+    InPort &port = in_[in_port];
+    VcBuf &buf = port.vcs[vc];
+    ANOC_ASSERT(buf.size < cfg_.vc_depth,
                 "buffer overflow at router ", id_, " port ", in_port,
                 " vc ", vc, " — credit protocol violated");
-    q.push_back(std::move(f));
+    unsigned slot = buf.head + buf.size;
+    if (slot >= cfg_.vc_depth)
+        slot -= cfg_.vc_depth;
+    buf.ring[slot] = std::move(f);
+    ++buf.size;
+    port.nonempty |= 1u << vc;
+    busy_in_ |= 1u << in_port;
+    ++buffered_;
     ++buffer_writes_;
+}
+
+Flit
+Router::popFlit(unsigned in_port, unsigned vc)
+{
+    InPort &port = in_[in_port];
+    VcBuf &buf = port.vcs[vc];
+    ANOC_ASSERT(buf.size > 0, "granted VC drained unexpectedly");
+    Flit f = std::move(buf.ring[buf.head]);
+    buf.head = nextWrapped(buf.head, cfg_.vc_depth);
+    if (--buf.size == 0) {
+        port.nonempty &= ~(1u << vc);
+        if (port.nonempty == 0)
+            busy_in_ &= ~(1u << in_port);
+    }
+    --buffered_;
+    return f;
 }
 
 void
@@ -147,35 +233,41 @@ Router::creditReturn(unsigned out_port, unsigned vc)
 void
 Router::evaluate(Cycle now)
 {
-    for (auto &g : grants_)
-        g = Grant{};
+    granted_ = 0;
+    if (buffered_ == 0)
+        return;
 
     const Cycle pipe = cfg_.router_stages - 1;
 
-    for (unsigned ii = 0; ii < n_ports_; ++ii) {
-        unsigned ip = (rr_in_ + ii) % n_ports_;
+    // Non-empty input ports in round-robin order from rr_in_, and in
+    // each the non-empty VCs from rr_vc_: the order a full ports x VCs
+    // scan would meet them in, minus the empty buffers it skips.
+    for (std::uint64_t ports = rotated(busy_in_, rr_in_, n_ports_); ports;
+         ports &= ports - 1) {
+        const unsigned ip = lowestIndex(ports, rr_in_, n_ports_);
         InPort &port = in_[ip];
-        for (unsigned vv = 0; vv < cfg_.vcs; ++vv) {
-            unsigned vc = (rr_vc_[ip] + vv) % cfg_.vcs;
+        const unsigned vc0 = rr_vc_[ip];
+        for (std::uint64_t vcs = rotated(port.nonempty, vc0, cfg_.vcs); vcs;
+             vcs &= vcs - 1) {
+            const unsigned vc = lowestIndex(vcs, vc0, cfg_.vcs);
             VcBuf &buf = port.vcs[vc];
-            if (buf.q.empty())
-                continue;
-            Flit &f = buf.q.front();
+            Flit &f = buf.ring[buf.head];
             if (f.arrival + pipe > now)
                 continue; // still in BW/RC/VA stages
 
             if (f.isHead() && buf.route < 0)
-                buf.route = static_cast<int>(selectRoute(*f.pkt));
-            unsigned op_idx = static_cast<unsigned>(buf.route);
+                buf.route = static_cast<int>(selectRoute(f.pkt->dst));
+            const unsigned op_idx = static_cast<unsigned>(buf.route);
             OutPort &op = out_[op_idx];
             ANOC_ASSERT(op.connected(), "route to unconnected port ", op_idx,
                         " at router ", id_);
-            if (grants_[op_idx].valid())
+            const std::uint32_t op_bit = 1u << op_idx;
+            if (granted_ & op_bit)
                 continue; // output already claimed this cycle
 
             if (op.isEjection()) {
-                grants_[op_idx] = Grant{static_cast<int>(ip),
-                                        static_cast<int>(vc)};
+                grants_[op_idx] = Grant{ip, vc};
+                granted_ |= op_bit;
                 break; // one flit per input port per cycle
             }
 
@@ -190,8 +282,8 @@ Router::evaluate(Cycle now)
                     hi = lo + half;
                 }
                 for (unsigned dvc = lo; dvc < hi; ++dvc) {
-                    if (!op.vc_busy[dvc] && op.credits[dvc] > 0) {
-                        op.vc_busy[dvc] = true;
+                    if (!(op.vc_busy & (1u << dvc)) && op.credits[dvc] > 0) {
+                        op.vc_busy |= 1u << dvc;
                         buf.out_vc = static_cast<int>(dvc);
                         ++vc_allocs_;
                         if (tracer_)
@@ -210,8 +302,8 @@ Router::evaluate(Cycle now)
             }
             if (buf.out_vc >= 0 &&
                 op.credits[static_cast<unsigned>(buf.out_vc)] > 0) {
-                grants_[op_idx] = Grant{static_cast<int>(ip),
-                                        static_cast<int>(vc)};
+                grants_[op_idx] = Grant{ip, vc};
+                granted_ |= op_bit;
                 break;
             }
         }
@@ -227,31 +319,27 @@ Router::advance(Cycle now)
     // NIs are always grouped with their router).
     const int my_region = regionTag();
 
-    for (unsigned op_idx = 0; op_idx < n_ports_; ++op_idx) {
-        Grant &g = grants_[op_idx];
-        if (!g.valid())
-            continue;
-        InPort &port = in_[static_cast<unsigned>(g.in_port)];
-        VcBuf &buf = port.vcs[static_cast<unsigned>(g.vc)];
-        ANOC_ASSERT(!buf.q.empty(), "granted VC drained unexpectedly");
-        Flit f = buf.q.front();
-        buf.q.pop_front();
+    for (std::uint32_t pending = granted_; pending; pending &= pending - 1) {
+        const unsigned op_idx =
+            static_cast<unsigned>(std::countr_zero(pending));
+        const Grant g = grants_[op_idx];
+        InPort &port = in_[g.in_port];
+        VcBuf &buf = port.vcs[g.vc];
+        Flit f = popFlit(g.in_port, g.vc);
         ++flits_forwarded_;
 
         // Return the freed buffer slot upstream.
         if (port.up) {
             if (my_region >= 0 && port.up->sourceRegion() != my_region)
-                defer_credits_.push_back(
-                    {port.up, port.up_port, static_cast<unsigned>(g.vc)});
+                defer_credits_.push_back({port.up, port.up_port, g.vc});
             else
-                port.up->creditReturn(port.up_port,
-                                      static_cast<unsigned>(g.vc));
+                port.up->creditReturn(port.up_port, g.vc);
         }
 
         OutPort &op = out_[op_idx];
-        bool tail = f.is_tail;
+        const bool tail = f.is_tail;
         if (op.isEjection()) {
-            op.ni->acceptEjectedFlit(f, now);
+            op.ni->acceptEjectedFlit(std::move(f), now);
         } else {
             unsigned dvc = static_cast<unsigned>(buf.out_vc);
             ANOC_ASSERT(op.credits[dvc] > 0, "forwarding without credit");
@@ -272,16 +360,17 @@ Router::advance(Cycle now)
                                      ", \"to\": " +
                                      std::to_string(op.peer->id()) + "}");
             if (tail)
-                op.vc_busy[dvc] = false;
+                op.vc_busy &= ~(1u << dvc);
         }
         if (tail) {
             buf.route = -1;
             buf.out_vc = -1;
         }
-        rr_vc_[static_cast<unsigned>(g.in_port)] =
-            (static_cast<unsigned>(g.vc) + 1) % cfg_.vcs;
+        rr_vc_[g.in_port] = nextWrapped(g.vc, cfg_.vcs);
     }
-    rr_in_ = (rr_in_ + 1) % n_ports_;
+    // Every cycle, granted or idle: arbitration order is a function of
+    // the cycle number, whatever the router held.
+    rr_in_ = nextWrapped(rr_in_, n_ports_);
 }
 
 void
@@ -293,16 +382,6 @@ Router::flushDeferred()
     for (DeferredFlit &d : defer_flits_)
         d.peer->acceptFlit(d.port, d.vc, std::move(d.f));
     defer_flits_.clear();
-}
-
-std::size_t
-Router::occupancy() const
-{
-    std::size_t n = 0;
-    for (const auto &ip : in_)
-        for (const auto &vb : ip.vcs)
-            n += vb.q.size();
-    return n;
 }
 
 } // namespace approxnoc

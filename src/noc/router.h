@@ -9,11 +9,18 @@
  * Credit-based flow control: the upstream side of every link owns the
  * credit counters and the VC allocation state of the downstream input
  * buffer, which is the conventional arrangement.
+ *
+ * A cycle costs what is buffered, not ports x VCs: the router counts
+ * its flits and keeps a mask of non-empty VCs per input port, so on an
+ * empty router evaluate() only clears the previous cycle's grants, and
+ * an occupied one visits only its non-empty VCs, in round-robin order.
+ * The input-port round-robin pointer still moves every cycle, busy or
+ * idle, so arbitration depends on the cycle number alone.
  */
 #ifndef APPROXNOC_NOC_ROUTER_H
 #define APPROXNOC_NOC_ROUTER_H
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -49,15 +56,26 @@ class Router : public Clocked, public FlitSource
     ANOC_ISOLATION_CONTRACT(region_isolation);
 
     /**
-     * Computes the allowed output ports for a packet at this router,
-     * in preference order. Deterministic algorithms return one entry;
-     * partially adaptive ones return several and the router picks the
-     * least congested (most downstream credits) at route-compute time.
+     * Computes the allowed output ports at router @p at towards
+     * endpoint @p dst, in preference order. Deterministic algorithms
+     * return one entry; partially adaptive ones return up to
+     * kMaxRouteCandidates and the router picks the least congested
+     * (most downstream credits) at route-compute time. Called only
+     * while the router is built, once per endpoint, to fill its route
+     * table.
      */
-    using RouteFn =
-        std::function<std::vector<unsigned>(RouterId, const Packet &)>;
+    using RouteFn = std::function<std::vector<unsigned>(RouterId at,
+                                                        NodeId dst)>;
 
-    Router(RouterId id, const NocConfig &cfg, RouteFn route);
+    /** Route candidates the table keeps per destination. */
+    static constexpr unsigned kMaxRouteCandidates = 2;
+    /** Ports, and VCs per port, are tracked in 32-bit masks. */
+    static constexpr unsigned kMaxPorts = 32;
+    static constexpr unsigned kMaxVcs = 32;
+
+    /** Panics unless @p route gives every endpoint 1 to
+     *  kMaxRouteCandidates in-range output ports. */
+    Router(RouterId id, const NocConfig &cfg, const RouteFn &route);
 
     RouterId id() const { return id_; }
     unsigned numPorts() const { return n_ports_; }
@@ -101,8 +119,8 @@ class Router : public Clocked, public FlitSource
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
 
-    /** Total buffered flits (drain detection). */
-    std::size_t occupancy() const;
+    /** Total buffered flits (drain detection); O(1). */
+    std::size_t occupancy() const { return buffered_; }
 
     /** @name Activity counters (power model / watchdog) */
     ///@{
@@ -122,8 +140,11 @@ class Router : public Clocked, public FlitSource
     void bindTracer(telemetry::PacketTracer *t) { tracer_ = t; }
 
   private:
+    /** One VC's input buffer: a fixed ring of vc_depth slots. */
     struct VcBuf {
-        std::deque<Flit> q;
+        Flit *ring = nullptr; ///< vc_depth slots inside slots_
+        unsigned head = 0;    ///< slot of the front flit
+        unsigned size = 0;    ///< flits buffered
         int route = -1;  ///< output port of the packet at the head
         int out_vc = -1; ///< downstream VC allocated to that packet
     };
@@ -132,6 +153,7 @@ class Router : public Clocked, public FlitSource
 
     struct InPort {
         std::vector<VcBuf> vcs;
+        std::uint32_t nonempty = 0; ///< bit v: vcs[v] holds a flit
         FlitSource *up = nullptr;
         unsigned up_port = 0;
         unsigned dim = kDimLocal;
@@ -140,7 +162,7 @@ class Router : public Clocked, public FlitSource
         Router *peer = nullptr;
         unsigned peer_port = 0;
         NetworkInterface *ni = nullptr;
-        std::vector<bool> vc_busy;
+        std::uint32_t vc_busy = 0; ///< bit v: downstream VC v allocated
         std::vector<unsigned> credits;
         unsigned dim = kDimLocal;
         bool wrap = false;
@@ -149,30 +171,42 @@ class Router : public Clocked, public FlitSource
         bool connected() const { return peer != nullptr || ni != nullptr; }
     };
     struct Grant {
-        int in_port = -1;
-        int vc = -1;
-        bool valid() const { return in_port >= 0; }
+        unsigned in_port = 0;
+        unsigned vc = 0;
+    };
+    /** Output ports towards one endpoint, in preference order. */
+    struct Route {
+        std::uint8_t n = 0;
+        std::uint8_t port[kMaxRouteCandidates] = {};
     };
 
     ANOC_REGION_SHARED RouterId id_;
     ANOC_REGION_SHARED NocConfig cfg_;
-    ANOC_REGION_SHARED RouteFn route_;
     ANOC_REGION_SHARED unsigned n_ports_;
+    /** Route candidates per destination endpoint, built once. */
+    ANOC_REGION_SHARED std::vector<Route> routes_;
 
     /** Pipeline state is written only by this router's own
      * evaluate/advance, i.e. only by the region that owns it; peers
      * deposit flits/credits via acceptFlit/creditReturn, which the
      * upstream router calls in-region or defers (flushDeferred). */
+    ANOC_SHARD_LOCAL std::vector<Flit> slots_; ///< every VC ring; never resized
     ANOC_SHARD_LOCAL std::vector<InPort> in_;
     ANOC_SHARD_LOCAL std::vector<OutPort> out_;
-    ANOC_SHARD_LOCAL std::vector<Grant> grants_; ///< per output port, recomputed each cycle
+    ANOC_SHARD_LOCAL std::vector<Grant> grants_; ///< per output port
+    ANOC_SHARD_LOCAL std::uint32_t granted_ = 0; ///< bit p: grants_[p] is this cycle's
+    ANOC_SHARD_LOCAL std::uint32_t busy_in_ = 0; ///< bit p: in_[p] holds a flit
+    ANOC_SHARD_LOCAL std::size_t buffered_ = 0;  ///< flits in all input buffers
 
     /** Downstream VC class a flit may allocate (dateline discipline). */
     int allowedVcClass(const InPort &in, unsigned in_vc,
                        const OutPort &out) const;
 
-    /** Resolve the route candidates to one output port (adaptive). */
-    unsigned selectRoute(const Packet &pkt) const;
+    /** Resolve the route candidates towards @p dst to one output port. */
+    unsigned selectRoute(NodeId dst) const;
+
+    /** Remove and return the front flit of input buffer (in_port, vc). */
+    Flit popFlit(unsigned in_port, unsigned vc);
 
     ANOC_SHARD_LOCAL unsigned rr_in_ = 0; ///< round-robin pointer over input ports
     ANOC_SHARD_LOCAL std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs

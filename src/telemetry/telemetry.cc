@@ -85,8 +85,15 @@ std::string
 PointTelemetry::pointLabel(std::size_t index, const std::string &benchmark,
                            const std::string &scheme)
 {
-    return "p" + std::to_string(index) + "_" + sanitize_component(benchmark) +
-           "_" + sanitize_component(scheme);
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+    // equivalent chain of operator+ temporaries at -O3.
+    std::string label = "p";
+    label += std::to_string(index);
+    label += '_';
+    label += sanitize_component(benchmark);
+    label += '_';
+    label += sanitize_component(scheme);
+    return label;
 }
 
 bool

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "compression/dictionary.h"
 #include "core/codec_factory.h"
 #include "noc/network.h"
 #include "sim/simulator.h"
@@ -218,6 +219,37 @@ TEST(Network, DictionaryNotificationsBecomeControlPackets)
     gen.setEnabled(false);
     b.sim.runUntil([&] { return b.net->drained(); }, 100000);
     EXPECT_GT(b.net->stats().notification_packets.value(), 0u);
+}
+
+TEST(Network, EveryDictionaryNotificationBecomesOnePacket)
+{
+    // The network drains a decoder's notification queue only after
+    // that endpoint decoded a block; a drain that skipped such a
+    // destination would strand notifications and break the equality.
+    // A decoder never notifies itself: self-addressed packets never
+    // enter the network.
+    for (Scheme s : {Scheme::DiComp, Scheme::DiVaxx}) {
+        Bench b(s);
+        SyntheticConfig tc;
+        tc.injection_rate = 0.15;
+        tc.data_packet_ratio = 1.0;
+        tc.approx_ratio = 0.75;
+        tc.seed = 11;
+        SyntheticDataProvider provider(DataType::Float32, 16, 0.9, 3.0, 11,
+                                       0.5, 64);
+        SyntheticTraffic gen(*b.net, tc, provider);
+        b.sim.add(&gen);
+        b.sim.run(8000);
+        gen.setEnabled(false);
+        ASSERT_TRUE(b.sim.runUntil([&] { return b.net->drained(); }, 100000))
+            << to_string(s);
+        const auto &dict =
+            dynamic_cast<const DictionaryCodecBase &>(b.net->codec());
+        EXPECT_GT(dict.notificationsSent(), 0u) << to_string(s);
+        EXPECT_EQ(b.net->stats().notification_packets.value(),
+                  dict.notificationsSent())
+            << to_string(s);
+    }
 }
 
 TEST(Network, SelfAddressedPacketsRejected)

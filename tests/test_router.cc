@@ -210,6 +210,64 @@ TEST(Router, ActivityCountersAreConsistent)
     EXPECT_EQ(ejected, delivered_flits);
 }
 
+TEST(Router, ArbitrationFollowsTheCycleAcrossIdleStretches)
+{
+    // Nodes 0 and 1 share router 0 (local inputs 4 and 5) and both send
+    // to node 2 on router 1, so their heads contend for router 0's east
+    // output in the same cycle. The input round-robin pointer moves
+    // every cycle, busy or idle, so the winner is whichever contender a
+    // scan of the input ports from now % 6 meets first.
+    NocConfig cfg;
+    Rig r(cfg);
+    const unsigned n_ports = kLocalBase + cfg.concentration;
+    bool won[2] = {false, false};
+    for (unsigned trial = 0; trial < 12; ++trial) {
+        // Idle for 4 to 9 cycles, so the injection cycle walks through
+        // every residue mod n_ports twice.
+        r.sim.run(4);
+        while (r.sim.now() % n_ports != trial % n_ports)
+            r.sim.step();
+        auto a = r.net->makeControlPacket(0, 2);
+        auto b = r.net->makeControlPacket(1, 2);
+        r.net->inject(a, r.sim.now());
+        r.net->inject(b, r.sim.now());
+        ASSERT_TRUE(r.sim.runUntil([&] { return r.net->drained(); }, 1000));
+        ASSERT_EQ(a->inject_start, b->inject_start);
+
+        const Cycle eligible = a->inject_start + cfg.router_stages;
+        const unsigned start = static_cast<unsigned>(eligible % n_ports);
+        auto scan_pos = [&](unsigned port) {
+            return (port + n_ports - start) % n_ports;
+        };
+        const bool a_first = scan_pos(kLocalBase) < scan_pos(kLocalBase + 1);
+        const PacketPtr &first = a_first ? a : b;
+        const PacketPtr &second = a_first ? b : a;
+        EXPECT_LT(first->eject_done, second->eject_done)
+            << "trial " << trial << ", heads eligible at cycle " << eligible;
+        won[a_first ? 0 : 1] = true;
+    }
+    EXPECT_TRUE(won[0] && won[1]) << "both inputs must win some trial";
+}
+
+TEST(Router, OccupancyIsWritesMinusForwardsEveryCycle)
+{
+    NocConfig cfg;
+    Rig r(cfg);
+    SyntheticConfig tc;
+    tc.injection_rate = 0.3;
+    tc.seed = 3;
+    SyntheticDataProvider provider(DataType::Int32);
+    SyntheticTraffic gen(*r.net, tc, provider);
+    r.sim.add(&gen);
+    for (int c = 0; c < 3000; ++c) {
+        r.sim.step();
+        ASSERT_EQ(r.net->routerOccupancy(),
+                  r.net->routerBufferWrites() - r.net->routerFlitsForwarded())
+            << "cycle " << r.sim.now();
+    }
+    EXPECT_GT(r.net->routerOccupancy(), 0u);
+}
+
 TEST(Router, StatsDumpIsComplete)
 {
     NocConfig cfg;
