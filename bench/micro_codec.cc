@@ -10,19 +10,6 @@
  * warmup, written as machine-readable JSON. scripts/bench_compare.py
  * diffs two such files; CI runs it against the checked-in seed
  * baseline (bench/baselines/). See docs/perf.md.
- *
- * --encode-jobs=N adds the flow-sharded parallel axis to --bench-out:
- * a multi-flow workload (one flow per source endpoint) encoded through
- * harness::FlowShardedEncoder at jobs=1 and jobs=N, per scheme, with
- * the two streams' bit sinks cross-checked — the jobs=1/jobs=N
- * equivalence guarantee, measured rather than assumed.
- *
- * --decode-jobs=N adds the decode-side twin: the encoded multi-flow
- * batch decoded through harness::FlowShardedDecoder at jobs=1 and
- * jobs=N on two identically trained codec instances (decode mutates
- * learning state, so one instance cannot serve both job counts), with
- * word sums, consistency mismatches and per-destination notification
- * streams cross-checked.
  */
 #include <benchmark/benchmark.h>
 
@@ -46,7 +33,6 @@
 #include "tcam/match_kernel.h"
 #include "compression/fpc.h"
 #include "core/codec_factory.h"
-#include "harness/sharded_codec_pipeline.h"
 #include "tcam/tcam.h"
 
 // The same source builds against the pre-optimization tree (no
@@ -313,305 +299,9 @@ run_scheme(Scheme scheme, const std::string &key,
     return res;
 }
 
-/**
- * The flow-sharded parallel encode axis: the same block mix spread
- * round-robin over kParFlows disjoint (src, dst) flows, one flow per
- * source endpoint, encoded through FlowShardedEncoder. Reported per
- * scheme as words/sec at jobs=1 and jobs=N, cross-checked for the
- * jobs-equivalence guarantee (identical total NR bits).
- */
-constexpr std::size_t kParFlows = 8;
-
-struct ParallelResult {
-    std::string key;
-    double j1_words_per_sec = 0;
-    double jn_words_per_sec = 0;
-    double speedup = 0;
-    std::uint64_t sink = 0;
-    /** Per-shard self-profiling (populated only under --profile-out;
-     * profiling stays off for gated timings, so the perf numbers the
-     * regression gate compares never carry instrumentation cost). */
-    harness::ShardStats stats1, statsN;
-};
-
-ParallelResult
-run_parallel_scheme(Scheme scheme, const std::string &key,
-                    const std::vector<DataBlock> &blocks, int reps,
-                    unsigned encode_jobs, bool profile)
-{
-    CodecConfig cfg;
-    cfg.n_nodes = 2 * kParFlows;
-    cfg.error_threshold_pct = kErrorThresholdPct;
-    cfg.dict.pmt_entries = kPmtEntries;
-    cfg.dict.tracker_entries = 64;
-    auto codec = CodecFactory::create(scheme, cfg);
-
-    // Train every flow's dictionary pair serially, exactly as the
-    // single-flow harness does.
-    Cycle now = 0;
-    auto flow_src = [](std::size_t b) {
-        return static_cast<NodeId>(b % kParFlows);
-    };
-    auto flow_dst = [](std::size_t b) {
-        return static_cast<NodeId>(kParFlows + b % kParFlows);
-    };
-    for (int pass = 0; pass < kWarmupPasses; ++pass) {
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            EncodedBlock enc = codec->encodeBlock(blocks[b], flow_src(b),
-                                                  flow_dst(b), now);
-            codec->decode(enc, flow_src(b), flow_dst(b), now);
-            now += 51;
-        }
-    }
-    now += 100000; // flush in-flight updates; steady-state encoder
-
-    std::vector<harness::EncodeRequest> reqs;
-    reqs.reserve(blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b)
-        reqs.push_back({&blocks[b], flow_src(b), flow_dst(b), now});
-
-    const double words =
-        static_cast<double>(blocks.size() * kWordsPerBlock * kInnerIters);
-    auto measure = [&](unsigned jobs, std::uint64_t &sink,
-                       harness::ShardStats *stats) {
-        harness::FlowShardedEncoder enc(*codec, jobs);
-        enc.setProfiling(profile);
-        std::vector<double> rep_wps;
-        for (int rep = 0; rep < reps; ++rep) {
-            std::uint64_t rep_sink = 0;
-            auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t it = 0; it < kInnerIters; ++it) {
-                auto out = enc.encodeAll(reqs);
-                for (const auto &e : out)
-                    rep_sink += e.bits();
-            }
-            auto t1 = std::chrono::steady_clock::now();
-            double secs = std::chrono::duration<double>(t1 - t0).count();
-            rep_wps.push_back(words / secs);
-            sink = rep_sink;
-        }
-        if (stats)
-            *stats = enc.stats();
-        std::sort(rep_wps.begin(), rep_wps.end());
-        return rep_wps[rep_wps.size() / 2];
-    };
-
-    ParallelResult res;
-    res.key = key;
-    std::uint64_t sink1 = 0, sinkN = 0;
-    res.j1_words_per_sec = measure(1, sink1, profile ? &res.stats1 : nullptr);
-    res.jn_words_per_sec =
-        measure(encode_jobs, sinkN, profile ? &res.statsN : nullptr);
-    if (sink1 != sinkN) {
-        std::fprintf(stderr,
-                     "micro_codec: PARALLEL ENCODE MISMATCH for %s: "
-                     "jobs=1 bits %llu != jobs=%u bits %llu\n",
-                     key.c_str(), static_cast<unsigned long long>(sink1),
-                     encode_jobs, static_cast<unsigned long long>(sinkN));
-        std::exit(1);
-    }
-    res.sink = sink1;
-    res.speedup = res.jn_words_per_sec / res.j1_words_per_sec;
-    return res;
-}
-
-/**
- * The flow-sharded parallel decode axis. Decode mutates decoder-side
- * learning state, so measuring jobs=1 and then jobs=N on one codec
- * would hand the second measurement different dictionaries — instead
- * two instances are trained through the identical serial schedule,
- * each serves one job count, and twin-hood is verified afterwards
- * (equal word sums, consistency mismatches, and per-destination
- * notification streams including sequence numbers).
- */
-ParallelResult
-run_parallel_decode_scheme(Scheme scheme, const std::string &key,
-                           const std::vector<DataBlock> &blocks, int reps,
-                           unsigned decode_jobs, bool profile)
-{
-    CodecConfig cfg;
-    cfg.n_nodes = 2 * kParFlows;
-    cfg.error_threshold_pct = kErrorThresholdPct;
-    cfg.dict.pmt_entries = kPmtEntries;
-    cfg.dict.tracker_entries = 64;
-
-    auto flow_src = [](std::size_t b) {
-        return static_cast<NodeId>(b % kParFlows);
-    };
-    auto flow_dst = [](std::size_t b) {
-        return static_cast<NodeId>(kParFlows + b % kParFlows);
-    };
-
-    Cycle measure_at = 0;
-    auto make_trained = [&]() {
-        auto codec = CodecFactory::create(scheme, cfg);
-        Cycle now = 0;
-        for (int pass = 0; pass < kWarmupPasses; ++pass) {
-            for (std::size_t b = 0; b < blocks.size(); ++b) {
-                EncodedBlock enc = codec->encodeBlock(blocks[b], flow_src(b),
-                                                      flow_dst(b), now);
-                codec->decodeBlock(enc, flow_src(b), flow_dst(b), now);
-                now += 51;
-            }
-        }
-        // Discard the training-time notifications so the post-measure
-        // stream comparison sees only what the measured decodes emit.
-        for (NodeId d = 0; d < static_cast<NodeId>(cfg.n_nodes); ++d)
-            codec->drainNotifications(d);
-        measure_at = now + 100000;
-        return codec;
-    };
-    auto codec1 = make_trained();
-    auto codecN = make_trained();
-
-    // Encode the measured batch once per twin (encoding also evolves
-    // state, so each twin must encode its own copy).
-    auto encode_batch = [&](CodecSystem &c) {
-        std::vector<EncodedBlock> encs;
-        encs.reserve(blocks.size());
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            encs.push_back(c.encodeBlock(blocks[b], flow_src(b), flow_dst(b),
-                                         measure_at));
-        return encs;
-    };
-    auto encs1 = encode_batch(*codec1);
-    auto encsN = encode_batch(*codecN);
-
-    const double words =
-        static_cast<double>(blocks.size() * kWordsPerBlock * kInnerIters);
-    auto measure = [&](CodecSystem &c, const std::vector<EncodedBlock> &encs,
-                       unsigned jobs, std::uint64_t &sink,
-                       harness::ShardStats *stats) {
-        std::vector<harness::DecodeRequest> reqs;
-        reqs.reserve(encs.size());
-        for (std::size_t b = 0; b < encs.size(); ++b)
-            reqs.push_back({&encs[b], flow_src(b), flow_dst(b), measure_at});
-        harness::FlowShardedDecoder dec(c, jobs);
-        dec.setProfiling(profile);
-        std::vector<double> rep_wps;
-        for (int rep = 0; rep < reps; ++rep) {
-            std::uint64_t rep_sink = 0;
-            auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t it = 0; it < kInnerIters; ++it) {
-                auto out = dec.decodeAll(reqs);
-                for (const auto &db : out)
-                    for (std::size_t w = 0; w < db.size(); ++w)
-                        rep_sink += db.word(w);
-            }
-            auto t1 = std::chrono::steady_clock::now();
-            double secs = std::chrono::duration<double>(t1 - t0).count();
-            rep_wps.push_back(words / secs);
-            sink = rep_sink;
-        }
-        if (stats)
-            *stats = dec.stats();
-        std::sort(rep_wps.begin(), rep_wps.end());
-        return rep_wps[rep_wps.size() / 2];
-    };
-
-    ParallelResult res;
-    res.key = key;
-    std::uint64_t sink1 = 0, sinkN = 0;
-    res.j1_words_per_sec =
-        measure(*codec1, encs1, 1, sink1, profile ? &res.stats1 : nullptr);
-    res.jn_words_per_sec = measure(*codecN, encsN, decode_jobs, sinkN,
-                                   profile ? &res.statsN : nullptr);
-
-    bool notes_equal = true;
-    for (NodeId d = 0; d < static_cast<NodeId>(cfg.n_nodes); ++d) {
-        auto n1 = codec1->drainNotifications(d);
-        auto nN = codecN->drainNotifications(d);
-        if (n1.size() != nN.size()) {
-            notes_equal = false;
-            break;
-        }
-        for (std::size_t i = 0; i < n1.size(); ++i)
-            if (n1[i].from != nN[i].from || n1[i].to != nN[i].to ||
-                n1[i].seq != nN[i].seq)
-                notes_equal = false;
-    }
-    if (sink1 != sinkN ||
-        codec1->consistencyMismatches() != codecN->consistencyMismatches() ||
-        !notes_equal) {
-        std::fprintf(stderr,
-                     "micro_codec: PARALLEL DECODE MISMATCH for %s: "
-                     "jobs=1 sum %llu != jobs=%u sum %llu (or notification/"
-                     "mismatch streams diverged)\n",
-                     key.c_str(), static_cast<unsigned long long>(sink1),
-                     decode_jobs, static_cast<unsigned long long>(sinkN));
-        std::exit(1);
-    }
-    res.sink = sink1;
-    res.speedup = res.jn_words_per_sec / res.j1_words_per_sec;
-    return res;
-}
-
-/** `{"batches": ..., "imbalance": ...}` for one ShardStats bundle. */
-void
-write_shard_stats(std::FILE *f, const harness::ShardStats &s)
-{
-    std::fprintf(f,
-                 "{\"batches\": %llu, \"blocks\": %llu, "
-                 "\"shard_slots\": %llu, \"busy_ns\": %llu, "
-                 "\"max_busy_ns\": %llu, \"wall_ns\": %llu, "
-                 "\"merge_wait_ns\": %llu, \"mean_batch_size\": %.6g, "
-                 "\"imbalance\": %.4g}",
-                 static_cast<unsigned long long>(s.batches),
-                 static_cast<unsigned long long>(s.blocks),
-                 static_cast<unsigned long long>(s.shard_slots),
-                 static_cast<unsigned long long>(s.busy_ns),
-                 static_cast<unsigned long long>(s.max_busy_ns),
-                 static_cast<unsigned long long>(s.wall_ns),
-                 static_cast<unsigned long long>(s.merge_wait_ns),
-                 s.meanBatchSize(), s.imbalance());
-}
-
-/** The --profile-out pipeline self-profile (encode + decode shard
- * timing per scheme). Wall-clock derived, never part of the gated
- * comparison. */
 int
-write_profile(const std::string &path,
-              const std::vector<ParallelResult> &par,
-              const std::vector<ParallelResult> &pardec,
-              unsigned encode_jobs, unsigned decode_jobs)
+run(const std::string &path, int reps)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "micro_codec: cannot open %s for writing\n",
-                     path.c_str());
-        return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"schema\": \"approxnoc-micro-codec-profile-v1\",\n");
-    auto section = [&](const char *name,
-                       const std::vector<ParallelResult> &rows,
-                       unsigned jobs, bool last) {
-        std::fprintf(f, "  \"%s\": {\n    \"jobs\": %u,\n    \"schemes\": {",
-                     name, jobs);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            std::fprintf(f, "%s\n      \"%s\": {\"jobs1\": ",
-                         i ? "," : "", rows[i].key.c_str());
-            write_shard_stats(f, rows[i].stats1);
-            std::fprintf(f, ", \"jobsN\": ");
-            write_shard_stats(f, rows[i].statsN);
-            std::fprintf(f, "}");
-        }
-        std::fprintf(f, "%s}\n  }%s\n", rows.empty() ? "" : "\n    ",
-                     last ? "" : ",");
-    };
-    section("encode", par, encode_jobs, false);
-    section("decode", pardec, decode_jobs, true);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "micro_codec: wrote %s\n", path.c_str());
-    return 0;
-}
-
-int
-run(const std::string &path, int reps, unsigned encode_jobs,
-    unsigned decode_jobs, const std::string &profile_path)
-{
-    const bool profile = !profile_path.empty();
     // Provenance: which match kernel produced these numbers. Scalar and
     // SIMD runs are bit-identical in output but not in words/sec, so
     // baselines record the dispatch they were captured under.
@@ -630,39 +320,6 @@ run(const std::string &path, int reps, unsigned encode_jobs,
         std::fprintf(stderr, "%-10s %12.0f words/sec  %8.2f ns/word\n",
                      key, results.back().words_per_sec,
                      results.back().ns_per_word);
-    }
-
-    std::vector<ParallelResult> par;
-    if (encode_jobs > 1) {
-        for (const auto &[scheme, key] : schemes) {
-            if (scheme == Scheme::Baseline)
-                continue; // memcpy-bound; sharding overhead only
-            par.push_back(run_parallel_scheme(scheme, key, blocks, reps,
-                                              encode_jobs, profile));
-            std::fprintf(stderr,
-                         "%-10s parallel %8u flows  j1 %12.0f  j%u %12.0f "
-                         "words/sec  %.2fx\n",
-                         key, static_cast<unsigned>(kParFlows),
-                         par.back().j1_words_per_sec, encode_jobs,
-                         par.back().jn_words_per_sec, par.back().speedup);
-        }
-    }
-
-    std::vector<ParallelResult> pardec;
-    if (decode_jobs > 1) {
-        for (const auto &[scheme, key] : schemes) {
-            if (scheme == Scheme::Baseline)
-                continue; // memcpy-bound; sharding overhead only
-            pardec.push_back(run_parallel_decode_scheme(
-                scheme, key, blocks, reps, decode_jobs, profile));
-            std::fprintf(stderr,
-                         "%-10s par-decode %6u flows  j1 %12.0f  j%u %12.0f "
-                         "words/sec  %.2fx\n",
-                         key, static_cast<unsigned>(kParFlows),
-                         pardec.back().j1_words_per_sec, decode_jobs,
-                         pardec.back().jn_words_per_sec,
-                         pardec.back().speedup);
-        }
     }
 
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -705,58 +362,9 @@ run(const std::string &path, int reps, unsigned encode_jobs,
                      static_cast<unsigned long long>(r.sink),
                      i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  }%s\n",
-                 par.empty() && pardec.empty() ? "" : ",");
-    if (!par.empty()) {
-        std::fprintf(f,
-                     "  \"parallel\": {\n"
-                     "    \"encode_jobs\": %u,\n"
-                     "    \"flows\": %zu,\n"
-                     "    \"results\": {\n",
-                     encode_jobs, kParFlows);
-        for (std::size_t i = 0; i < par.size(); ++i) {
-            const ParallelResult &r = par[i];
-            std::fprintf(f,
-                         "      \"%s\": {\n"
-                         "        \"words_per_sec_jobs1\": %.6g,\n"
-                         "        \"words_per_sec_jobsN\": %.6g,\n"
-                         "        \"speedup\": %.4g,\n"
-                         "        \"enc_bits_sink\": %llu\n      }%s\n",
-                         r.key.c_str(), r.j1_words_per_sec,
-                         r.jn_words_per_sec, r.speedup,
-                         static_cast<unsigned long long>(r.sink),
-                         i + 1 < par.size() ? "," : "");
-        }
-        std::fprintf(f, "    }\n  }%s\n", pardec.empty() ? "" : ",");
-    }
-    if (!pardec.empty()) {
-        std::fprintf(f,
-                     "  \"parallel_decode\": {\n"
-                     "    \"decode_jobs\": %u,\n"
-                     "    \"flows\": %zu,\n"
-                     "    \"results\": {\n",
-                     decode_jobs, kParFlows);
-        for (std::size_t i = 0; i < pardec.size(); ++i) {
-            const ParallelResult &r = pardec[i];
-            std::fprintf(f,
-                         "      \"%s\": {\n"
-                         "        \"words_per_sec_jobs1\": %.6g,\n"
-                         "        \"words_per_sec_jobsN\": %.6g,\n"
-                         "        \"speedup\": %.4g,\n"
-                         "        \"dec_word_sum_sink\": %llu\n      }%s\n",
-                         r.key.c_str(), r.j1_words_per_sec,
-                         r.jn_words_per_sec, r.speedup,
-                         static_cast<unsigned long long>(r.sink),
-                         i + 1 < pardec.size() ? "," : "");
-        }
-        std::fprintf(f, "    }\n  }\n");
-    }
-    std::fprintf(f, "}\n");
+    std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::fprintf(stderr, "micro_codec: wrote %s\n", path.c_str());
-    if (profile)
-        return write_profile(profile_path, par, pardec, encode_jobs,
-                             decode_jobs);
     return 0;
 }
 
@@ -768,10 +376,7 @@ int
 main(int argc, char **argv)
 {
     std::string bench_path;
-    std::string profile_path;
     int reps = 5;
-    unsigned encode_jobs = 1;
-    unsigned decode_jobs = 1;
     std::vector<char *> rest{argv[0]};
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -779,24 +384,13 @@ main(int argc, char **argv)
             bench_path = a.substr(12);
         else if (a == "--bench-out" && i + 1 < argc)
             bench_path = argv[++i];
-        else if (a.rfind("--profile-out=", 0) == 0)
-            profile_path = a.substr(14);
-        else if (a == "--profile")
-            profile_path = "micro_codec.profile.json";
         else if (a.rfind("--bench-reps=", 0) == 0)
             reps = std::max(1, std::atoi(a.c_str() + 13));
-        else if (a.rfind("--encode-jobs=", 0) == 0)
-            encode_jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(a.c_str() + 14)));
-        else if (a.rfind("--decode-jobs=", 0) == 0)
-            decode_jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(a.c_str() + 14)));
         else
             rest.push_back(argv[i]);
     }
     if (!bench_path.empty())
-        return bench_out::run(bench_path, reps, encode_jobs, decode_jobs,
-                              profile_path);
+        return bench_out::run(bench_path, reps);
 
     int rest_argc = static_cast<int>(rest.size());
     benchmark::Initialize(&rest_argc, rest.data());

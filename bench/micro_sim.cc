@@ -1,25 +1,21 @@
 /**
  * @file
- * micro_sim — the simulator-stepping throughput benchmark behind the
- * region-parallel perf gate. One fixed, seeded workload: an 8x8
- * concentrated mesh (128 endpoints) under saturating uniform synthetic
- * traffic with the Baseline codec, so almost all per-cycle work is
- * router/NI stepping — the part region-parallel stepping spreads over
- * threads — rather than codec arithmetic.
+ * micro_sim — the simulator-stepping throughput benchmark. One fixed,
+ * seeded workload: an 8x8 concentrated mesh (128 endpoints) under
+ * saturating uniform synthetic traffic with the Baseline codec, so
+ * almost all per-cycle work is router/NI stepping rather than codec
+ * arithmetic.
  *
- * The run measures cycles/second serially and at --sim-jobs, each as a
- * median of --bench-reps timed reps over a fresh simulator (after a
- * warmup run), and cross-checks that the two configurations delivered
- * byte-identical results (packets delivered, data flits injected,
- * mean latency) — the determinism guarantee of the region-parallel
- * contract, measured rather than assumed. A divergence fails the run;
- * the speedup itself is recorded, never gated (CI machines with fewer
- * cores than --sim-jobs legitimately measure ~1x).
+ * The run measures serial cycles/second as the median of --bench-reps
+ * timed reps, each over a fresh simulator (after a warmup run), and
+ * checks that every rep delivered the same results (packets delivered,
+ * data flits injected, mean latency): the seeded simulation must
+ * repeat exactly. A divergence fails the run.
  *
  * Invoked with --bench-out=FILE it writes machine-readable JSON
- * (schema approxnoc-micro-sim-bench-v1) with the same results/parallel
- * section shape micro_codec emits, so scripts/bench_compare.py diffs
- * two such files; CI compares against the checked-in seed baseline
+ * (schema approxnoc-micro-sim-bench-v1) with the same results section
+ * shape micro_codec emits, so scripts/bench_compare.py diffs two such
+ * files; CI compares against the checked-in seed baseline
  * (bench/baselines/BENCH_micro_sim.seed.json). See docs/perf.md.
  */
 #include <algorithm>
@@ -39,14 +35,14 @@ using namespace approxnoc;
 
 namespace {
 
-/** Determinism sinks plus the median throughput of one configuration. */
+/** Median throughput plus the results every rep must repeat. */
 struct RunResult {
     double cycles_per_sec = 0.0;
     std::vector<double> rep_cps;
-    unsigned regions = 0;
     std::uint64_t delivered = 0;
     std::uint64_t data_flits = 0;
     double total_lat = 0.0;
+    bool repeated = true; ///< every rep matched the first
 };
 
 struct Workload {
@@ -60,12 +56,10 @@ struct Workload {
     int reps = 5;
 };
 
-/**
- * One fresh, fully isolated simulation of the fixed workload at
- * @p sim_jobs stepping threads, timed over the post-warmup run.
- */
+/** @p reps fresh, fully isolated simulations of the fixed workload,
+ *  each timed over the post-warmup run. */
 RunResult
-run_config(const Workload &w, unsigned sim_jobs, int reps)
+run_reps(const Workload &w, int reps)
 {
     RunResult out;
     for (int rep = 0; rep < reps; ++rep) {
@@ -91,11 +85,6 @@ run_config(const Workload &w, unsigned sim_jobs, int reps)
         SyntheticTraffic gen(net, tc, provider);
         sim.add(&gen);
 
-        if (sim_jobs != 1)
-            out.regions = net.enableRegionParallel(sim, sim_jobs);
-        else
-            out.regions = 1;
-
         sim.run(w.warmup);
         auto t0 = std::chrono::steady_clock::now();
         sim.run(w.cycles);
@@ -103,11 +92,18 @@ run_config(const Workload &w, unsigned sim_jobs, int reps)
         double secs = std::chrono::duration<double>(t1 - t0).count();
         out.rep_cps.push_back(static_cast<double>(w.cycles) / secs);
 
-        // Identical seeded workload => identical counters every rep;
-        // the last rep's values stand for the configuration.
-        out.delivered = net.stats().packets_delivered.value();
-        out.data_flits = net.dataFlitsInjected();
-        out.total_lat = net.stats().total_lat.mean();
+        const std::uint64_t delivered = net.stats().packets_delivered.value();
+        const std::uint64_t data_flits = net.dataFlitsInjected();
+        const double total_lat = net.stats().total_lat.mean();
+        if (rep == 0) {
+            out.delivered = delivered;
+            out.data_flits = data_flits;
+            out.total_lat = total_lat;
+        } else if (delivered != out.delivered ||
+                   data_flits != out.data_flits ||
+                   total_lat != out.total_lat) {
+            out.repeated = false;
+        }
     }
     std::vector<double> sorted = out.rep_cps;
     std::sort(sorted.begin(), sorted.end());
@@ -116,8 +112,7 @@ run_config(const Workload &w, unsigned sim_jobs, int reps)
 }
 
 int
-write_json(const std::string &path, const Workload &w, unsigned sim_jobs,
-           const RunResult &serial, const RunResult &par)
+write_json(const std::string &path, const Workload &w, const RunResult &r)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
@@ -145,32 +140,16 @@ write_json(const std::string &path, const Workload &w, unsigned sim_jobs,
                  static_cast<unsigned long long>(w.seed));
     std::fprintf(f, "  \"results\": {\n    \"mesh_%ux%u\": {\n",
                  w.rows, w.cols);
-    std::fprintf(f, "      \"cycles_per_sec\": %.6g,\n",
-                 serial.cycles_per_sec);
+    std::fprintf(f, "      \"cycles_per_sec\": %.6g,\n", r.cycles_per_sec);
     std::fprintf(f, "      \"reps_cycles_per_sec\": [");
-    for (std::size_t i = 0; i < serial.rep_cps.size(); ++i)
-        std::fprintf(f, "%s%.6g", i ? ", " : "", serial.rep_cps[i]);
+    for (std::size_t i = 0; i < r.rep_cps.size(); ++i)
+        std::fprintf(f, "%s%.6g", i ? ", " : "", r.rep_cps[i]);
     std::fprintf(f,
                  "],\n"
                  "      \"packets_delivered\": %llu,\n"
-                 "      \"data_flits\": %llu\n    }\n  },\n",
-                 static_cast<unsigned long long>(serial.delivered),
-                 static_cast<unsigned long long>(serial.data_flits));
-    std::fprintf(f,
-                 "  \"parallel\": {\n"
-                 "    \"sim_jobs\": %u,\n"
-                 "    \"regions\": %u,\n"
-                 "    \"results\": {\n"
-                 "      \"mesh_%ux%u\": {\n"
-                 "        \"cycles_per_sec_jobs1\": %.6g,\n"
-                 "        \"cycles_per_sec_jobsN\": %.6g,\n"
-                 "        \"speedup\": %.4g,\n"
-                 "        \"packets_delivered\": %llu\n"
-                 "      }\n    }\n  }\n}\n",
-                 sim_jobs, par.regions, w.rows, w.cols,
-                 serial.cycles_per_sec, par.cycles_per_sec,
-                 par.cycles_per_sec / serial.cycles_per_sec,
-                 static_cast<unsigned long long>(par.delivered));
+                 "      \"data_flits\": %llu\n    }\n  }\n}\n",
+                 static_cast<unsigned long long>(r.delivered),
+                 static_cast<unsigned long long>(r.data_flits));
     std::fclose(f);
     std::fprintf(stderr, "micro_sim: wrote %s\n", path.c_str());
     return 0;
@@ -184,9 +163,8 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     if (args.has("help")) {
         std::printf(
-            "micro_sim — region-parallel simulator stepping benchmark\n\n"
-            "  --sim-jobs=<n>    parallel config to measure (default 4)\n"
-            "  --bench-reps=<n>  timed reps per config, median kept (5)\n"
+            "micro_sim — simulator stepping throughput benchmark\n\n"
+            "  --bench-reps=<n>  timed reps, median kept (5)\n"
             "  --rows=8 --cols=8 --cycles=20000 --warmup=2000\n"
             "  --rate=0.30 --data-ratio=0.5 --seed=42\n"
             "  --bench-out=<file>  machine-readable JSON for\n"
@@ -195,51 +173,30 @@ main(int argc, char **argv)
     }
 
     Workload w;
-    w.rows = static_cast<unsigned>(args.getInt("rows", 8));
-    w.cols = static_cast<unsigned>(args.getInt("cols", 8));
-    w.cycles = static_cast<Cycle>(args.getInt("cycles", 20000));
-    w.warmup = static_cast<Cycle>(args.getInt("warmup", 2000));
+    w.rows = static_cast<unsigned>(args.getCount("rows", 8));
+    w.cols = static_cast<unsigned>(args.getCount("cols", 8));
+    w.cycles = static_cast<Cycle>(args.getCount("cycles", 20000));
+    w.warmup = static_cast<Cycle>(args.getCount("warmup", 2000));
     w.rate = args.getDouble("rate", 0.30);
     w.data_ratio = args.getDouble("data-ratio", 0.5);
     w.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
-    w.reps = static_cast<int>(args.getInt("bench-reps", 5));
-    unsigned sim_jobs =
-        static_cast<unsigned>(args.getInt("sim-jobs", 4));
+    w.reps = std::max(1, static_cast<int>(args.getCount("bench-reps", 5)));
 
-    RunResult serial = run_config(w, 1, w.reps);
-    std::fprintf(stderr, "mesh_%ux%u  jobs=1  %12.0f cycles/sec\n",
-                 w.rows, w.cols, serial.cycles_per_sec);
-    RunResult par = run_config(w, sim_jobs, w.reps);
-    std::fprintf(stderr,
-                 "mesh_%ux%u  jobs=%u (%u regions)  %12.0f cycles/sec  "
-                 "%.2fx\n",
-                 w.rows, w.cols, sim_jobs, par.regions,
-                 par.cycles_per_sec,
-                 par.cycles_per_sec / serial.cycles_per_sec);
-
-    // The determinism gate: region-parallel stepping must reproduce
-    // the serial run exactly, down to the FP latency accumulators.
-    if (serial.delivered != par.delivered ||
-        serial.data_flits != par.data_flits ||
-        serial.total_lat != par.total_lat) {
-        std::fprintf(stderr,
-                     "micro_sim: DETERMINISM MISMATCH jobs=1 vs jobs=%u: "
-                     "delivered %llu/%llu, data flits %llu/%llu, "
-                     "latency %.17g/%.17g\n",
-                     sim_jobs,
-                     static_cast<unsigned long long>(serial.delivered),
-                     static_cast<unsigned long long>(par.delivered),
-                     static_cast<unsigned long long>(serial.data_flits),
-                     static_cast<unsigned long long>(par.data_flits),
-                     serial.total_lat, par.total_lat);
+    RunResult r = run_reps(w, w.reps);
+    std::fprintf(stderr, "mesh_%ux%u  %12.0f cycles/sec\n", w.rows, w.cols,
+                 r.cycles_per_sec);
+    if (!r.repeated) {
+        std::fprintf(stderr, "micro_sim: DETERMINISM MISMATCH: the seeded "
+                             "reps did not repeat the first rep's results\n");
         return 1;
     }
-    std::fprintf(stderr, "micro_sim: determinism cross-check ok "
-                         "(%llu packets delivered)\n",
-                 static_cast<unsigned long long>(serial.delivered));
+    std::fprintf(stderr,
+                 "micro_sim: %d reps repeated exactly (%llu packets "
+                 "delivered)\n",
+                 w.reps, static_cast<unsigned long long>(r.delivered));
 
     std::string out = args.getString("bench-out", "");
     if (!out.empty())
-        return write_json(out, w, sim_jobs, serial, par);
+        return write_json(out, w, r);
     return 0;
 }

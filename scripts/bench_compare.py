@@ -3,16 +3,13 @@
 
 Usage:
     bench_compare.py OLD.json NEW.json [--threshold FRAC] [--report-only]
-                     [--section NAME]
 
-Compares <section>.<scheme> throughput between the two files (section
-defaults to `results`, comparing `words_per_sec` — or `cycles_per_sec`
-for micro_sim files; `--section parallel` or `--section
-parallel_decode` compares the sharded/region-parallel axes on
-`words_per_sec_jobsN` / `cycles_per_sec_jobsN`). A scheme whose new throughput falls below
+Compares results.<scheme> throughput between the two files:
+`words_per_sec` for micro_codec files, `cycles_per_sec` for micro_sim
+files. A scheme whose new throughput falls below
 (1 - threshold) * old throughput is a regression; a scheme present in
-OLD but missing from NEW is treated as one too. A file missing the
-requested section is malformed input and names the sections it does
+OLD but missing from NEW is treated as one too. A file with no
+`results` section is malformed input and names the sections it does
 have — never a KeyError traceback. Exit codes: 0 = no regression (or
 --report-only), 1 = regression detected, 2 = malformed input.
 
@@ -30,42 +27,35 @@ import json
 import sys
 
 
-# Per-scheme throughput key by section: the serial gates record
-# words_per_sec (micro_codec) or cycles_per_sec (micro_sim); the
-# sharded/region-parallel axes record jobs1/jobsN pairs, of which the
-# jobsN number is the one a regression would move.
-METRIC_KEYS = ("words_per_sec", "words_per_sec_jobsN",
-               "cycles_per_sec", "cycles_per_sec_jobsN")
+# Per-scheme throughput key: words_per_sec (micro_codec) or
+# cycles_per_sec (micro_sim).
+METRIC_KEYS = ("words_per_sec", "cycles_per_sec")
+SECTION = "results"
 
 
-def load_results(path, section):
+def load_results(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    if not isinstance(data, dict) or section not in data:
+    if not isinstance(data, dict) or SECTION not in data:
         have = ", ".join(sorted(k for k, v in data.items()
                                 if isinstance(v, dict))) \
             if isinstance(data, dict) else ""
-        print(f"bench_compare: {path} has no '{section}' section "
+        print(f"bench_compare: {path} has no '{SECTION}' section "
               f"(sections present: {have or 'none'})", file=sys.stderr)
         sys.exit(2)
-    results = data[section]
-    # The sharded sections nest the per-scheme map one level down:
-    # {"decode_jobs": N, "flows": F, "results": {...}}.
-    if isinstance(results, dict) and section != "results" and \
-            isinstance(results.get("results"), dict):
-        results = results["results"]
+    results = data[SECTION]
     if not isinstance(results, dict) or not results:
-        print(f"bench_compare: {path}: '{section}' is not a non-empty "
+        print(f"bench_compare: {path}: '{SECTION}' is not a non-empty "
               f"object", file=sys.stderr)
         sys.exit(2)
     out = {}
     for scheme, entry in results.items():
         if not isinstance(entry, dict):
-            continue  # section-level scalars like decode_jobs / flows
+            continue
         wps = None
         for key in METRIC_KEYS:
             if key in entry:
@@ -73,12 +63,12 @@ def load_results(path, section):
                 break
         if not isinstance(wps, (int, float)) or wps <= 0:
             print(f"bench_compare: {path}: no positive throughput "
-                  f"({' or '.join(METRIC_KEYS)}) for '{section}.{scheme}'",
+                  f"({' or '.join(METRIC_KEYS)}) for '{SECTION}.{scheme}'",
                   file=sys.stderr)
             sys.exit(2)
         out[scheme] = float(wps)
     if not out:
-        print(f"bench_compare: {path}: '{section}' has no per-scheme "
+        print(f"bench_compare: {path}: '{SECTION}' has no per-scheme "
               f"entries", file=sys.stderr)
         sys.exit(2)
     return out
@@ -94,16 +84,13 @@ def main(argv=None):
                          "(default 0.15 = 15%%)")
     ap.add_argument("--report-only", action="store_true",
                     help="print the comparison but always exit 0")
-    ap.add_argument("--section", default="results",
-                    help="JSON section to compare (default: results; "
-                         "also: parallel, parallel_decode)")
     args = ap.parse_args(argv)
     if not (0.0 <= args.threshold < 1.0):
         print("bench_compare: --threshold must be in [0, 1)", file=sys.stderr)
         return 2
 
-    old = load_results(args.old, args.section)
-    new = load_results(args.new, args.section)
+    old = load_results(args.old)
+    new = load_results(args.new)
 
     regressions = []
     width = max(len(s) for s in old) + 2

@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc)}"
 
-# Static analysis first: determinism/isolation contracts are cheaper
-# to check than to build, and a finding fails the gate immediately.
+# Static analysis first: the determinism contract is cheaper to check
+# than to build, and a finding fails the gate immediately.
 python3 tools/anoc_lint/anoc_lint.py --quiet
 
 cmake -B "$BUILD_DIR" -S .

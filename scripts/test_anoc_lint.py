@@ -2,17 +2,15 @@
 """Self-test for anoc-lint (tools/anoc_lint) using fixture trees.
 
 Exercises the contract the lint CI job relies on, one fixture per rule:
-a positive match for D1/D2/C1/C2/S1, suppression honored (exit 0),
+a positive match for D1/D2/C2/S1, suppression honored (exit 0),
 suppression-without-reason rejected (SUP + the finding stays active),
-scope propagation through the include graph, --fix convergence and
-idempotence, the JSON report shape, and the exit-code contract
-(0 clean / 1 findings / 2 bad root). Registered as a ctest
+scope propagation through the include graph, the JSON report shape,
+and the exit-code contract (0 clean / 1 findings / 2 bad root). Registered as a ctest
 (anoc_lint_selftest).
 """
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -36,15 +34,7 @@ def run(root, *argv):
     return p.returncode, p.stdout + p.stderr
 
 
-CONTRACT_H = """
-#define ANOC_ISOLATION_CONTRACT(...) static_assert(true, "marker")
-#define ANOC_SHARD_LOCAL
-#define ANOC_CROSS_SHARD(kind)
-#define ANOC_REGION_SHARED
-"""
-
 CLEAN_CC = """
-#include "common/contract.h"
 int clean_fn(int x) { return x + 1; }
 """
 
@@ -64,15 +54,13 @@ def main():
 
     # --- clean tree: exit 0 ------------------------------------------
     with tempfile.TemporaryDirectory() as d:
-        make_tree(d, {"src/common/contract.h": CONTRACT_H,
-                      "src/sim/clean.cc": CLEAN_CC})
+        make_tree(d, {"src/sim/clean.cc": CLEAN_CC})
         rc, out = run(d)
         check_exit("clean-tree", rc, 0, out)
 
     # --- D1: nondeterminism sources, in and out of scope -------------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/sim/clock.cc":
                 "#include <chrono>\n"
                 "long t() { return std::chrono::steady_clock::now()"
@@ -94,7 +82,6 @@ def main():
     # --- D1 scope propagation through the include graph --------------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             # Helper lives outside the scoped dirs...
             "src/util/seedless.h": "inline int bad() { return rand(); }\n",
             # ...but a scoped file includes it, pulling it into scope.
@@ -107,7 +94,6 @@ def main():
     # --- D2: unordered-container iteration ---------------------------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/telemetry/walk.cc":
                 "#include <unordered_map>\n"
                 "#include <string>\n"
@@ -121,56 +107,9 @@ def main():
         check_exit("d2-positive", rc, 1, out)
         check("d2-both-sites", out.count("[D2]") == 2, out)
 
-    # --- C1: contract-class field annotations ------------------------
-    c1_files = {
-        "src/common/contract.h": CONTRACT_H,
-        "src/common/relaxed_counter.h": "class RelaxedCounter {};\n",
-        "src/compression/widget.h":
-            '#include "common/contract.h"\n'
-            '#include "common/relaxed_counter.h"\n'
-            "class Widget {\n"
-            "  public:\n"
-            "    ANOC_ISOLATION_CONTRACT(flow_isolation);\n"
-            "    int lookup(int k) const;\n"
-            "  private:\n"
-            "    unsigned long table_ = 0;\n"         # unannotated
-            "    RelaxedCounter hits_;\n"             # unannotated
-            "    ANOC_CROSS_SHARD(long) long bad_;\n"  # wrong arg
-            "};\n",
-    }
-    with tempfile.TemporaryDirectory() as d:
-        make_tree(d, c1_files)
-        rc, out = run(d)
-        check_exit("c1-positive", rc, 1, out)
-        check("c1-count", out.count("[C1]") == 3, out)
-        check("c1-names-field", "table_" in out and "bad_" in out, out)
-
-    # --- C1 --fix: converges, picks the right macro, idempotent ------
-    with tempfile.TemporaryDirectory() as d:
-        make_tree(d, c1_files)
-        widget = os.path.join(d, "src/compression/widget.h")
-        rc, out = run(d, "--fix")
-        # The wrong-arg finding is not mechanical, so one finding stays.
-        check_exit("fix-leaves-nonmechanical", rc, 1, out)
-        with open(widget, encoding="utf-8") as f:
-            fixed = f.read()
-        check("fix-shard-local",
-              "ANOC_SHARD_LOCAL unsigned long table_" in fixed, fixed)
-        check("fix-relaxed-counter",
-              "ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter hits_"
-              in fixed, fixed)
-        rc2, _ = run(d, "--fix")
-        with open(widget, encoding="utf-8") as f:
-            refixed = f.read()
-        check("fix-idempotent", refixed == fixed,
-              "second --fix changed the file")
-
-    # --- C2: deprecated include, double probe, notify_delay ----------
+    # --- C2: double probe, notify_delay ------------------------------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
-            "src/harness/user.cc":
-                '#include "harness/flow_sharded_encoder.h"\n',
             "src/compression/probe.cc":
                 "int f(Tcam &pmt, unsigned w) {\n"
                 "    auto hit = pmt.search(w);\n"
@@ -183,8 +122,6 @@ def main():
         })
         rc, out = run(d)
         check_exit("c2-positive", rc, 1, out)
-        check("c2-deprecated-include",
-              "flow_sharded_encoder" in out, out)
         check("c2-double-probe", "double probe" in out, out)
         check("c2-notify-delay", "notify_delay" in out, out)
 
@@ -193,7 +130,6 @@ def main():
                   "TEST(SimdDiff, KernelMatches) {}\n")
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             # No #else: the SIMD path has no portable fallback.
             "src/tcam/noelse.cc":
                 "// anoc-simd-test: SimdDiff.KernelMatches\n"
@@ -209,7 +145,6 @@ def main():
 
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             # #else twin present, but nothing names the test that
             # exercises the pair.
             "src/tcam/nomarker.cc":
@@ -226,7 +161,6 @@ def main():
 
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             # Marker names a test nobody wrote.
             "src/tcam/ghost.cc":
                 "#if defined(__AVX2__)\n"
@@ -243,7 +177,6 @@ def main():
 
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             # Twin + marker + real test, with a wrapped condition and a
             # nested #if inside the guarded block: clean.
             "src/tcam/kern.cc":
@@ -264,7 +197,6 @@ def main():
     # --- suppressions: honored with a reason, rejected without -------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/sim/ok.cc":
                 "#include <cstdlib>\n"
                 "// anoc-lint: allow(D1) -- test vector generation,"
@@ -277,7 +209,6 @@ def main():
 
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/sim/bad.cc":
                 "#include <cstdlib>\n"
                 "// anoc-lint: allow(D1)\n"
@@ -290,7 +221,6 @@ def main():
 
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/sim/unknown.cc":
                 "// anoc-lint: allow(Z9) -- no such rule\n"
                 "int x;\n",
@@ -302,7 +232,6 @@ def main():
     # --- JSON report --------------------------------------------------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/sim/entropy.cc": "int r() { return rand(); }\n",
         })
         report = os.path.join(d, "lint.json")
@@ -320,7 +249,6 @@ def main():
     # --- path restriction ---------------------------------------------
     with tempfile.TemporaryDirectory() as d:
         make_tree(d, {
-            "src/common/contract.h": CONTRACT_H,
             "src/sim/entropy.cc": "int r() { return rand(); }\n",
             "src/noc/clean.cc": CLEAN_CC,
         })

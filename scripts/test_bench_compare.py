@@ -17,40 +17,22 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "bench_compare.py")
 
 
-def bench_json(path, parallel_decode=None, **words_per_sec):
+def bench_json(path, **words_per_sec):
     data = {
         "schema": "approxnoc-micro-codec-bench-v1",
         "results": {s: {"words_per_sec": w, "ns_per_word": 1e9 / w}
                     for s, w in words_per_sec.items()},
     }
-    if parallel_decode is not None:
-        # Mirrors the real bench JSON: section-level scalars plus a
-        # nested per-scheme results map.
-        data["parallel_decode"] = {
-            "decode_jobs": 4,
-            "flows": 8,
-            "results": {s: {"words_per_sec_jobs1": w / 3,
-                            "words_per_sec_jobsN": w,
-                            "speedup": 3.0}
-                        for s, w in parallel_decode.items()},
-        }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f)
 
 
-def sim_bench_json(path, cps, cps_jobs_n):
+def sim_bench_json(path, cps):
     """The micro_sim schema: cycles_per_sec keys, one config entry."""
     data = {
         "schema": "approxnoc-micro-sim-bench-v1",
         "results": {"mesh_8x8": {"cycles_per_sec": cps,
                                  "packets_delivered": 12345}},
-        "parallel": {
-            "sim_jobs": 4,
-            "regions": 4,
-            "results": {"mesh_8x8": {"cycles_per_sec_jobs1": cps,
-                                     "cycles_per_sec_jobsN": cps_jobs_n,
-                                     "speedup": cps_jobs_n / cps}},
-        },
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f)
@@ -135,71 +117,31 @@ def main():
         rc, out = run(old, bad_wps)
         check("bad-words-per-sec", rc, 2, out)
 
-        # --section parallel_decode compares the sharded axis on
-        # words_per_sec_jobsN.
-        par_old = os.path.join(d, "par_old.json")
-        bench_json(par_old, baseline=1e8,
-                   parallel_decode={"di_vaxx": 3e7, "fp_vaxx": 5e7})
-        par_same = os.path.join(d, "par_same.json")
-        bench_json(par_same, baseline=1e8,
-                   parallel_decode={"di_vaxx": 3e7, "fp_vaxx": 5e7})
-        rc, out = run(par_old, par_same, "--section", "parallel_decode")
-        check("section-identical", rc, 0, out)
-
-        par_slow = os.path.join(d, "par_slow.json")
-        bench_json(par_slow, baseline=1e8,
-                   parallel_decode={"di_vaxx": 1e7, "fp_vaxx": 5e7})
-        rc, out = run(par_old, par_slow, "--section", "parallel_decode")
-        check("section-regression", rc, 1, out)
-
-        # A candidate missing the requested section is malformed input
-        # with a clear message — never a KeyError traceback.
-        rc, out = run(par_old, same, "--section", "parallel_decode")
-        check("section-missing-candidate", rc, 2, out)
-        if "parallel_decode" not in out or "Traceback" in out:
+        # A file with no results section is malformed input with a
+        # clear message naming the sections it does have — never a
+        # KeyError traceback.
+        other = os.path.join(d, "other.json")
+        with open(other, "w", encoding="utf-8") as f:
+            json.dump({"config": {"reps": 3}, "provenance": {}}, f)
+        rc, out = run(old, other)
+        check("results-missing", rc, 2, out)
+        if "config" not in out or "Traceback" in out:
             failures.append(
-                f"section-missing-candidate: want clear message naming "
-                f"parallel_decode, no traceback\n{out}")
+                f"results-missing: want a message listing the present "
+                f"sections, no traceback\n{out}")
 
-        # Same for a baseline missing the section.
-        rc, out = run(same, par_old, "--section", "parallel_decode")
-        check("section-missing-baseline", rc, 2, out)
-        if "parallel_decode" not in out or "Traceback" in out:
-            failures.append(
-                f"section-missing-baseline: want clear message naming "
-                f"parallel_decode, no traceback\n{out}")
-
-        # The micro_sim schema (cycles_per_sec keys) works in both the
-        # serial and the region-parallel section.
+        # The micro_sim schema compares on cycles_per_sec.
         sim_old = os.path.join(d, "sim_old.json")
-        sim_bench_json(sim_old, cps=4e5, cps_jobs_n=1.1e6)
+        sim_bench_json(sim_old, cps=4e5)
         sim_same = os.path.join(d, "sim_same.json")
-        sim_bench_json(sim_same, cps=4e5, cps_jobs_n=1.1e6)
+        sim_bench_json(sim_same, cps=4e5)
         rc, out = run(sim_old, sim_same)
         check("sim-identical", rc, 0, out)
-        rc, out = run(sim_old, sim_same, "--section", "parallel")
-        check("sim-parallel-identical", rc, 0, out)
 
         sim_slow = os.path.join(d, "sim_slow.json")
-        sim_bench_json(sim_slow, cps=1e5, cps_jobs_n=1.1e6)
+        sim_bench_json(sim_slow, cps=1e5)
         rc, out = run(sim_old, sim_slow)
-        check("sim-serial-regression", rc, 1, out)
-        # The serial drop leaves the parallel axis untouched.
-        rc, out = run(sim_old, sim_slow, "--section", "parallel")
-        check("sim-parallel-unaffected", rc, 0, out)
-
-        sim_par_slow = os.path.join(d, "sim_par_slow.json")
-        sim_bench_json(sim_par_slow, cps=4e5, cps_jobs_n=3e5)
-        rc, out = run(sim_old, sim_par_slow, "--section", "parallel")
-        check("sim-parallel-regression", rc, 1, out)
-
-        # An unknown section name reports what the file does contain.
-        rc, out = run(par_old, par_same, "--section", "nonsense")
-        check("section-unknown", rc, 2, out)
-        if "results" not in out:
-            failures.append(
-                f"section-unknown: message should list present sections\n"
-                f"{out}")
+        check("sim-regression", rc, 1, out)
 
     if failures:
         print("\n".join(failures), file=sys.stderr)

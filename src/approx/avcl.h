@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "common/relaxed_counter.h"
 #include "common/types.h"
 
 #include "approx/error_model.h"
@@ -49,8 +48,6 @@ double avcl_relative_error(Word w, Word candidate, DataType t);
 class Avcl
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation);
-
     explicit Avcl(const ErrorModel &model) : model_(model) {}
 
     const ErrorModel &errorModel() const { return model_; }
@@ -79,11 +76,10 @@ class Avcl
     std::uint64_t activations() const { return activations_; }
 
   private:
-    ANOC_REGION_SHARED ErrorModel model_;
-    /** Relaxed-atomic: one Avcl instance is shared by every encoder
-     * node of a codec, so concurrent per-flow encode shards race only
-     * on this commutative count — the datapath itself is pure. */
-    ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter activations_;
+    ErrorModel model_;
+    /** One Avcl instance serves every encoder node of a codec; this
+     * count is its only mutable state — the datapath itself is pure. */
+    std::uint64_t activations_ = 0;
 };
 
 } // namespace approxnoc

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "approx/avcl.h"
-#include "common/contract.h"
 #include "compression/dictionary.h"
 #include "tcam/tcam.h"
 
@@ -36,8 +35,6 @@ enum class VaxxPlacement : std::uint8_t {
 class DiVaxxCodec : public DictionaryCodecBase
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     DiVaxxCodec(const DictionaryConfig &cfg, const ErrorModel &model,
                 VaxxPlacement placement = VaxxPlacement::Insertion);
 
@@ -112,11 +109,10 @@ class DiVaxxCodec : public DictionaryCodecBase
     EncodedWord encodeOne(EncoderState &e, Word w, DataType type,
                           bool approx_ok, NodeId dst);
 
-    ANOC_SHARD_LOCAL std::vector<EncoderState> encoders_;
-    /** Shared read-only analysis logic; its activation count is the
-     * Avcl class's own relaxed-atomic contract state. */
-    ANOC_REGION_SHARED Avcl avcl_;
-    ANOC_REGION_SHARED VaxxPlacement placement_;
+    std::vector<EncoderState> encoders_;
+    /** Analysis logic shared by every encoder node. */
+    Avcl avcl_;
+    VaxxPlacement placement_;
 };
 
 } // namespace approxnoc

@@ -8,7 +8,6 @@
 #define APPROXNOC_APPROX_FP_VAXX_H
 
 #include "approx/avcl.h"
-#include "common/contract.h"
 #include "compression/fpc.h"
 
 namespace approxnoc {
@@ -29,8 +28,6 @@ enum class FpcPriorityMode : std::uint8_t {
 class FpVaxxCodec : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     explicit FpVaxxCodec(const ErrorModel &model,
                          FpcPriorityMode mode = FpcPriorityMode::PreferApprox)
         : avcl_(model), mode_(mode)
@@ -85,10 +82,9 @@ class FpVaxxCodec : public CodecSystem
     EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
                             std::pmr::memory_resource *mr);
 
-    /** Shared read-only analysis logic; its activation count is the
-     * Avcl class's own relaxed-atomic contract state. */
-    ANOC_REGION_SHARED Avcl avcl_;
-    ANOC_REGION_SHARED FpcPriorityMode mode_;
+    /** Analysis logic shared by every encoder node. */
+    Avcl avcl_;
+    FpcPriorityMode mode_;
 };
 
 } // namespace approxnoc

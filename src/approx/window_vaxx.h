@@ -15,7 +15,6 @@
 
 #include "approx/avcl.h"
 #include "approx/fp_vaxx.h"
-#include "common/contract.h"
 #include "compression/fpc.h"
 
 namespace approxnoc {
@@ -24,8 +23,6 @@ namespace approxnoc {
 class WindowVaxxCodec : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     /**
      * @param model base error model; the window budget is
      *        model.thresholdPct() * words-per-block percent-words.
@@ -67,13 +64,10 @@ class WindowVaxxCodec : public CodecSystem
     EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
                             std::pmr::memory_resource *mr);
 
-    ANOC_REGION_SHARED ErrorModel model_;
-    ANOC_REGION_SHARED double per_word_cap_;
-    /** Serial-only diagnostic: a plain double overwritten by every
-     * encode regardless of src, so under sharded encode its value is
-     * whichever shard wrote last. Read only by serial tests; not part
-     * of any artifact, hence exempt rather than RelaxedCounter. */
-    // anoc-lint: allow(C1) -- last-writer-wins diagnostic, read only by serial tests, never feeds artifacts
+    ErrorModel model_;
+    double per_word_cap_;
+    /** Diagnostic: the budget the last encode spent, whatever its src.
+     * Read only by tests; not part of any artifact. */
     double last_spent_ = 0.0;
 };
 

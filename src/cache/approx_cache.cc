@@ -225,12 +225,9 @@ ApproxCacheSystem::fill(unsigned core, Line &way, std::size_t line_idx)
     if (!l2Access(line_idx))
         penalty += cfg_.l2_miss_cycles; // slice fetches from memory
     if (codec_ && home != core_node) {
-        // encode+decode back to back on one thread: fills are free to
-        // use any (home, core) pair because the cache never overlaps
-        // codec calls. A parallel fill path would shard encodes by
-        // home node and decodes by core node, phase-separated — the
-        // CodecSystem isolation contracts (compression/codec.h);
-        // harness::ShardedCodecPipeline packages exactly that.
+        // The home node encodes, the requesting core decodes: encoder
+        // state is keyed by home, decoder state by core_node
+        // (compression/codec.h).
         EncodedBlock enc = codec_->encodeBlock(precise, home, core_node, time_);
         DataBlock delivered = codec_->decodeBlock(enc, home, core_node, time_);
         unsigned flits = 1 + static_cast<unsigned>((enc.bits() + 63) / 64);

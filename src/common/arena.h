@@ -12,15 +12,12 @@
  * makes destroying an arena-backed container after reset() safe (the
  * storage was already reclaimed wholesale).
  *
- * Isolation contract: an Arena is single-threaded state. The sharded
- * pipeline keeps one arena per shard (ANOC_SHARD_LOCAL), reset at the
- * start of the shard's next batch — so batch N's blocks stay valid
- * until batch N+1 begins, and no allocation ever crosses a shard.
+ * An Arena is single-threaded state: its owner resets it once the
+ * blocks it holds are no longer needed.
  *
- * Determinism: allocation order inside a shard is the codec's own
- * deterministic order, and no pointer value ever influences results
- * (the D1/D2 lint rules keep it that way), so arena placement cannot
- * perturb outputs.
+ * Determinism: allocation order is the codec's own deterministic
+ * order, and no pointer value ever influences results (the D1/D2 lint
+ * rules keep it that way), so arena placement cannot perturb outputs.
  */
 #ifndef APPROXNOC_COMMON_ARENA_H
 #define APPROXNOC_COMMON_ARENA_H
@@ -32,16 +29,11 @@
 #include <new>
 #include <vector>
 
-#include "common/contract.h"
-
 namespace approxnoc {
 
 class Arena final : public std::pmr::memory_resource
 {
   public:
-    /** Owned by exactly one shard task at a time; never shared. */
-    ANOC_ISOLATION_CONTRACT(flow_isolation);
-
     static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 
     explicit Arena(std::size_t chunk_bytes = kDefaultChunkBytes)
@@ -140,14 +132,14 @@ class Arena final : public std::pmr::memory_resource
         std::size_t size;
     };
 
-    ANOC_SHARD_LOCAL std::size_t chunk_bytes_;
-    ANOC_SHARD_LOCAL std::vector<Chunk> chunks_;
-    ANOC_SHARD_LOCAL std::size_t cursor_chunk_ = 0;
-    ANOC_SHARD_LOCAL std::size_t cursor_off_ = 0;
-    ANOC_SHARD_LOCAL std::size_t bytes_live_ = 0;
-    ANOC_SHARD_LOCAL std::size_t bytes_reserved_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t allocations_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t resets_ = 0;
+    std::size_t chunk_bytes_;
+    std::vector<Chunk> chunks_;
+    std::size_t cursor_chunk_ = 0;
+    std::size_t cursor_off_ = 0;
+    std::size_t bytes_live_ = 0;
+    std::size_t bytes_reserved_ = 0;
+    std::uint64_t allocations_ = 0;
+    std::uint64_t resets_ = 0;
 };
 
 } // namespace approxnoc

@@ -1,10 +1,28 @@
 #include "common/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <optional>
 
 #include "common/log.h"
 
 namespace approxnoc {
+
+namespace {
+
+/** @p s as one whole integer (decimal, or 0x/0 prefixed), if it is. */
+std::optional<long>
+whole_long(const std::string &s)
+{
+    char *end = nullptr;
+    errno = 0;
+    long v = std::strtol(s.c_str(), &end, 0);
+    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, char **argv)
 {
@@ -43,11 +61,11 @@ CliArgs::getInt(const std::string &name, long def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    char *end = nullptr;
-    long v = std::strtol(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str())
-        ANOC_FATAL("flag --", name, " expects an integer, got '", it->second, "'");
-    return v;
+    std::optional<long> v = whole_long(it->second);
+    if (!v)
+        ANOC_FATAL("flag --", name, " expects an integer, got '", it->second,
+                   "'");
+    return *v;
 }
 
 double
@@ -56,11 +74,26 @@ CliArgs::getDouble(const std::string &name, double def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
+    const char *s = it->second.c_str();
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str())
-        ANOC_FATAL("flag --", name, " expects a number, got '", it->second, "'");
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0')
+        ANOC_FATAL("flag --", name, " expects a number, got '", it->second,
+                   "'");
     return v;
+}
+
+unsigned long
+CliArgs::getCount(const std::string &name, unsigned long def) const
+{
+    auto it = values_.find(name);
+    if (it == values_.end())
+        return def;
+    std::optional<long> v = whole_long(it->second);
+    if (!v || *v < 0)
+        ANOC_FATAL("flag --", name, " expects a non-negative integer, got '",
+                   it->second, "'");
+    return static_cast<unsigned long>(*v);
 }
 
 bool

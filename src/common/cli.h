@@ -24,8 +24,17 @@ class CliArgs
 
     /** String value of --name, or @p def when absent. */
     std::string getString(const std::string &name, const std::string &def) const;
+    /**
+     * Numeric value of --name, or @p def when absent. The whole value
+     * must parse (decimal, or 0x/0 prefixed for getInt); anything
+     * else — empty, trailing characters — is fatal, naming the flag
+     * and the value.
+     */
     long getInt(const std::string &name, long def) const;
     double getDouble(const std::string &name, double def) const;
+    /** getInt for counts (jobs, cycles, sizes): a negative value is
+     *  fatal too, so it never wraps into a huge unsigned. */
+    unsigned long getCount(const std::string &name, unsigned long def) const;
     bool getBool(const std::string &name, bool def) const;
 
     /** Positional (non-flag) arguments. */

@@ -64,33 +64,4 @@ Histogram::reset()
     sum_ = 0.0;
 }
 
-void
-StatRegistry::merge(const StatRegistry &o)
-{
-    for (const auto &[name, c] : o.counters())
-        counters_[name].merge(c);
-    for (const auto &[name, s] : o.stats())
-        stats_[name].merge(s);
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters_)
-        os << name << " " << c.value() << "\n";
-    for (const auto &[name, s] : stats_) {
-        os << name << " mean=" << s.mean() << " min=" << s.min()
-           << " max=" << s.max() << " n=" << s.count() << "\n";
-    }
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-    for (auto &[name, s] : stats_)
-        s.reset();
-}
-
 } // namespace approxnoc

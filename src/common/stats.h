@@ -1,41 +1,30 @@
 /**
  * @file
  * Lightweight statistics package: counters, running means and
- * fixed-bucket histograms, grouped into named registries so simulators
- * can dump everything at end of run.
+ * fixed-bucket histograms. The telemetry MetricRegistry
+ * (telemetry/metric_registry.h) groups them by dotted path.
  */
 #ifndef APPROXNOC_COMMON_STATS_H
 #define APPROXNOC_COMMON_STATS_H
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
-
-#include "common/relaxed_counter.h"
 
 namespace approxnoc {
 
-/**
- * Monotonic event counter. Increments are relaxed-atomic so codecs
- * bound to one set of telemetry counters can record from concurrent
- * per-flow encode shards (harness/FlowShardedEncoder): addition
- * commutes, so the total is independent of thread interleaving and
- * the dumped stats stay byte-identical to a serial run.
- */
+/** Monotonic event counter. */
 class Counter
 {
   public:
-    void inc(std::uint64_t n = 1) { value_.add(n); }
-    std::uint64_t value() const { return value_.load(); }
+    void inc(std::uint64_t n = 1) { value_ += n; }
+    std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    /** Fold another counter in (parallel per-shard merge). */
-    void merge(const Counter &o) { value_.add(o.value()); }
+    /** Fold another counter in (per-point merge). */
+    void merge(const Counter &o) { value_ += o.value_; }
 
   private:
-    RelaxedCounter value_;
+    std::uint64_t value_ = 0;
 };
 
 /** Streaming mean / min / max / variance accumulator (Welford). */
@@ -58,9 +47,9 @@ class RunningStat
 
     /**
      * Fold another accumulator in (Chan et al. parallel Welford
-     * combine), exact up to floating-point rounding: merging per-shard
+     * combine), exact up to floating-point rounding: merging per-point
      * stats equals accumulating the concatenated stream. Lets each
-     * worker thread keep a private accumulator and combine at the end,
+     * grid point keep a private accumulator and combine at the end,
      * instead of sharing one under a lock.
      */
     void
@@ -139,35 +128,6 @@ class Histogram
     std::uint64_t count_ = 0;
     std::uint64_t underflow_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Named collection of stats. Components hold references to entries;
- * the registry owns them and can print a report.
- */
-class StatRegistry
-{
-  public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    RunningStat &stat(const std::string &name) { return stats_[name]; }
-
-    const std::map<std::string, Counter> &counters() const { return counters_; }
-    const std::map<std::string, RunningStat> &stats() const { return stats_; }
-
-    /**
-     * Fold another registry in, entry by entry (parallel per-shard
-     * merge). Entries are keyed by name, so the dumped result is
-     * independent of the order registries are merged in.
-     */
-    void merge(const StatRegistry &o);
-
-    /** Dump every entry as "name value [mean min max]" lines. */
-    void dump(std::ostream &os) const;
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, RunningStat> stats_;
 };
 
 } // namespace approxnoc

@@ -5,9 +5,9 @@ namespace approxnoc {
 namespace {
 
 /** Spin iterations before a worker parks on the condition variable.
- * Sized so back-to-back simulator phases (a few microseconds apart)
- * never pay a futex round trip, while a pool idle between sweeps
- * sleeps within ~a hundred microseconds. */
+ * Sized so back-to-back batches (a few microseconds apart) never pay
+ * a futex round trip, while a pool idle between sweeps sleeps within
+ * ~a hundred microseconds. */
 constexpr unsigned kSpinIters = 1u << 14;
 
 /** Within a spin window, hand the core over every so often: when the

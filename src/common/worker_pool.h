@@ -1,14 +1,12 @@
 /**
  * @file
- * A persistent work-stealing thread pool built for barrier-heavy use:
- * the region-parallel simulator loop dispatches two batches per
- * simulated cycle, so dispatch and join must cost microseconds, not a
- * thread spawn. Workers spin briefly on the batch epoch before
- * sleeping on a condition variable, which keeps a tight step loop hot
- * while an idle pool still parks its threads.
- *
- * The one-shot ExperimentRunner (src/harness/runner.*) delegates here,
- * so sweep-level and cycle-level parallelism share one implementation.
+ * A persistent work-stealing thread pool: the ExperimentRunner
+ * (src/harness/runner.*) runs the independent points of a sweep on it
+ * (`--jobs`), one whole simulation per task. Each simulation steps
+ * serially; the pool parallelizes only across points. Workers spin
+ * briefly on the batch epoch before sleeping on a condition variable,
+ * so back-to-back batches dispatch in microseconds while an idle pool
+ * still parks its threads.
  */
 #ifndef APPROXNOC_COMMON_WORKER_POOL_H
 #define APPROXNOC_COMMON_WORKER_POOL_H
@@ -28,12 +26,11 @@ namespace approxnoc {
  * Fixed-size pool executing batches of independent tasks. The calling
  * thread participates in every batch (a pool of `threads == n` runs
  * `n - 1` workers), and `parallelFor` returns only after every task of
- * the batch has completed — it is the phase barrier of the region
- * scheduler.
+ * the batch has completed.
  *
  * Tasks are claimed work-stealing-style from a shared cursor, so an
- * imbalanced batch (one slow region, one saturated sweep point) never
- * idles the other lanes while unclaimed work remains. The cursor is
+ * imbalanced batch (one saturated sweep point) never idles the other
+ * lanes while unclaimed work remains. The cursor is
  * generation-tagged and claims go through compare-and-swap, so a
  * worker delayed across a batch boundary can never steal or replay an
  * index of a later batch.

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/contract.h"
 #include "compression/codec.h"
 
 namespace approxnoc {
@@ -34,8 +33,6 @@ struct AdaptiveConfig {
 class AdaptiveCodec : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     AdaptiveCodec(std::unique_ptr<CodecSystem> inner, AdaptiveConfig cfg);
 
     Scheme scheme() const override { return inner_->scheme(); }
@@ -141,14 +138,13 @@ class AdaptiveCodec : public CodecSystem
                             Cycle now, bool batched, Arena *arena = nullptr);
     void evaluateWindow(SenderState &s);
 
-    ANOC_REGION_SHARED std::unique_ptr<CodecSystem> inner_;
-    ANOC_REGION_SHARED AdaptiveConfig cfg_;
-    /** Mode windows are per sender, preserving the CodecSystem
-     * flow-isolation contract: concurrent encodes for distinct src
-     * touch disjoint SenderStates. */
-    ANOC_SHARD_LOCAL std::vector<SenderState> senders_;
-    /** Relaxed-atomic: the only cross-sender encode-side state. */
-    ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter bypassed_;
+    std::unique_ptr<CodecSystem> inner_;
+    AdaptiveConfig cfg_;
+    /** Mode windows are per sender: encoder state keyed by src, as
+     * CodecSystem documents. */
+    std::vector<SenderState> senders_;
+    /** The only cross-sender encode-side state. */
+    std::uint64_t bypassed_ = 0;
 };
 
 } // namespace approxnoc

@@ -11,9 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/contract.h"
 #include "common/data_block.h"
-#include "common/relaxed_counter.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -87,62 +85,28 @@ struct CodecCounters {
  * Dictionary schemes are stateful and time-aware (update notifications
  * apply after a delay), hence the @p now parameters.
  *
- * ## Flow-isolation contract (parallel encoding)
+ * ## Where the state lives
  *
  * Encoder-side mutable state is keyed by the *source* endpoint: the
  * dictionary schemes keep one PMT (CAM/TCAM plus replacement
- * metadata) and one pending-update FIFO per encoder node, the
- * adaptive wrapper one mode window per sender, and the stateless
- * schemes no per-call state at all. Blocks of flows with distinct
- * @p src therefore never share mutable encoder state, and
- * encode()/encodeBlock() calls for distinct @p src may run
- * concurrently. The remaining cross-source state is commutative
- * relaxed-atomic counters (word counts, AVCL activations, telemetry
- * CodecCounters), so totals are independent of thread interleaving.
+ * metadata) per encoder node, the adaptive wrapper one mode window
+ * per sender, and the stateless schemes no per-call state at all.
+ * Decoder-side mutable state is keyed by the *destination* endpoint:
+ * the dictionary schemes keep one decoder PMT, candidate tracker,
+ * stale-mapping table and notification queue per destination node.
+ * So each NI touches only its own endpoint's state, encoding as
+ * @p src and decoding as @p dst.
  *
- * Callers must still serialize all encodes of any one source
- * endpoint, in submission order — same-src blocks contend on that
- * encoder's replacement state and update FIFO even when their @p dst
- * differ. harness/FlowShardedEncoder enforces exactly this
- * partitioning and is the supported way to encode a batch of
- * independent blocks in parallel.
- *
- * ## Destination-isolation contract (parallel decoding)
- *
- * Decoder-side mutable state is keyed by the *destination* endpoint,
- * mirroring the encoder contract above: the dictionary schemes keep
- * one decoder PMT, candidate tracker, stale-mapping table and
- * notification queue per destination node, and the stateless schemes
- * no per-call decode state at all. decode()/decodeBlock() calls for
- * distinct @p dst therefore never share mutable decoder state and may
- * run concurrently. The cross-destination state a decode touches is
- *  - commutative relaxed-atomic counters (word/mismatch totals,
- *    telemetry CodecCounters), interleaving-independent by
- *    construction, and
- *  - the per-(encoder, decoder) pending-update channels: a decode at
- *    @p dst appends only to channels owned by @p dst, and the encoder
- *    side merges channels in a deterministic order independent of the
- *    thread interleaving that filled them.
- *
- * Callers must (a) serialize all decodes of any one destination
- * endpoint, in submission order — same-dst blocks contend on that
- * decoder's learning state even when their @p src differ — and
- * (b) phase-separate encodes from decodes: an encode drains the
- * pending-update channels decodes append to, so the two sides may
- * each run sharded internally but must not overlap in time.
- * harness/FlowShardedDecoder enforces the decode partitioning;
- * harness/ShardedCodecPipeline enforces the phasing for a full
- * encode -> wire -> decode batch.
- *
- * Every notification a decoder emits carries a per-destination
- * monotonic sequence number, so drainNotifications(dst) streams are
- * reproducible at any decode job count.
+ * Decoder updates reach an encoder through per-(encoder, decoder)
+ * pending channels, merged in a fixed order (see
+ * DictionaryCodecBase::applyPending), and every notification a decoder
+ * emits carries a per-destination monotonic sequence number, so each
+ * drainNotifications(dst) stream is a pure function of that
+ * destination's decode history.
  */
 class CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     virtual ~CodecSystem() = default;
 
     CodecSystem() = default;
@@ -183,7 +147,7 @@ class CodecSystem
      * keeps the arena backing, copying it detaches onto the heap.
      * The default forwards to encodeBlock() (heap-backed, always
      * correct); schemes override it to actually place storage in the
-     * arena. Same serialization obligations as encodeBlock().
+     * arena.
      */
     virtual EncodedBlock
     encodeSpan(const DataBlock &block, NodeId src, NodeId dst, Cycle now,
@@ -222,8 +186,7 @@ class CodecSystem
      * exactly enc.wordCount() arena-resident Words and returned as a
      * view — valid until @p arena is reset. The default routes
      * through decodeBlock() and copies once; schemes override it to
-     * decode straight into the arena. Same serialization obligations
-     * as decodeBlock().
+     * decode straight into the arena.
      */
     virtual DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src,
                                    NodeId dst, Cycle now, Arena &arena);
@@ -246,9 +209,7 @@ class CodecSystem
          * Per-destination monotonic sequence number: the n-th
          * notification decoder @c from ever emitted. Strictly
          * increasing within one drainNotifications(dst) stream (and
-         * across successive drains of the same @c dst), independent
-         * of the decode job count — the ordering witness of the
-         * destination-isolation contract.
+         * across successive drains of the same @c dst).
          */
         std::uint64_t seq = 0;
     };
@@ -256,9 +217,8 @@ class CodecSystem
     /**
      * Dictionary schemes: the update/invalidate notifications emitted
      * by decoder @p dst since the last drain of @p dst, in @c seq
-     * order. Stateless schemes return an empty list. Safe to call
-     * concurrently for distinct @p dst (it touches only that
-     * decoder's queue), but not concurrently with decodes of @p dst.
+     * order. Stateless schemes return an empty list. Touches only
+     * that decoder's queue.
      *
      * Notifications come only from decodes at @p dst (decoder
      * learning), never from encodes or the passage of time, so a
@@ -387,20 +347,16 @@ class CodecSystem
     void recordQoR(const DataBlock &precise, const EncodedBlock &enc,
                    NodeId src, NodeId dst);
 
-    /** Relaxed-atomic: bookkeeping shared by every source (encode
-     * side) and every destination (decode side). Sums commute, so
-     * parallel per-flow encode shards and per-destination decode
-     * shards produce the same totals as a serial run (see the
-     * isolation contracts above). */
-    ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter mismatches_;
-    ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter words_encoded_;
-    ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter words_decoded_;
-    /** Bind-time handles; the pointed-to Counters are themselves
-     * relaxed-atomic (common/stats.h), so shard increments commute. */
-    ANOC_REGION_SHARED CodecCounters counters_;
-    ANOC_REGION_SHARED telemetry::ErrorProfile *qor_ = nullptr;
-    ANOC_REGION_SHARED telemetry::PhaseProfiler *profiler_ = nullptr;
-    ANOC_REGION_SHARED std::size_t apply_pending_phase_ = 0;
+    /** Bookkeeping shared by every source (encode side) and every
+     * destination (decode side). */
+    std::uint64_t mismatches_ = 0;
+    std::uint64_t words_encoded_ = 0;
+    std::uint64_t words_decoded_ = 0;
+    /** Bind-time handles (null until bound). */
+    CodecCounters counters_;
+    telemetry::ErrorProfile *qor_ = nullptr;
+    telemetry::PhaseProfiler *profiler_ = nullptr;
+    std::size_t apply_pending_phase_ = 0;
 };
 
 /**
@@ -410,8 +366,6 @@ class CodecSystem
 class BaselineCodec : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     Scheme scheme() const override { return Scheme::Baseline; }
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;

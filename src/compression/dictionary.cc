@@ -29,7 +29,7 @@ DictionaryCodecBase::DictionaryCodecBase(const DictionaryConfig &cfg)
         decoders_.emplace_back(cfg);
     pending_.assign(cfg.n_nodes,
                     std::vector<std::deque<Update>>(cfg.n_nodes));
-    pending_count_.assign(cfg.n_nodes, RelaxedCounter{});
+    pending_count_.assign(cfg.n_nodes, 0);
 
     if (cfg_.preload_zero) {
         for (auto &d : decoders_) {
@@ -270,12 +270,9 @@ void
 DictionaryCodecBase::send(NodeId enc, Update u, Cycle now)
 {
     (void)now;
-    // Destination isolation: everything here is either owned by the
-    // sending decoder (its channel towards enc, its notification
-    // queue and sequence) or a commutative relaxed counter.
     DecoderState &d = decoders_[u.decoder];
     pending_[enc][u.decoder].push_back(u);
-    pending_count_[enc].add(1);
+    ++pending_count_[enc];
     d.notify_queue.push_back(Notification{u.decoder, enc, d.next_seq++});
     ++notifications_sent_;
 }
@@ -283,10 +280,10 @@ DictionaryCodecBase::send(NodeId enc, Update u, Cycle now)
 void
 DictionaryCodecBase::applyPending(NodeId enc, Cycle now)
 {
-    if (pending_count_[enc].load() == 0)
+    if (pending_count_[enc] == 0)
         return;
     // Timed only once the occupancy gate has passed: the empty-FIFO
-    // early-out above stays a single relaxed load per encode.
+    // early-out above stays a single load per encode.
     telemetry::PhaseProfiler::Scope prof(profiler(), applyPendingPhase());
     auto &chans = pending_[enc];
     for (;;) {
@@ -309,7 +306,7 @@ DictionaryCodecBase::applyPending(NodeId enc, Cycle now)
             break;
         Update u = chans[best].front();
         chans[best].pop_front();
-        pending_count_[enc].sub(1);
+        --pending_count_[enc];
         applyUpdateAtEncoder(enc, u);
     }
 }

@@ -25,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/contract.h"
 #include "common/types.h"
 
 #include "compression/codec.h"
@@ -39,7 +38,9 @@ struct DictionaryConfig {
     std::size_t pmt_entries = 8;       ///< encoder/decoder PMT size
     std::size_t tracker_entries = 64;  ///< decoder candidate tracker size
     std::uint32_t promote_threshold = 3; ///< sightings before promotion
-    Cycle notify_delay = 20;           ///< decoder->encoder update latency
+    /** Decoder->encoder update latency; must be >= 1, so an update
+     *  never takes effect in the cycle its decoder issued it. */
+    Cycle notify_delay = 20;
     /**
      * Minimum spacing between update notifications from one decoder.
      * Bounds the control-packet overhead of dictionary training on
@@ -70,25 +71,17 @@ enum class DiWordKind : std::uint8_t {
  * update channel, eviction/invalidation bookkeeping and the decode
  * path. Subclasses own the encoder-side structures.
  *
- * State isolation (the CodecSystem flow-isolation and
- * destination-isolation contracts, which the parallel paths in
- * harness/FlowShardedEncoder and harness/FlowShardedDecoder rely on):
- * encode()/encodeBlock() for source s touches only the subclass's
- * encoders_[s] (PMT, replacement metadata, per-destination index
- * views) and pending_[s] (the update channels applyPending merges)
- * plus relaxed-atomic counters — never decoders_ or another source's
- * tables. decode()/decodeBlock() for destination d touches only
- * decoders_[d] (PMT, tracker, stale mappings, notification queue and
- * sequence) and, via send(), the pending_[*][d] channels d alone
- * owns, plus relaxed-atomic counters — never another destination's
- * decoder state. Encodes and decodes must not overlap in time: the
- * encoder side drains the very channels the decoder side fills.
+ * Where the state lives (see CodecSystem): an encode for source s
+ * touches only the subclass's encoders_[s] (PMT, replacement
+ * metadata, per-destination index views), pending_[s] (the update
+ * channels applyPending merges) and the shared counters. A decode for
+ * destination d touches only decoders_[d] (PMT, tracker, stale
+ * mappings, notification queue and sequence), the pending_[*][d]
+ * channels it appends to via send(), and the shared counters.
  */
 class DictionaryCodecBase : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     explicit DictionaryCodecBase(const DictionaryConfig &cfg);
 
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
@@ -182,9 +175,7 @@ class DictionaryCodecBase : public CodecSystem
      * order: ascending (apply cycle, decoder id), each channel
      * consumed in FIFO (= per-destination sequence) order, and a
      * channel whose head is not yet due blocks only itself. The merge
-     * is a pure function of the channel contents, which are each
-     * owned by one destination — so the encoder sees the same update
-     * sequence at any decode job count.
+     * is a pure function of the channel contents.
      */
     void applyPending(NodeId enc, Cycle now);
 
@@ -200,8 +191,8 @@ class DictionaryCodecBase : public CodecSystem
     /** Word length of a raw unit, in bits (flag + word). */
     std::uint16_t rawBits() const { return 1 + 32; }
 
-    ANOC_REGION_SHARED DictionaryConfig cfg_;
-    ANOC_REGION_SHARED unsigned index_bits_;
+    DictionaryConfig cfg_;
+    unsigned index_bits_;
 
   private:
     /** Shared encode tail: meta, incompressible-block fallback (after
@@ -242,30 +233,21 @@ class DictionaryCodecBase : public CodecSystem
         DecoderState(const DictionaryConfig &cfg);
     };
 
-    ANOC_SHARD_LOCAL std::vector<DecoderState> decoders_;
+    std::vector<DecoderState> decoders_;
     /**
      * Pending update channels, [encoder][decoder]: the update FIFO
-     * from one decoder towards one encoder. Splitting the historical
-     * per-encoder FIFO by decoder is what makes parallel decode
-     * deterministic — each channel is written by exactly one
-     * destination shard, and applyPending merges them in a
-     * deterministic order (see above).
+     * from one decoder towards one encoder. Decoder d appends only to
+     * the [*][d] channels; applyPending merges an encoder's channels
+     * in a fixed order (see above).
      */
-    /** Shard-local in both phases, under different keys: channel
-     * [e][d] is written only by destination shard d (decode phase)
-     * and drained only by source shard e (encode phase), and the two
-     * phases never overlap (the pipeline's phasing obligation). */
-    ANOC_SHARD_LOCAL std::vector<std::vector<std::deque<Update>>> pending_;
+    std::vector<std::vector<std::deque<Update>>> pending_;
     /**
-     * Relaxed-atomic occupancy gate per encoder: total updates queued
-     * across that encoder's channels, so the per-block applyPending
-     * call skips the channel scan when nothing is in flight.
-     * Commutative (adds from decoder shards, subs from the encoder),
-     * so the gate never diverges from the channel contents between
-     * phases.
+     * Occupancy gate per encoder: total updates queued across that
+     * encoder's channels, so the per-block applyPending call skips
+     * the channel scan when nothing is in flight.
      */
-    ANOC_CROSS_SHARD(RelaxedCounter) std::vector<RelaxedCounter> pending_count_;
-    ANOC_CROSS_SHARD(RelaxedCounter) RelaxedCounter notifications_sent_;
+    std::vector<std::uint64_t> pending_count_;
+    std::uint64_t notifications_sent_ = 0;
 };
 
 /**
@@ -276,8 +258,6 @@ class DictionaryCodecBase : public CodecSystem
 class DiCompCodec : public DictionaryCodecBase
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     explicit DiCompCodec(const DictionaryConfig &cfg);
 
     Scheme scheme() const override { return Scheme::DiComp; }
@@ -321,7 +301,7 @@ class DiCompCodec : public DictionaryCodecBase
      * lookup, then the per-destination index check. */
     EncodedWord encodeOne(EncoderState &e, Word w, NodeId dst);
 
-    ANOC_SHARD_LOCAL std::vector<EncoderState> encoders_;
+    std::vector<EncoderState> encoders_;
 };
 
 } // namespace approxnoc

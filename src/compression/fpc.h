@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/bits.h"
-#include "common/contract.h"
 #include "common/types.h"
 
 #include "compression/codec.h"
@@ -174,8 +173,6 @@ std::uint64_t fpc_decode_block(const EncodedBlock &enc, Word *out);
 class FpcCodec : public CodecSystem
 {
   public:
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     FpcCodec() = default;
 
     Scheme scheme() const override { return Scheme::FpComp; }

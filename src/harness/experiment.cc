@@ -131,13 +131,6 @@ ExperimentSpec::Builder::jobs(unsigned n)
 }
 
 ExperimentSpec::Builder &
-ExperimentSpec::Builder::simJobs(unsigned n)
-{
-    cfg_.sim_jobs = n;
-    return *this;
-}
-
-ExperimentSpec::Builder &
 ExperimentSpec::Builder::seed(std::uint64_t s)
 {
     cfg_.base_seed = s;
@@ -245,8 +238,6 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
             "  --cycles=<n>                      synthetic run length (50000)\n"
             "  --scale=<n>                       workload size multiplier (1)\n"
             "  --jobs=<n>                        worker threads, 0=auto (1)\n"
-            "  --sim-jobs=<n>                    region-parallel sim threads\n"
-            "                                    per point, 0=auto (1)\n"
             "  --seed=<n>                        experiment base seed\n"
             "  --csv-dir=<dir>                   CSV output dir (results)\n"
             "  --json-dir=<dir>                  JSON output dir (csv-dir)\n"
@@ -265,11 +256,10 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
     ratios_ = {args.getDouble("approx-ratio", 0.75)};
     loads_ = {args.getDouble("load", 0.04)};
     cfg_.max_records =
-        static_cast<std::size_t>(args.getInt("max-records", 20000));
-    cfg_.cycles = static_cast<Cycle>(args.getInt("cycles", 50000));
-    cfg_.scale = static_cast<unsigned>(args.getInt("scale", 1));
-    cfg_.jobs = static_cast<unsigned>(args.getInt("jobs", 1));
-    cfg_.sim_jobs = static_cast<unsigned>(args.getInt("sim-jobs", 1));
+        static_cast<std::size_t>(args.getCount("max-records", 20000));
+    cfg_.cycles = static_cast<Cycle>(args.getCount("cycles", 50000));
+    cfg_.scale = static_cast<unsigned>(args.getCount("scale", 1));
+    cfg_.jobs = static_cast<unsigned>(args.getCount("jobs", 1));
     cfg_.base_seed = static_cast<std::uint64_t>(
         args.getInt("seed", static_cast<long>(cfg_.base_seed)));
     cfg_.csv_dir = args.getString("csv-dir", "results");
@@ -277,7 +267,7 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
     cfg_.metrics_dir = args.getString("metrics-out", "");
     cfg_.trace_dir = args.getString("trace-out", "");
     cfg_.sample_interval =
-        static_cast<Cycle>(args.getInt("sample-interval", 0));
+        static_cast<Cycle>(args.getCount("sample-interval", 0));
     cfg_.profile = args.getBool("profile", false);
     cfg_.progress = args.getBool("progress", false);
     cfg_.verbose = args.getBool("verbose", false);

@@ -32,11 +32,6 @@ struct ExperimentConfig {
     Cycle cycles = 50000;            ///< synthetic run length
     unsigned scale = 1;              ///< workload problem-size multiplier
     unsigned jobs = 1;               ///< worker threads (0 = hardware)
-    /** Region-parallel simulator threads per point (0 = hardware,
-     *  1 = serial stepping). Orthogonal to `jobs`: `jobs` fans grid
-     *  points out, `sim_jobs` parallelizes inside one simulation —
-     *  results stay byte-identical either way. */
-    unsigned sim_jobs = 1;
     std::uint64_t base_seed = 0xA9C0FFEEull; ///< per-point seed root
     std::string csv_dir = "results";
     std::string json_dir; ///< empty = alongside the CSV in csv_dir
@@ -98,7 +93,6 @@ class ExperimentSpec
         Builder &load(double v);
 
         Builder &jobs(unsigned n);
-        Builder &simJobs(unsigned n);
         Builder &seed(std::uint64_t s);
         Builder &maxRecords(std::size_t n);
         Builder &cycles(Cycle n);

@@ -85,12 +85,6 @@ run_replay(const CommTrace &trace, const ReplayJob &job)
     TraceReplay replay(net, use, time_scale, job.approx_ratio);
     sim.add(&replay);
 
-    // Region-parallel stepping; a no-op plan (serial fallback) below
-    // two regions. Enabled after every component registered so the
-    // replay source lands in the serial tail.
-    if (job.sim_jobs != 1)
-        net.enableRegionParallel(sim, job.sim_jobs);
-
     bool done = sim.runUntil(
         [&] { return replay.done() && net.drained(); },
         static_cast<Cycle>(2e8));
@@ -158,7 +152,6 @@ run_replay_point(const CommTrace &trace, const ExperimentPoint &pt,
     job.max_records = cfg.max_records;
     job.seed = pt.seed;
     job.profile = cfg.profile;
-    job.sim_jobs = cfg.sim_jobs;
 
     // Per-point artifact identity derives from the spec coordinates,
     // never from which worker ran the point, so --jobs=N runs produce

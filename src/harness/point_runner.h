@@ -76,10 +76,6 @@ struct ReplayJob {
     unsigned flit_bits = 0;      ///< 0 = NocConfig default (64)
     std::size_t pmt_entries = 0; ///< 0 = DictionaryConfig default (8)
 
-    /** Region-parallel simulator threads (0 = hardware, 1 = serial).
-     * Results are byte-identical at any value. */
-    unsigned sim_jobs = 1;
-
     /** Telemetry collection; default-constructed = everything off. */
     telemetry::TelemetryOptions telemetry;
 

@@ -1,10 +1,8 @@
 #include "noc/network.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/log.h"
-#include "sim/region_scheduler.h"
 #include "telemetry/error_profile.h"
 #include "telemetry/phase_profiler.h"
 
@@ -128,65 +126,6 @@ Network::attach(Simulator &sim)
     sim.add(this);
 }
 
-unsigned
-Network::enableRegionParallel(Simulator &sim, unsigned sim_jobs)
-{
-    if (sim_jobs == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        sim_jobs = hw ? hw : 1;
-    }
-    const unsigned rows = cfg_.rows;
-    const unsigned regions = std::min(sim_jobs, rows);
-    if (regions <= 1)
-        return 1; // serial fallback: no plan, step() is unchanged
-
-    // Row stripes: row -> region `row * regions / rows` gives
-    // contiguous, near-equal stripes for any rows/regions ratio
-    // (including the degenerate regions > rows case, clamped above).
-    auto region_of_row = [&](unsigned row) {
-        return static_cast<int>((row * regions) / rows);
-    };
-
-    RegionPlan plan;
-    plan.regions.resize(regions);
-    // NIs first, then routers, each ascending — the same relative
-    // order they were registered in by attach(), which setRegionPlan
-    // verifies and the serial replay relies on.
-    for (auto &ni : nis_) {
-        int reg = region_of_row(cfg_.rowOf(cfg_.routerOf(ni->nodeId())));
-        ni->setRegionTag(reg);
-        plan.regions[static_cast<std::size_t>(reg)].push_back(ni.get());
-    }
-    for (auto &r : routers_) {
-        int reg = region_of_row(cfg_.rowOf(r->id()));
-        r->setRegionTag(reg);
-        plan.regions[static_cast<std::size_t>(reg)].push_back(r.get());
-    }
-
-    deferred_deliveries_.assign(regions, {});
-    plan_active_ = true;
-    plan.post_advance = [this](Cycle now) {
-        // Cross-region flit handoffs and credit returns, ascending
-        // router order (matches the serial sweep: per-queue pushes
-        // are unique per cycle and credit increments commute).
-        for (auto &r : routers_)
-            r->flushDeferred();
-        // Delivery replay in ascending region order. Regions are
-        // ascending row stripes with routers ascending inside, and
-        // deliveries only happen in router advances, so this
-        // concatenation *is* the serial delivery order.
-        for (auto &region : deferred_deliveries_) {
-            for (auto &d : region)
-                onDelivery(d.first, d.second);
-            region.clear();
-        }
-        (void)now;
-    };
-
-    sim.setRegionPlan(std::move(plan), sim_jobs);
-    return regions;
-}
-
 std::vector<unsigned>
 Network::routeFor(RouterId at, NodeId dst) const
 {
@@ -280,19 +219,6 @@ Network::setDeliveryCallback(NetworkInterface::DeliveryFn fn)
 void
 Network::onDelivery(const PacketPtr &pkt, Cycle now)
 {
-    if (plan_active_) {
-        // Inside a parallel advance, park the delivery in its
-        // region's buffer: RunningStat accumulation is FP-order
-        // sensitive and the user callback may inject. The
-        // post-advance hook replays these serially in the exact
-        // serial-sweep order (sim_current_region() < 0 then).
-        int region = sim_current_region();
-        if (region >= 0) {
-            deferred_deliveries_[static_cast<std::size_t>(region)]
-                .emplace_back(pkt, now);
-            return;
-        }
-    }
     if (pkt->carries_block)
         decoded_.push_back(pkt->dst);
     stats_.queue_lat.add(static_cast<double>(pkt->queueLatency()));

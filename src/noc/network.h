@@ -62,43 +62,6 @@ class Network : public Clocked
     /** Register every component with @p sim. Call once. */
     void attach(Simulator &sim);
 
-    /**
-     * Partition this network's routers and NIs into topology-aware
-     * regions and install the plan on @p sim for region-parallel
-     * stepping (see sim/region_scheduler.h for the phase structure
-     * and the component isolation contract).
-     *
-     * Rows are striped across `min(sim_jobs, rows)` regions (row
-     * `row` lands in region `row * R / rows`), each NI grouped with
-     * its router, so only north/south links (and torus column wraps)
-     * ever cross a region boundary. Cross-region flit handoffs and
-     * credit returns are deferred by the routers and flushed serially
-     * after the advance barrier in ascending router order; delivery
-     * callbacks are buffered per region and replayed in ascending
-     * region order — both replays reproduce the serial sweep order
-     * exactly, so metrics.json / qor.json / traces stay
-     * byte-identical at any job count.
-     *
-     * Call after attach(sim) and after the codec/telemetry setup;
-     * components registered later simply join the serial tail.
-     * `sim_jobs == 0` resolves to the hardware concurrency.
-     *
-     * Determinism caveat (traces): PacketTracer output is a canonical
-     * sort of the recorded event multiset, so it is byte-identical
-     * across job counts while the tracer stays below its max_events
-     * cap; at the cap, *which* events were dropped may differ.
-     *
-     * Codec requirement: dictionary-style codecs must use
-     * `notify_delay >= 1` (the default is 20) so no decoder-issued
-     * update is applied in the same cycle it was produced — the
-     * parallel schedule moves serial-context encodes after the
-     * cycle's decodes.
-     *
-     * @return the region count actually installed; 1 means serial
-     *         fallback (no plan installed, nothing changes).
-     */
-    unsigned enableRegionParallel(Simulator &sim, unsigned sim_jobs);
-
     const NocConfig &config() const { return cfg_; }
     CodecSystem &codec() { return *codec_; }
     const CodecSystem &codec() const { return *codec_; }
@@ -215,13 +178,6 @@ class Network : public Clocked
     /** Deadlock watchdog, sampled every kWatchdogPeriod cycles. */
     std::uint64_t last_progress_count_ = 0;
     Cycle last_progress_cycle_ = 0;
-
-    /** Region-parallel stepping state (see enableRegionParallel):
-     *  deliveries completing inside a parallel advance are buffered
-     *  per region and replayed serially after the barrier. */
-    bool plan_active_ = false;
-    std::vector<std::vector<std::pair<PacketPtr, Cycle>>>
-        deferred_deliveries_;
 };
 
 } // namespace approxnoc

@@ -1,7 +1,6 @@
 #include "noc/network_interface.h"
 
 #include "common/log.h"
-#include "sim/region_scheduler.h"
 #include "telemetry/phase_profiler.h"
 
 namespace approxnoc {
@@ -28,24 +27,10 @@ void
 NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
 {
     pkt->created = now;
-#ifndef NDEBUG
-    // Isolation contract: encoder state is cross-region shared (an
-    // encode at src touches per-(src,dst) channels whose dst is
-    // anywhere), so injection must come from serial context — traffic
-    // generators, notification injection, or the post-advance
-    // delivery replay — never from inside a parallel phase.
-    ANOC_ASSERT(sim_current_region() < 0,
-                "NI enqueue from inside a parallel region phase at node ",
-                id_);
-#endif
     Cycle ready = now;
     if (pkt->carries_block) {
-        // Flow-isolation contract (compression/codec.h): this NI is
-        // the only writer of encoder state keyed by its own endpoint,
-        // so every encode it issues stays inside one flow shard. The
-        // assert keeps that true if packet routing ever changes —
-        // encoding on behalf of another source would silently break
-        // the per-src partitioning FlowShardedEncoder relies on.
+        // Encoder state is keyed by the source endpoint
+        // (compression/codec.h): this NI encodes only as its own.
         ANOC_ASSERT(pkt->src == id_,
                     "NI must encode only as its own source endpoint");
         telemetry::PhaseProfiler::Scope prof(profiler_, ph_encode_);
@@ -64,11 +49,6 @@ NetworkInterface::creditReturn(unsigned, unsigned vc)
 {
     ANOC_ASSERT(vc < cfg_.vcs, "credit return vc out of range");
     ANOC_ASSERT(credits_[vc] < cfg_.vc_depth, "NI credit overflow");
-#ifndef NDEBUG
-    ANOC_ASSERT(sim_current_region() < 0 ||
-                    sim_current_region() == regionTag(),
-                "cross-region creditReturn at NI ", id_);
-#endif
     ++credits_[vc];
 }
 
@@ -141,11 +121,6 @@ NetworkInterface::advance(Cycle now)
 void
 NetworkInterface::acceptEjectedFlit(Flit f, Cycle now)
 {
-#ifndef NDEBUG
-    ANOC_ASSERT(sim_current_region() < 0 ||
-                    sim_current_region() == regionTag(),
-                "cross-region ejection at NI ", id_);
-#endif
     PacketPtr pkt = std::move(f.pkt);
     ++pkt->ejected_flits;
     if (pkt->ejected_flits < pkt->n_flits)
@@ -160,12 +135,10 @@ NetworkInterface::acceptEjectedFlit(Flit f, Cycle now)
                          "{\"pkt\": " + std::to_string(pkt->id) +
                              ", \"src\": " + std::to_string(pkt->src) + "}");
     if (pkt->carries_block) {
-        // This NI is the decode endpoint, so the batched decode runs
-        // under the destination-isolation contract: only node id_'s
-        // decoder state (plus commutative counters and id_'s pending
-        // channels) is touched.
+        // Decoder state is keyed by the destination endpoint: this NI
+        // decodes only as its own.
         ANOC_ASSERT(pkt->dst == id_,
-                    "decode at a foreign NI violates destination isolation");
+                    "NI must decode only as its own destination endpoint");
         telemetry::PhaseProfiler::Scope prof(profiler_, ph_decode_);
         pkt->delivered = codec_->decodeBlock(pkt->enc, pkt->src, pkt->dst, now);
         pkt->decode_done = now + codec_->decompressionLatency();

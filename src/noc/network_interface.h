@@ -16,7 +16,6 @@
 #include <deque>
 #include <functional>
 
-#include "common/contract.h"
 #include "common/types.h"
 #include "compression/codec.h"
 #include "noc/noc_config.h"
@@ -31,8 +30,6 @@ namespace approxnoc {
 class NetworkInterface : public Clocked, public FlitSource
 {
   public:
-    ANOC_ISOLATION_CONTRACT(region_isolation);
-
     using DeliveryFn = std::function<void(const PacketPtr &, Cycle)>;
 
     NetworkInterface(NodeId id, const NocConfig &cfg, CodecSystem *codec);
@@ -57,8 +54,6 @@ class NetworkInterface : public Clocked, public FlitSource
     void acceptEjectedFlit(Flit f, Cycle now);
 
     void creditReturn(unsigned out_port, unsigned vc) override;
-
-    int sourceRegion() const override { return regionTag(); }
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
@@ -97,34 +92,30 @@ class NetworkInterface : public Clocked, public FlitSource
         Cycle ready; ///< earliest injection cycle (compression done)
     };
 
-    ANOC_REGION_SHARED NodeId id_;
-    ANOC_REGION_SHARED NocConfig cfg_;
-    /** The codec is genuinely shared across NIs; its own isolation
-     * contract (flow/destination sharding) governs concurrent use. */
-    ANOC_REGION_SHARED CodecSystem *codec_;
-    ANOC_REGION_SHARED Router *router_ = nullptr;
-    ANOC_REGION_SHARED unsigned router_port_ = 0;
+    NodeId id_;
+    NocConfig cfg_;
+    CodecSystem *codec_; ///< shared by every NI of the network
+    Router *router_ = nullptr;
+    unsigned router_port_ = 0;
 
-    /** Injection/ejection state is written only by this NI's own
-     * evaluate/advance and by its router's same-region ejection path. */
-    ANOC_SHARD_LOCAL std::deque<QueuedPacket> inj_q_;
-    ANOC_SHARD_LOCAL PacketPtr current_;       ///< packet mid-injection
-    ANOC_SHARD_LOCAL unsigned next_seq_ = 0;   ///< next flit of current_
-    ANOC_SHARD_LOCAL int alloc_vc_ = -1;       ///< VC allocated for current_
-    ANOC_SHARD_LOCAL std::uint32_t vc_busy_ = 0; ///< bit v: VC v carries current_
-    ANOC_SHARD_LOCAL std::vector<unsigned> credits_;
-    ANOC_SHARD_LOCAL bool send_this_cycle_ = false; ///< evaluate() decision
+    std::deque<QueuedPacket> inj_q_;
+    PacketPtr current_;       ///< packet mid-injection
+    unsigned next_seq_ = 0;   ///< next flit of current_
+    int alloc_vc_ = -1;       ///< VC allocated for current_
+    std::uint32_t vc_busy_ = 0; ///< bit v: VC v carries current_
+    std::vector<unsigned> credits_;
+    bool send_this_cycle_ = false; ///< evaluate() decision
 
-    ANOC_REGION_SHARED DeliveryFn on_delivery_;
-    ANOC_REGION_SHARED telemetry::PacketTracer *tracer_ = nullptr;
-    ANOC_REGION_SHARED telemetry::PhaseProfiler *profiler_ = nullptr;
-    ANOC_REGION_SHARED std::size_t ph_encode_ = 0;
-    ANOC_REGION_SHARED std::size_t ph_decode_ = 0;
+    DeliveryFn on_delivery_;
+    telemetry::PacketTracer *tracer_ = nullptr;
+    telemetry::PhaseProfiler *profiler_ = nullptr;
+    std::size_t ph_encode_ = 0;
+    std::size_t ph_decode_ = 0;
 
-    ANOC_SHARD_LOCAL std::uint64_t flits_injected_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t data_flits_injected_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t packets_injected_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t packets_delivered_ = 0;
+    std::uint64_t flits_injected_ = 0;
+    std::uint64_t data_flits_injected_ = 0;
+    std::uint64_t packets_injected_ = 0;
+    std::uint64_t packets_delivered_ = 0;
 };
 
 } // namespace approxnoc

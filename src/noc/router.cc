@@ -4,7 +4,6 @@
 
 #include "common/log.h"
 #include "noc/network_interface.h"
-#include "sim/region_scheduler.h"
 
 namespace approxnoc {
 
@@ -171,15 +170,6 @@ Router::acceptFlit(unsigned in_port, unsigned vc, Flit f)
 {
     ANOC_ASSERT(in_port < n_ports_ && vc < cfg_.vcs,
                 "acceptFlit port/vc out of range");
-#ifndef NDEBUG
-    // Cross-region write-hazard check: inside a parallel phase only
-    // this router's own region may deposit flits (anything else must
-    // go through the deferral outbox — see flushDeferred).
-    ANOC_ASSERT(sim_current_region() < 0 ||
-                    sim_current_region() == regionTag(),
-                "cross-region acceptFlit at router ", id_,
-                " from region ", sim_current_region());
-#endif
     InPort &port = in_[in_port];
     VcBuf &buf = port.vcs[vc];
     ANOC_ASSERT(buf.size < cfg_.vc_depth,
@@ -218,12 +208,6 @@ Router::creditReturn(unsigned out_port, unsigned vc)
 {
     ANOC_ASSERT(out_port < n_ports_ && vc < cfg_.vcs,
                 "creditReturn port/vc out of range");
-#ifndef NDEBUG
-    ANOC_ASSERT(sim_current_region() < 0 ||
-                    sim_current_region() == regionTag(),
-                "cross-region creditReturn at router ", id_,
-                " from region ", sim_current_region());
-#endif
     auto &c = out_[out_port].credits[vc];
     ANOC_ASSERT(c < cfg_.vc_depth, "credit overflow at router ", id_,
                 " port ", out_port, " vc ", vc);
@@ -313,12 +297,6 @@ Router::evaluate(Cycle now)
 void
 Router::advance(Cycle now)
 {
-    // Under region-parallel stepping, effects on components of another
-    // region are deferred to the serial post-advance flush; everything
-    // touched directly below is own state or same-region (the local
-    // NIs are always grouped with their router).
-    const int my_region = regionTag();
-
     for (std::uint32_t pending = granted_; pending; pending &= pending - 1) {
         const unsigned op_idx =
             static_cast<unsigned>(std::countr_zero(pending));
@@ -329,12 +307,8 @@ Router::advance(Cycle now)
         ++flits_forwarded_;
 
         // Return the freed buffer slot upstream.
-        if (port.up) {
-            if (my_region >= 0 && port.up->sourceRegion() != my_region)
-                defer_credits_.push_back({port.up, port.up_port, g.vc});
-            else
-                port.up->creditReturn(port.up_port, g.vc);
-        }
+        if (port.up)
+            port.up->creditReturn(port.up_port, g.vc);
 
         OutPort &op = out_[op_idx];
         const bool tail = f.is_tail;
@@ -347,11 +321,7 @@ Router::advance(Cycle now)
             f.arrival = now + 1;
             bool head = f.isHead();
             std::uint64_t pkt_id = f.pkt->id;
-            if (my_region >= 0 && op.peer->regionTag() != my_region)
-                defer_flits_.push_back(
-                    {op.peer, op.peer_port, dvc, std::move(f)});
-            else
-                op.peer->acceptFlit(op.peer_port, dvc, std::move(f));
+            op.peer->acceptFlit(op.peer_port, dvc, std::move(f));
             ++link_traversals_;
             if (tracer_ && head)
                 tracer_->instant(telemetry::PacketTracer::routerTrack(id_),
@@ -371,17 +341,6 @@ Router::advance(Cycle now)
     // Every cycle, granted or idle: arbitration order is a function of
     // the cycle number, whatever the router held.
     rr_in_ = nextWrapped(rr_in_, n_ports_);
-}
-
-void
-Router::flushDeferred()
-{
-    for (const DeferredCredit &d : defer_credits_)
-        d.up->creditReturn(d.port, d.vc);
-    defer_credits_.clear();
-    for (DeferredFlit &d : defer_flits_)
-        d.peer->acceptFlit(d.port, d.vc, std::move(d.f));
-    defer_flits_.clear();
 }
 
 } // namespace approxnoc

@@ -24,7 +24,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/contract.h"
 #include "common/types.h"
 #include "noc/noc_config.h"
 #include "noc/packet.h"
@@ -42,19 +41,12 @@ class FlitSource
     virtual ~FlitSource() = default;
     /** Downstream returns one credit for (our output port, vc). */
     virtual void creditReturn(unsigned out_port, unsigned vc) = 0;
-    /** Region tag of this source under region-parallel stepping
-     *  (-1 = untagged / serial). Routers and NIs forward their
-     *  Clocked::regionTag so a downstream router can tell whether a
-     *  credit return would cross a region boundary. */
-    virtual int sourceRegion() const { return -1; }
 };
 
 /** The router proper. */
 class Router : public Clocked, public FlitSource
 {
   public:
-    ANOC_ISOLATION_CONTRACT(region_isolation);
-
     /**
      * Computes the allowed output ports at router @p at towards
      * endpoint @p dst, in preference order. Deterministic algorithms
@@ -104,17 +96,6 @@ class Router : public Clocked, public FlitSource
     void acceptFlit(unsigned in_port, unsigned vc, Flit f);
     void creditReturn(unsigned out_port, unsigned vc) override;
     ///@}
-
-    int sourceRegion() const override { return regionTag(); }
-
-    /**
-     * Apply flit handoffs and credit returns this router's advance()
-     * deferred because they targeted another region. Called serially
-     * (post-advance barrier) in ascending router order, which
-     * reproduces the serial sweep's effect exactly: per-queue pushes
-     * are at most one per cycle and credit increments commute.
-     */
-    void flushDeferred();
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
@@ -180,23 +161,19 @@ class Router : public Clocked, public FlitSource
         std::uint8_t port[kMaxRouteCandidates] = {};
     };
 
-    ANOC_REGION_SHARED RouterId id_;
-    ANOC_REGION_SHARED NocConfig cfg_;
-    ANOC_REGION_SHARED unsigned n_ports_;
+    RouterId id_;
+    NocConfig cfg_;
+    unsigned n_ports_;
     /** Route candidates per destination endpoint, built once. */
-    ANOC_REGION_SHARED std::vector<Route> routes_;
+    std::vector<Route> routes_;
 
-    /** Pipeline state is written only by this router's own
-     * evaluate/advance, i.e. only by the region that owns it; peers
-     * deposit flits/credits via acceptFlit/creditReturn, which the
-     * upstream router calls in-region or defers (flushDeferred). */
-    ANOC_SHARD_LOCAL std::vector<Flit> slots_; ///< every VC ring; never resized
-    ANOC_SHARD_LOCAL std::vector<InPort> in_;
-    ANOC_SHARD_LOCAL std::vector<OutPort> out_;
-    ANOC_SHARD_LOCAL std::vector<Grant> grants_; ///< per output port
-    ANOC_SHARD_LOCAL std::uint32_t granted_ = 0; ///< bit p: grants_[p] is this cycle's
-    ANOC_SHARD_LOCAL std::uint32_t busy_in_ = 0; ///< bit p: in_[p] holds a flit
-    ANOC_SHARD_LOCAL std::size_t buffered_ = 0;  ///< flits in all input buffers
+    std::vector<Flit> slots_; ///< every VC ring; never resized
+    std::vector<InPort> in_;
+    std::vector<OutPort> out_;
+    std::vector<Grant> grants_; ///< per output port
+    std::uint32_t granted_ = 0; ///< bit p: grants_[p] is this cycle's
+    std::uint32_t busy_in_ = 0; ///< bit p: in_[p] holds a flit
+    std::size_t buffered_ = 0;  ///< flits in all input buffers
 
     /** Downstream VC class a flit may allocate (dateline discipline). */
     int allowedVcClass(const InPort &in, unsigned in_vc,
@@ -208,33 +185,17 @@ class Router : public Clocked, public FlitSource
     /** Remove and return the front flit of input buffer (in_port, vc). */
     Flit popFlit(unsigned in_port, unsigned vc);
 
-    ANOC_SHARD_LOCAL unsigned rr_in_ = 0; ///< round-robin pointer over input ports
-    ANOC_SHARD_LOCAL std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
-    ANOC_REGION_SHARED bool class_aware_ = false; ///< any link tagged => dateline VCs on
+    unsigned rr_in_ = 0; ///< round-robin pointer over input ports
+    std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
+    bool class_aware_ = false; ///< any link tagged => dateline VCs on
 
-    /** Cross-region outboxes (see flushDeferred). The vectors keep
-     *  their capacity across cycles, so steady state never allocates. */
-    struct DeferredFlit {
-        Router *peer;
-        unsigned port;
-        unsigned vc;
-        Flit f;
-    };
-    struct DeferredCredit {
-        FlitSource *up;
-        unsigned port;
-        unsigned vc;
-    };
-    ANOC_SHARD_LOCAL std::vector<DeferredFlit> defer_flits_;
-    ANOC_SHARD_LOCAL std::vector<DeferredCredit> defer_credits_;
+    std::uint64_t flits_forwarded_ = 0;
+    std::uint64_t buffer_writes_ = 0;
+    std::uint64_t vc_allocs_ = 0;
+    std::uint64_t link_traversals_ = 0;
+    std::uint64_t vc_stalls_ = 0;
 
-    ANOC_SHARD_LOCAL std::uint64_t flits_forwarded_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t buffer_writes_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t vc_allocs_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t link_traversals_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t vc_stalls_ = 0;
-
-    ANOC_REGION_SHARED telemetry::PacketTracer *tracer_ = nullptr;
+    telemetry::PacketTracer *tracer_ = nullptr;
 };
 
 } // namespace approxnoc

@@ -35,18 +35,8 @@ class Clocked
 
     const std::string &name() const { return name_; }
 
-    /**
-     * Region tag for region-parallel stepping (see
-     * sim/region_scheduler.h): components with the same tag step on
-     * the same lane within a parallel phase. -1 (the default) means
-     * untagged — the component steps serially, outside any region.
-     */
-    int regionTag() const { return region_; }
-    void setRegionTag(int region) { region_ = region; }
-
   private:
     std::string name_;
-    int region_ = -1;
 };
 
 } // namespace approxnoc

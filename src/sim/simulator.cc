@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
-#include <unordered_map>
 
 #include "common/log.h"
-#include "sim/region_scheduler.h"
 #include "telemetry/phase_profiler.h"
 
 namespace approxnoc {
@@ -16,9 +13,6 @@ namespace {
 constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
 
 } // namespace
-
-Simulator::Simulator() = default;
-Simulator::~Simulator() = default;
 
 void
 Simulator::add(Clocked *c)
@@ -34,10 +28,6 @@ Simulator::add(Clocked *c)
 void
 Simulator::step()
 {
-    if (scheduler_) {
-        stepRegions();
-        return;
-    }
     if (profiler_) {
         stepProfiled();
         return;
@@ -51,91 +41,6 @@ Simulator::step()
 }
 
 void
-Simulator::setRegionPlan(RegionPlan plan, unsigned threads)
-{
-    if (plan.regions.size() <= 1) {
-        scheduler_.reset();
-        serial_prefix_ = 0;
-        return;
-    }
-
-    // Verify the plan is an exact partition of a registration-order
-    // prefix, each region internally ascending. This is what makes
-    // the post-advance serial replay (ascending region order)
-    // reproduce the serial sweep order exactly.
-    std::unordered_map<const Clocked *, std::size_t> index;
-    for (std::size_t i = 0; i < components_.size(); ++i)
-        index.emplace(components_[i], i);
-    std::size_t covered = 0;
-    std::vector<bool> seen(components_.size(), false);
-    for (const auto &region : plan.regions) {
-        std::size_t prev = kNoPhase;
-        for (const Clocked *c : region) {
-            auto it = index.find(c);
-            ANOC_ASSERT(it != index.end(),
-                        "region plan names an unregistered component");
-            ANOC_ASSERT(!seen[it->second],
-                        "region plan lists a component twice");
-            ANOC_ASSERT(prev == kNoPhase || it->second > prev,
-                        "region component order must follow "
-                        "registration order");
-            prev = it->second;
-            seen[it->second] = true;
-            ++covered;
-        }
-    }
-    for (std::size_t i = 0; i < covered; ++i)
-        ANOC_ASSERT(seen[i], "region plan must cover a registration-order "
-                             "prefix with no gaps");
-
-    serial_prefix_ = covered;
-    if (threads == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        threads = hw ? hw : 1;
-    }
-    threads = std::min<unsigned>(
-        threads, static_cast<unsigned>(plan.regions.size()));
-    scheduler_ = std::make_unique<RegionScheduler>(std::move(plan), threads);
-    if (profiler_)
-        scheduler_->bindProfiler(profiler_);
-}
-
-std::size_t
-Simulator::regionCount() const
-{
-    return scheduler_ ? scheduler_->regionCount() : 0;
-}
-
-void
-Simulator::stepRegions()
-{
-    if (profiler_) {
-        telemetry::PhaseProfiler::Scope s(profiler_, ph_event_queue_);
-        events_.runUntil(now_);
-    } else {
-        events_.runUntil(now_);
-    }
-
-    const std::size_t n = components_.size();
-    scheduler_->sweep(/*advance=*/false, now_);
-    if (profiler_)
-        profiledSweep(/*advance=*/false, serial_prefix_, n);
-    else
-        plainSweep(/*advance=*/false, serial_prefix_, n);
-
-    scheduler_->sweep(/*advance=*/true, now_);
-    if (scheduler_->plan().post_advance) {
-        telemetry::PhaseProfiler::Scope s(profiler_, ph_region_apply_);
-        scheduler_->plan().post_advance(now_);
-    }
-    if (profiler_)
-        profiledSweep(/*advance=*/true, serial_prefix_, n);
-    else
-        plainSweep(/*advance=*/true, serial_prefix_, n);
-    ++now_;
-}
-
-void
 Simulator::bindProfiler(telemetry::PhaseProfiler *profiler)
 {
     profiler_ = profiler;
@@ -143,7 +48,6 @@ Simulator::bindProfiler(telemetry::PhaseProfiler *profiler)
     if (profiler_) {
         ph_event_queue_ = profiler_->definePhase("sim.event_queue");
         ph_other_ = profiler_->definePhase("sim.other");
-        ph_region_apply_ = profiler_->definePhase("sim.region.apply");
         // Pre-register the classification targets so phaseOf never
         // defines a phase mid-run (definePhase is setup-time only).
         profiler_->definePhase("sim.router");
@@ -151,8 +55,6 @@ Simulator::bindProfiler(telemetry::PhaseProfiler *profiler)
         profiler_->definePhase("sim.network");
         profiler_->definePhase("sim.sampler");
     }
-    if (scheduler_)
-        scheduler_->bindProfiler(profiler_);
 }
 
 std::size_t
@@ -178,25 +80,15 @@ Simulator::phaseOf(std::size_t i)
 }
 
 void
-Simulator::plainSweep(bool advance, std::size_t begin, std::size_t end)
-{
-    if (advance)
-        for (std::size_t i = begin; i < end; ++i)
-            components_[i]->advance(now_);
-    else
-        for (std::size_t i = begin; i < end; ++i)
-            components_[i]->evaluate(now_);
-}
-
-void
-Simulator::profiledSweep(bool advance, std::size_t begin, std::size_t end)
+Simulator::profiledSweep(bool advance)
 {
     // Time contiguous same-phase runs, not individual components: the
     // network registers its routers and NIs in blocks, so one cycle
     // costs a handful of clock reads instead of one per component.
     // anoc-lint: allow(D1) -- profiled-sweep wall clock; feeds only the profile artifact, outside the byte-identical contract
     using clock = std::chrono::steady_clock;
-    std::size_t i = begin;
+    const std::size_t end = components_.size();
+    std::size_t i = 0;
     while (i < end) {
         const std::size_t ph = phaseOf(i);
         const auto t0 = clock::now();
@@ -222,8 +114,8 @@ Simulator::stepProfiled()
         telemetry::PhaseProfiler::Scope s(profiler_, ph_event_queue_);
         events_.runUntil(now_);
     }
-    profiledSweep(/*advance=*/false, 0, components_.size());
-    profiledSweep(/*advance=*/true, 0, components_.size());
+    profiledSweep(/*advance=*/false);
+    profiledSweep(/*advance=*/true);
     ++now_;
 }
 

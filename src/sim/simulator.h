@@ -8,10 +8,8 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "common/contract.h"
 #include "common/types.h"
 #include "sim/clocked.h"
 #include "sim/event_queue.h"
@@ -22,9 +20,6 @@ namespace telemetry {
 class PhaseProfiler;
 } // namespace telemetry
 
-struct RegionPlan;
-class RegionScheduler;
-
 /**
  * Owns simulated time. Components are registered by raw pointer; the
  * caller keeps ownership (components typically live inside a Network
@@ -33,14 +28,6 @@ class RegionScheduler;
 class Simulator
 {
   public:
-    /** The loop driver itself runs only in serial context: every
-     * field below is mutated between parallel phases, never inside
-     * one, so region workers observe it read-only. */
-    ANOC_ISOLATION_CONTRACT(region_isolation);
-
-    Simulator();
-    ~Simulator();
-
     /** Register a component to be stepped every cycle. */
     void add(Clocked *c);
 
@@ -69,23 +56,6 @@ class Simulator
     void step();
 
     /**
-     * Install a region partition for parallel stepping (see
-     * sim/region_scheduler.h for the plan shape and the component
-     * isolation contract). The plan's regions must cover a prefix of
-     * the registration order exactly once, each region's list in
-     * ascending registration order; components past that prefix form
-     * the serial tail, stepped on the calling thread each phase.
-     * Registering further components after this call simply grows the
-     * serial tail. @p threads caps pool parallelism (clamped to the
-     * region count; 0 = hardware concurrency). An empty plan (or
-     * a single region) restores plain serial stepping.
-     */
-    void setRegionPlan(RegionPlan plan, unsigned threads);
-
-    /** Regions currently stepped in parallel (0 = serial stepping). */
-    std::size_t regionCount() const;
-
-    /**
      * Attach a self-profiler. Subsequent cycles are stepped through a
      * phase-timed path: the event queue and each contiguous run of
      * same-kind components (routers, NIs, the network, the sampler)
@@ -98,31 +68,21 @@ class Simulator
   private:
     /** One profiled cycle (profiler_ non-null). */
     void stepProfiled();
-    /** One region-parallel cycle (scheduler_ non-null). */
-    void stepRegions();
-    /** One timed evaluate-or-advance sweep over [begin, end). */
-    void profiledSweep(bool advance, std::size_t begin, std::size_t end);
-    /** Untimed evaluate-or-advance sweep over [begin, end). */
-    void plainSweep(bool advance, std::size_t begin, std::size_t end);
+    /** One timed evaluate-or-advance sweep over every component. */
+    void profiledSweep(bool advance);
     /** Phase id for component @p i, classified on first use. */
     std::size_t phaseOf(std::size_t i);
 
-    ANOC_REGION_SHARED Cycle now_ = 0;
-    ANOC_REGION_SHARED std::vector<Clocked *> components_;
-    ANOC_REGION_SHARED EventQueue events_;
-    ANOC_REGION_SHARED telemetry::PhaseProfiler *profiler_ = nullptr;
-    ANOC_REGION_SHARED std::size_t ph_event_queue_ = 0;
-    ANOC_REGION_SHARED std::size_t ph_other_ = 0;
-    ANOC_REGION_SHARED std::size_t ph_region_apply_ = 0;
+    Cycle now_ = 0;
+    std::vector<Clocked *> components_;
+    EventQueue events_;
+    telemetry::PhaseProfiler *profiler_ = nullptr;
+    std::size_t ph_event_queue_ = 0;
+    std::size_t ph_other_ = 0;
     /** Cached phase per component index; kNoPhase = not classified.
      *  Invariant: same length as components_ (add() appends a
      *  kNoPhase slot, so registration never reclassifies the rest). */
-    ANOC_REGION_SHARED std::vector<std::size_t> phase_of_;
-
-    ANOC_REGION_SHARED std::unique_ptr<RegionScheduler> scheduler_;
-    /** Components [0, serial_prefix_) are covered by the region plan;
-     *  the rest step serially after each parallel phase. */
-    ANOC_REGION_SHARED std::size_t serial_prefix_ = 0;
+    std::vector<std::size_t> phase_of_;
 };
 
 } // namespace approxnoc

@@ -21,8 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/contract.h"
-#include "common/relaxed_counter.h"
 #include "common/types.h"
 
 namespace approxnoc {
@@ -46,12 +44,6 @@ enum class ReplacementPolicy : std::uint8_t {
 class Cam
 {
   public:
-    /** A Cam instance is embedded in exactly one shard's state (an
-     * encoder node's table or a decoder node's PMT), so its mutable
-     * match state inherits that shard's isolation; only the peek
-     * count may be probed concurrently across shards. */
-    ANOC_ISOLATION_CONTRACT(flow_isolation, destination_isolation);
-
     Cam(std::size_t n_entries, ReplacementPolicy policy = ReplacementPolicy::Lfu);
 
     std::size_t capacity() const { return entries_.size(); }
@@ -139,21 +131,19 @@ class Cam
     /** Rebuild the index from the entry array (tombstone pressure). */
     void rebuildIndex();
 
-    ANOC_SHARD_LOCAL std::vector<Entry> entries_;
+    std::vector<Entry> entries_;
     /** Open-addressed buckets holding a slot index, kEmpty or
      * kTombstone; sized to a power of two >= 2x capacity. */
-    ANOC_SHARD_LOCAL std::vector<std::int32_t> index_;
-    ANOC_SHARD_LOCAL std::size_t index_mask_;
-    ANOC_SHARD_LOCAL std::size_t tombstones_ = 0;
-    ANOC_SHARD_LOCAL std::size_t valid_count_ = 0;
-    ANOC_SHARD_LOCAL ReplacementPolicy policy_;
-    ANOC_SHARD_LOCAL std::uint64_t tick_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t searches_ = 0;
-    /** Relaxed-atomic: peek() is const and thread-safe, so concurrent
-     * read-only probes (diagnostics, parallel stats dumps) may race
-     * only on this count, never on match state. */
-    ANOC_CROSS_SHARD(RelaxedCounter) mutable RelaxedCounter peeks_;
-    ANOC_SHARD_LOCAL std::uint64_t writes_ = 0;
+    std::vector<std::int32_t> index_;
+    std::size_t index_mask_;
+    std::size_t tombstones_ = 0;
+    std::size_t valid_count_ = 0;
+    ReplacementPolicy policy_;
+    std::uint64_t tick_ = 0;
+    std::uint64_t searches_ = 0;
+    /** Bumped by the const read-only probes. */
+    mutable std::uint64_t peeks_ = 0;
+    std::uint64_t writes_ = 0;
 };
 
 } // namespace approxnoc

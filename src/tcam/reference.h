@@ -192,9 +192,9 @@ class RefTcam
     std::size_t valid_count_ = 0;
     std::uint64_t tick_ = 0;
     std::uint64_t searches_ = 0;
-    /** Relaxed-atomic, mirroring the optimized engines: concurrent
-     * read-only probes race only on this count. */
-    mutable RelaxedCounter peeks_;
+    /** Bumped by the const read-only probes, as in the optimized
+     * engines. */
+    mutable std::uint64_t peeks_ = 0;
     std::uint64_t writes_ = 0;
 };
 
@@ -329,9 +329,9 @@ class RefCam
     std::size_t valid_count_ = 0;
     std::uint64_t tick_ = 0;
     std::uint64_t searches_ = 0;
-    /** Relaxed-atomic, mirroring the optimized engines: concurrent
-     * read-only probes race only on this count. */
-    mutable RelaxedCounter peeks_;
+    /** Bumped by the const read-only probes, as in the optimized
+     * engines. */
+    mutable std::uint64_t peeks_ = 0;
     std::uint64_t writes_ = 0;
 };
 

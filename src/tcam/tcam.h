@@ -27,7 +27,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/contract.h"
 #include "common/types.h"
 
 #include "tcam/cam.h"
@@ -77,12 +76,6 @@ struct TernaryPattern {
 class Tcam
 {
   public:
-    /** A Tcam instance is embedded in exactly one shard's state (a
-     * DI-VAXX encoder node's PMT), so its mutable match state inherits
-     * that shard's isolation; only the peek count may be probed
-     * concurrently across shards. */
-    ANOC_ISOLATION_CONTRACT(flow_isolation);
-
     Tcam(std::size_t n_entries, ReplacementPolicy policy = ReplacementPolicy::Lfu);
 
     std::size_t capacity() const { return capacity_; }
@@ -202,31 +195,30 @@ class Tcam
     /** Rewrite slot @p slot's bits in all 64 planes; null @p p clears. */
     void writeSlotPlanes(std::size_t slot, const TernaryPattern *p);
 
-    ANOC_SHARD_LOCAL std::size_t capacity_;
-    ANOC_SHARD_LOCAL std::size_t chunks_; ///< ceil(capacity / 64) bitmap words
-    ANOC_SHARD_LOCAL std::vector<TernaryPattern> entries_;
+    std::size_t capacity_;
+    std::size_t chunks_; ///< ceil(capacity / 64) bitmap words
+    std::vector<TernaryPattern> entries_;
     /** Bit-slice planes: plane (b, v) holds, for every slot, whether the
      * entry matches a key whose bit b equals v. Chunk-major so one
      * chunk's 64 planes are contiguous for the match kernels:
      * planes_[(chunk << 6) + (v << 5) + b] — a chunk's 32 zero-planes
      * first, then its 32 one-planes. */
-    ANOC_SHARD_LOCAL std::vector<std::uint64_t> planes_;
-    ANOC_SHARD_LOCAL std::vector<std::uint64_t> valid_bits_;
-    ANOC_SHARD_LOCAL std::vector<std::uint64_t> last_use_;
-    ANOC_SHARD_LOCAL std::vector<std::uint64_t> freq_;
-    ANOC_SHARD_LOCAL ReplacementPolicy policy_;
-    ANOC_SHARD_LOCAL std::size_t valid_count_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t tick_ = 0;
-    ANOC_SHARD_LOCAL std::uint64_t searches_ = 0;
-    /** Relaxed-atomic: peek()/searchAll()/findPattern() are const and
-     * thread-safe against each other, so concurrent read-only probes
-     * race only on this count, never on match state. */
-    ANOC_CROSS_SHARD(RelaxedCounter) mutable RelaxedCounter peeks_;
-    ANOC_SHARD_LOCAL std::uint64_t writes_ = 0;
+    std::vector<std::uint64_t> planes_;
+    std::vector<std::uint64_t> valid_bits_;
+    std::vector<std::uint64_t> last_use_;
+    std::vector<std::uint64_t> freq_;
+    ReplacementPolicy policy_;
+    std::size_t valid_count_ = 0;
+    std::uint64_t tick_ = 0;
+    std::uint64_t searches_ = 0;
+    /** Bumped by the const read-only probes (peek, searchAll,
+     * findPattern). */
+    mutable std::uint64_t peeks_ = 0;
+    std::uint64_t writes_ = 0;
     /** Match kernel resolved once at construction (common/simd.h
      * request clamped by host capability); cached per instance so the
      * hot loop is one indirect call with no dispatch re-check. */
-    ANOC_SHARD_LOCAL simd::MatchFn match_fn_;
+    simd::MatchFn match_fn_;
 };
 
 } // namespace approxnoc

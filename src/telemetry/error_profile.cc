@@ -101,7 +101,6 @@ void
 ErrorProfile::record(NodeId src, NodeId dst, double signed_err)
 {
     const double a = std::fabs(signed_err);
-    std::lock_guard<std::mutex> lk(mu_);
     total_.add(signed_err);
     const int b = bucketOf(a);
     if (b >= 0)
@@ -118,11 +117,6 @@ ErrorProfile::merge(const ErrorProfile &o)
 {
     if (&o == this)
         return;
-    // Consistent lock order by address: merge may run concurrently
-    // from several directions during a sharded fold.
-    std::lock(mu_, o.mu_);
-    std::lock_guard<std::mutex> la(mu_, std::adopt_lock);
-    std::lock_guard<std::mutex> lb(o.mu_, std::adopt_lock);
     total_.merge(o.total_);
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         buckets_[i] += o.buckets_[i];
@@ -134,28 +128,24 @@ ErrorProfile::merge(const ErrorProfile &o)
 std::uint64_t
 ErrorProfile::samples() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.count;
 }
 
 std::uint64_t
 ErrorProfile::zeroCount() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.zero;
 }
 
 std::uint64_t
 ErrorProfile::violations() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return violations_;
 }
 
 double
 ErrorProfile::mean() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.count == 0
                ? 0.0
                : fp_to_double(total_.sum_fp) /
@@ -165,7 +155,6 @@ ErrorProfile::mean() const
 double
 ErrorProfile::meanAbs() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.count == 0
                ? 0.0
                : fp_to_double(total_.sum_abs_fp) /
@@ -175,28 +164,24 @@ ErrorProfile::meanAbs() const
 double
 ErrorProfile::minSigned() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.min;
 }
 
 double
 ErrorProfile::maxSigned() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.max;
 }
 
 double
 ErrorProfile::maxAbs() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return total_.max_abs;
 }
 
 double
 ErrorProfile::percentileAbs(double q) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     if (total_.count == 0)
         return 0.0;
     const double target = q * static_cast<double>(total_.count);
@@ -217,14 +202,12 @@ ErrorProfile::percentileAbs(double q) const
 void
 ErrorProfile::setDebugLimit(double limit)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     debug_limit_ = limit;
 }
 
 void
 ErrorProfile::exportTo(MetricRegistry &reg, const std::string &prefix) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     if (total_.count == 0)
         return; // exact schemes leave no qor.* paths behind
     reg.counter(prefix + ".samples").inc(total_.count);
@@ -258,33 +241,13 @@ ErrorProfile::writeAgg(std::ostream &os, const Agg &a)
 void
 ErrorProfile::writeJson(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-
-    // Percentiles inline (the public accessors would re-lock).
-    auto pct = [&](double q) {
-        if (total_.count == 0)
-            return 0.0;
-        const double target = q * static_cast<double>(total_.count);
-        double cum = static_cast<double>(total_.zero);
-        if (cum >= target)
-            return 0.0;
-        for (int b = 0; b <= kBuckets; ++b) {
-            cum += static_cast<double>(
-                buckets_[static_cast<std::size_t>(b)]);
-            if (cum >= target)
-                return b >= kBuckets ? total_.max_abs
-                                     : bucketLowerEdge(b + 1);
-        }
-        return total_.max_abs;
-    };
-
     os << "{\n  \"schema\": \"approxnoc-qor-profile-v1\",\n";
     os << "  \"total\": ";
     writeAgg(os, total_);
     os << ",\n  \"violations\": " << violations_;
-    os << ",\n  \"p50_abs\": " << num(pct(0.50));
-    os << ",\n  \"p90_abs\": " << num(pct(0.90));
-    os << ",\n  \"p99_abs\": " << num(pct(0.99));
+    os << ",\n  \"p50_abs\": " << num(percentileAbs(0.50));
+    os << ",\n  \"p90_abs\": " << num(percentileAbs(0.90));
+    os << ",\n  \"p99_abs\": " << num(percentileAbs(0.99));
     os << ",\n  \"buckets\": [";
     bool first = true;
     for (int b = 0; b <= kBuckets; ++b) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Quality-of-result error telemetry: a thread-safe profile of the
+ * Quality-of-result error telemetry: a profile of the
  * signed per-word relative errors a codec introduced at approximation
  * time. This is the paper's bounded-error claim made observable — not
  * just "compression ratio X at threshold T" but the actual error
@@ -10,7 +10,7 @@
  * counts, log-bucket occupancy, a fixed-point error sum) or an
  * order-independent fold (min/max). `merge` is therefore commutative
  * and associative, and `writeJson` renders byte-identical files no
- * matter how per-shard or per-point profiles were combined — the same
+ * matter how per-point profiles were combined — the same
  * property `MetricRegistry` guarantees, extended to exact means. The
  * one deliberate approximation is the fixed-point sum: errors are
  * accumulated at 2^-32 resolution with |e| clamped to kClampAbs, which
@@ -25,7 +25,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -114,7 +113,6 @@ class ErrorProfile
 
     static void writeAgg(std::ostream &os, const Agg &a);
 
-    mutable std::mutex mu_;
     Agg total_;
     std::array<std::uint64_t, kBuckets + 1> buckets_{};
     std::map<std::pair<NodeId, NodeId>, Agg> flows_;

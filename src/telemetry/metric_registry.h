@@ -51,9 +51,9 @@ class MetricScope
 };
 
 /**
- * The registry proper. Entries are created on first access (like
- * StatRegistry) and owned by the registry; components keep references
- * or pointers for hot-path increments.
+ * The registry proper. Entries are created on first access and owned
+ * by the registry; components keep references or pointers for
+ * hot-path increments.
  */
 class MetricRegistry
 {

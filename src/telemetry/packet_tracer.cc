@@ -21,7 +21,6 @@ void
 PacketTracer::span(std::uint32_t tid, const std::string &name, Cycle start,
                    Cycle dur, std::string args)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
     if (!admit())
         return;
     events_.push_back({name, 'X', start, dur, tid, std::move(args)});
@@ -31,7 +30,6 @@ void
 PacketTracer::instant(std::uint32_t tid, const std::string &name, Cycle ts,
                       std::string args)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
     if (!admit())
         return;
     events_.push_back({name, 'i', ts, 0, tid, std::move(args)});
@@ -41,7 +39,6 @@ void
 PacketTracer::counter(std::uint32_t tid, const std::string &name, Cycle ts,
                       double value)
 {
-    std::lock_guard<std::mutex> lock(mtx_);
     if (!admit())
         return;
     char buf[64];
@@ -54,7 +51,7 @@ PacketTracer::writeJson(std::ostream &os) const
 {
     // Canonical total order: same-key events are byte-identical in
     // the output, so the file is a function of the event multiset —
-    // the record interleaving (serial vs region-parallel) is erased.
+    // record order is erased.
     std::vector<const TraceEvent *> order;
     order.reserve(events_.size());
     for (const auto &e : events_)

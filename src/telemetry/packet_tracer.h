@@ -12,22 +12,15 @@
  * every track no matter when the events were recorded — lifecycle
  * spans are reconstructed at delivery time from the packet's
  * timestamps, out of order with the router instants — and the output
- * is a pure function of the recorded event *multiset*: region-parallel
- * stepping, which records the same events in a different interleaving,
- * produces a byte-identical trace file. (Caveat: at the max_events
- * cap, *which* events get dropped depends on record order, so
- * cross-job byte equality only holds below the cap.)
+ * is a pure function of the recorded event *multiset*.
  *
- * Recording is thread-safe (one mutex on the record path) so routers
- * and NIs may trace from inside parallel region phases; the accessors
- * and writeJson are for serial (post-run / post-barrier) use.
+ * A tracer belongs to one simulation and is used by one thread.
  */
 #ifndef APPROXNOC_TELEMETRY_PACKET_TRACER_H
 #define APPROXNOC_TELEMETRY_PACKET_TRACER_H
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -99,7 +92,7 @@ class PacketTracer
      * metadata (process/thread name) events lead, then payload events
      * in canonical (tid, ts, ph, name, dur, args) order — a total
      * order, so the file depends only on what was recorded, never on
-     * the interleaving it was recorded in.
+     * the order it was recorded in.
      */
     void writeJson(std::ostream &os) const;
 
@@ -112,8 +105,6 @@ class PacketTracer
     std::string process_name_;
     std::map<std::uint32_t, std::string> thread_names_;
     std::vector<TraceEvent> events_;
-    /** Serializes the record path (span/instant/counter). */
-    std::mutex mtx_;
 };
 
 } // namespace approxnoc::telemetry

@@ -1,21 +1,21 @@
 /**
  * @file
  * Lightweight self-profiling for the simulator: named phases, scoped
- * steady-clock timers, relaxed-atomic accumulation. Header-only (the
- * only dependency is `common/relaxed_counter.h`) so that `src/sim` —
- * which `approxnoc_telemetry` itself links against — can be
- * instrumented without creating a library cycle.
+ * steady-clock timers, plain per-phase sums. Header-only (no
+ * dependencies beyond the standard library) so that `src/sim` — which
+ * `approxnoc_telemetry` itself links against — can be instrumented
+ * without creating a library cycle.
  *
  * Cost model: every instrumentation site holds a possibly-null
  * `PhaseProfiler *`. A `Scope` constructed from a null profiler is a
  * single branch and no clock read — the disabled overhead the perf
  * gate bounds at <1%. When enabled, a scope is two `steady_clock`
- * reads and two relaxed fetch-adds; accumulation commutes, so shards
- * can add into the same profiler concurrently.
+ * reads and two adds.
  *
- * Phase registration (`definePhase`) is NOT thread-safe against
- * concurrent `add`/`Scope` traffic — define every phase during
- * single-threaded setup (binding time), then profile freely.
+ * A profiler belongs to one simulation and is used by one thread;
+ * the harness gives every grid point its own and merges them by name
+ * afterwards. Define every phase during setup (binding time), then
+ * profile freely.
  *
  * Reported numbers are wall-clock and therefore inherently
  * non-deterministic; `profile.json` is a tuning artifact, explicitly
@@ -33,8 +33,6 @@
 #include <ostream>
 #include <string>
 #include <vector>
-
-#include "common/relaxed_counter.h"
 
 namespace approxnoc::telemetry {
 
@@ -72,8 +70,8 @@ class PhaseProfiler
     add(PhaseId id, std::uint64_t ns, std::uint64_t calls = 1)
     {
         Cell &c = cells_[id];
-        c.ns.add(ns);
-        c.calls.add(calls);
+        c.ns += ns;
+        c.calls += calls;
     }
 
     /**
@@ -120,7 +118,7 @@ class PhaseProfiler
             return;
         for (PhaseId i = 0; i < o.names_.size(); ++i) {
             PhaseId id = definePhase(o.names_[i]);
-            add(id, o.cells_[i].ns.load(), o.cells_[i].calls.load());
+            add(id, o.cells_[i].ns, o.cells_[i].calls);
         }
     }
 
@@ -131,7 +129,7 @@ class PhaseProfiler
     {
         std::uint64_t t = 0;
         for (const Cell &c : cells_)
-            t += c.ns.load();
+            t += c.ns;
         return t;
     }
 
@@ -141,8 +139,8 @@ class PhaseProfiler
     {
         std::map<std::string, Phase> sorted;
         for (PhaseId i = 0; i < names_.size(); ++i)
-            sorted[names_[i]] = Phase{names_[i], cells_[i].ns.load(),
-                                      cells_[i].calls.load()};
+            sorted[names_[i]] =
+                Phase{names_[i], cells_[i].ns, cells_[i].calls};
         std::vector<Phase> out;
         out.reserve(sorted.size());
         for (auto &[name, ph] : sorted)
@@ -188,8 +186,8 @@ class PhaseProfiler
 
   private:
     struct Cell {
-        RelaxedCounter ns;
-        RelaxedCounter calls;
+        std::uint64_t ns = 0;
+        std::uint64_t calls = 0;
     };
 
     std::vector<std::string> names_;

@@ -7,6 +7,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/quality.h"
+#include "harness/experiment.h"
 
 using namespace approxnoc;
 
@@ -105,33 +106,6 @@ TEST(Histogram, PercentileSurvivesMerge)
         EXPECT_DOUBLE_EQ(a.percentile(q), all.percentile(q)) << "q=" << q;
 }
 
-TEST(StatRegistry, DumpIsMergeOrderIndependent)
-{
-    auto fill = [](StatRegistry &r, int k) {
-        r.counter("z.events").inc(static_cast<std::uint64_t>(k));
-        r.counter("a.events").inc(static_cast<std::uint64_t>(2 * k));
-        r.stat("m.lat").add(1.0 * k);
-    };
-    StatRegistry r1, r2, r3;
-    fill(r1, 1);
-    fill(r2, 2);
-    fill(r3, 3);
-
-    StatRegistry fwd, rev;
-    fwd.merge(r1);
-    fwd.merge(r2);
-    fwd.merge(r3);
-    rev.merge(r3);
-    rev.merge(r2);
-    rev.merge(r1);
-
-    std::ostringstream a, b;
-    fwd.dump(a);
-    rev.dump(b);
-    EXPECT_EQ(a.str(), b.str());
-    EXPECT_NE(a.str().find("a.events 12"), std::string::npos);
-}
-
 TEST(CliArgs, ParsesForms)
 {
     const char *argv[] = {"prog", "--alpha=3", "--beta=4.5",
@@ -144,6 +118,34 @@ TEST(CliArgs, ParsesForms)
     EXPECT_EQ(args.getString("missing", "d"), "d");
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "pos1");
+}
+
+TEST(CliArgs, NumbersMustParseWhole)
+{
+    const char *argv[] = {"prog", "--n=2x", "--x=0.5s", "--e="};
+    CliArgs args(4, const_cast<char **>(argv));
+    EXPECT_EXIT(args.getInt("n", 0), ::testing::ExitedWithCode(1),
+                "flag --n expects an integer, got '2x'");
+    EXPECT_EXIT(args.getDouble("x", 0.0), ::testing::ExitedWithCode(1),
+                "flag --x expects a number, got '0.5s'");
+    EXPECT_EXIT(args.getDouble("e", 0.0), ::testing::ExitedWithCode(1),
+                "flag --e expects a number, got ''");
+}
+
+/** A bad count flag exits 1 naming the flag and the value: -1 must not
+ *  wrap into a huge unsigned count, nor 2x read as 2. */
+TEST(CliArgs, CountFlagsRejectNegativeAndMalformedValues)
+{
+    for (const std::string v : {"-1", "2x", ""}) {
+        const std::string arg = "--jobs=" + v;
+        const char *argv[] = {"prog", arg.c_str()};
+        EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
+                        2, const_cast<char **>(argv), "test"),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: flag --jobs expects a non-negative integer, "
+                    "got '" + v + "'")
+            << "--jobs=" << v;
+    }
 }
 
 TEST(Table, PrintsAlignedAndCsv)

@@ -1,8 +1,14 @@
 /** DI-COMP dictionary codec tests: learning, consistency, eviction. */
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "compression/adaptive.h"
 #include "compression/dictionary.h"
+#include "core/codec_factory.h"
 
 using namespace approxnoc;
 
@@ -253,4 +259,89 @@ TEST(DiComp, ZeroWordsCompressWithoutTraining)
     DataBlock out = c.decode(enc, 0, 1, 0);
     EXPECT_TRUE(out.sameBits(b));
     EXPECT_EQ(c.consistencyMismatches(), 0u);
+}
+
+/** Two identically driven twins drain identical per-destination
+ * notification streams — the stream is a pure function of the decode
+ * history, not of which codec instance carried it — for every scheme
+ * plus the adaptive wrapper. */
+TEST(DrainNotifications, PerDestinationDrainsMatchAcrossTwins)
+{
+    constexpr std::size_t kFlows = 6;
+    constexpr std::size_t kNodes = 2 * kFlows; // srcs 0..5, dsts 6..11
+    auto flow_src = [](std::size_t b) {
+        return static_cast<NodeId>(b % kFlows);
+    };
+    auto flow_dst = [](std::size_t b) {
+        return static_cast<NodeId>(kFlows + b % kFlows);
+    };
+
+    // Value-local multi-flow workload: hot values, near misses, noise.
+    Rng rng(0xBEEF);
+    std::vector<Word> hot(48);
+    for (auto &h : hot)
+        h = (static_cast<Word>(rng.bits()) | 0x00400000u) & 0x7FFFFFFFu;
+    std::vector<DataBlock> blocks;
+    for (int b = 0; b < 240; ++b) {
+        std::vector<Word> ws(16);
+        for (auto &w : ws) {
+            double r = rng.uniform();
+            if (r < 0.15)
+                w = 0;
+            else if (r < 0.6)
+                w = hot[rng.next(hot.size())];
+            else if (r < 0.8)
+                w = hot[rng.next(hot.size())] ^
+                    static_cast<Word>(rng.next(128));
+            else
+                w = static_cast<Word>(rng.bits());
+        }
+        blocks.emplace_back(std::move(ws), DataType::Int32, true);
+    }
+
+    CodecConfig cfg;
+    cfg.n_nodes = kNodes;
+    cfg.error_threshold_pct = 10.0;
+    cfg.dict.pmt_entries = 16;
+    cfg.dict.tracker_entries = 32;
+    auto make = [&](const std::string &name) -> std::unique_ptr<CodecSystem> {
+        if (name != "adaptive")
+            return CodecFactory::create(scheme_from_string(name), cfg);
+        AdaptiveConfig acfg;
+        acfg.n_nodes = kNodes;
+        acfg.window_blocks = 8;
+        acfg.off_blocks = 16;
+        acfg.probe_blocks = 4;
+        return std::make_unique<AdaptiveCodec>(
+            CodecFactory::create(Scheme::DiVaxx, cfg), acfg);
+    };
+
+    for (const char *name :
+         {"FP-COMP", "FP-VAXX", "DI-COMP", "DI-VAXX", "adaptive"}) {
+        SCOPED_TRACE(name);
+        auto a = make(name);
+        auto b = make(name);
+        // Train WITHOUT draining so both twins hold queued
+        // notifications, then compare the per-destination drains.
+        Cycle now = 0;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            auto ea = a->encodeBlock(blocks[i], flow_src(i), flow_dst(i), now);
+            a->decodeBlock(ea, flow_src(i), flow_dst(i), now);
+            auto eb = b->encodeBlock(blocks[i], flow_src(i), flow_dst(i), now);
+            b->decodeBlock(eb, flow_src(i), flow_dst(i), now);
+            now += 53;
+        }
+        for (NodeId d = 0; d < static_cast<NodeId>(kNodes); ++d) {
+            auto na = a->drainNotifications(d);
+            auto nb = b->drainNotifications(d);
+            ASSERT_EQ(na.size(), nb.size()) << "dst " << d;
+            for (std::size_t i = 0; i < na.size(); ++i) {
+                EXPECT_EQ(na[i].from, nb[i].from) << "dst " << d << " " << i;
+                EXPECT_EQ(na[i].to, nb[i].to) << "dst " << d << " " << i;
+                EXPECT_EQ(na[i].seq, nb[i].seq) << "dst " << d << " " << i;
+            }
+            // Draining is destructive: a second drain is empty.
+            EXPECT_TRUE(a->drainNotifications(d).empty());
+        }
+    }
 }

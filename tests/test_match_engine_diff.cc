@@ -14,9 +14,7 @@
  * multi-chunk search loop are the easiest places for the bit-sliced
  * engine to diverge.
  */
-#include <atomic>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,69 +230,6 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{130, ReplacementPolicy::Lfu, 0xF00Dull},
                       DiffCase{130, ReplacementPolicy::Lru, 0xF00Dull}),
     case_name);
-
-// ---------------------------------------------------------------------
-// Concurrent read-only probes. The diagnostic probes (peek, searchAll,
-// findPattern) are const and advertised safe to run concurrently with
-// each other: the only state they touch is the peeks_ activity counter,
-// which is a relaxed atomic precisely so telemetry can snapshot match
-// engines while FlowShardedEncoder shards are encoding. N threads
-// hammer a fixed Tcam and RefTcam with identical probe sequences; every
-// result must match the reference, and afterwards each engine's
-// peeks() must equal the exact probe total — a lost update would make
-// it smaller. Run under -DANOC_TSAN=ON (CI job tsan-concurrency) this
-// also proves the probes are race-free.
-// ---------------------------------------------------------------------
-
-TEST(MatchEngineConcurrency, ConcurrentReadOnlyProbesMatchReference)
-{
-    constexpr std::size_t kCapacity = 65; // straddles the chunk boundary
-    constexpr unsigned kThreads = 8;
-    constexpr int kProbesPerThread = 4000;
-    constexpr unsigned kPoolBits = 8;
-
-    Tcam dut(kCapacity);
-    RefTcam ref(kCapacity);
-    Rng setup(0xCAFEull);
-    for (int i = 0; i < 200; ++i) {
-        TernaryPattern p = random_pattern(setup, kPoolBits);
-        ASSERT_EQ(dut.insert(p), ref.insert(p));
-    }
-    const std::uint64_t dut_base = dut.peeks();
-    const std::uint64_t ref_base = ref.peeks();
-
-    std::atomic<int> mismatches{0};
-    auto reader = [&](unsigned tid) {
-        Rng rng(0x9E37ull + tid);
-        for (int i = 0; i < kProbesPerThread; ++i) {
-            double roll = rng.uniform();
-            if (roll < 0.5) {
-                Word key = pool_key(rng, kPoolBits);
-                if (dut.peek(key) != ref.peek(key))
-                    ++mismatches;
-            } else if (roll < 0.8) {
-                Word key = pool_key(rng, kPoolBits);
-                if (dut.searchAll(key) != ref.searchAll(key))
-                    ++mismatches;
-            } else {
-                TernaryPattern p = random_pattern(rng, kPoolBits);
-                if (dut.findPattern(p) != ref.findPattern(p))
-                    ++mismatches;
-            }
-        }
-    };
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t)
-        threads.emplace_back(reader, t);
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(mismatches.load(), 0);
-    const std::uint64_t probes =
-        static_cast<std::uint64_t>(kThreads) * kProbesPerThread;
-    EXPECT_EQ(dut.peeks(), dut_base + probes) << "lost peek counts";
-    EXPECT_EQ(ref.peeks(), ref_base + probes) << "lost peek counts";
-}
 
 // ---------------------------------------------------------------------
 // encodeBlock vs word-at-a-time encode equivalence.

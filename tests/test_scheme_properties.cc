@@ -167,10 +167,9 @@ INSTANTIATE_TEST_SUITE_P(
     combo_name);
 
 // ---------------------------------------------------------------------------
-// Per-flow isolation (the CodecSystem contract behind
-// harness::FlowShardedEncoder, compression/codec.h): traffic on flow
-// A = (0 -> 1) must leave flow B = (2 -> 3)'s encoder and decoder
-// state untouched. We drive B's stream through two identically
+// Per-flow isolation (encoder state keyed by src, decoder state by
+// dst, compression/codec.h): traffic on flow A = (0 -> 1) must leave
+// flow B = (2 -> 3)'s encoder and decoder state untouched. We drive B's stream through two identically
 // configured codecs — one that also carries A's stream, interleaved
 // block-by-block — and require B's encoded words and decoded blocks to
 // match bit-exactly throughout, then prove the *final* dictionary

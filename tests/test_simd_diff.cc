@@ -17,8 +17,7 @@
  *  - pinned probe counts, so kernel-internal early exits can never
  *    leak into the power model's activity accounting;
  *  - arena-backed encodeSpan/decodeSpan against the word-at-a-time
- *    paths for every scheme, bit-for-bit, serial and through the
- *    sharded pipeline's arena mode.
+ *    paths for every scheme, bit-for-bit.
  *
  * CTest runs this binary under both `ANOC_SIMD=scalar` and
  * `ANOC_SIMD=avx2` (tests/CMakeLists.txt: simd_diff_scalar /
@@ -41,7 +40,6 @@
 #include "compression/adaptive.h"
 #include "core/codec_factory.h"
 #include "approx/window_vaxx.h"
-#include "harness/sharded_codec_pipeline.h"
 #include "tcam/match_kernel.h"
 #include "tcam/reference.h"
 #include "tcam/tcam.h"
@@ -594,82 +592,9 @@ TEST(ArenaRoundTrip, AdaptiveWrapperSpanPathBitIdentical)
 }
 
 // ---------------------------------------------------------------------
-// Sharded pipeline arena mode: byte-identical to the serial non-arena
-// reference at any job count, across repeated batches (arena reuse).
-// Runs in the TSan CI job: shard-local arenas must be race-free.
-// ---------------------------------------------------------------------
-
-TEST(ArenaPipeline, ArenaModeMatchesSerialReference)
-{
-    CodecConfig cc;
-    cc.n_nodes = 8;
-    cc.dict.pmt_entries = 8;
-    auto codec_ref = CodecFactory::create(Scheme::DiVaxx, cc);
-    auto codec_arena = CodecFactory::create(Scheme::DiVaxx, cc);
-
-    harness::ShardedCodecPipeline serial(*codec_ref, 1);
-    harness::ShardedCodecPipeline sharded(*codec_arena, 4);
-    sharded.setArenaMode(true);
-    ASSERT_TRUE(sharded.arenaMode());
-
-    Rng rng(0xB0ull);
-    std::vector<Word> hot;
-    for (int i = 0; i < 8; ++i)
-        hot.push_back(static_cast<Word>(rng.range(500, 5000000)));
-
-    Cycle now = 0;
-    for (int batch = 0; batch < 12; ++batch) {
-        std::vector<DataBlock> blocks;
-        for (int i = 0; i < 48; ++i)
-            blocks.push_back(make_block(rng, hot));
-        std::vector<harness::EncodeRequest> reqs;
-        for (int i = 0; i < 48; ++i) {
-            NodeId src = static_cast<NodeId>(rng.next(4));
-            NodeId dst = static_cast<NodeId>(4 + rng.next(4));
-            reqs.push_back(
-                harness::EncodeRequest{&blocks[i], src, dst, now});
-        }
-
-        auto enc_ref = serial.encodeAll(reqs);
-        auto enc_arena = sharded.encodeAll(reqs);
-        ASSERT_EQ(enc_ref.size(), enc_arena.size());
-        for (std::size_t i = 0; i < enc_ref.size(); ++i)
-            ASSERT_NO_FATAL_FAILURE(expect_same_stream(
-                enc_ref[i], enc_arena[i], "pipeline", batch * 100 + i));
-
-        std::vector<harness::DecodeRequest> dec;
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            dec.push_back(harness::DecodeRequest{&enc_ref[i], reqs[i].src,
-                                                 reqs[i].dst, reqs[i].now});
-        auto dec_ref = serial.decodeAll(dec);
-
-        std::vector<harness::DecodeRequest> dec_a;
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            dec_a.push_back(harness::DecodeRequest{&enc_arena[i], reqs[i].src,
-                                                   reqs[i].dst, reqs[i].now});
-        auto spans = sharded.decodeAllSpans(dec_a);
-
-        ASSERT_EQ(dec_ref.size(), spans.size());
-        for (std::size_t i = 0; i < spans.size(); ++i) {
-            ASSERT_EQ(dec_ref[i].size(), spans[i].size) << "block " << i;
-            for (std::size_t w = 0; w < spans[i].size; ++w)
-                ASSERT_EQ(dec_ref[i].word(w), spans[i].word(w))
-                    << "block " << i << " word " << w;
-        }
-        now += 51;
-    }
-    // The arenas were provisioned and retained across batches.
-    EXPECT_GT(sharded.encoder().arenaShards(), 0u);
-    EXPECT_GT(sharded.encoder().arenaBytesReserved(), 0u);
-    EXPECT_GT(sharded.decoder().arenaShards(), 0u);
-    EXPECT_EQ(codec_ref->consistencyMismatches(),
-              codec_arena->consistencyMismatches());
-}
-
-// ---------------------------------------------------------------------
 // Whole-simulator artifact byte-identity across dispatch and jobs.
-// Kept out of the SimdDiff suite so the TSan job does not re-run the
-// subprocesses.
+// Kept out of the SimdDiff suite so the pinned simd_diff_* ctest legs
+// do not re-run the subprocesses.
 // ---------------------------------------------------------------------
 
 #ifdef APPROXNOC_SIM_TOOL
@@ -703,13 +628,14 @@ TEST(SimdTool, ArtifactsByteIdenticalAcrossSimdAndJobs)
         // avx2 legs run on a host without AVX2.
         std::string cmd = std::string("ANOC_SIMD=") + l.env + " " +
                           APPROXNOC_SIM_TOOL +
-                          " --scheme=DI-VAXX --cycles=2000 --quiet"
+                          " --compare=DI-VAXX,FP-VAXX --cycles=2000"
                           " --metrics-out=" + dir +
-                          " --sim-jobs=" + l.jobs + " > /dev/null 2>&1";
+                          " --jobs=" + l.jobs + " > /dev/null 2>&1";
         ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
         dirs.push_back(dir);
     }
-    for (const char *f : {"qor.json", "di_vaxx.metrics.json"}) {
+    for (const char *f : {"di_vaxx.qor.json", "di_vaxx.metrics.json",
+                          "fp_vaxx.qor.json", "fp_vaxx.metrics.json"}) {
         std::string base = slurp_file(dirs[0] + "/" + f);
         ASSERT_FALSE(base.empty()) << f;
         for (std::size_t i = 1; i < dirs.size(); ++i)

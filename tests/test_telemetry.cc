@@ -682,6 +682,9 @@ TEST(TelemetryEndToEnd, CompareRunTraceValidates)
     }
 }
 
+/** Every per-point artifact is byte-identical at any job count. Each
+ * point owns its tracer, profiler, error profile and counters; the CI
+ * TSan job runs this test to show that no worker shares them. */
 TEST(TelemetryEndToEnd, MetricsAreBitIdenticalAcrossJobCounts)
 {
     using namespace harness;
@@ -692,7 +695,9 @@ TEST(TelemetryEndToEnd, MetricsAreBitIdenticalAcrossJobCounts)
             .maxRecords(300)
             .jobs(jobs)
             .metricsDir(dir)
+            .traceDir(dir)
             .sampleInterval(200)
+            .profile(true)
             .build();
     };
     const std::string d1 = ::testing::TempDir() + "telemetry_j1";
@@ -726,6 +731,12 @@ TEST(TelemetryEndToEnd, MetricsAreBitIdenticalAcrossJobCounts)
             << label;
         EXPECT_EQ(slurp(d1 + "/" + label + ".qor.json"),
                   slurp(d4 + "/" + label + ".qor.json"))
+            << label;
+        const std::string trace = slurp(d1 + "/" + label + ".trace.json");
+        EXPECT_FALSE(trace.empty()) << label;
+        EXPECT_EQ(trace, slurp(d4 + "/" + label + ".trace.json")) << label;
+        // Profiles are wall-clock: written, never compared.
+        EXPECT_FALSE(slurp(d1 + "/" + label + ".profile.json").empty())
             << label;
     }
 }

@@ -3,7 +3,7 @@
 
 Usage:
     python3 tools/anoc_lint/anoc_lint.py [--root DIR] [--json OUT]
-                                         [--fix] [--list-rules] [paths...]
+                                         [--list-rules] [paths...]
 
 Exit codes: 0 clean (suppressed-with-reason findings are clean),
 1 unsuppressed findings, 2 internal/usage error — mirroring the
@@ -47,38 +47,14 @@ def default_root() -> str:
         os.path.abspath(__file__))))
 
 
-def apply_fixes(root: str, findings: list[rules.Finding]) -> int:
-    """Insert missing C1 annotations. Returns the edit count."""
-    by_file: dict[str, list[rules.Finding]] = {}
-    for f in findings:
-        if f.fixable and f.fix and not f.suppressed:
-            by_file.setdefault(f.path, []).append(f)
-    edits = 0
-    for path, fs in by_file.items():
-        full = os.path.join(root, path)
-        with open(full, encoding="utf-8") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        # Apply bottom-up so earlier insertions don't shift later ones.
-        for f in sorted(fs, key=lambda x: (-x.fix[0], -x.fix[1])):
-            line, col, text = f.fix
-            lines[line - 1] = (lines[line - 1][:col] + text
-                               + lines[line - 1][col:])
-            edits += 1
-        with open(full, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
-    return edits
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="anoc-lint",
-        description="machine-checked determinism & isolation contracts")
+        description="machine-checked determinism & API contracts")
     ap.add_argument("--root", default=default_root(),
                     help="repository root (default: this checkout)")
     ap.add_argument("--json", dest="json_out", metavar="OUT",
                     help="write a machine-readable findings report")
-    ap.add_argument("--fix", action="store_true",
-                    help="insert missing C1 annotations mechanically")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("--quiet", action="store_true",
                     help="summary line only")
@@ -100,13 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tree = model.Tree(root, SCOPED_DIRS, SOURCE_DIRS)
         findings = rules.run_all(tree, args.paths or None)
-        if args.fix:
-            n = apply_fixes(root, findings)
-            if not args.quiet:
-                print(f"anoc-lint: applied {n} fix(es)")
-            # Re-lint so the report reflects the fixed tree.
-            tree = model.Tree(root, SCOPED_DIRS, SOURCE_DIRS)
-            findings = rules.run_all(tree, args.paths or None)
     except OSError as e:
         print(f"anoc-lint: error: {e}", file=sys.stderr)
         return 2

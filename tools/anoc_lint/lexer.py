@@ -1,6 +1,6 @@
 """Lexical layer: comment/string blanking and suppression parsing.
 
-Everything downstream (include graph, class model, rule scans) works on
+Everything downstream (include graph, rule scans) works on
 *sanitized* text: the original file with every comment and string/char
 literal replaced by spaces, byte for byte, so offsets and line numbers
 in findings always refer to the real file. Suppression comments are the
@@ -112,27 +112,3 @@ def parse_suppressions(text: str) -> list[Suppression]:
         own_line = before.strip() in ("//", "/*", "")
         sups.append(Suppression(lineno, rules, reason, own_line))
     return sups
-
-
-def strip_angles(s: str) -> str:
-    """Blank balanced template-argument lists `<...>` in a statement.
-
-    Heuristic: `<` opens a template list when immediately preceded by
-    an identifier character or `>`; comparison operators in member
-    declarations are rare enough not to matter (and mis-parses only
-    make rule C1 more conservative).
-    """
-    out = list(s)
-    depth = 0
-    prev_ident = False
-    for i, c in enumerate(s):
-        if c == "<" and (prev_ident or depth > 0):
-            depth += 1
-            out[i] = " "
-        elif c == ">" and depth > 0:
-            depth -= 1
-            out[i] = " "
-        elif depth > 0 and c != "\n":
-            out[i] = " "
-        prev_ident = c.isalnum() or c in "_>"
-    return "".join(out)

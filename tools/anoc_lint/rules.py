@@ -9,7 +9,7 @@ objects; the driver applies suppressions and renders reports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .model import SourceFile, Tree
 
@@ -20,9 +20,6 @@ class Finding:
     path: str
     line: int
     message: str
-    fixable: bool = False
-    # (line, col, text) insertion for --fix.
-    fix: tuple[int, int, str] | None = None
     suppressed: bool = False
     reason: str = ""
 
@@ -32,7 +29,6 @@ class Finding:
             "file": self.path,
             "line": self.line,
             "message": self.message,
-            "fixable": self.fixable,
             "suppressed": self.suppressed,
         }
         if self.suppressed:
@@ -43,8 +39,7 @@ class Finding:
 RULES = {
     "D1": "no nondeterminism sources on deterministic paths",
     "D2": "no unordered-container iteration (order-dependent output)",
-    "C1": "contract classes must annotate every shared-state field",
-    "C2": "API hygiene (deprecated shims, double probes, notify_delay)",
+    "C2": "API hygiene (double probes, notify_delay)",
     "S1": "AVX2 guards need a scalar twin and a named differential test",
     "SUP": "suppressions must carry a reason and name real rules",
 }
@@ -156,48 +151,7 @@ def check_d2(sf: SourceFile, tree: Tree) -> list[Finding]:
     return out
 
 
-# ---------------------------------------------------------------- C1 --
-
-def check_c1(sf: SourceFile) -> list[Finding]:
-    out = []
-    for cls in sf.classes:
-        for f in cls.fields:
-            if f.annotation is None:
-                ann = ("ANOC_CROSS_SHARD(RelaxedCounter) "
-                       if f.is_relaxed_counter else "ANOC_SHARD_LOCAL ")
-                out.append(Finding(
-                    "C1", sf.path, f.line,
-                    f"field '{f.name}' of contract class '{cls.name}' "
-                    f"({', '.join(cls.contracts)}) has no isolation "
-                    f"annotation; declare ANOC_SHARD_LOCAL, "
-                    f"ANOC_CROSS_SHARD(RelaxedCounter) or "
-                    f"ANOC_REGION_SHARED",
-                    fixable=True, fix=(f.line, f.col, ann)))
-            elif f.annotation == "ANOC_CROSS_SHARD":
-                if f.annotation_arg != "RelaxedCounter":
-                    out.append(Finding(
-                        "C1", sf.path, f.line,
-                        f"field '{f.name}': ANOC_CROSS_SHARD admits "
-                        f"only RelaxedCounter (commutative relaxed-"
-                        f"atomic) state, got "
-                        f"'{f.annotation_arg or '<empty>'}'"))
-                elif not f.is_relaxed_counter:
-                    out.append(Finding(
-                        "C1", sf.path, f.line,
-                        f"field '{f.name}' is declared "
-                        f"ANOC_CROSS_SHARD(RelaxedCounter) but its type "
-                        f"is not a RelaxedCounter; non-commutative "
-                        f"cross-shard state breaks the determinism "
-                        f"contract"))
-    return out
-
-
 # ---------------------------------------------------------------- C2 --
-
-_DEPRECATED_INCLUDES = {
-    "harness/flow_sharded_encoder.h":
-        "removed compat shim; include harness/sharded_codec_pipeline.h",
-}
 
 _SEARCH_RE = re.compile(
     r"([A-Za-z_][\w.\->]*?)\s*(?:\.|->)\s*search(?:Visit)?\s*\(")
@@ -209,21 +163,8 @@ _DOUBLE_PROBE_WINDOW = 12  # lines
 _NOTIFY_DELAY_RE = re.compile(r"\bnotify_delay\s*(?:=|\{)\s*0\b")
 
 
-def check_c2(sf: SourceFile, tree: Tree) -> list[Finding]:
+def check_c2(sf: SourceFile) -> list[Finding]:
     out = []
-    if sf.path.endswith("flow_sharded_encoder.h"):
-        out.append(Finding(
-            "C2", sf.path, 1,
-            "harness/flow_sharded_encoder.h was removed (PR 6 compat "
-            "shim); FlowShardedEncoder lives in "
-            "harness/sharded_codec_pipeline.h"))
-    for inc in sf.includes:
-        hint = _DEPRECATED_INCLUDES.get(inc.target)
-        if hint:
-            out.append(Finding(
-                "C2", sf.path, inc.line,
-                f"include of deprecated shim '{inc.target}': {hint}"))
-
     lines = sf.sanitized.splitlines()
     if sf.path.startswith(_HOT_PATH_DIRS):
         out.extend(_check_double_probe(sf, lines))
@@ -234,8 +175,8 @@ def check_c2(sf: SourceFile, tree: Tree) -> list[Finding]:
                 "C2", sf.path, lineno,
                 "notify_delay = 0 constructs a dictionary whose "
                 "update notifications apply within the issuing cycle, "
-                "which the NoC consistency protocol forbids "
-                "(noc/network.h requires notify_delay >= 1)"))
+                "which the consistency protocol forbids "
+                "(compression/dictionary.h requires notify_delay >= 1)"))
     return out
 
 
@@ -395,9 +336,8 @@ def run_all(tree: Tree, paths: list[str] | None = None) -> list[Finding]:
                              for p in paths):
             continue
         sf = tree.files[path]
-        file_findings = (check_d1(sf) + check_d2(sf, tree) + check_c1(sf)
-                         + check_c2(sf, tree) + check_s1(sf, tree)
-                         + check_sup(sf))
+        file_findings = (check_d1(sf) + check_d2(sf, tree) + check_c2(sf)
+                         + check_s1(sf, tree) + check_sup(sf))
         _apply_suppressions(sf, file_findings)
         findings.extend(file_findings)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -17,19 +17,9 @@
  *   compare          : --compare=<all|scheme,scheme,...> [--jobs=N]
  *                      one simulation per scheme, run in parallel,
  *                      reported as one table
- *   encode bench     : --encode-bench[=all|scheme,...] [--encode-jobs=N]
- *                      [--flows --blocks --reps] — no network; batch
- *                      block encoding through FlowShardedEncoder,
- *                      jobs=1 vs jobs=N cross-checked and timed
- *   decode bench     : --decode-bench[=all|scheme,...] [--decode-jobs=N]
- *                      [--flows --blocks --reps] — the decode twin:
- *                      batch decoding through ShardedCodecPipeline,
- *                      jobs=1 vs jobs=N cross-checked and timed
  *
  * Single-scheme runs end with the gem5-style stats dump.
  */
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -39,7 +29,6 @@
 #include "common/table.h"
 #include "core/codec_factory.h"
 #include "harness/experiment.h"
-#include "harness/sharded_codec_pipeline.h"
 #include "telemetry/error_profile.h"
 #include "telemetry/phase_profiler.h"
 #include "noc/network.h"
@@ -67,20 +56,9 @@ usage()
         "  --trace=<file> [--load=0.04]   (replaces synthetic traffic)\n"
         "  --closed-loop [--window=4 --think=4]\n"
         "  --cycles=100000 --warmup=0 --seed=42\n"
-        "  --sim-jobs=<n>       (region-parallel stepping threads, 0=auto,\n"
-        "                        1=serial; results byte-identical)\n"
         "  --qos-target=<pct>   (enable the online error-control loop)\n"
         "  --compare=<all|s,s>  (one sim per scheme, parallel with --jobs)\n"
         "  --jobs=<n>           (worker threads for --compare, 0=auto)\n"
-        "  --encode-bench[=all|s,s]  (batch block-encode benchmark; no\n"
-        "                        network — flow-sharded parallel encode,\n"
-        "                        jobs=1 vs jobs=N cross-checked)\n"
-        "  --encode-jobs=<n>    (encoder shard workers, 0=auto; default 0)\n"
-        "  --decode-bench[=all|s,s]  (batch block-decode benchmark; no\n"
-        "                        network — destination-sharded parallel\n"
-        "                        decode, jobs=1 vs jobs=N cross-checked)\n"
-        "  --decode-jobs=<n>    (decoder shard workers, 0=auto; default 0)\n"
-        "  --flows=8 --blocks=4096 --reps=3   (codec-bench workload)\n"
         "  --metrics-out=<dir>  (hierarchical metrics JSON per run)\n"
         "  --trace-out=<dir>    (Chrome trace-event JSON per run; open in\n"
         "                        Perfetto or chrome://tracing)\n"
@@ -94,14 +72,14 @@ NocConfig
 parse_noc_config(const CliArgs &args)
 {
     NocConfig ncfg;
-    ncfg.rows = static_cast<unsigned>(args.getInt("rows", 4));
-    ncfg.cols = static_cast<unsigned>(args.getInt("cols", 4));
+    ncfg.rows = static_cast<unsigned>(args.getCount("rows", 4));
+    ncfg.cols = static_cast<unsigned>(args.getCount("cols", 4));
     ncfg.concentration =
-        static_cast<unsigned>(args.getInt("concentration", 2));
-    ncfg.vcs = static_cast<unsigned>(args.getInt("vcs", 4));
-    ncfg.vc_depth = static_cast<unsigned>(args.getInt("vc-depth", 4));
-    ncfg.flit_bits = static_cast<unsigned>(args.getInt("flit-bits", 64));
-    ncfg.router_stages = static_cast<unsigned>(args.getInt("stages", 3));
+        static_cast<unsigned>(args.getCount("concentration", 2));
+    ncfg.vcs = static_cast<unsigned>(args.getCount("vcs", 4));
+    ncfg.vc_depth = static_cast<unsigned>(args.getCount("vc-depth", 4));
+    ncfg.flit_bits = static_cast<unsigned>(args.getCount("flit-bits", 64));
+    ncfg.router_stages = static_cast<unsigned>(args.getCount("stages", 3));
 
     std::string topo = args.getString("topology", "mesh");
     if (topo == "torus")
@@ -157,12 +135,12 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
     topts.metrics_dir = args.getString("metrics-out", "");
     topts.trace_dir = args.getString("trace-out", "");
     topts.sample_interval =
-        static_cast<Cycle>(args.getInt("sample-interval", 0));
+        static_cast<Cycle>(args.getCount("sample-interval", 0));
     topts.label = telemetry::sanitize_component(to_string(scheme));
     topts.pid = static_cast<std::uint32_t>(scheme);
-    // QoR error telemetry is always on (encode-time recording is one
-    // uncontended lock per approximated block); the self-profiler only
-    // under --profile. Bind before bindTelemetry so the sampler also
+    // QoR error telemetry is always on (encode-time recording costs a
+    // few adds per approximated word); the self-profiler only under
+    // --profile. Bind before bindTelemetry so the sampler also
     // carries live qor.* probes.
     telemetry::ErrorProfile qor;
     if (cc.error_threshold_pct > 0)
@@ -188,8 +166,8 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
             sim.add(pt->sampler());
     }
 
-    auto cycles = static_cast<Cycle>(args.getInt("cycles", 100000));
-    auto warmup = static_cast<Cycle>(args.getInt("warmup", 0));
+    auto cycles = static_cast<Cycle>(args.getCount("cycles", 100000));
+    auto warmup = static_cast<Cycle>(args.getCount("warmup", 0));
     auto seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
 
     // Traffic source (exactly one).
@@ -223,8 +201,8 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
         sim.add(replay.get());
     } else if (args.getBool("closed-loop", false)) {
         ClosedLoopConfig lc;
-        lc.window = static_cast<unsigned>(args.getInt("window", 4));
-        lc.think_time = static_cast<Cycle>(args.getInt("think", 4));
+        lc.window = static_cast<unsigned>(args.getCount("window", 4));
+        lc.think_time = static_cast<Cycle>(args.getCount("think", 4));
         lc.approx_ratio = args.getDouble("approx-ratio", 0.75);
         lc.seed = seed;
         closed = std::make_unique<ClosedLoopTraffic>(net, lc, *provider);
@@ -250,12 +228,6 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
             2000);
         sim.add(qos.get());
     }
-
-    // Region-parallel stepping, enabled after every component joined
-    // the simulator so the traffic/QoS sources land in the serial tail.
-    unsigned sim_jobs = static_cast<unsigned>(args.getInt("sim-jobs", 1));
-    if (sim_jobs != 1)
-        net.enableRegionParallel(sim, sim_jobs);
 
     if (warmup > 0) {
         sim.run(warmup);
@@ -339,7 +311,7 @@ run_compare(const CliArgs &args)
         harness::parse_scheme_list(args.getString("compare", "all"));
 
     harness::ExperimentRunner runner(
-        static_cast<unsigned>(args.getInt("jobs", 1)));
+        static_cast<unsigned>(args.getCount("jobs", 1)));
     auto out = runner.map(schemes.size(), [&](std::size_t i) {
         return run_sim(args, schemes[i], /*dump=*/false, /*labeled=*/true);
     });
@@ -371,265 +343,6 @@ run_compare(const CliArgs &args)
     return all_ok ? 0 : 1;
 }
 
-/**
- * `--encode-bench` mode: no network, just batch block encoding through
- * FlowShardedEncoder. The workload spreads --blocks synthetic blocks
- * round-robin over --flows disjoint (src, dst) flows, trains the
- * dictionaries with serial encode+decode passes, then times
- * encodeAll() at jobs=1 and jobs=--encode-jobs. The two runs' total
- * NR-bit counts must match exactly (the jobs-equivalence guarantee of
- * the flow-isolation contract); a mismatch fails the run.
- */
-int
-run_encode_bench(const CliArgs &args)
-{
-    std::string list = args.getString("encode-bench", "");
-    std::vector<Scheme> schemes =
-        list.empty()
-            ? std::vector<Scheme>{scheme_from_string(
-                  args.getString("scheme", "FP-VAXX"))}
-            : harness::parse_scheme_list(list);
-
-    auto flows = static_cast<unsigned>(args.getInt("flows", 8));
-    auto n_blocks = static_cast<std::size_t>(args.getInt("blocks", 4096));
-    unsigned encode_jobs =
-        static_cast<unsigned>(args.getInt("encode-jobs", 0));
-    int reps = static_cast<int>(args.getInt("reps", 3));
-    auto seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
-    constexpr std::size_t kWordsPerBlock = 16;
-
-    DataType type = args.getString("type", "float") == "int"
-                        ? DataType::Int32
-                        : DataType::Float32;
-    SyntheticDataProvider provider(type, kWordsPerBlock, 0.9, 3.0, seed,
-                                   0.7, 8);
-    auto flow_src = [&](std::size_t b) {
-        return static_cast<NodeId>(b % flows);
-    };
-    auto flow_dst = [&](std::size_t b) {
-        return static_cast<NodeId>(flows + b % flows);
-    };
-    std::vector<DataBlock> blocks;
-    blocks.reserve(n_blocks);
-    for (std::size_t b = 0; b < n_blocks; ++b)
-        blocks.push_back(provider.next(flow_src(b)));
-
-    Table t({"scheme", "jobs", "shards", "j1 Mw/s", "jN Mw/s", "speedup",
-             "status"});
-    bool all_ok = true;
-    unsigned resolved_jobs = 0;
-    for (Scheme scheme : schemes) {
-        CodecConfig cc;
-        cc.n_nodes = 2 * flows;
-        cc.error_threshold_pct = args.getDouble("threshold", 10.0);
-        auto codec = CodecFactory::create(scheme, cc);
-
-        // Serial training passes so both timed runs start from the same
-        // steady-state tables; the long gap flushes in-flight updates.
-        Cycle now = 0;
-        for (int pass = 0; pass < 2; ++pass) {
-            for (std::size_t b = 0; b < blocks.size(); ++b) {
-                EncodedBlock enc = codec->encodeBlock(
-                    blocks[b], flow_src(b), flow_dst(b), now);
-                codec->decodeBlock(enc, flow_src(b), flow_dst(b), now);
-                now += 51;
-            }
-        }
-        now += 100000;
-
-        std::vector<harness::EncodeRequest> reqs;
-        reqs.reserve(blocks.size());
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            reqs.push_back({&blocks[b], flow_src(b), flow_dst(b), now});
-
-        const double words =
-            static_cast<double>(blocks.size() * kWordsPerBlock);
-        std::size_t shards = 0;
-        auto measure = [&](unsigned jobs, std::uint64_t &sink) {
-            harness::FlowShardedEncoder enc(*codec, jobs);
-            resolved_jobs = jobs == 1 ? resolved_jobs : enc.jobs();
-            std::vector<double> rep_wps;
-            for (int rep = 0; rep < reps; ++rep) {
-                std::uint64_t rep_sink = 0;
-                auto t0 = std::chrono::steady_clock::now();
-                auto out = enc.encodeAll(reqs);
-                auto t1 = std::chrono::steady_clock::now();
-                for (const auto &e : out)
-                    rep_sink += e.bits();
-                double secs =
-                    std::chrono::duration<double>(t1 - t0).count();
-                rep_wps.push_back(words / secs);
-                sink = rep_sink;
-            }
-            shards = enc.lastShardCount();
-            std::sort(rep_wps.begin(), rep_wps.end());
-            return rep_wps[rep_wps.size() / 2];
-        };
-
-        std::uint64_t sink1 = 0, sinkN = 0;
-        double j1 = measure(1, sink1);
-        double jn = measure(encode_jobs, sinkN);
-        bool ok = sink1 == sinkN;
-        all_ok = all_ok && ok;
-
-        auto row = t.row();
-        row.cell(to_string(scheme))
-            .cell(static_cast<long>(resolved_jobs))
-            .cell(static_cast<long>(shards))
-            .cell(j1 / 1e6, 2)
-            .cell(jn / 1e6, 2)
-            .cell(jn / j1, 2)
-            .cell(std::string(ok ? "ok" : "BIT MISMATCH"));
-    }
-    t.print(std::cout);
-    return all_ok ? 0 : 1;
-}
-
-/**
- * `--decode-bench` mode: the decode-side twin of --encode-bench,
- * exercising harness::ShardedCodecPipeline. Dictionaries are trained
- * per codec instance with serial encode+decode passes; because decode
- * mutates the learning state, the jobs=1 and jobs=N runs each get
- * their own identically trained twin. The batch is encoded serially
- * (the pipeline's encode phase), then decodeAll() is timed at jobs=1
- * and jobs=--decode-jobs. Word sums, consistency mismatches and
- * per-destination notification streams must match exactly (the
- * jobs-equivalence guarantee of the destination-isolation contract);
- * a divergence fails the run.
- */
-int
-run_decode_bench(const CliArgs &args)
-{
-    std::string list = args.getString("decode-bench", "");
-    std::vector<Scheme> schemes =
-        list.empty()
-            ? std::vector<Scheme>{scheme_from_string(
-                  args.getString("scheme", "FP-VAXX"))}
-            : harness::parse_scheme_list(list);
-
-    auto flows = static_cast<unsigned>(args.getInt("flows", 8));
-    auto n_blocks = static_cast<std::size_t>(args.getInt("blocks", 4096));
-    unsigned decode_jobs =
-        static_cast<unsigned>(args.getInt("decode-jobs", 0));
-    int reps = static_cast<int>(args.getInt("reps", 3));
-    auto seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
-    constexpr std::size_t kWordsPerBlock = 16;
-
-    DataType type = args.getString("type", "float") == "int"
-                        ? DataType::Int32
-                        : DataType::Float32;
-    SyntheticDataProvider provider(type, kWordsPerBlock, 0.9, 3.0, seed,
-                                   0.7, 8);
-    auto flow_src = [&](std::size_t b) {
-        return static_cast<NodeId>(b % flows);
-    };
-    auto flow_dst = [&](std::size_t b) {
-        return static_cast<NodeId>(flows + b % flows);
-    };
-    std::vector<DataBlock> blocks;
-    blocks.reserve(n_blocks);
-    for (std::size_t b = 0; b < n_blocks; ++b)
-        blocks.push_back(provider.next(flow_src(b)));
-
-    Table t({"scheme", "jobs", "shards", "j1 Mw/s", "jN Mw/s", "speedup",
-             "status"});
-    bool all_ok = true;
-    for (Scheme scheme : schemes) {
-        CodecConfig cc;
-        cc.n_nodes = 2 * flows;
-        cc.error_threshold_pct = args.getDouble("threshold", 10.0);
-
-        Cycle measure_at = 0;
-        auto make_trained = [&]() {
-            auto codec = CodecFactory::create(scheme, cc);
-            Cycle now = 0;
-            for (int pass = 0; pass < 2; ++pass) {
-                for (std::size_t b = 0; b < blocks.size(); ++b) {
-                    EncodedBlock enc = codec->encodeBlock(
-                        blocks[b], flow_src(b), flow_dst(b), now);
-                    codec->decodeBlock(enc, flow_src(b), flow_dst(b), now);
-                    now += 51;
-                }
-            }
-            for (NodeId d = 0; d < static_cast<NodeId>(cc.n_nodes); ++d)
-                codec->drainNotifications(d);
-            measure_at = now + 100000;
-            return codec;
-        };
-        auto codec1 = make_trained();
-        auto codecN = make_trained();
-
-        std::vector<harness::EncodeRequest> ereqs;
-        ereqs.reserve(blocks.size());
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            ereqs.push_back(
-                {&blocks[b], flow_src(b), flow_dst(b), measure_at});
-
-        const double words =
-            static_cast<double>(blocks.size() * kWordsPerBlock);
-        std::size_t shards = 0;
-        unsigned resolved_jobs = 0;
-        auto measure = [&](CodecSystem &codec, unsigned jobs,
-                           std::uint64_t &sink) {
-            harness::ShardedCodecPipeline pipe(codec, /*encode_jobs=*/1,
-                                               jobs);
-            if (jobs != 1)
-                resolved_jobs = pipe.decodeJobs();
-            auto encs = pipe.encodeAll(ereqs); // serial encode phase
-            std::vector<harness::DecodeRequest> dreqs;
-            dreqs.reserve(encs.size());
-            for (std::size_t b = 0; b < encs.size(); ++b)
-                dreqs.push_back(
-                    {&encs[b], flow_src(b), flow_dst(b), measure_at});
-            std::vector<double> rep_wps;
-            for (int rep = 0; rep < reps; ++rep) {
-                std::uint64_t rep_sink = 0;
-                auto t0 = std::chrono::steady_clock::now();
-                auto out = pipe.decodeAll(dreqs);
-                auto t1 = std::chrono::steady_clock::now();
-                for (const auto &db : out)
-                    for (std::size_t w = 0; w < db.size(); ++w)
-                        rep_sink += db.word(w);
-                double secs =
-                    std::chrono::duration<double>(t1 - t0).count();
-                rep_wps.push_back(words / secs);
-                sink = rep_sink;
-            }
-            shards = pipe.lastDecodeShardCount();
-            std::sort(rep_wps.begin(), rep_wps.end());
-            return rep_wps[rep_wps.size() / 2];
-        };
-
-        std::uint64_t sink1 = 0, sinkN = 0;
-        double j1 = measure(*codec1, 1, sink1);
-        double jn = measure(*codecN, decode_jobs, sinkN);
-
-        bool ok = sink1 == sinkN &&
-                  codec1->consistencyMismatches() ==
-                      codecN->consistencyMismatches();
-        for (NodeId d = 0; ok && d < static_cast<NodeId>(cc.n_nodes); ++d) {
-            auto n1 = codec1->drainNotifications(d);
-            auto nN = codecN->drainNotifications(d);
-            ok = n1.size() == nN.size();
-            for (std::size_t i = 0; ok && i < n1.size(); ++i)
-                ok = n1[i].from == nN[i].from && n1[i].to == nN[i].to &&
-                     n1[i].seq == nN[i].seq;
-        }
-        all_ok = all_ok && ok;
-
-        auto row = t.row();
-        row.cell(to_string(scheme))
-            .cell(static_cast<long>(resolved_jobs))
-            .cell(static_cast<long>(shards))
-            .cell(j1 / 1e6, 2)
-            .cell(jn / 1e6, 2)
-            .cell(jn / j1, 2)
-            .cell(std::string(ok ? "ok" : "STREAM MISMATCH"));
-    }
-    t.print(std::cout);
-    return all_ok ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -643,10 +356,6 @@ main(int argc, char **argv)
 
     if (args.has("compare"))
         return run_compare(args);
-    if (args.has("encode-bench"))
-        return run_encode_bench(args);
-    if (args.has("decode-bench"))
-        return run_decode_bench(args);
 
     Scheme scheme =
         scheme_from_string(args.getString("scheme", "FP-VAXX"));
