@@ -35,15 +35,6 @@
 #include "core/codec_factory.h"
 #include "tcam/tcam.h"
 
-// The same source builds against the pre-optimization tree (no
-// encodeBlock) to produce baseline numbers for bench_compare.
-#if defined(ANOC_BENCH_WORD_AT_A_TIME)
-#define ANOC_BENCH_ENCODE(codec, block, now) (codec)->encode((block), 0, 1, (now))
-#else
-#define ANOC_BENCH_ENCODE(codec, block, now) \
-    (codec)->encodeBlock((block), 0, 1, (now))
-#endif
-
 using namespace approxnoc;
 
 namespace {
@@ -271,7 +262,7 @@ run_scheme(Scheme scheme, const std::string &key,
     Cycle now = 0;
     for (int pass = 0; pass < kWarmupPasses; ++pass) {
         for (const auto &b : blocks) {
-            EncodedBlock enc = ANOC_BENCH_ENCODE(codec, b, now);
+            EncodedBlock enc = codec->encode(b, 0, 1, now);
             codec->decode(enc, 0, 1, now);
             now += 51; // > notify_min_interval: no rate-limit artifacts
         }
@@ -287,7 +278,7 @@ run_scheme(Scheme scheme, const std::string &key,
         auto t0 = std::chrono::steady_clock::now();
         for (std::size_t it = 0; it < kInnerIters; ++it)
             for (const auto &b : blocks)
-                res.sink += ANOC_BENCH_ENCODE(codec, b, now).bits();
+                res.sink += codec->encode(b, 0, 1, now).bits();
         auto t1 = std::chrono::steady_clock::now();
         double secs = std::chrono::duration<double>(t1 - t0).count();
         res.rep_words_per_sec.push_back(words / secs);
@@ -338,12 +329,7 @@ run(const std::string &path, int reps)
                  "    \"warmup_passes\": %d,\n"
                  "    \"pmt_entries\": %zu,\n"
                  "    \"error_threshold_pct\": %.1f,\n"
-                 "    \"simd\": \"%s\",\n"
-#if defined(ANOC_BENCH_WORD_AT_A_TIME)
-                 "    \"word_at_a_time\": true\n"
-#else
-                 "    \"word_at_a_time\": false\n"
-#endif
+                 "    \"simd\": \"%s\"\n"
                  "  },\n",
                  kBlocks, kWordsPerBlock, kInnerIters, reps, kWarmupPasses,
                  kPmtEntries, kErrorThresholdPct, simd);

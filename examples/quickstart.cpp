@@ -42,13 +42,13 @@ main()
         // encoder after the update latency).
         Cycle t = 0;
         for (int i = 0; i < 4; ++i) {
-            EncodedBlock warm = codec->encodeBlock(block, 0, 1, t);
-            codec->decodeBlock(warm, 0, 1, t);
+            EncodedBlock warm = codec->encode(block, 0, 1, t);
+            codec->decode(warm, 0, 1, t);
             t += 50;
         }
 
-        EncodedBlock enc = codec->encodeBlock(block, 0, 1, t);
-        DataBlock out = codec->decodeBlock(enc, 0, 1, t);
+        EncodedBlock enc = codec->encode(block, 0, 1, t);
+        DataBlock out = codec->decode(enc, 0, 1, t);
         unsigned flits = 1 + payload_flits(enc.bits(), 64);
 
         std::printf("%-8s : NR %4zu bits -> %u flits  "

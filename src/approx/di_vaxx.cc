@@ -20,67 +20,54 @@ DiVaxxCodec::DiVaxxCodec(const DictionaryConfig &cfg, const ErrorModel &model,
     preloadEncoders();
 }
 
-EncodedWord
-DiVaxxCodec::encodeOne(EncoderState &e, Word w, DataType type, bool approx_ok,
-                       NodeId dst)
-{
-    EncodedWord ew;
-    bool compressed = false;
-    // One TCAM access per word (counts towards the power model). The
-    // bit-sliced probe hands us the matches in priority order, so
-    // finding the first entry with a usable mapping for dst costs a
-    // single search instead of a search plus a full-match sweep.
-    e.tcam.searchVisit(w, [&](std::size_t slot) {
-        auto it = e.dst_entries[slot].find(dst);
-        if (it == e.dst_entries[slot].end())
-            return false;
-        const DstEntry &de = it->second;
-        // Approximate hit: allowed only for approximable data of the
-        // same type the pattern was learned from (masks are only valid
-        // within one type's semantics). Exact hit: always allowed.
-        bool exact = de.original == w;
-        if (!exact && (!approx_ok || e.types[slot] != type))
-            return false;
-        ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
-        ew.bits = compressedBits();
-        ew.payload = de.index;
-        ew.decoded = de.original;
-        ew.approximated = !exact;
-        ew.approx_count = exact ? 0 : 1;
-        compressed = true;
-        return true;
-    });
-    if (compressed)
-        return ew;
-
-    ew.kind = static_cast<std::uint8_t>(DiWordKind::Raw);
-    ew.bits = rawBits();
-    ew.payload = w;
-    ew.decoded = w;
-    ew.uncompressed = true;
-    return ew;
-}
-
-EncodedWord
-DiVaxxCodec::encodeWord(Word w, const DataBlock &block, NodeId src, NodeId dst)
-{
-    const bool approx_ok = block.approximable() &&
-                           block.type() != DataType::Raw &&
-                           avcl_.errorModel().enabled();
-    return encodeOne(encoders_[src], w, block.type(), approx_ok, dst);
-}
-
 void
-DiVaxxCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                        EncodedBlock &out)
+DiVaxxCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                         EncodedBlock &out)
 {
     EncoderState &e = encoders_[src];
     const bool approx_ok = block.approximable() &&
                            block.type() != DataType::Raw &&
                            avcl_.errorModel().enabled();
     const DataType type = block.type();
-    for (std::size_t i = 0; i < block.size(); ++i)
-        out.append(encodeOne(e, block.word(i), type, approx_ok, dst));
+    for (std::size_t i = 0; i < block.size(); ++i) {
+        const Word w = block.word(i);
+        EncodedWord ew;
+        bool compressed = false;
+        // One TCAM access per word (counts towards the power model).
+        // The bit-sliced probe hands us the matches in priority order,
+        // so finding the first entry with a usable mapping for dst
+        // costs a single search instead of a search plus a full-match
+        // sweep.
+        e.tcam.searchVisit(w, [&](std::size_t slot) {
+            auto it = e.dst_entries[slot].find(dst);
+            if (it == e.dst_entries[slot].end())
+                return false;
+            const DstEntry &de = it->second;
+            // Approximate hit: allowed only for approximable data of
+            // the same type the pattern was learned from (masks are
+            // only valid within one type's semantics). Exact hit:
+            // always allowed.
+            bool exact = de.original == w;
+            if (!exact && (!approx_ok || e.types[slot] != type))
+                return false;
+            ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
+            ew.bits = compressedBits();
+            ew.payload = de.index;
+            ew.decoded = de.original;
+            ew.approximated = !exact;
+            ew.approx_count = exact ? 0 : 1;
+            compressed = true;
+            return true;
+        });
+        if (!compressed) {
+            ew.kind = static_cast<std::uint8_t>(DiWordKind::Raw);
+            ew.bits = rawBits();
+            ew.payload = w;
+            ew.decoded = w;
+            ew.uncompressed = true;
+        }
+        out.append(ew);
+    }
 }
 
 void

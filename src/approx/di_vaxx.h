@@ -79,10 +79,12 @@ class DiVaxxCodec : public DictionaryCodecBase
     }
 
   protected:
-    EncodedWord encodeWord(Word w, const DataBlock &block, NodeId src,
-                           NodeId dst) override;
-    void encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                    EncodedBlock &out) override;
+    /**
+     * One bit-sliced TCAM probe per word, visiting matches in priority
+     * order until one holds a usable mapping for @p dst.
+     */
+    void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                     EncodedBlock &out) override;
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:
@@ -99,15 +101,6 @@ class DiVaxxCodec : public DictionaryCodecBase
 
         EncoderState(const DictionaryConfig &cfg);
     };
-
-    /**
-     * The per-word encode step both paths share: one bit-sliced TCAM
-     * probe visiting matches in priority order until one holds a
-     * usable mapping for @p dst. @p approx_ok and @p type are hoisted
-     * by encodeSpan and recomputed per word by encodeWord.
-     */
-    EncodedWord encodeOne(EncoderState &e, Word w, DataType type,
-                          bool approx_ok, NodeId dst);
 
     std::vector<EncoderState> encoders_;
     /** Analysis logic shared by every encoder node. */

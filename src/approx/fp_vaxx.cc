@@ -1,15 +1,14 @@
 #include "approx/fp_vaxx.h"
 
-#include "common/arena.h"
+#include <vector>
 
 namespace approxnoc {
 
 namespace {
 
-/** Words covered by the stack-allocated don't-care hoist; larger
- * blocks (none in practice — cache blocks are 16 words) fall back to
- * recomputing per word, which encodes identically. */
-constexpr std::size_t kMaxHoistedWords = 64;
+/** Words whose don't-care counts fit on the stack; longer blocks (none
+ * in practice — cache blocks are 16 words) spill to the heap. */
+constexpr std::size_t kStackWords = 64;
 
 } // namespace
 
@@ -20,104 +19,29 @@ FpVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
     const bool approximable = block.approximable() &&
                               block.type() != DataType::Raw &&
                               avcl_.errorModel().enabled();
-    EncodedBlock enc =
-        approximable
-            ? fpc_encode_block(block,
-                               [&](std::size_t i) -> unsigned {
-                                   Word w = block.word(i);
-                                   ApproxDecision d =
-                                       avcl_.analyze(w, block.type());
-                                   if (d.bypass)
-                                       return 0u;
-                                   if (mode_ == FpcPriorityMode::PreferExact &&
-                                       fpc_match(w, 0))
-                                       return 0u;
-                                   return d.dont_care_bits;
-                               })
-            : fpc_encode_block(block, [](std::size_t) { return 0u; });
-    noteBlockEncoded(enc, block, src, dst);
-    return enc;
-}
-
-EncodedBlock
-FpVaxxCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                        std::pmr::memory_resource *mr)
-{
-    noteEncoded(block.size());
-    const bool approximable = block.approximable() &&
-                              block.type() != DataType::Raw &&
-                              avcl_.errorModel().enabled();
     EncodedBlock enc;
     if (!approximable) {
-        enc = fpc_encode_block(block, [](std::size_t) { return 0u; }, mr);
-    } else if (block.size() > kMaxHoistedWords) {
-        enc = fpc_encode_block(block,
-                               [&](std::size_t i) -> unsigned {
-                                   Word w = block.word(i);
-                                   ApproxDecision d =
-                                       avcl_.analyze(w, block.type());
-                                   if (d.bypass)
-                                       return 0u;
-                                   if (mode_ == FpcPriorityMode::PreferExact &&
-                                       fpc_match(w, 0))
-                                       return 0u;
-                                   return d.dont_care_bits;
-                               },
-                               mr);
+        enc = fpc_encode_block(block, [](std::size_t) { return 0u; });
     } else {
-        unsigned k[kMaxHoistedWords];
-        for (std::size_t i = 0; i < block.size(); ++i) {
-            Word w = block.word(i);
-            ApproxDecision d = avcl_.analyze(w, block.type());
-            if (d.bypass)
-                k[i] = 0;
-            else if (mode_ == FpcPriorityMode::PreferExact && fpc_match(w, 0))
-                k[i] = 0;
-            else
-                k[i] = d.dont_care_bits;
+        unsigned stack_k[kStackWords];
+        std::vector<unsigned> heap_k;
+        unsigned *k = stack_k;
+        if (block.size() > kStackWords) {
+            heap_k.resize(block.size());
+            k = heap_k.data();
         }
-        enc = fpc_encode_block(block, [&](std::size_t i) { return k[i]; }, mr);
+        for (std::size_t i = 0; i < block.size(); ++i) {
+            const Word w = block.word(i);
+            const ApproxDecision d = avcl_.analyze(w, block.type());
+            const bool exact =
+                d.bypass ||
+                (mode_ == FpcPriorityMode::PreferExact && fpc_match(w, 0));
+            k[i] = exact ? 0 : d.dont_care_bits;
+        }
+        enc = fpc_encode_block(block, [&](std::size_t i) { return k[i]; });
     }
     noteBlockEncoded(enc, block, src, dst);
     return enc;
-}
-
-EncodedBlock
-FpVaxxCodec::encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
-                         Cycle)
-{
-    return encodeImpl(block, src, dst, nullptr);
-}
-
-EncodedBlock
-FpVaxxCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                        Cycle, Arena &arena)
-{
-    return encodeImpl(block, src, dst, &arena);
-}
-
-DataBlock
-FpVaxxCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
-{
-    // The NR is plain FPC; the decoder is unchanged (paper: the decoder
-    // never knows approximation happened).
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    std::vector<Word> ws(enc.wordCount());
-    noteMismatches(fpc_decode_block(enc, ws.data()));
-    return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DecodedSpan
-FpVaxxCodec::decodeSpan(const EncodedBlock &enc, NodeId, NodeId, Cycle,
-                        Arena &arena)
-{
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    noteMismatches(fpc_decode_block(enc, buf));
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
 }
 
 } // namespace approxnoc

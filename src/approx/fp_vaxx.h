@@ -24,8 +24,12 @@ enum class FpcPriorityMode : std::uint8_t {
     PreferExact,  ///< try exact table first, approximate only on miss
 };
 
-/** The FP-VAXX codec: stateless, shared by all nodes. */
-class FpVaxxCodec : public CodecSystem
+/**
+ * The FP-VAXX codec: stateless, shared by all nodes. The NR is plain
+ * FPC, so it decodes with FpcCodec's decode() (the paper: the decoder
+ * never knows approximation happened).
+ */
+class FpVaxxCodec : public FpcCodec
 {
   public:
     explicit FpVaxxCodec(const ErrorModel &model,
@@ -35,26 +39,13 @@ class FpVaxxCodec : public CodecSystem
 
     Scheme scheme() const override { return Scheme::FpVaxx; }
 
-    std::uint8_t
-    rawKind() const override
-    {
-        return static_cast<std::uint8_t>(FpcPattern::Uncompressed);
-    }
-
+    /**
+     * The AVCL analyzes each word once, into a don't-care array, before
+     * fpc_encode_block runs; the zero-run extension there probes a word
+     * at a run boundary twice.
+     */
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    /** Batched path: the per-word AVCL analysis is hoisted into one
-     * precomputed don't-care array, so the zero-run extension inside
-     * fpc_encode_block never re-analyzes a word at a run boundary.
-     * Emits the same NR bits as encode(). */
-    EncodedBlock encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
-                             Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
-    DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
-                     Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 
     const Avcl &avcl() const { return avcl_; }
     FpcPriorityMode priorityMode() const { return mode_; }
@@ -77,11 +68,6 @@ class FpVaxxCodec : public CodecSystem
     }
 
   private:
-    /** The one batched encode body behind encodeBlock()/encodeSpan():
-     * hoisted AVCL analysis, NR storage on @p mr (null = heap). */
-    EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            std::pmr::memory_resource *mr);
-
     /** Analysis logic shared by every encoder node. */
     Avcl avcl_;
     FpcPriorityMode mode_;

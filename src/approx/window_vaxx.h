@@ -14,13 +14,13 @@
 #define APPROXNOC_APPROX_WINDOW_VAXX_H
 
 #include "approx/avcl.h"
-#include "approx/fp_vaxx.h"
 #include "compression/fpc.h"
 
 namespace approxnoc {
 
-/** FP-VAXX with a per-block cumulative error budget. */
-class WindowVaxxCodec : public CodecSystem
+/** FP-VAXX with a per-block cumulative error budget. Decodes with
+ * FpcCodec's decode(), like FP-VAXX. */
+class WindowVaxxCodec : public FpcCodec
 {
   public:
     /**
@@ -38,12 +38,6 @@ class WindowVaxxCodec : public CodecSystem
 
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
-    DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
-                     Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 
     const ErrorModel &errorModel() const { return model_; }
     double perWordCap() const { return per_word_cap_; }
@@ -59,11 +53,6 @@ class WindowVaxxCodec : public CodecSystem
     }
 
   private:
-    /** The one encode body behind encode()/encodeSpan(): budget walk
-     * then fpc_encode_block with NR storage on @p mr (null = heap). */
-    EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            std::pmr::memory_resource *mr);
-
     ErrorModel model_;
     double per_word_cap_;
     /** Diagnostic: the budget the last encode spent, whatever its src.

@@ -228,8 +228,8 @@ ApproxCacheSystem::fill(unsigned core, Line &way, std::size_t line_idx)
         // The home node encodes, the requesting core decodes: encoder
         // state is keyed by home, decoder state by core_node
         // (compression/codec.h).
-        EncodedBlock enc = codec_->encodeBlock(precise, home, core_node, time_);
-        DataBlock delivered = codec_->decodeBlock(enc, home, core_node, time_);
+        EncodedBlock enc = codec_->encode(precise, home, core_node, time_);
+        DataBlock delivered = codec_->decode(enc, home, core_node, time_);
         unsigned flits = 1 + static_cast<unsigned>((enc.bits() + 63) / 64);
         penalty += static_cast<Cycle>(flits) * cfg_.per_flit_cycles +
                    codec_->compressionLatency() +

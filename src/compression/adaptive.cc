@@ -1,6 +1,5 @@
 #include "compression/adaptive.h"
 
-#include "common/arena.h"
 #include "common/log.h"
 
 namespace approxnoc {
@@ -38,27 +37,6 @@ EncodedBlock
 AdaptiveCodec::encode(const DataBlock &block, NodeId src, NodeId dst,
                       Cycle now)
 {
-    return encodeImpl(block, src, dst, now, false);
-}
-
-EncodedBlock
-AdaptiveCodec::encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
-                           Cycle now)
-{
-    return encodeImpl(block, src, dst, now, true);
-}
-
-EncodedBlock
-AdaptiveCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                          Cycle now, Arena &arena)
-{
-    return encodeImpl(block, src, dst, now, true, &arena);
-}
-
-EncodedBlock
-AdaptiveCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                          Cycle now, bool batched, Arena *arena)
-{
     ANOC_ASSERT(src < senders_.size(), "sender out of range");
     SenderState &s = senders_[src];
 
@@ -71,16 +49,13 @@ AdaptiveCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
         } else {
             ++bypassed_;
             // Raw-block flag rides in the head flit, hence 32 bits/word.
-            EncodedBlock raw =
-                raw_encoded_block(block, inner_->rawKind(), 32, arena);
-            noteBlockEncoded(raw);
+            EncodedBlock raw = raw_encoded_block(block, inner_->rawKind());
+            noteBlockEncoded(raw, block, src, dst);
             return raw;
         }
     }
 
-    EncodedBlock enc = arena ? inner_->encodeSpan(block, src, dst, now, *arena)
-                     : batched ? inner_->encodeBlock(block, src, dst, now)
-                               : inner_->encode(block, src, dst, now);
+    EncodedBlock enc = inner_->encode(block, src, dst, now);
     s.window_raw_bits += block.sizeBits();
     s.window_enc_bits += enc.bits();
     ++s.window_count;
@@ -89,13 +64,6 @@ AdaptiveCodec::encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
     if (s.window_count >= window)
         evaluateWindow(s);
     return enc;
-}
-
-DataBlock
-AdaptiveCodec::decode(const EncodedBlock &enc, NodeId src, NodeId dst,
-                      Cycle now)
-{
-    return inner_->decode(enc, src, dst, now);
 }
 
 void

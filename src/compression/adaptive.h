@@ -38,34 +38,18 @@ class AdaptiveCodec : public CodecSystem
     Scheme scheme() const override { return inner_->scheme(); }
     std::uint8_t rawKind() const override { return inner_->rawKind(); }
 
+    /** Bypass while compression is off for @p src; otherwise forward
+     * to the inner codec's encode() and score the window. */
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    /** Batched path: same bypass/probe logic, delegating compressed
-     * blocks to the inner codec's batched encodeBlock. */
-    EncodedBlock encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
-                             Cycle now) override;
-    /** Arena path: same bypass/probe logic; bypassed raw blocks and
-     * delegated encodes both land their word storage in @p arena. */
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
-    DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
-                     Cycle now) override;
-    /** The wrapper adds no decode-side state: forward to the inner
-     * codec's arena path. */
-    DecodedSpan
-    decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst, Cycle now,
-               Arena &arena) override
-    {
-        return inner_->decodeSpan(enc, src, dst, now, arena);
-    }
-    /** Batched path: the wrapper adds no decode-side state, so this
-     * forwards straight to the inner codec's batched decodeBlock —
-     * raw-bypassed blocks decode as all-uncompressed words there. */
+    /** The wrapper adds no decode-side state, so this forwards to the
+     * inner codec's decode(); raw-bypassed blocks decode there as
+     * all-uncompressed words. */
     DataBlock
-    decodeBlock(const EncodedBlock &enc, NodeId src, NodeId dst,
-                Cycle now) override
+    decode(const EncodedBlock &enc, NodeId src, NodeId dst,
+           Cycle now) override
     {
-        return inner_->decodeBlock(enc, src, dst, now);
+        return inner_->decode(enc, src, dst, now);
     }
 
     Cycle
@@ -134,8 +118,6 @@ class AdaptiveCodec : public CodecSystem
         std::uint32_t off_count = 0;
     };
 
-    EncodedBlock encodeImpl(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, bool batched, Arena *arena = nullptr);
     void evaluateWindow(SenderState &s);
 
     std::unique_ptr<CodecSystem> inner_;

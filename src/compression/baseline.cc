@@ -1,4 +1,3 @@
-#include "common/arena.h"
 #include "compression/codec.h"
 
 namespace approxnoc {
@@ -13,21 +12,11 @@ CodecSystem::activity() const
 }
 
 EncodedBlock
-BaselineCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
+BaselineCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
 {
     noteEncoded(block.size());
     EncodedBlock enc = raw_encoded_block(block, 0);
-    noteBlockEncoded(enc);
-    return enc;
-}
-
-EncodedBlock
-BaselineCodec::encodeSpan(const DataBlock &block, NodeId, NodeId, Cycle,
-                          Arena &arena)
-{
-    noteEncoded(block.size());
-    EncodedBlock enc = raw_encoded_block(block, 0, 32, &arena);
-    noteBlockEncoded(enc);
+    noteBlockEncoded(enc, block, src, dst);
     return enc;
 }
 
@@ -41,21 +30,6 @@ BaselineCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
     for (const auto &w : enc.words())
         ws.push_back(w.payload);
     return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DecodedSpan
-BaselineCodec::decodeSpan(const EncodedBlock &enc, NodeId, NodeId, Cycle,
-                          Arena &arena)
-{
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    Word *out = buf;
-    for (const auto &w : enc.words())
-        for (unsigned r = 0; r < w.run; ++r)
-            *out++ = w.payload;
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
 }
 
 } // namespace approxnoc

@@ -13,9 +13,6 @@ DecodedSpan
 CodecSystem::decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
                         Cycle now, Arena &arena)
 {
-    // Default: route through decodeBlock() (all side effects included)
-    // and copy the result into the arena once. Schemes override this
-    // to decode straight into arena storage.
     DataBlock b = decodeBlock(enc, src, dst, now);
     Word *buf = arena.alloc<Word>(b.size());
     std::copy(b.words().begin(), b.words().end(), buf);

@@ -28,10 +28,10 @@ class Arena;
 class EncodedBlock;
 
 /**
- * Zero-copy view of a decoded block: the words live in the Arena the
- * caller passed to decodeSpan() and stay valid until that arena is
- * reset. Carries the same metadata as DataBlock without owning
- * storage; callers needing ownership copy into a DataBlock.
+ * View of a decoded block, returned by the decodeSpan() forwarder: the
+ * words live in the Arena the caller passed and stay valid until that
+ * arena is reset. Carries the same metadata as DataBlock without
+ * owning storage.
  */
 struct DecodedSpan {
     const Word *data = nullptr;
@@ -117,21 +117,28 @@ class CodecSystem
     virtual Scheme scheme() const = 0;
 
     /**
-     * Encode @p block at node @p src for destination @p dst, one word
-     * at a time. Kept as the executable specification of the NR: the
-     * batched encodeBlock() must produce a bit-identical stream.
+     * Encode @p block at node @p src for destination @p dst. Each
+     * scheme has exactly one encode body, and every consumer (NI,
+     * cache, harness, benches) calls it.
      */
     virtual EncodedBlock encode(const DataBlock &block, NodeId src,
                                 NodeId dst, Cycle now) = 0;
 
     /**
-     * Block-batched encode: the fast path every consumer (NI, cache,
-     * harness, benches) routes through. Semantically identical to
-     * encode() — same NR bits, same hit/victim choices — but schemes
-     * override it to hoist per-word virtual dispatch, telemetry checks
-     * and AVCL mask computation out of the 16-word inner loop. The
-     * default forwards to encode() for schemes whose encode is already
-     * block-level.
+     * Decode @p enc at node @p dst, received from @p src. Each scheme
+     * has exactly one decode body, and every consumer calls it.
+     */
+    virtual DataBlock decode(const EncodedBlock &enc, NodeId src,
+                             NodeId dst, Cycle now) = 0;
+
+    /**
+     * @name Forwarders
+     * Older entry points, kept only because the repository benchmark's
+     * forwarding codec (perfbench/tracing.h) overrides them. No scheme
+     * overrides them and nothing in the simulator calls them: each
+     * returns exactly what encode()/decode() return, with the same
+     * side effects.
+     * @{
      */
     virtual EncodedBlock
     encodeBlock(const DataBlock &block, NodeId src, NodeId dst, Cycle now)
@@ -139,16 +146,7 @@ class CodecSystem
         return encode(block, src, dst, now);
     }
 
-    /**
-     * Zero-copy batched encode: identical NR bits and side effects to
-     * encodeBlock(), but the returned block's word storage lives in
-     * @p arena — no heap allocation on the hot path once the arena is
-     * warm. The block is valid until the arena is reset; moving it
-     * keeps the arena backing, copying it detaches onto the heap.
-     * The default forwards to encodeBlock() (heap-backed, always
-     * correct); schemes override it to actually place storage in the
-     * arena.
-     */
+    /** encodeBlock(); @p arena is unused, the block is heap-backed. */
     virtual EncodedBlock
     encodeSpan(const DataBlock &block, NodeId src, NodeId dst, Cycle now,
                Arena &arena)
@@ -157,39 +155,17 @@ class CodecSystem
         return encodeBlock(block, src, dst, now);
     }
 
-    /**
-     * Decode @p enc at node @p dst, received from @p src. Kept as the
-     * executable specification of the decoder: the batched
-     * decodeBlock() must reconstruct a bit-identical DataBlock.
-     */
-    virtual DataBlock decode(const EncodedBlock &enc, NodeId src,
-                             NodeId dst, Cycle now) = 0;
-
-    /**
-     * Block-batched decode: the fast path every consumer (NI, cache,
-     * harness, benches) routes through, mirroring encodeBlock().
-     * Semantically identical to decode() — same words, same learning
-     * and notification side effects — but schemes override it to
-     * hoist decoder-state lookup and per-block bookkeeping out of the
-     * word loop. The default forwards to decode() for schemes whose
-     * decode is already block-level.
-     */
     virtual DataBlock
     decodeBlock(const EncodedBlock &enc, NodeId src, NodeId dst, Cycle now)
     {
         return decode(enc, src, dst, now);
     }
 
-    /**
-     * Zero-copy batched decode: identical words and side effects to
-     * decodeBlock(), but the reconstructed words are written into
-     * exactly enc.wordCount() arena-resident Words and returned as a
-     * view — valid until @p arena is reset. The default routes
-     * through decodeBlock() and copies once; schemes override it to
-     * decode straight into the arena.
-     */
+    /** decodeBlock(), with the words copied into @p arena and returned
+     * as a view that stays valid until the arena is reset. */
     virtual DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src,
                                    NodeId dst, Cycle now, Arena &arena);
+    /** @} */
 
     /** Cycles the encoder adds before the first body flit is ready. */
     virtual Cycle compressionLatency() const { return kCompressionLatency; }
@@ -294,32 +270,22 @@ class CodecSystem
     /**
      * Per-block telemetry record, called once at the end of every
      * derived encode(). Derives hit/miss/approx splits from the block's
-     * aggregate accessors; immediate no-op when counters are unbound.
-     */
-    void
-    noteBlockEncoded(const EncodedBlock &enc)
-    {
-        if (!counters_.bound())
-            return;
-        counters_.blocks_encoded->inc();
-        counters_.hit_exact->inc(enc.exactCompressedWords());
-        counters_.hit_approx->inc(enc.approximatedWords());
-        counters_.miss_raw->inc(enc.uncompressedWords());
-        counters_.bits_out->inc(enc.bits());
-    }
-
-    /**
-     * QoR-aware variant: the counter record above plus, when an error
-     * profile is bound and the block was actually approximated, one
-     * signed relative-error sample per changed word on flow
-     * @p src -> @p dst. Approximating encode paths call this; exact
-     * paths (baseline, FPC, raw fallbacks) keep the 1-arg form.
+     * aggregate accessors (a no-op when counters are unbound) and,
+     * when an error profile is bound and the block was actually
+     * approximated, records one signed relative-error sample per
+     * changed word on flow @p src -> @p dst.
      */
     void
     noteBlockEncoded(const EncodedBlock &enc, const DataBlock &precise,
                      NodeId src, NodeId dst)
     {
-        noteBlockEncoded(enc);
+        if (counters_.bound()) {
+            counters_.blocks_encoded->inc();
+            counters_.hit_exact->inc(enc.exactCompressedWords());
+            counters_.hit_approx->inc(enc.approximatedWords());
+            counters_.miss_raw->inc(enc.uncompressedWords());
+            counters_.bits_out->inc(enc.bits());
+        }
         if (qor_ && enc.approximatedWords() > 0)
             recordQoR(precise, enc, src, dst);
     }
@@ -332,9 +298,6 @@ class CodecSystem
             return;
         counters_.blocks_decoded->inc();
     }
-
-    std::uint64_t wordsEncoded() const { return words_encoded_; }
-    std::uint64_t wordsDecoded() const { return words_decoded_; }
 
     /** The bound self-profiler (null when profiling is off). */
     telemetry::PhaseProfiler *profiler() const { return profiler_; }
@@ -369,12 +332,8 @@ class BaselineCodec : public CodecSystem
     Scheme scheme() const override { return Scheme::Baseline; }
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
     Cycle compressionLatency() const override { return 0; }
     Cycle decompressionLatency() const override { return 0; }
 };

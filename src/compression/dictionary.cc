@@ -1,6 +1,5 @@
 #include "compression/dictionary.h"
 
-#include "common/arena.h"
 #include "common/bits.h"
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
@@ -55,8 +54,7 @@ DictionaryCodecBase::preloadEncoders()
 
 EncodedBlock
 DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block,
-                                   NodeId src, NodeId dst,
-                                   std::pmr::memory_resource *mr)
+                                   NodeId src, NodeId dst)
 {
     enc.setMeta(block.type(), block.approximable());
 
@@ -64,8 +62,8 @@ DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block,
     // per-word encoding would expand the block, send it raw; the
     // compressed/raw flag rides in the (uncompressed) head flit.
     if (enc.bits() > block.sizeBits() && block.size() > 0)
-        enc = raw_encoded_block(
-            block, static_cast<std::uint8_t>(DiWordKind::Raw), 32, mr);
+        enc = raw_encoded_block(block,
+                                static_cast<std::uint8_t>(DiWordKind::Raw));
     noteBlockEncoded(enc, block, src, dst);
     return enc;
 }
@@ -79,46 +77,8 @@ DictionaryCodecBase::encode(const DataBlock &block, NodeId src, NodeId dst,
     applyPending(src, now);
     noteEncoded(block.size());
     EncodedBlock enc;
-    for (std::size_t i = 0; i < block.size(); ++i)
-        enc.append(encodeWord(block.word(i), block, src, dst));
+    encodeWords(block, src, dst, enc);
     return finishEncoded(std::move(enc), block, src, dst);
-}
-
-EncodedBlock
-DictionaryCodecBase::encodeBlock(const DataBlock &block, NodeId src,
-                                 NodeId dst, Cycle now)
-{
-    ANOC_ASSERT(src < cfg_.n_nodes && dst < cfg_.n_nodes,
-                "node id out of range in dictionary encode");
-    applyPending(src, now);
-    noteEncoded(block.size());
-    EncodedBlock enc;
-    encodeSpan(block, src, dst, enc);
-    return finishEncoded(std::move(enc), block, src, dst);
-}
-
-EncodedBlock
-DictionaryCodecBase::encodeSpan(const DataBlock &block, NodeId src,
-                                NodeId dst, Cycle now, Arena &arena)
-{
-    // Identical side effects and NR bits to encodeBlock(); only the
-    // word vector's storage differs (arena vs heap).
-    ANOC_ASSERT(src < cfg_.n_nodes && dst < cfg_.n_nodes,
-                "node id out of range in dictionary encode");
-    applyPending(src, now);
-    noteEncoded(block.size());
-    EncodedBlock enc(&arena);
-    enc.reserve(block.size());
-    encodeSpan(block, src, dst, enc);
-    return finishEncoded(std::move(enc), block, src, dst, &arena);
-}
-
-void
-DictionaryCodecBase::encodeSpan(const DataBlock &block, NodeId src,
-                                NodeId dst, EncodedBlock &out)
-{
-    for (std::size_t i = 0; i < block.size(); ++i)
-        out.append(encodeWord(block.word(i), block, src, dst));
 }
 
 DataBlock
@@ -130,40 +90,7 @@ DictionaryCodecBase::decode(const EncodedBlock &enc, NodeId src, NodeId dst,
     noteDecoded(enc.wordCount());
     noteBlockDecoded();
     std::vector<Word> ws(enc.wordCount());
-    decodeSpan(enc, src, dst, now, ws.data());
-    return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DataBlock
-DictionaryCodecBase::decodeBlock(const EncodedBlock &enc, NodeId src,
-                                 NodeId dst, Cycle now)
-{
-    // decode() is already block-grained for the dictionary schemes;
-    // both entry points share decodeSpan, so the batched path is the
-    // spec path by construction (the decoder-side encodeOne pattern).
-    return decode(enc, src, dst, now);
-}
-
-DecodedSpan
-DictionaryCodecBase::decodeSpan(const EncodedBlock &enc, NodeId src,
-                                NodeId dst, Cycle now, Arena &arena)
-{
-    // Identical words and learning side effects to decode(); the
-    // reconstruction lands in arena storage and is returned by view.
-    ANOC_ASSERT(src < cfg_.n_nodes && dst < cfg_.n_nodes,
-                "node id out of range in dictionary decode");
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    decodeSpan(enc, src, dst, now, buf);
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
-}
-
-void
-DictionaryCodecBase::decodeSpan(const EncodedBlock &enc, NodeId src,
-                                NodeId dst, Cycle now, Word *out)
-{
+    Word *out = ws.data();
     DecoderState &d = decoders_[dst];
     for (const auto &w : enc.words()) {
         Word v;
@@ -204,6 +131,7 @@ DictionaryCodecBase::decodeSpan(const EncodedBlock &enc, NodeId src,
         for (unsigned r = 0; r < w.run; ++r)
             *out++ = v;
     }
+    return DataBlock(std::move(ws), enc.type(), enc.approximable());
 }
 
 void
@@ -320,12 +248,6 @@ DictionaryCodecBase::drainNotifications(NodeId dst)
     return out;
 }
 
-std::size_t
-DictionaryCodecBase::decoderPatternCount(NodeId node) const
-{
-    return decoders_[node].pmt.validCount();
-}
-
 std::uint64_t
 DictionaryCodecBase::decoderSearches() const
 {
@@ -387,39 +309,30 @@ DiCompCodec::DiCompCodec(const DictionaryConfig &cfg)
     preloadEncoders();
 }
 
-EncodedWord
-DiCompCodec::encodeOne(EncoderState &e, Word w, NodeId dst)
-{
-    EncodedWord ew;
-    auto slot = e.cam.search(w);
-    if (slot && e.index_for_dst[*slot][dst] != kNoIndex) {
-        ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
-        ew.bits = compressedBits();
-        ew.payload = static_cast<std::uint32_t>(e.index_for_dst[*slot][dst]);
-        ew.decoded = w;
-    } else {
-        ew.kind = static_cast<std::uint8_t>(DiWordKind::Raw);
-        ew.bits = rawBits();
-        ew.payload = w;
-        ew.decoded = w;
-        ew.uncompressed = true;
-    }
-    return ew;
-}
-
-EncodedWord
-DiCompCodec::encodeWord(Word w, const DataBlock &, NodeId src, NodeId dst)
-{
-    return encodeOne(encoders_[src], w, dst);
-}
-
 void
-DiCompCodec::encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                        EncodedBlock &out)
+DiCompCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                         EncodedBlock &out)
 {
     EncoderState &e = encoders_[src];
-    for (std::size_t i = 0; i < block.size(); ++i)
-        out.append(encodeOne(e, block.word(i), dst));
+    for (std::size_t i = 0; i < block.size(); ++i) {
+        const Word w = block.word(i);
+        EncodedWord ew;
+        auto slot = e.cam.search(w);
+        if (slot && e.index_for_dst[*slot][dst] != kNoIndex) {
+            ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
+            ew.bits = compressedBits();
+            ew.payload =
+                static_cast<std::uint32_t>(e.index_for_dst[*slot][dst]);
+            ew.decoded = w;
+        } else {
+            ew.kind = static_cast<std::uint8_t>(DiWordKind::Raw);
+            ew.bits = rawBits();
+            ew.payload = w;
+            ew.decoded = w;
+            ew.uncompressed = true;
+        }
+        out.append(ew);
+    }
 }
 
 void

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -84,18 +83,14 @@ class DictionaryCodecBase : public CodecSystem
   public:
     explicit DictionaryCodecBase(const DictionaryConfig &cfg);
 
+    /** Apply due updates, run the subclass's encodeWords(), then the
+     * shared tail (meta, incompressible-block fallback, telemetry). */
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
-    EncodedBlock encodeBlock(const DataBlock &block, NodeId src, NodeId dst,
-                             Cycle now) override;
-    EncodedBlock encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            Cycle now, Arena &arena) override;
+    /** Decoder-side reconstruction, learning and consistency check;
+     * identical for both dictionary schemes. */
     DataBlock decode(const EncodedBlock &enc, NodeId src, NodeId dst,
                      Cycle now) override;
-    DataBlock decodeBlock(const EncodedBlock &enc, NodeId src, NodeId dst,
-                          Cycle now) override;
-    DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                           Cycle now, Arena &arena) override;
 
     std::vector<Notification> drainNotifications(NodeId dst) override;
 
@@ -106,9 +101,6 @@ class DictionaryCodecBase : public CodecSystem
     }
 
     const DictionaryConfig &config() const { return cfg_; }
-
-    /** Decoder PMT occupancy at @p node (diagnostics / tests). */
-    std::size_t decoderPatternCount(NodeId node) const;
 
     /** Total update + invalidate notifications ever sent. */
     std::uint64_t notificationsSent() const { return notifications_sent_; }
@@ -139,32 +131,13 @@ class DictionaryCodecBase : public CodecSystem
         NodeId decoder = 0;      ///< decoder that owns the index
     };
 
-    /** Encode a single word at @p src for @p dst (encoder tables). */
-    virtual EncodedWord encodeWord(Word w, const DataBlock &block,
-                                   NodeId src, NodeId dst) = 0;
-
     /**
-     * Batched inner loop behind encodeBlock(): append the NR of every
-     * word of @p block to @p out. The default issues one virtual
-     * encodeWord call per word; subclasses override it with a loop
-     * that hoists encoder-state lookup and per-block predicates, so
-     * the whole 16-word block costs one virtual dispatch.
+     * Append the NR of every word of @p block, encoded at @p src for
+     * @p dst, to @p out: the scheme's encoder-table loop, with
+     * encoder-state lookup and per-block predicates hoisted out of it.
      */
-    virtual void encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                            EncodedBlock &out);
-
-    /**
-     * Batched inner loop behind decodeBlock(): write the decoded
-     * words of @p enc — exactly enc.wordCount() of them — to @p out,
-     * with the destination's DecoderState and per-block predicates
-     * hoisted. Takes a raw output pointer (the count is known upfront)
-     * so decode() fills a heap vector and the zero-copy decodeSpan
-     * overload fills arena storage through the very same code — the
-     * spec and batched paths are trivially bit-identical (the
-     * encodeOne pattern, decoder side).
-     */
-    virtual void decodeSpan(const EncodedBlock &enc, NodeId src, NodeId dst,
-                            Cycle now, Word *out);
+    virtual void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                             EncodedBlock &out) = 0;
 
     /** Apply one due notification to encoder @p enc's tables. */
     virtual void applyUpdateAtEncoder(NodeId enc, const Update &u) = 0;
@@ -196,12 +169,9 @@ class DictionaryCodecBase : public CodecSystem
 
   private:
     /** Shared encode tail: meta, incompressible-block fallback (after
-     * Das et al. [12]), per-block telemetry + QoR error recording.
-     * @p mr backs the raw fallback block (null = heap), so the arena
-     * path stays arena-backed even when the fallback fires. */
+     * Das et al. [12]), per-block telemetry + QoR error recording. */
     EncodedBlock finishEncoded(EncodedBlock enc, const DataBlock &block,
-                               NodeId src, NodeId dst,
-                               std::pmr::memory_resource *mr = nullptr);
+                               NodeId src, NodeId dst);
 
     /** Decoder-side learning on an uncompressed word from @p src. */
     void learn(Word w, DataType type, NodeId src, NodeId dst, Cycle now);
@@ -269,10 +239,10 @@ class DiCompCodec : public DictionaryCodecBase
     std::size_t encoderPatternCount(NodeId node) const;
 
   protected:
-    EncodedWord encodeWord(Word w, const DataBlock &block, NodeId src,
-                           NodeId dst) override;
-    void encodeSpan(const DataBlock &block, NodeId src, NodeId dst,
-                    EncodedBlock &out) override;
+    /** O(1) hashed CAM lookup per word, then the per-destination index
+     * check. */
+    void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
+                     EncodedBlock &out) override;
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:
@@ -296,10 +266,6 @@ class DiCompCodec : public DictionaryCodecBase
         /** Clear every per-destination mapping of @p slot (eviction). */
         void unmapSlot(std::size_t slot);
     };
-
-    /** The per-word encode step both paths share: O(1) hashed CAM
-     * lookup, then the per-destination index check. */
-    EncodedWord encodeOne(EncoderState &e, Word w, NodeId dst);
 
     std::vector<EncoderState> encoders_;
 };

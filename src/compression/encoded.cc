@@ -31,22 +31,11 @@ EncodedBlock::uncompressedWords() const
     return n;
 }
 
-DataBlock
-EncodedBlock::expectedBlock() const
-{
-    std::vector<Word> ws;
-    ws.reserve(n_words_);
-    for (const auto &w : words_)
-        for (unsigned r = 0; r < w.run; ++r)
-            ws.push_back(w.decoded);
-    return DataBlock(std::move(ws), type_, approximable_);
-}
-
 EncodedBlock
 raw_encoded_block(const DataBlock &block, std::uint8_t kind,
-                  std::uint16_t bits_per_word, std::pmr::memory_resource *mr)
+                  std::uint16_t bits_per_word)
 {
-    EncodedBlock raw(mr);
+    EncodedBlock raw;
     raw.reserve(block.size());
     for (std::size_t i = 0; i < block.size(); ++i) {
         EncodedWord ew;

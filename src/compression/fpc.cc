@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.h"
 #include "common/bits.h"
 #include "common/log.h"
 
@@ -174,22 +173,11 @@ fpc_decode(FpcPattern p, std::uint32_t payload)
 }
 
 EncodedBlock
-FpcCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
+FpcCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
 {
     noteEncoded(block.size());
     EncodedBlock enc = fpc_encode_block(block, [](std::size_t) { return 0u; });
-    noteBlockEncoded(enc);
-    return enc;
-}
-
-EncodedBlock
-FpcCodec::encodeSpan(const DataBlock &block, NodeId, NodeId, Cycle,
-                     Arena &arena)
-{
-    noteEncoded(block.size());
-    EncodedBlock enc =
-        fpc_encode_block(block, [](std::size_t) { return 0u; }, &arena);
-    noteBlockEncoded(enc);
+    noteBlockEncoded(enc, block, src, dst);
     return enc;
 }
 
@@ -217,18 +205,6 @@ FpcCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
     std::vector<Word> ws(enc.wordCount());
     noteMismatches(fpc_decode_block(enc, ws.data()));
     return DataBlock(std::move(ws), enc.type(), enc.approximable());
-}
-
-DecodedSpan
-FpcCodec::decodeSpan(const EncodedBlock &enc, NodeId, NodeId, Cycle,
-                     Arena &arena)
-{
-    noteDecoded(enc.wordCount());
-    noteBlockDecoded();
-    Word *buf = arena.alloc<Word>(enc.wordCount());
-    noteMismatches(fpc_decode_block(enc, buf));
-    return DecodedSpan{buf, enc.wordCount(), enc.type(),
-                       enc.approximable()};
 }
 
 } // namespace approxnoc

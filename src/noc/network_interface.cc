@@ -34,7 +34,7 @@ NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
         ANOC_ASSERT(pkt->src == id_,
                     "NI must encode only as its own source endpoint");
         telemetry::PhaseProfiler::Scope prof(profiler_, ph_encode_);
-        pkt->enc = codec_->encodeBlock(pkt->precise, pkt->src, pkt->dst, now);
+        pkt->enc = codec_->encode(pkt->precise, pkt->src, pkt->dst, now);
         pkt->n_flits =
             1 + payload_flits(pkt->enc.bits(), cfg_.flit_bits);
         ready = now + codec_->compressionLatency();
@@ -140,7 +140,7 @@ NetworkInterface::acceptEjectedFlit(Flit f, Cycle now)
         ANOC_ASSERT(pkt->dst == id_,
                     "NI must decode only as its own destination endpoint");
         telemetry::PhaseProfiler::Scope prof(profiler_, ph_decode_);
-        pkt->delivered = codec_->decodeBlock(pkt->enc, pkt->src, pkt->dst, now);
+        pkt->delivered = codec_->decode(pkt->enc, pkt->src, pkt->dst, now);
         pkt->decode_done = now + codec_->decompressionLatency();
     } else {
         pkt->decode_done = now;

@@ -1,6 +1,7 @@
 #include "traffic/replay.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/log.h"
 
@@ -26,6 +27,16 @@ TraceReplay::TraceReplay(Network &net, const CommTrace &trace,
       time_scale_(time_scale), approx_ratio_(approx_ratio)
 {
     ANOC_ASSERT(time_scale > 0.0, "time scale must be positive");
+    const unsigned n_nodes = net_.config().nodes();
+    const std::string &name =
+        trace.origin().empty() ? std::string("trace") : trace.origin();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord &r = trace.records()[i];
+        if (r.src >= n_nodes || r.dst >= n_nodes)
+            ANOC_FATAL(name, ": record ", i, " (t=", r.t, ") sends ", r.src,
+                       " -> ", r.dst, ", outside the ", n_nodes,
+                       "-node network");
+    }
 }
 
 void
@@ -36,7 +47,6 @@ TraceReplay::evaluate(Cycle)
 void
 TraceReplay::advance(Cycle now)
 {
-    unsigned n_nodes = net_.config().nodes();
     while (cursor_ < trace_.size()) {
         const TraceRecord &r = trace_.records()[cursor_];
         Cycle when = static_cast<Cycle>(
@@ -44,8 +54,8 @@ TraceReplay::advance(Cycle now)
         if (when > now)
             break;
 
-        NodeId src = r.src % n_nodes;
-        NodeId dst = r.dst % n_nodes;
+        const NodeId src = r.src;
+        const NodeId dst = r.dst;
         if (src != dst) {
             PacketPtr p;
             if (r.cls == PacketClass::Data &&

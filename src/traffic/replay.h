@@ -18,6 +18,9 @@ class TraceReplay : public Clocked
 {
   public:
     /**
+     * A record whose source or destination is not a node of @p net is
+     * a fatal error, raised here, before the run.
+     *
      * @param net the target network.
      * @param trace the trace to replay (borrowed; outlive the replay).
      * @param time_scale multiply record timestamps by this (> 0; < 1

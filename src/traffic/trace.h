@@ -51,13 +51,29 @@ class CommTrace
     /** Fraction of records that are data packets. */
     double dataPacketRatio() const;
 
-    /** Serialize to / parse from the textual trace format. */
+    /** Serialize to the textual trace format. */
     void save(const std::string &path) const;
+
+    /**
+     * Parse the textual trace format. A malformed file is a fatal
+     * error naming the file and line: an unknown tag, type or packet
+     * class, a missing, extra or non-numeric field, a block of more
+     * than kMaxBlockWords words, a record naming a block no earlier
+     * line defined, or a timestamp below its predecessor's.
+     */
     static CommTrace load(const std::string &path);
+
+    /** Largest block load() accepts; cache blocks are 16 words. */
+    static constexpr std::size_t kMaxBlockWords = 4096;
+
+    /** The file load() read this trace from; empty when built in
+     * memory. Error messages about the trace name it. */
+    const std::string &origin() const { return origin_; }
 
   private:
     std::vector<DataBlock> blocks_;
     std::vector<TraceRecord> records_;
+    std::string origin_;
 };
 
 } // namespace approxnoc

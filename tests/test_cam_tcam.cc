@@ -170,7 +170,7 @@ TEST(Tcam, EraseFreesSlot)
     EXPECT_FALSE(t.search(0x10));
 }
 
-// Counter contract of the fused probe (DI-VAXX encodeOne drives
+// Counter contract of the fused probe (DI-VAXX encode drives
 // searchVisit directly): every searchVisit() call is exactly one
 // search() for power accounting — never a peek — no matter how many
 // slots the visitor inspects or whether it accepts any.

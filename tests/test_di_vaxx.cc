@@ -207,8 +207,8 @@ TEST(DiVaxx, StressConsistencyUnderEviction)
     EXPECT_EQ(c.consistencyMismatches(), 0u);
 }
 
-// Power-model regression for the fused probe (encodeOne's single
-// searchVisit): encoding n non-zero words costs exactly n TCAM
+// Power-model regression for the fused probe (one searchVisit per
+// word in DI-VAXX encode): encoding n non-zero words costs exactly n TCAM
 // searches, whether each word hits approximately, hits exactly, misses
 // outright, or matches a pattern whose slot has no mapping for the
 // destination (the visitor rejects and the priority scan continues —

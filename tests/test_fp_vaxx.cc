@@ -1,5 +1,8 @@
 /** FP-VAXX codec tests: approximation gains, error bound, bypasses. */
 #include <cmath>
+#include <iterator>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "approx/fp_vaxx.h"
@@ -185,4 +188,119 @@ TEST(FpVaxx, PreferExactAvoidsNeedlessError)
         << "PreferExact keeps the exact lower-priority match";
     DataBlock out = exact.decode(ee, 0, 1, 0);
     EXPECT_TRUE(out.sameBits(b));
+}
+
+namespace {
+
+/**
+ * Test-local reference for FP-VAXX's encode: the AVCL re-runs at every
+ * probe fpc_encode_block makes (a zero run probes the word after it
+ * too), as a word-at-a-time datapath would. FpVaxxCodec analyzes each
+ * word once into a don't-care array instead; the NR must not change.
+ */
+EncodedBlock
+per_probe_reference(const ErrorModel &model, FpcPriorityMode mode,
+                    const DataBlock &b)
+{
+    if (!b.approximable() || b.type() == DataType::Raw || !model.enabled())
+        return fpc_encode_block(b, [](std::size_t) { return 0u; });
+    return fpc_encode_block(b, [&](std::size_t i) -> unsigned {
+        const Word w = b.word(i);
+        const ApproxDecision d = avcl_analyze(model, w, b.type());
+        if (d.bypass)
+            return 0u;
+        if (mode == FpcPriorityMode::PreferExact && fpc_match(w, 0))
+            return 0u;
+        return d.dont_care_bits;
+    });
+}
+
+/** True when @p a and @p b are the same NR, unit for unit. */
+bool
+same_nr(const EncodedBlock &a, const EncodedBlock &b)
+{
+    if (a.bits() != b.bits() || a.wordCount() != b.wordCount() ||
+        a.type() != b.type() || a.approximable() != b.approximable() ||
+        a.words().size() != b.words().size())
+        return false;
+    for (std::size_t i = 0; i < a.words().size(); ++i) {
+        const EncodedWord &x = a.words()[i];
+        const EncodedWord &y = b.words()[i];
+        if (x.kind != y.kind || x.bits != y.bits || x.payload != y.payload ||
+            x.run != y.run || x.approx_count != y.approx_count ||
+            x.decoded != y.decoded || x.approximated != y.approximated ||
+            x.uncompressed != y.uncompressed)
+            return false;
+    }
+    return true;
+}
+
+/** Words that stress the don't-care array: zeros (runs and their
+ * boundaries), small signed values, two byte-sign-extended halfwords
+ * (exact TwoHalfSign8, approximate HalfPadded at larger thresholds),
+ * halfword-padded values with a few low bits set, and noise. */
+Word
+stress_word(Rng &rng)
+{
+    switch (rng.next(6)) {
+      case 0: return 0;
+      case 1: return static_cast<Word>(rng.range(-300, 300));
+      case 2:
+        return (static_cast<Word>(rng.next(0x80)) << 16) |
+               static_cast<Word>(rng.next(0x80));
+      case 3:
+        return (static_cast<Word>(rng.next(0x8000)) << 16) |
+               static_cast<Word>(rng.next(0x40));
+      case 4: return static_cast<Word>(rng.range(-100000, 100000));
+      default: return static_cast<Word>(rng.bits());
+    }
+}
+
+} // namespace
+
+TEST(FpVaxxEncode, MatchesPerProbeAvclReference)
+{
+    Rng rng(0xF0CA);
+    // Block sizes straddle the 64-word stack array, so the heap spill
+    // is covered too.
+    const std::size_t sizes[] = {1, 2, 9, 16, 16, 16, 63, 64, 65, 130};
+    std::size_t mode_sensitive = 0;
+    std::size_t spilled_approx = 0;
+    for (ErrorRangeMode range : {ErrorRangeMode::Shift, ErrorRangeMode::Exact}) {
+        for (double e : {0.0, 1.0, 5.0, 10.0, 20.0, 40.0}) {
+            const ErrorModel model(e, range);
+            FpVaxxCodec paper{model, FpcPriorityMode::PreferApprox};
+            FpVaxxCodec exact{model, FpcPriorityMode::PreferExact};
+            for (int i = 0; i < 150; ++i) {
+                std::vector<Word> ws(sizes[rng.next(std::size(sizes))]);
+                for (auto &w : ws)
+                    w = stress_word(rng);
+                const DataType type = rng.chance(0.45)   ? DataType::Int32
+                                      : rng.chance(0.85) ? DataType::Float32
+                                                         : DataType::Raw;
+                const DataBlock b(ws, type, rng.chance(0.8));
+
+                const EncodedBlock want_p = per_probe_reference(
+                    model, FpcPriorityMode::PreferApprox, b);
+                const EncodedBlock want_e = per_probe_reference(
+                    model, FpcPriorityMode::PreferExact, b);
+                const EncodedBlock got_p = paper.encode(b, 0, 1, 0);
+                const EncodedBlock got_e = exact.encode(b, 0, 1, 0);
+                ASSERT_TRUE(same_nr(got_p, want_p))
+                    << "PreferApprox e=" << e << " block " << i << " ("
+                    << ws.size() << " words, " << to_string(type) << ")";
+                ASSERT_TRUE(same_nr(got_e, want_e))
+                    << "PreferExact e=" << e << " block " << i << " ("
+                    << ws.size() << " words, " << to_string(type) << ")";
+                mode_sensitive += same_nr(want_p, want_e) ? 0 : 1;
+                if (ws.size() > 64 && want_p.approximatedWords() > 0)
+                    ++spilled_approx;
+            }
+        }
+    }
+    // The workload must reach the branches this test guards: blocks
+    // where the priority mode changes the NR, and approximated blocks
+    // longer than the stack array.
+    EXPECT_GT(mode_sensitive, 0u);
+    EXPECT_GT(spilled_approx, 0u);
 }

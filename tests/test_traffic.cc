@@ -1,5 +1,8 @@
 /** Traffic layer tests: patterns, providers, trace I/O, replay. */
 #include <cstdio>
+#include <fstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -123,6 +126,109 @@ TEST(Trace, SaveLoadRoundTrip)
     EXPECT_FALSE(u.block(b1).approximable());
     EXPECT_EQ(u.duration(), 9u);
     EXPECT_NEAR(u.dataPacketRatio(), 2.0 / 3.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// Malformed traces fail loudly: exit 1 with a fatal: line naming the
+// file (and, for a bad line, its line number), never a silent remap, a
+// crash or an uncaught exception.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Write @p body to a fresh file under the test temp dir. */
+std::string
+write_trace(const std::string &name, const std::string &body)
+{
+    std::string path = ::testing::TempDir() + name;
+    std::ofstream(path) << body;
+    return path;
+}
+
+/** Load @p path and build a replay on the 32-node default network. */
+void
+load_and_replay(const std::string &path)
+{
+    CommTrace trace = CommTrace::load(path);
+    NocConfig cfg;
+    CodecConfig cc;
+    cc.n_nodes = cfg.nodes();
+    auto codec = CodecFactory::create(Scheme::Baseline, cc);
+    Network net(cfg, codec.get());
+    TraceReplay replay(net, trace);
+}
+
+} // namespace
+
+TEST(TraceErrors, EndpointOutsideNetworkIsFatal)
+{
+    std::string path = write_trace("endpoint.trace",
+                                   "B int32 1 2 00000001 00000002\n"
+                                   "R 0 999 3 D 0\n");
+    EXPECT_EXIT(load_and_replay(path), ::testing::ExitedWithCode(1),
+                "fatal: .*endpoint\\.trace: record 0 \\(t=0\\) sends "
+                "999 -> 3, outside the 32-node network");
+}
+
+TEST(TraceErrors, MalformedHexWordIsFatal)
+{
+    std::string path =
+        write_trace("hex.trace", "B int32 1 2 00000001 0000zz01\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*hex\\.trace:1: bad trace line: word 1 "
+                "'0000zz01' is not a 32-bit hex number");
+}
+
+TEST(TraceErrors, UnknownDataTypeIsFatal)
+{
+    std::string path =
+        write_trace("type.trace", "# header\nB flaot32 1 1 00000001\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*type\\.trace:2: bad trace line: unknown data "
+                "type 'flaot32'");
+}
+
+TEST(TraceErrors, UnknownPacketClassIsFatal)
+{
+    std::string path = write_trace("class.trace",
+                                   "B int32 1 1 00000001\nR 0 1 2 X 0\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*class\\.trace:2: bad trace line: packet class "
+                "'X' is not D or C");
+}
+
+TEST(TraceErrors, OversizedWordCountIsFatal)
+{
+    std::string path =
+        write_trace("count.trace", "B int32 1 99999999999 00000001\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*count\\.trace:1: bad trace line: word count "
+                "'99999999999' is not a number in \\[0, 4096\\]");
+}
+
+TEST(TraceErrors, MissingRecordFieldsIsFatal)
+{
+    std::string path = write_trace("fields.trace", "R 0 1\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*fields\\.trace:1: bad trace line: record needs "
+                "exactly");
+}
+
+TEST(TraceErrors, UndefinedBlockIndexIsFatal)
+{
+    std::string path = write_trace("block.trace", "R 0 1 2 D 0\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*block\\.trace:1: bad trace line: block index 0 "
+                "has no B line before it");
+}
+
+TEST(TraceErrors, BackwardsTimeIsFatal)
+{
+    std::string path =
+        write_trace("time.trace", "R 10 1 2 C -\nR 5 1 2 C -\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*time\\.trace:2: bad trace line: time 5 is "
+                "before the previous record's 10");
 }
 
 TEST(Replay, InjectsEveryRecordOnce)
