@@ -42,6 +42,7 @@ NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
         pkt->n_flits = 1;
     }
     inj_q_.push_back(QueuedPacket{pkt, ready});
+    wake();
 }
 
 void
@@ -80,8 +81,15 @@ NetworkInterface::evaluate(Cycle now)
 void
 NetworkInterface::advance(Cycle now)
 {
-    if (!send_this_cycle_)
-        return;
+    if (send_this_cycle_)
+        sendFlit(now);
+    if (idle())
+        sleep(); // until enqueue() wakes it
+}
+
+void
+NetworkInterface::sendFlit(Cycle now)
+{
     ANOC_ASSERT(current_ && router_, "NI advance without packet or router");
     const unsigned vc = static_cast<unsigned>(alloc_vc_);
     const bool tail = next_seq_ + 1 == current_->n_flits;

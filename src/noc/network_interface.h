@@ -43,9 +43,10 @@ class NetworkInterface : public Clocked, public FlitSource
     void setDeliveryCallback(DeliveryFn fn) { on_delivery_ = std::move(fn); }
 
     /**
-     * Hand a packet to the NI. Data packets are encoded immediately
-     * (approximation + compression) which fixes their flit count; the
-     * packet becomes injectable after the compression latency.
+     * Hand a packet to the NI and wake it. Data packets are encoded
+     * immediately (approximation + compression) which fixes their flit
+     * count; the packet becomes injectable after the compression
+     * latency.
      */
     void enqueue(const PacketPtr &pkt, Cycle now);
 
@@ -58,7 +59,8 @@ class NetworkInterface : public Clocked, public FlitSource
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
 
-    /** True when nothing is queued or in flight at this NI. */
+    /** True when nothing is queued or in flight at this NI. An idle NI
+     *  leaves the Simulator's active set until enqueue() wakes it. */
     bool idle() const;
 
     /** Packets waiting in the injection queue. */
@@ -91,6 +93,10 @@ class NetworkInterface : public Clocked, public FlitSource
         PacketPtr pkt;
         Cycle ready; ///< earliest injection cycle (compression done)
     };
+
+    /** Inject the next flit of current_; advance() calls it when
+     *  evaluate() decided to send this cycle. */
+    void sendFlit(Cycle now);
 
     NodeId id_;
     NocConfig cfg_;

@@ -184,6 +184,7 @@ Router::acceptFlit(unsigned in_port, unsigned vc, Flit f)
     busy_in_ |= 1u << in_port;
     ++buffered_;
     ++buffer_writes_;
+    wake();
 }
 
 Flit
@@ -222,13 +223,14 @@ Router::evaluate(Cycle now)
         return;
 
     const Cycle pipe = cfg_.router_stages - 1;
+    const auto rr_in = static_cast<unsigned>(now % n_ports_);
 
-    // Non-empty input ports in round-robin order from rr_in_, and in
+    // Non-empty input ports in round-robin order from rr_in, and in
     // each the non-empty VCs from rr_vc_: the order a full ports x VCs
     // scan would meet them in, minus the empty buffers it skips.
-    for (std::uint64_t ports = rotated(busy_in_, rr_in_, n_ports_); ports;
+    for (std::uint64_t ports = rotated(busy_in_, rr_in, n_ports_); ports;
          ports &= ports - 1) {
-        const unsigned ip = lowestIndex(ports, rr_in_, n_ports_);
+        const unsigned ip = lowestIndex(ports, rr_in, n_ports_);
         InPort &port = in_[ip];
         const unsigned vc0 = rr_vc_[ip];
         for (std::uint64_t vcs = rotated(port.nonempty, vc0, cfg_.vcs); vcs;
@@ -338,9 +340,8 @@ Router::advance(Cycle now)
         }
         rr_vc_[g.in_port] = nextWrapped(g.vc, cfg_.vcs);
     }
-    // Every cycle, granted or idle: arbitration order is a function of
-    // the cycle number, whatever the router held.
-    rr_in_ = nextWrapped(rr_in_, n_ports_);
+    if (buffered_ == 0)
+        sleep(); // until acceptFlit() wakes it
 }
 
 } // namespace approxnoc

@@ -11,11 +11,12 @@
  * buffer, which is the conventional arrangement.
  *
  * A cycle costs what is buffered, not ports x VCs: the router counts
- * its flits and keeps a mask of non-empty VCs per input port, so on an
- * empty router evaluate() only clears the previous cycle's grants, and
- * an occupied one visits only its non-empty VCs, in round-robin order.
- * The input-port round-robin pointer still moves every cycle, busy or
- * idle, so arbitration depends on the cycle number alone.
+ * its flits and keeps a mask of non-empty VCs per input port, so an
+ * occupied router visits only its non-empty VCs, in round-robin order.
+ * An empty router leaves the Simulator's active set until acceptFlit()
+ * wakes it. The input-port scan starts at port `now % ports`, so
+ * arbitration depends on the cycle number alone, however long the
+ * router slept.
  */
 #ifndef APPROXNOC_NOC_ROUTER_H
 #define APPROXNOC_NOC_ROUTER_H
@@ -92,7 +93,8 @@ class Router : public Clocked, public FlitSource
 
     /** @name Link interface (called by the upstream's advance phase) */
     ///@{
-    /** Deposit a flit into input buffer (in_port, vc). Must have space. */
+    /** Deposit a flit into input buffer (in_port, vc) and wake the
+     *  router. Must have space. */
     void acceptFlit(unsigned in_port, unsigned vc, Flit f);
     void creditReturn(unsigned out_port, unsigned vc) override;
     ///@}
@@ -185,7 +187,6 @@ class Router : public Clocked, public FlitSource
     /** Remove and return the front flit of input buffer (in_port, vc). */
     Flit popFlit(unsigned in_port, unsigned vc);
 
-    unsigned rr_in_ = 0; ///< round-robin pointer over input ports
     std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
     bool class_aware_ = false; ///< any link tagged => dateline VCs on
 

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "common/log.h"
@@ -12,31 +13,55 @@ namespace {
 
 constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
 
+/** Call @p f on the index of each set bit of @p bits, in ascending
+ *  order. */
+template <typename F>
+void
+for_each_bit(const std::vector<std::uint64_t> &bits, F &&f)
+{
+    for (std::size_t w = 0; w < bits.size(); ++w)
+        for (std::uint64_t b = bits[w]; b; b &= b - 1)
+            f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+}
+
 } // namespace
 
 void
 Simulator::add(Clocked *c)
 {
+    ANOC_ASSERT(c->active_ == nullptr, "component ", c->name(),
+                " is already registered with a simulator");
+    const std::size_t slot = components_.size();
     components_.push_back(c);
     // Explicit cache maintenance instead of the old lazy size-check:
     // the new component starts unclassified while every existing
     // classification survives, so registering mid-run can never
     // silently re-derive (and reshuffle) the phase table.
     phase_of_.push_back(kNoPhase);
+    if (slot % 64 == 0) {
+        next_.push_back(0);
+        cur_.push_back(0);
+    }
+    c->active_ = &next_;
+    c->slot_ = slot;
+    c->wake();
 }
 
 void
 Simulator::step()
 {
+    cur_ = next_;
     if (profiler_) {
-        stepProfiled();
-        return;
+        profiledSweep(/*advance=*/false);
+        profiledSweep(/*advance=*/true);
+    } else {
+        for_each_bit(cur_, [this](std::size_t i) {
+            components_[i]->evaluate(now_);
+        });
+        for_each_bit(cur_, [this](std::size_t i) {
+            components_[i]->advance(now_);
+        });
     }
-    events_.runUntil(now_);
-    for (Clocked *c : components_)
-        c->evaluate(now_);
-    for (Clocked *c : components_)
-        c->advance(now_);
     ++now_;
 }
 
@@ -46,7 +71,6 @@ Simulator::bindProfiler(telemetry::PhaseProfiler *profiler)
     profiler_ = profiler;
     phase_of_.assign(components_.size(), kNoPhase);
     if (profiler_) {
-        ph_event_queue_ = profiler_->definePhase("sim.event_queue");
         ph_other_ = profiler_->definePhase("sim.other");
         // Pre-register the classification targets so phaseOf never
         // defines a phase mid-run (definePhase is setup-time only).
@@ -82,41 +106,39 @@ Simulator::phaseOf(std::size_t i)
 void
 Simulator::profiledSweep(bool advance)
 {
-    // Time contiguous same-phase runs, not individual components: the
-    // network registers its routers and NIs in blocks, so one cycle
-    // costs a handful of clock reads instead of one per component.
+    // Time contiguous same-phase runs of the active set, not
+    // individual components: the network registers its routers and NIs
+    // in blocks, so one cycle costs a handful of clock reads instead of
+    // one per component. The read that closes a run opens the next.
     // anoc-lint: allow(D1) -- profiled-sweep wall clock; feeds only the profile artifact, outside the byte-identical contract
     using clock = std::chrono::steady_clock;
-    const std::size_t end = components_.size();
-    std::size_t i = 0;
-    while (i < end) {
-        const std::size_t ph = phaseOf(i);
-        const auto t0 = clock::now();
-        std::size_t j = i;
-        while (j < end && phaseOf(j) == ph) {
-            if (advance)
-                components_[j]->advance(now_);
-            else
-                components_[j]->evaluate(now_);
-            ++j;
+    std::size_t ph = kNoPhase; // phase of the open run
+    std::uint64_t calls = 0;   // components stepped in the open run
+    clock::time_point t0;
+    auto close_run = [&](clock::time_point t) {
+        if (calls > 0)
+            profiler_->add(ph,
+                           static_cast<std::uint64_t>(
+                               std::chrono::duration_cast<
+                                   std::chrono::nanoseconds>(t - t0)
+                                   .count()),
+                           calls);
+        calls = 0;
+        t0 = t;
+    };
+    for_each_bit(cur_, [&](std::size_t i) {
+        const std::size_t p = phaseOf(i);
+        if (p != ph) {
+            close_run(clock::now());
+            ph = p;
         }
-        const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            clock::now() - t0);
-        profiler_->add(ph, static_cast<std::uint64_t>(dt.count()), j - i);
-        i = j;
-    }
-}
-
-void
-Simulator::stepProfiled()
-{
-    {
-        telemetry::PhaseProfiler::Scope s(profiler_, ph_event_queue_);
-        events_.runUntil(now_);
-    }
-    profiledSweep(/*advance=*/false);
-    profiledSweep(/*advance=*/true);
-    ++now_;
+        if (advance)
+            components_[i]->advance(now_);
+        else
+            components_[i]->evaluate(now_);
+        ++calls;
+    });
+    close_run(clock::now());
 }
 
 void

@@ -1,18 +1,19 @@
 /**
  * @file
- * The cycle-driven simulation loop: fires due events, then runs the
- * two-phase (evaluate/advance) update over all registered components.
+ * The cycle-driven simulation loop: the two-phase (evaluate/advance)
+ * update over the active set, the registered components that hold
+ * work.
  */
 #ifndef APPROXNOC_SIM_SIMULATOR_H
 #define APPROXNOC_SIM_SIMULATOR_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "common/types.h"
 #include "sim/clocked.h"
-#include "sim/event_queue.h"
 
 namespace approxnoc {
 
@@ -24,15 +25,30 @@ class PhaseProfiler;
  * Owns simulated time. Components are registered by raw pointer; the
  * caller keeps ownership (components typically live inside a Network
  * or testbench object that outlives the Simulator loop).
+ *
+ * The active set follows Garnet2.0's wakeup discipline. It is a
+ * bitmap over registration slots, fixed when a cycle begins and
+ * walked in ascending slot order in both phases, so the components
+ * that are stepped are stepped in registration order. Output equals
+ * stepping every component every cycle as long as each sleep()
+ * follows Clocked's rule and a component is woken only between
+ * cycles, in the advance phase, or by a component registered after
+ * it: a component that is asleep when a cycle begins is not
+ * evaluated until the next one.
  */
 class Simulator
 {
   public:
-    /** Register a component to be stepped every cycle. */
-    void add(Clocked *c);
+    Simulator() = default;
+    /** Registered components point into this object: it stays put. */
+    Simulator(const Simulator &) = delete;
+    Simulator &operator=(const Simulator &) = delete;
 
-    /** The shared event queue (delayed callbacks). */
-    EventQueue &events() { return events_; }
+    /**
+     * Register a component, in the active set from the next cycle on.
+     * Panics if @p c is already registered, here or elsewhere.
+     */
+    void add(Clocked *c);
 
     Cycle now() const { return now_; }
 
@@ -57,27 +73,29 @@ class Simulator
 
     /**
      * Attach a self-profiler. Subsequent cycles are stepped through a
-     * phase-timed path: the event queue and each contiguous run of
-     * same-kind components (routers, NIs, the network, the sampler)
-     * are timed under `sim.*` phases. Components are classified once,
-     * lazily, by their Clocked name prefix. Null (the default)
-     * restores the untimed fast path — `step()` pays one pointer test.
+     * phase-timed path over the same active set: each contiguous run
+     * of same-kind components stepped (routers, NIs, the network, the
+     * sampler) is timed under a `sim.*` phase, with one call counted
+     * per evaluate or advance. Components are classified once, lazily,
+     * by their Clocked name prefix. Null (the default) restores the
+     * untimed fast path — `step()` pays one pointer test.
      */
     void bindProfiler(telemetry::PhaseProfiler *profiler);
 
   private:
-    /** One profiled cycle (profiler_ non-null). */
-    void stepProfiled();
-    /** One timed evaluate-or-advance sweep over every component. */
+    /** One timed evaluate-or-advance sweep over this cycle's set. */
     void profiledSweep(bool advance);
     /** Phase id for component @p i, classified on first use. */
     std::size_t phaseOf(std::size_t i);
 
     Cycle now_ = 0;
     std::vector<Clocked *> components_;
-    EventQueue events_;
+    /** Bit i: components_[i] is stepped next cycle. Clocked::wake()
+     *  and sleep() edit it. */
+    std::vector<std::uint64_t> next_;
+    /** This cycle's set: next_ as it stood when the cycle began. */
+    std::vector<std::uint64_t> cur_;
     telemetry::PhaseProfiler *profiler_ = nullptr;
-    std::size_t ph_event_queue_ = 0;
     std::size_t ph_other_ = 0;
     /** Cached phase per component index; kNoPhase = not classified.
      *  Invariant: same length as components_ (add() appends a

@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/codec_factory.h"
-#include "sim/event_queue.h"
 #include "traffic/patterns.h"
 #include "traffic/trace.h"
 
@@ -113,20 +112,6 @@ TEST(EdgeCases, HistogramReset)
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(EdgeCases, EventQueueScheduleAfter)
-{
-    EventQueue q;
-    int fired = 0;
-    q.scheduleAfter(100, 5, [&](Cycle when) {
-        EXPECT_EQ(when, 105u);
-        ++fired;
-    });
-    q.runUntil(104);
-    EXPECT_EQ(fired, 0);
-    q.runUntil(105);
-    EXPECT_EQ(fired, 1);
 }
 
 TEST(EdgeCases, TableCsvRoundTrip)

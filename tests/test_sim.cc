@@ -1,60 +1,10 @@
-/** Simulation kernel tests: event queue ordering, two-phase stepping. */
+/** Simulation kernel tests: two-phase stepping and the active set. */
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "telemetry/phase_profiler.h"
 
 using namespace approxnoc;
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(10, [&](Cycle) { fired.push_back(2); });
-    q.schedule(5, [&](Cycle) { fired.push_back(1); });
-    q.schedule(20, [&](Cycle) { fired.push_back(3); });
-
-    q.runUntil(4);
-    EXPECT_TRUE(fired.empty());
-    q.runUntil(10);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-    q.runUntil(100);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, TiesFireInScheduleOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(7, [&fired, i](Cycle) { fired.push_back(i); });
-    q.runUntil(7);
-    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, NextEventCycle)
-{
-    EventQueue q;
-    EXPECT_EQ(q.nextEventCycle(), kNeverCycle);
-    q.schedule(42, [](Cycle) {});
-    EXPECT_EQ(q.nextEventCycle(), 42u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(1, [&](Cycle now) {
-        ++count;
-        q.scheduleAfter(now, 1, [&](Cycle) { ++count; });
-    });
-    q.runUntil(1);
-    EXPECT_EQ(count, 1);
-    q.runUntil(2);
-    EXPECT_EQ(count, 2);
-}
 
 namespace {
 
@@ -148,14 +98,93 @@ TEST(Simulator, ProfilerSurvivesLateRegistration)
                                              "a1", "a2"}));
 }
 
-TEST(Simulator, EventsFireBeforeComponents)
+namespace {
+
+/**
+ * Logs each cycle it is evaluated at, then goes back to sleep: a
+ * component that is stepped only when woken.
+ */
+class Sleeper : public Clocked
+{
+  public:
+    Sleeper() : Clocked("sleeper") {}
+    void evaluate(Cycle now) override { evaluated.push_back(now); }
+    void advance(Cycle) override { sleep(); }
+
+    std::vector<Cycle> evaluated;
+};
+
+/** Wakes @p target at cycle @p at, in the evaluate or advance phase. */
+class Waker : public Clocked
+{
+  public:
+    Waker(Clocked &target, Cycle at, bool in_advance)
+        : Clocked("waker"), target_(target), at_(at), in_advance_(in_advance)
+    {}
+    void
+    evaluate(Cycle now) override
+    {
+        if (now == at_ && !in_advance_)
+            target_.wake();
+    }
+    void
+    advance(Cycle now) override
+    {
+        if (now == at_ && in_advance_)
+            target_.wake();
+    }
+
+  private:
+    Clocked &target_;
+    Cycle at_;
+    bool in_advance_;
+};
+
+} // namespace
+
+TEST(Simulator, SleepingComponentIsSkippedUntilWoken)
 {
     Simulator sim;
-    std::vector<std::string> log;
-    PhaseProbe p(log, "c");
-    sim.add(&p);
-    sim.events().schedule(0, [&](Cycle) { log.push_back("ev"); });
-    sim.step();
-    ASSERT_GE(log.size(), 1u);
-    EXPECT_EQ(log[0], "ev");
+    Sleeper s;
+    sim.add(&s); // registered components start in the active set
+    sim.run(10);
+    EXPECT_EQ(s.evaluated, (std::vector<Cycle>{0}));
+
+    s.wake(); // between cycles: stepped by the next step()
+    sim.run(10);
+    EXPECT_EQ(s.evaluated, (std::vector<Cycle>{0, 10}));
+}
+
+TEST(Simulator, WakeDuringCycleTakesEffectNextCycle)
+{
+    // The set is fixed when a cycle begins. A component woken during
+    // cycle 5 is first evaluated at 6, whichever phase woke it and
+    // whether its waker was registered before or after it.
+    for (bool waker_first : {true, false}) {
+        for (bool in_advance : {false, true}) {
+            Simulator sim;
+            Sleeper s;
+            Waker w(s, 5, in_advance);
+            if (waker_first) {
+                sim.add(&w);
+                sim.add(&s);
+            } else {
+                sim.add(&s);
+                sim.add(&w);
+            }
+            sim.run(10);
+            EXPECT_EQ(s.evaluated, (std::vector<Cycle>{0, 6}))
+                << "waker first " << waker_first << ", in advance "
+                << in_advance;
+        }
+    }
+}
+
+TEST(Simulator, RegisteringWithTwoSimulatorsPanics)
+{
+    Simulator a, b;
+    Sleeper s;
+    a.add(&s);
+    EXPECT_DEATH(b.add(&s), "already registered");
+    EXPECT_DEATH(a.add(&s), "already registered");
 }
