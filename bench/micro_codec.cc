@@ -28,9 +28,7 @@
 #include "approx/window_vaxx.h"
 #include "compression/wire.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "compression/dictionary.h"
-#include "tcam/match_kernel.h"
 #include "compression/fpc.h"
 #include "core/codec_factory.h"
 #include "tcam/tcam.h"
@@ -293,11 +291,6 @@ run_scheme(Scheme scheme, const std::string &key,
 int
 run(const std::string &path, int reps)
 {
-    // Provenance: which match kernel produced these numbers. Scalar and
-    // SIMD runs are bit-identical in output but not in words/sec, so
-    // baselines record the dispatch they were captured under.
-    const char *simd = simd::to_string(simd::active_simd_level());
-    std::fprintf(stderr, "micro_codec: simd dispatch: %s\n", simd);
     const auto blocks = make_workload();
     const std::pair<Scheme, const char *> schemes[] = {
         {Scheme::Baseline, "baseline"}, {Scheme::DiComp, "di_comp"},
@@ -328,11 +321,10 @@ run(const std::string &path, int reps)
                  "    \"reps\": %d,\n"
                  "    \"warmup_passes\": %d,\n"
                  "    \"pmt_entries\": %zu,\n"
-                 "    \"error_threshold_pct\": %.1f,\n"
-                 "    \"simd\": \"%s\"\n"
+                 "    \"error_threshold_pct\": %.1f\n"
                  "  },\n",
                  kBlocks, kWordsPerBlock, kInnerIters, reps, kWarmupPasses,
-                 kPmtEntries, kErrorThresholdPct, simd);
+                 kPmtEntries, kErrorThresholdPct);
     std::fprintf(f, "  \"results\": {\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SchemeResult &r = results[i];

@@ -177,8 +177,8 @@ main(int argc, char **argv)
     w.cols = static_cast<unsigned>(args.getCount("cols", 8));
     w.cycles = static_cast<Cycle>(args.getCount("cycles", 20000));
     w.warmup = static_cast<Cycle>(args.getCount("warmup", 2000));
-    w.rate = args.getDouble("rate", 0.30);
-    w.data_ratio = args.getDouble("data-ratio", 0.5);
+    w.rate = args.getDouble("rate", 0.30, kFractionRange);
+    w.data_ratio = args.getDouble("data-ratio", 0.5, kFractionRange);
     w.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
     w.reps = std::max(1, static_cast<int>(args.getCount("bench-reps", 5)));
 

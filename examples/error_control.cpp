@@ -23,8 +23,10 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    double target = args.getDouble("target", 0.2);   // mean data error %
-    double initial = args.getDouble("initial", 30.0); // threshold %
+    // Mean data error target, %.
+    double target = args.getDouble("target", 0.2, kPercentRange);
+    // Starting threshold, %, inside the controller's default [0, 50].
+    double initial = args.getDouble("initial", 30.0, RealRange{0.0, 50.0});
 
     NocConfig ncfg;
     CodecConfig cc;

@@ -53,7 +53,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    double threshold = args.getDouble("threshold", 10.0);
+    double threshold = args.getDouble("threshold", 10.0, kPercentRange);
     auto scale = static_cast<unsigned>(args.getInt("scale", 1));
 
     std::printf("SSCA2 betweenness centrality (R-MAT small world), "

@@ -67,7 +67,7 @@ int
 main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
-    double threshold = args.getDouble("threshold", 10.0);
+    double threshold = args.getDouble("threshold", 10.0, kPercentRange);
 
     NocConfig ncfg;
     CodecConfig cc;

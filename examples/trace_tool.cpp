@@ -87,12 +87,12 @@ cmd_replay(const CliArgs &args)
     }
     CommTrace trace = CommTrace::load(in);
     Scheme scheme = scheme_from_string(args.getString("scheme", "FP-VAXX"));
-    double load = args.getDouble("load", 0.04);
+    double load = args.getDouble("load", 0.04, kPositiveRange);
 
     NocConfig ncfg;
     CodecConfig cc;
     cc.n_nodes = ncfg.nodes();
-    cc.error_threshold_pct = args.getDouble("threshold", 10.0);
+    cc.error_threshold_pct = args.getDouble("threshold", 10.0, kPercentRange);
     auto codec = CodecFactory::create(scheme, cc);
     Network net(ncfg, codec.get());
     Simulator sim;
@@ -107,7 +107,7 @@ cmd_replay(const CliArgs &args)
                                 ncfg.nodes())
                          : 0.0;
     TraceReplay replay(net, trace, natural > 0 ? natural / load : 1.0,
-                       args.getDouble("approx-ratio", 0.75));
+                       args.getDouble("approx-ratio", 0.75, kFractionRange));
     sim.add(&replay);
     bool ok = sim.runUntil(
         [&] { return replay.done() && net.drained(); },

@@ -18,8 +18,9 @@ single-machine medians wobble by several percent, so only sustained
 drops should trip the gate. CI enforces with a wider --threshold=0.5
 because the checked-in seed baseline comes from a different machine
 class than the shared runners — the gate is tuned to catch structural
-regressions (a reverted match-engine optimization is a 3-5x drop), not
-scheduler noise (see docs/perf.md).
+regressions (a match scan the compiler does not vectorize runs DI-VAXX
+and DI-COMP below 0.4x of the seed), not scheduler noise (see
+docs/perf.md).
 """
 
 import argparse

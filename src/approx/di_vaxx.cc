@@ -34,7 +34,7 @@ DiVaxxCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
         EncodedWord ew;
         bool compressed = false;
         // One TCAM access per word (counts towards the power model).
-        // The bit-sliced probe hands us the matches in priority order,
+        // searchVisit hands us the matches in priority order,
         // so finding the first entry with a usable mapping for dst
         // costs a single search instead of a search plus a full-match
         // sweep.

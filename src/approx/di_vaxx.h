@@ -80,7 +80,7 @@ class DiVaxxCodec : public DictionaryCodecBase
 
   protected:
     /**
-     * One bit-sliced TCAM probe per word, visiting matches in priority
+     * One TCAM probe per word, visiting matches in priority
      * order until one holds a usable mapping for @p dst.
      */
     void encodeWords(const DataBlock &block, NodeId src, NodeId dst,

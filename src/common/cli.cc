@@ -1,6 +1,7 @@
 #include "common/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 
@@ -69,7 +70,7 @@ CliArgs::getInt(const std::string &name, long def) const
 }
 
 double
-CliArgs::getDouble(const std::string &name, double def) const
+CliArgs::getDouble(const std::string &name, double def, RealRange range) const
 {
     auto it = values_.find(name);
     if (it == values_.end())
@@ -77,9 +78,19 @@ CliArgs::getDouble(const std::string &name, double def) const
     const char *s = it->second.c_str();
     char *end = nullptr;
     double v = std::strtod(s, &end);
-    if (end == s || *end != '\0')
-        ANOC_FATAL("flag --", name, " expects a number, got '", it->second,
-                   "'");
+    const bool inside = std::isfinite(v) &&
+                        (range.lo_open ? v > range.lo : v >= range.lo) &&
+                        v <= range.hi;
+    if (end == s || *end != '\0' || !inside) {
+        // Name the interval unless the flag takes any finite number.
+        std::string interval;
+        if (range.lo_open || std::isfinite(range.lo) || std::isfinite(range.hi))
+            interval = detail::format_args(
+                " in ", range.lo_open || !std::isfinite(range.lo) ? "(" : "[",
+                range.lo, ", ", range.hi, std::isfinite(range.hi) ? "]" : ")");
+        ANOC_FATAL("flag --", name, " expects a number", interval, ", got '",
+                   it->second, "'");
+    }
     return v;
 }
 

@@ -8,11 +8,27 @@
 #ifndef APPROXNOC_COMMON_CLI_H
 #define APPROXNOC_COMMON_CLI_H
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace approxnoc {
+
+/** Accepted values of a real-valued flag: [lo, hi], or (lo, hi] when
+ *  @c lo_open. */
+struct RealRange {
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    bool lo_open = false;
+};
+
+/** A percentage, e.g. --threshold. */
+inline constexpr RealRange kPercentRange{0.0, 100.0};
+/** A fraction, e.g. --approx-ratio, --rate, --data-ratio. */
+inline constexpr RealRange kFractionRange{0.0, 1.0};
+/** A strictly positive value, e.g. --load. */
+inline constexpr RealRange kPositiveRange{.lo = 0.0, .lo_open = true};
 
 /** Parsed command line. Unknown flags are kept and can be rejected. */
 class CliArgs
@@ -31,7 +47,11 @@ class CliArgs
      * and the value.
      */
     long getInt(const std::string &name, long def) const;
-    double getDouble(const std::string &name, double def) const;
+    /** Real value of --name, or @p def when absent. Besides parsing
+     *  whole, it must be finite and inside @p range; otherwise it is
+     *  fatal, naming the flag, the range and the value. */
+    double getDouble(const std::string &name, double def,
+                     RealRange range = {}) const;
     /** getInt for counts (jobs, cycles, sizes): a negative value is
      *  fatal too, so it never wraps into a huge unsigned. */
     unsigned long getCount(const std::string &name, unsigned long def) const;

@@ -239,7 +239,7 @@ class DiCompCodec : public DictionaryCodecBase
     std::size_t encoderPatternCount(NodeId node) const;
 
   protected:
-    /** O(1) hashed CAM lookup per word, then the per-destination index
+    /** One CAM lookup per word, then the per-destination index
      * check. */
     void encodeWords(const DataBlock &block, NodeId src, NodeId dst,
                      EncodedBlock &out) override;

@@ -75,7 +75,7 @@ std::optional<FpcMatch> fpc_match(Word w, unsigned k = 0);
  * Reference matcher: always the pattern-by-pattern solver loop, even
  * for k = 0. This is the executable specification the branchless
  * fpc_match_exact is differentially fuzzed against
- * (tests/test_simd_diff.cc); production code should call fpc_match.
+ * (tests/test_fpc.cc); production code should call fpc_match.
  */
 std::optional<FpcMatch> fpc_match_ref(Word w, unsigned k = 0);
 
@@ -121,7 +121,7 @@ inline constexpr FpcSignClass kFpcSignClass[33] = {
  * zero test and two unsigned range checks. Bit-identical to
  * fpc_match_ref(w, 0) by the priority argument in docs/perf.md,
  * enforced exhaustively-at-the-boundaries plus randomized in
- * tests/test_simd_diff.cc.
+ * tests/test_fpc.cc.
  */
 inline std::optional<FpcMatch>
 fpc_match_exact(Word w)

@@ -231,10 +231,10 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
             "Flags:\n"
             "  --benchmarks=<all|name,name,...>  (default all)\n"
             "  --schemes=<all|name,name,...>     (default all)\n"
-            "  --threshold=<pct>                 error threshold (10)\n"
+            "  --threshold=<pct>                 error threshold, 0..100 (10)\n"
             "  --approx-ratio=<0..1>             approximable ratio (0.75)\n"
             "  --max-records=<n>                 trace replay cap (20000)\n"
-            "  --load=<flits/cycle/node>         replay target load (0.04)\n"
+            "  --load=<flits/cycle/node>         replay target load >0 (0.04)\n"
             "  --cycles=<n>                      synthetic run length (50000)\n"
             "  --scale=<n>                       workload size multiplier (1)\n"
             "  --jobs=<n>                        worker threads, 0=auto (1)\n"
@@ -252,9 +252,9 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
     }
     benchmarks_ = parse_benchmark_list(args.getString("benchmarks", "all"));
     schemes_ = parse_scheme_list(args.getString("schemes", "all"));
-    thresholds_ = {args.getDouble("threshold", 10.0)};
-    ratios_ = {args.getDouble("approx-ratio", 0.75)};
-    loads_ = {args.getDouble("load", 0.04)};
+    thresholds_ = {args.getDouble("threshold", 10.0, kPercentRange)};
+    ratios_ = {args.getDouble("approx-ratio", 0.75, kFractionRange)};
+    loads_ = {args.getDouble("load", 0.04, kPositiveRange)};
     cfg_.max_records =
         static_cast<std::size_t>(args.getCount("max-records", 20000));
     cfg_.cycles = static_cast<Cycle>(args.getCount("cycles", 50000));

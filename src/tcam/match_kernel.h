@@ -1,75 +1,20 @@
 /**
  * @file
- * Plane-intersection kernels for the bit-sliced TCAM match engine.
- *
- * A kernel computes one 64-entry chunk's match bitmap: the AND, over
- * all 32 key-bit positions b, of the occupancy plane selected by key
- * bit b, intersected with the chunk's valid mask. The planes for one
- * chunk are contiguous (Tcam's chunk-major layout): @p planes[0..31]
- * are the "key bit b is 0" planes and @p planes[32..63] the "key bit
- * b is 1" planes, so plane selection is `planes[b + (bit(key,b) << 5)]`
- * with no per-bit stride multiply.
- *
- * Every kernel is bit-identical by construction — same bitmap for the
- * same (planes, valid, key) — which is what keeps the simulator's
- * results and stats independent of the dispatch choice; the randomized
- * differential fuzzer (tests/test_simd_diff.cc) enforces it. Kernels
- * may differ only in how often their internal early-exit fires, which
- * is unobservable (probe counters count probes, not plane loads).
- *
- * Dispatch: match64_kernel() resolves once per process from the
- * request (common/simd.h: `ANOC_SIMD` env / CMake default) clamped by
- * capability (AVX2 compiled in and reported by the CPU). Requesting
- * avx2 on a host without it falls back to scalar with a one-time
- * stderr note instead of failing, so test suites stay portable.
+ * Provenance shim for the repository benchmark, whose result file
+ * records `simd::to_string(simd::active_simd_level())`.
+ * perfbench/perfbench.cc is its only caller. The match engines
+ * (tcam/tcam.h) have no kernel dispatch, so the level is always "none".
+ * The header goes when the benchmark next changes.
  */
 #ifndef APPROXNOC_TCAM_MATCH_KERNEL_H
 #define APPROXNOC_TCAM_MATCH_KERNEL_H
 
-#include <cstdint>
-
-#include "common/simd.h"
-
 namespace approxnoc::simd {
 
-/** One 64-entry chunk match: planes = 64 contiguous chunk planes
- * (zero-planes then one-planes), valid = chunk valid mask. */
-using MatchFn = std::uint64_t (*)(const std::uint64_t *planes,
-                                  std::uint64_t valid, std::uint32_t key);
+enum class SimdLevel { None };
 
-/** Portable reference kernel: four plane ANDs per iteration with an
- * early exit between groups. This is the executable spec the SIMD
- * kernels must agree with bit-for-bit. */
-std::uint64_t match64_scalar(const std::uint64_t *planes,
-                             std::uint64_t valid, std::uint32_t key);
-
-/**
- * AVX2 kernel: four plane-pairs per vector step (srlv key-bit extract,
- * cmpeq select mask, blend-by-xor, testz early exit), cross-lane AND
- * reduce at the end. When the AVX2 path is compiled out this symbol
- * still exists and forwards to match64_scalar, so differential tests
- * link everywhere and degenerate to scalar-vs-scalar.
- */
-std::uint64_t match64_avx2(const std::uint64_t *planes,
-                           std::uint64_t valid, std::uint32_t key);
-
-/** True when the AVX2 kernel was compiled into this binary. */
-bool avx2_kernel_compiled();
-
-/**
- * Pure resolution step of the dispatch matrix (docs/perf.md):
- * scalar request → Scalar; avx2 request → Avx2 when available, else
- * Scalar (the cached resolver notes the clamp on stderr once); auto →
- * Avx2 iff available. Exposed separately so tests can table-drive all
- * rows without touching the environment.
- */
-SimdLevel resolve_simd_level(SimdRequest request, bool avx2_available);
-
-/** The process-wide resolved level (cached; clamp note printed here). */
-SimdLevel active_simd_level();
-
-/** The kernel for active_simd_level(), resolved once per process. */
-MatchFn match64_kernel();
+inline SimdLevel active_simd_level() { return SimdLevel::None; }
+inline const char *to_string(SimdLevel) { return "none"; }
 
 } // namespace approxnoc::simd
 

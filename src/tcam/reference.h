@@ -1,10 +1,9 @@
 /**
  * @file
  * Naive reference implementations of the Tcam and Cam match engines:
- * the pre-optimization one-compare-per-entry code, kept as the
- * executable specification for the bit-sliced / hash-indexed engines.
- * The randomized differential tests drive both side by side and assert
- * identical hit slots, victim choices and activity counters.
+ * one compare per entry, no padding. They are the executable
+ * specification for the flat scan, whose padded 32-entry groups and
+ * valid masks are where an off-by-one would hide (MatchEngineDiff.*).
  *
  * Counter semantics deliberately mirror tcam.h / cam.h: search() and
  * searchVisit() count searches; peek/searchAll/findPattern/victimFor
@@ -192,7 +191,7 @@ class RefTcam
     std::size_t valid_count_ = 0;
     std::uint64_t tick_ = 0;
     std::uint64_t searches_ = 0;
-    /** Bumped by the const read-only probes, as in the optimized
+    /** Bumped by the const read-only probes, as in the flat-scan
      * engines. */
     mutable std::uint64_t peeks_ = 0;
     std::uint64_t writes_ = 0;
@@ -329,7 +328,7 @@ class RefCam
     std::size_t valid_count_ = 0;
     std::uint64_t tick_ = 0;
     std::uint64_t searches_ = 0;
-    /** Bumped by the const read-only probes, as in the optimized
+    /** Bumped by the const read-only probes, as in the flat-scan
      * engines. */
     mutable std::uint64_t peeks_ = 0;
     std::uint64_t writes_ = 0;

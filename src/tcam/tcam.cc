@@ -1,7 +1,6 @@
 #include "tcam/tcam.h"
 
 #include <limits>
-#include <string>
 
 #include "common/log.h"
 
@@ -22,36 +21,12 @@ TernaryPattern::toString(unsigned width) const
 }
 
 Tcam::Tcam(std::size_t n_entries, ReplacementPolicy policy)
-    : capacity_(n_entries), chunks_((n_entries + 63) / 64),
-      entries_(n_entries), planes_(64 * chunks_, 0),
-      valid_bits_(chunks_, 0), last_use_(n_entries, 0), freq_(n_entries, 0),
-      policy_(policy), match_fn_(simd::match64_kernel())
+    : capacity_(n_entries),
+      value_((n_entries + kGroup - 1) / kGroup * kGroup, 0),
+      care_(value_.size(), ~Word{0}), valid_(value_.size() / kGroup, 0),
+      last_use_(n_entries, 0), freq_(n_entries, 0), policy_(policy)
 {
     ANOC_ASSERT(n_entries > 0, "TCAM must have at least one entry");
-}
-
-void
-Tcam::writeSlotPlanes(std::size_t slot, const TernaryPattern *p)
-{
-    const std::size_t base = (slot >> 6) << 6; // this chunk's 64 planes
-    const std::uint64_t bit = 1ull << (slot & 63);
-    for (unsigned b = 0; b < 32; ++b) {
-        std::uint64_t &p0 = planes_[base + b];
-        std::uint64_t &p1 = planes_[base + 32 + b];
-        p0 &= ~bit;
-        p1 &= ~bit;
-        if (!p)
-            continue;
-        const Word m = 1u << b;
-        if (p->mask & m) { // don't care: matches either key bit
-            p0 |= bit;
-            p1 |= bit;
-        } else if (p->value & m) {
-            p1 |= bit;
-        } else {
-            p0 |= bit;
-        }
-    }
 }
 
 std::vector<std::size_t>
@@ -59,14 +34,9 @@ Tcam::searchAll(Word key) const
 {
     ++peeks_;
     std::vector<std::size_t> hits;
-    for (std::size_t c = 0; c < chunks_; ++c) {
-        std::uint64_t m = matchChunk(key, c);
-        while (m) {
-            hits.push_back(c * 64 +
-                           static_cast<std::size_t>(std::countr_zero(m)));
-            m &= m - 1;
-        }
-    }
+    for (std::size_t g = 0; g < valid_.size(); ++g)
+        for (std::uint32_t m = matchGroup(g, key); m; m &= m - 1)
+            hits.push_back(lowest(g, m));
     return hits;
 }
 
@@ -74,9 +44,9 @@ std::optional<std::size_t>
 Tcam::peek(Word key) const
 {
     ++peeks_;
-    for (std::size_t c = 0; c < chunks_; ++c)
-        if (std::uint64_t m = matchChunk(key, c))
-            return c * 64 + static_cast<std::size_t>(std::countr_zero(m));
+    for (std::size_t g = 0; g < valid_.size(); ++g)
+        if (std::uint32_t m = matchGroup(g, key))
+            return lowest(g, m);
     return std::nullopt;
 }
 
@@ -84,9 +54,13 @@ std::optional<std::size_t>
 Tcam::findPattern(const TernaryPattern &p) const
 {
     ++peeks_;
-    for (std::size_t i = 0; i < capacity_; ++i)
-        if (valid(i) && entries_[i] == p)
-            return i;
+    const Word care = ~p.mask;
+    const Word value = p.value & care;
+    for (std::size_t g = 0; g < valid_.size(); ++g)
+        if (std::uint32_t m = groupMask(g, [=](Word v, Word c) {
+                return ((v ^ value) | (c ^ care)) == 0;
+            }))
+            return lowest(g, m);
     return std::nullopt;
 }
 
@@ -94,14 +68,10 @@ std::size_t
 Tcam::pickVictim() const
 {
     // Prefer the lowest-index invalid slot.
-    for (std::size_t c = 0; c < chunks_; ++c) {
-        std::uint64_t tail = c + 1 < chunks_ || capacity_ % 64 == 0
-                                 ? ~0ull
-                                 : (1ull << (capacity_ % 64)) - 1;
-        std::uint64_t free = ~valid_bits_[c] & tail;
-        if (free)
-            return c * 64 + static_cast<std::size_t>(std::countr_zero(free));
-    }
+    if (valid_count_ < capacity_)
+        for (std::size_t i = 0; i < capacity_; ++i)
+            if (!valid(i))
+                return i;
 
     // All valid: minimum replacement score; strict '<' makes ties break
     // deterministically towards the lowest slot index.
@@ -140,11 +110,11 @@ Tcam::insert(const TernaryPattern &p)
         freq_[slot] = 1;
     }
     if (!valid(slot)) {
-        valid_bits_[slot >> 6] |= 1ull << (slot & 63);
+        valid_[slot / kGroup] |= kBit[slot % kGroup];
         ++valid_count_;
     }
-    entries_[slot] = p.canonical();
-    writeSlotPlanes(slot, &entries_[slot]);
+    care_[slot] = ~p.mask;
+    value_[slot] = p.value & care_[slot];
     last_use_[slot] = tick_;
     return slot;
 }
@@ -154,11 +124,11 @@ Tcam::erase(std::size_t slot)
 {
     ANOC_ASSERT(slot < capacity_, "TCAM slot out of range");
     if (valid(slot)) {
-        valid_bits_[slot >> 6] &= ~(1ull << (slot & 63));
+        valid_[slot / kGroup] &= ~kBit[slot % kGroup];
         --valid_count_;
-        writeSlotPlanes(slot, nullptr);
     }
-    entries_[slot] = TernaryPattern{};
+    value_[slot] = 0;
+    care_[slot] = ~Word{0};
     last_use_[slot] = 0;
     freq_[slot] = 0;
 }

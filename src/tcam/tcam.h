@@ -1,38 +1,35 @@
 /**
  * @file
- * Behavioural model of a ternary CAM: each entry stores a value and a
- * don't-care mask; a search key matches when it agrees with the value
- * on every *care* bit. The DI-VAXX encoder PMT stores approximate
- * patterns here (paper Sec. 4.2.1, after the Agrawal & Sherwood TCAM
- * model [1]).
+ * Behavioural model of a ternary CAM (paper Sec. 4.2.1, after the
+ * Agrawal & Sherwood TCAM model [1]): an entry stores a value and a
+ * don't-care mask, and a key matches when it agrees with the value on
+ * every care bit. The DI-VAXX encoder PMT stores approximate patterns
+ * here; the exact-match CAM (tcam/cam.h) is a Tcam without don't-cares.
  *
- * The match engine is bit-sliced, the standard software-TCAM technique
- * from the packet-classification literature: for every one of the 32
- * key-bit positions it keeps two occupancy bitmaps ("entries that match
- * a key whose bit is 0" / "... is 1"; a don't-care entry appears in
- * both). A search is then 32 ANDs over 64-entry bitmap chunks plus a
- * count-trailing-zeros, instead of one masked compare per entry, while
- * the per-slot LRU/LFU metadata is only touched on the hit slot. The
- * bitmaps are maintained incrementally on insert/erase/clear.
- *
- * The pre-bit-slicing naive implementation is retained as RefTcam
- * (tcam/reference.h) and serves as the executable specification in the
- * randomized differential tests.
+ * The match engine is a flat scan over contiguous value and care words,
+ * padded to groups of 32 entries (see groupMask()). RefTcam
+ * (tcam/reference.h) is the naive specification that the differential
+ * tests hold it to.
  */
 #ifndef APPROXNOC_TCAM_TCAM_H
 #define APPROXNOC_TCAM_TCAM_H
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
 
-#include "tcam/cam.h"
-#include "tcam/match_kernel.h"
-
 namespace approxnoc {
+
+/** Victim selection policy for a full CAM/TCAM. */
+enum class ReplacementPolicy : std::uint8_t {
+    Lru, ///< least recently used
+    Lfu, ///< least frequently used (paper's frequency counters)
+};
 
 /** A ternary pattern: @c mask bits set are "x" (don't care). */
 struct TernaryPattern {
@@ -93,9 +90,8 @@ class Tcam
     /**
      * Counted search that additionally visits *every* matching slot in
      * priority (ascending index) order: @p visit returns true to stop
-     * early. The match bitmap is computed once, so a caller that needs
-     * the full match set (DI-VAXX scanning for a per-destination
-     * mapping) pays one probe, not two.
+     * early. A caller that needs the full match set (DI-VAXX scanning
+     * for a per-destination mapping) pays one probe, not two.
      *
      * Stats and LRU/LFU effects are identical to search(): one search
      * is counted and the lowest matching slot is touched, regardless of
@@ -110,24 +106,16 @@ class Tcam
         ++searches_;
         ++tick_;
         std::optional<std::size_t> hit;
-        for (std::size_t c = 0; c < chunks_; ++c) {
-            std::uint64_t m = matchChunk(key, c);
-            if (!m)
-                continue;
-            if (!hit) {
-                std::size_t first =
-                    c * 64 + static_cast<std::size_t>(std::countr_zero(m));
-                last_use_[first] = tick_;
-                ++freq_[first];
-                hit = first;
+        for (std::size_t g = 0; g < valid_.size(); ++g) {
+            std::uint32_t m = matchGroup(g, key);
+            if (m && !hit) {
+                hit = lowest(g, m);
+                last_use_[*hit] = tick_;
+                ++freq_[*hit];
             }
-            while (m) {
-                std::size_t s =
-                    c * 64 + static_cast<std::size_t>(std::countr_zero(m));
-                m &= m - 1;
-                if (visit(s))
+            for (; m; m &= m - 1)
+                if (visit(lowest(g, m)))
                     return hit;
-            }
         }
         return hit;
     }
@@ -158,9 +146,14 @@ class Tcam
     bool
     valid(std::size_t slot) const
     {
-        return (valid_bits_[slot >> 6] >> (slot & 63)) & 1u;
+        return (valid_[slot / kGroup] >> (slot % kGroup)) & 1u;
     }
-    const TernaryPattern &pattern(std::size_t slot) const { return entries_[slot]; }
+    TernaryPattern
+    pattern(std::size_t slot) const
+    {
+        return TernaryPattern{value_[slot], static_cast<Word>(~care_[slot])};
+    }
+    std::uint64_t frequency(std::size_t slot) const { return freq_[slot]; }
     void touch(std::size_t slot);
 
     /** Number of valid entries; O(1), maintained by insert/erase/clear. */
@@ -173,6 +166,48 @@ class Tcam
     std::uint64_t writes() const { return writes_; }
 
   private:
+    static constexpr std::size_t kGroup = 32;
+    static constexpr std::array<std::uint32_t, kGroup> kBit = [] {
+        std::array<std::uint32_t, kGroup> b{};
+        for (std::size_t i = 0; i < kGroup; ++i)
+            b[i] = 1u << i;
+        return b;
+    }();
+
+    static std::size_t
+    lowest(std::size_t g, std::uint32_t m)
+    {
+        return g * kGroup + static_cast<std::size_t>(std::countr_zero(m));
+    }
+
+    /**
+     * Mask of group @p g's valid entries for which @p hit(value, care)
+     * holds; bit i is slot g * 32 + i. Written as an OR of table bits
+     * under all-ones/all-zeros lane masks so the compiler vectorizes
+     * it (GCC 12 does with SSE2 at -O2): the obvious
+     * `m |= uint32_t(hit) << i` stays scalar, because SSE2 has no
+     * per-lane variable shift.
+     */
+    template <typename Hit>
+    std::uint32_t
+    groupMask(std::size_t g, Hit hit) const
+    {
+        const Word *v = value_.data() + g * kGroup;
+        const Word *c = care_.data() + g * kGroup;
+        std::uint32_t m = 0;
+        for (std::size_t i = 0; i < kGroup; ++i)
+            m |= kBit[i] & -static_cast<std::uint32_t>(hit(v[i], c[i]));
+        return m & valid_[g];
+    }
+
+    std::uint32_t
+    matchGroup(std::size_t g, Word key) const
+    {
+        return groupMask(g, [key](Word v, Word c) {
+            return ((key ^ v) & c) == 0;
+        });
+    }
+
     /**
      * Victim when no invalid slot is free: the minimum-score entry
      * (LRU: oldest use tick; LFU: lowest frequency). Ties break
@@ -180,31 +215,13 @@ class Tcam
      */
     std::size_t pickVictim() const;
 
-    /** 64-entry match bitmap for chunk @p c: AND of the 32 key-bit
-     * planes over the valid mask, zero as soon as no entry survives.
-     * The chunk's planes are contiguous (see planes_), so the kernel
-     * gets one base pointer and does no per-bit stride arithmetic;
-     * which kernel runs (scalar x4 / AVX2) was resolved once in the
-     * constructor and is bit-identical either way. */
-    std::uint64_t
-    matchChunk(Word key, std::size_t c) const
-    {
-        return match_fn_(planes_.data() + (c << 6), valid_bits_[c], key);
-    }
-
-    /** Rewrite slot @p slot's bits in all 64 planes; null @p p clears. */
-    void writeSlotPlanes(std::size_t slot, const TernaryPattern *p);
-
     std::size_t capacity_;
-    std::size_t chunks_; ///< ceil(capacity / 64) bitmap words
-    std::vector<TernaryPattern> entries_;
-    /** Bit-slice planes: plane (b, v) holds, for every slot, whether the
-     * entry matches a key whose bit b equals v. Chunk-major so one
-     * chunk's 64 planes are contiguous for the match kernels:
-     * planes_[(chunk << 6) + (v << 5) + b] — a chunk's 32 zero-planes
-     * first, then its 32 one-planes. */
-    std::vector<std::uint64_t> planes_;
-    std::vector<std::uint64_t> valid_bits_;
+    /** Canonical value (don't-care bits zero) and care mask (~mask) per
+     * slot, padded to whole groups. */
+    std::vector<Word> value_;
+    std::vector<Word> care_;
+    /** One valid mask per group; padding lanes are never valid. */
+    std::vector<std::uint32_t> valid_;
     std::vector<std::uint64_t> last_use_;
     std::vector<std::uint64_t> freq_;
     ReplacementPolicy policy_;
@@ -215,10 +232,6 @@ class Tcam
      * findPattern). */
     mutable std::uint64_t peeks_ = 0;
     std::uint64_t writes_ = 0;
-    /** Match kernel resolved once at construction (common/simd.h
-     * request clamped by host capability); cached per instance so the
-     * hot loop is one indirect call with no dispatch re-check. */
-    simd::MatchFn match_fn_;
 };
 
 } // namespace approxnoc

@@ -165,6 +165,13 @@ CommTrace::load(const std::string &path)
             if (tok[4] != "D" && tok[4] != "C")
                 fail("packet class '", tok[4], "' is not D or C");
             r.cls = tok[4] == "D" ? PacketClass::Data : PacketClass::Control;
+            // save() writes a block for every data record and none for
+            // a control record; the other two forms would replay as
+            // the wrong packet class or drop the block.
+            if (r.cls == PacketClass::Data && tok[5] == "-")
+                fail("data record has no block");
+            if (r.cls == PacketClass::Control && tok[5] != "-")
+                fail("control record names block '", tok[5], "'");
             if (tok[5] != "-") {
                 r.block = static_cast<std::uint32_t>(
                     number(tok[5], "block index", 10,

@@ -237,3 +237,59 @@ TEST(Tcam, RandomizedMatchSemantics)
         EXPECT_EQ(t.peek(key).has_value(), any);
     }
 }
+
+namespace {
+
+Word
+pool_key(Rng &rng, unsigned pool_bits)
+{
+    return static_cast<Word>(rng.next(1u << pool_bits));
+}
+
+TernaryPattern
+random_pattern(Rng &rng, unsigned pool_bits)
+{
+    TernaryPattern p;
+    p.value = pool_key(rng, pool_bits);
+    double roll = rng.uniform();
+    if (roll < 0.15)
+        p.mask = 0;
+    else if (roll < 0.25)
+        p.mask = 0xFFFFFFFFu;
+    else
+        p.mask = (1u << rng.next(9)) - 1u;
+    return p;
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Probe-count regression: the counters are part of the power model's
+// inputs, so they are pinned to exact values here. The scan's group
+// layout must never shift them. (The suite keeps the name it had when
+// it also covered the removed SIMD kernels.)
+// ---------------------------------------------------------------------
+
+TEST(SimdDiff, ProbeCountRegression)
+{
+    Tcam t(130); // five 32-entry groups, partial tail
+    Rng rng(0xC0117ull);
+    for (int i = 0; i < 100; ++i)
+        t.insert(random_pattern(rng, 8)); // 1 write + 1 internal peek each
+    for (int i = 0; i < 50; ++i)
+        t.search(pool_key(rng, 8)); // 1 search each
+    for (int i = 0; i < 20; ++i)
+        t.peek(pool_key(rng, 8)); // 1 peek each
+    for (int i = 0; i < 10; ++i)
+        t.searchAll(pool_key(rng, 8)); // 1 peek each
+    for (int i = 0; i < 5; ++i)
+        t.findPattern(random_pattern(rng, 8)); // 1 peek each
+    for (int i = 0; i < 5; ++i)
+        t.victimFor(random_pattern(rng, 8)); // 1 peek each (findPattern)
+    // searchVisit counts exactly one search however far the visit goes.
+    t.searchVisit(pool_key(rng, 8), [](std::size_t) { return false; });
+
+    EXPECT_EQ(t.searches(), 51u);
+    EXPECT_EQ(t.peeks(), 140u);
+    EXPECT_EQ(t.writes(), 100u);
+}

@@ -148,6 +148,69 @@ TEST(CliArgs, CountFlagsRejectNegativeAndMalformedValues)
     }
 }
 
+/** A real-valued flag outside its range, or not finite, exits 1 naming
+ *  the flag and the range; the edges of a closed range are accepted. */
+TEST(CliArgs, RealFlagsRejectOutOfRangeAndNonFiniteValues)
+{
+    const char *argv[] = {"prog",           "--pct=100.5", "--frac=-0.5",
+                          "--pos=0",        "--any=nan",   "--big=inf",
+                          "--lo=0",         "--hi=1",      "--huge=1e400"};
+    CliArgs args(9, const_cast<char **>(argv));
+    EXPECT_EXIT(args.getDouble("pct", 10.0, kPercentRange),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --pct expects a number in \\[0, 100\\], got "
+                "'100.5'");
+    EXPECT_EXIT(args.getDouble("frac", 0.5, kFractionRange),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --frac expects a number in \\[0, 1\\], got "
+                "'-0.5'");
+    EXPECT_EXIT(args.getDouble("pos", 1.0, kPositiveRange),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --pos expects a number in \\(0, inf\\), got "
+                "'0'");
+    EXPECT_EXIT(args.getDouble("any", 0.0), ::testing::ExitedWithCode(1),
+                "fatal: flag --any expects a number, got 'nan'");
+    EXPECT_EXIT(args.getDouble("big", 0.0), ::testing::ExitedWithCode(1),
+                "fatal: flag --big expects a number, got 'inf'");
+    EXPECT_EXIT(args.getDouble("huge", 0.0), ::testing::ExitedWithCode(1),
+                "fatal: flag --huge expects a number, got '1e400'");
+    EXPECT_DOUBLE_EQ(args.getDouble("lo", 0.5, kFractionRange), 0.0);
+    EXPECT_DOUBLE_EQ(args.getDouble("hi", 0.5, kFractionRange), 1.0);
+    EXPECT_DOUBLE_EQ(args.getDouble("missing", 0.04, kPositiveRange), 0.04);
+}
+
+/** The harness's real-valued flags each have a range: a bad value exits
+ *  1 before any point runs, instead of panicking in a codec or silently
+ *  falling back to the trace's natural load. */
+TEST(CliArgs, HarnessRealFlagsAreRangeChecked)
+{
+    const struct {
+        const char *arg;
+        const char *message;
+    } cases[] = {
+        {"--threshold=200", "flag --threshold expects a number in "
+                            "\\[0, 100\\], got '200'"},
+        {"--threshold=nan", "flag --threshold expects a number in "
+                            "\\[0, 100\\], got 'nan'"},
+        {"--approx-ratio=2", "flag --approx-ratio expects a number in "
+                             "\\[0, 1\\], got '2'"},
+        {"--load=0", "flag --load expects a number in \\(0, inf\\), "
+                     "got '0'"},
+        {"--load=-1", "flag --load expects a number in \\(0, inf\\), "
+                      "got '-1'"},
+        {"--load=nan", "flag --load expects a number in \\(0, inf\\), "
+                       "got 'nan'"},
+    };
+    for (const auto &c : cases) {
+        const char *argv[] = {"prog", c.arg};
+        EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
+                        2, const_cast<char **>(argv), "test"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: ") + c.message)
+            << c.arg;
+    }
+}
+
 TEST(Table, PrintsAlignedAndCsv)
 {
     Table t({"name", "value"});

@@ -234,3 +234,78 @@ TEST(Fpc, CompressesCompressibleData)
     EncodedBlock enc = codec.encode(b, 0, 1, 0);
     EXPECT_LT(enc.bits(), b.sizeBits() / 3);
 }
+
+// ---------------------------------------------------------------------
+// Branchless FPC classifier vs the solver-based reference, k == 0.
+// (The suite keeps the name it had when it lived with the removed SIMD
+// kernel tests.)
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+expect_same_fpc(Word w)
+{
+    auto fast = fpc_match_exact(w);
+    auto ref = fpc_match_ref(w, 0);
+    ASSERT_EQ(fast.has_value(), ref.has_value()) << "word " << w;
+    if (fast) {
+        ASSERT_EQ(fast->pattern, ref->pattern) << "word " << w;
+        ASSERT_EQ(fast->candidate, ref->candidate) << "word " << w;
+        ASSERT_EQ(fast->payload, ref->payload) << "word " << w;
+        // k == 0 means lossless: the candidate is the word itself.
+        ASSERT_EQ(fast->candidate, w) << "word " << w;
+    }
+    // The fpc_match front door must take the fast path for k == 0.
+    auto front = fpc_match(w, 0);
+    ASSERT_EQ(front.has_value(), fast.has_value()) << "word " << w;
+}
+
+} // namespace
+
+TEST(SimdDiff, FpcBranchlessMatchesReferenceRandomized)
+{
+    Rng rng(0xF9Cull);
+    for (int trial = 0; trial < 120000; ++trial) {
+        Word w;
+        double roll = rng.uniform();
+        if (roll < 0.2) {
+            // Small signed values: the three sign-extension classes.
+            w = static_cast<Word>(
+                static_cast<std::int32_t>(rng.range(-40000, 40000)));
+        } else if (roll < 0.4) {
+            // Halfword-structured: padded and two-half candidates.
+            std::uint32_t hi = static_cast<std::uint32_t>(rng.next(1u << 16));
+            std::uint32_t lo = rng.uniform() < 0.5
+                                   ? 0u
+                                   : static_cast<std::uint32_t>(
+                                         rng.next(1u << 16));
+            w = (hi << 16) | lo;
+        } else if (roll < 0.5) {
+            // Near a power of two: the countl_zero class boundaries.
+            unsigned sb = static_cast<unsigned>(rng.next(32));
+            w = (1u << sb) + static_cast<Word>(rng.next(3)) - 1u;
+            if (rng.uniform() < 0.5)
+                w = ~w;
+        } else {
+            w = static_cast<Word>(rng.bits());
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_same_fpc(w));
+    }
+}
+
+TEST(SimdDiff, FpcBranchlessMatchesReferenceAtBoundaries)
+{
+    // Exhaustive over the halfword space in both positions: covers
+    // every Sign4/Sign8/Sign16 boundary, every HalfPadded word and the
+    // whole TwoHalfSign8 acceptance region's edge behaviour.
+    for (std::uint32_t h = 0; h < 0x10000u; ++h) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_fpc(h));          // low half
+        ASSERT_NO_FATAL_FAILURE(expect_same_fpc(h << 16));    // high half
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_fpc((h << 16) | 0xFFFFu)); // negative low half
+    }
+    for (Word w : {0u, 1u, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu,
+                   0xFFFF8000u, 0x00008000u, 0x00800080u, 0xFF80FF80u})
+        ASSERT_NO_FATAL_FAILURE(expect_same_fpc(w));
+}

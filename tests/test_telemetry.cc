@@ -682,6 +682,32 @@ TEST(TelemetryEndToEnd, CompareRunTraceValidates)
     }
 }
 
+/** approxnoc_sim's compare mode writes the same metrics and QoR bytes
+ * at --jobs=1 and --jobs=4. (The suite keeps the name it had when it
+ * also compared the removed SIMD dispatch settings.) */
+TEST(SimdTool, ArtifactsByteIdenticalAcrossSimdAndJobs)
+{
+    if (!std::ifstream(APPROXNOC_SIM_TOOL).good())
+        GTEST_SKIP() << "approxnoc_sim not built";
+    std::vector<std::string> dirs;
+    for (const char *jobs : {"1", "4"}) {
+        const std::string dir =
+            ::testing::TempDir() + "sim_tool_j" + jobs;
+        std::string cmd = std::string(APPROXNOC_SIM_TOOL) +
+                          " --compare=DI-VAXX,FP-VAXX --cycles=2000"
+                          " --metrics-out=" + dir +
+                          " --jobs=" + jobs + " > /dev/null 2>&1";
+        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        dirs.push_back(dir);
+    }
+    for (const char *f : {"di_vaxx.qor.json", "di_vaxx.metrics.json",
+                          "fp_vaxx.qor.json", "fp_vaxx.metrics.json"}) {
+        std::string base = slurp(dirs[0] + "/" + f);
+        ASSERT_FALSE(base.empty()) << f;
+        EXPECT_EQ(base, slurp(dirs[1] + "/" + f)) << f;
+    }
+}
+
 /** Every per-point artifact is byte-identical at any job count. Each
  * point owns its tracer, profiler, error profile and counters; the CI
  * TSan job runs this test to show that no worker shares them. */

@@ -231,6 +231,24 @@ TEST(TraceErrors, BackwardsTimeIsFatal)
                 "before the previous record's 10");
 }
 
+TEST(TraceErrors, DataRecordWithoutBlockIsFatal)
+{
+    std::string path = write_trace("nodata.trace",
+                                   "B int32 1 1 00000001\nR 5 0 1 D -\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*nodata\\.trace:2: bad trace line: data record "
+                "has no block");
+}
+
+TEST(TraceErrors, ControlRecordWithBlockIsFatal)
+{
+    std::string path = write_trace("ctlblock.trace",
+                                   "B int32 1 1 00000001\nR 5 0 1 C 0\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*ctlblock\\.trace:2: bad trace line: control "
+                "record names block '0'");
+}
+
 TEST(Replay, InjectsEveryRecordOnce)
 {
     CommTrace trace;

@@ -198,7 +198,8 @@ def _check_double_probe(sf: SourceFile, lines: list[str]) -> list[Finding]:
                         f"double probe: '{recv}' is re-probed after a "
                         f"counted search() at line {lineno}; use "
                         f"searchVisit() to walk the match set in one "
-                        f"probe (see docs/perf.md, bit-sliced TCAM)"))
+                        f"probe (see docs/perf.md, flat-scan match "
+                        f"engines)"))
                     break
     return out
 
@@ -207,7 +208,7 @@ def _check_double_probe(sf: SourceFile, lines: list[str]) -> list[Finding]:
 
 # Any preprocessor conditional whose condition mentions AVX2 — the
 # literal __AVX2__ feature macro or a derived guard like
-# ANOC_HAVE_AVX2_KERNEL. Matched against the *logical* directive line
+# HAVE_AVX2_KERNEL. Matched against the *logical* directive line
 # (backslash continuations joined).
 _S1_GUARD_RE = re.compile(r"^\s*#\s*(el)?if(?:n?def)?\b.*AVX2")
 _S1_IF_RE = re.compile(r"^\s*#\s*if(?:n?def)?\b")
@@ -258,7 +259,7 @@ def check_s1(sf: SourceFile, tree: Tree) -> list[Finding]:
     builds get a real fallback rather than a hole, and (b) an
     `anoc-simd-test: Suite.Name` marker naming an existing differential
     test in tests/, so the twin pair is provably exercised
-    bit-identically (see docs/perf.md, SIMD match kernels)."""
+    bit-identically (see docs/static-analysis.md, S1)."""
     logical = _logical_lines(sf.text)
     raw_lines = sf.text.splitlines()
     out = []

@@ -54,6 +54,9 @@ usage()
         "  --scheme=FP-VAXX --threshold=10 --approx-ratio=0.75\n"
         "  --traffic=uniform --rate=0.1 --data-ratio=0.25 --type=float\n"
         "  --trace=<file> [--load=0.04]   (replaces synthetic traffic)\n"
+        "  ranges: --threshold and --qos-target in [0, 100] (--threshold\n"
+        "          in [0, 50] with --qos-target); --approx-ratio, --rate\n"
+        "          and --data-ratio in [0, 1]; --load > 0\n"
         "  --closed-loop [--window=4 --think=4]\n"
         "  --cycles=100000 --warmup=0 --seed=42\n"
         "  --qos-target=<pct>   (enable the online error-control loop)\n"
@@ -97,6 +100,36 @@ parse_noc_config(const CliArgs &args)
     return ncfg;
 }
 
+/**
+ * The real-valued flags, read and range-checked once in main(), so a
+ * bad value fails before any simulation or --compare worker starts.
+ */
+struct RealFlags {
+    double threshold;
+    double approx_ratio;
+    double load;
+    double rate;
+    double data_ratio;
+    double qos_target;
+};
+
+RealFlags
+parse_real_flags(const CliArgs &args)
+{
+    RealFlags f{};
+    // The QoS controller keeps its threshold in [0, 50] (its default
+    // bounds), so with --qos-target the starting threshold must too.
+    f.threshold = args.getDouble("threshold", 10.0,
+                                 args.has("qos-target") ? RealRange{0.0, 50.0}
+                                                        : kPercentRange);
+    f.approx_ratio = args.getDouble("approx-ratio", 0.75, kFractionRange);
+    f.load = args.getDouble("load", 0.04, kPositiveRange);
+    f.rate = args.getDouble("rate", 0.1, kFractionRange);
+    f.data_ratio = args.getDouble("data-ratio", 0.25, kFractionRange);
+    f.qos_target = args.getDouble("qos-target", 0.2, kPercentRange);
+    return f;
+}
+
 struct SimSummary {
     double latency = 0.0;
     std::uint64_t delivered = 0;
@@ -117,12 +150,13 @@ struct SimSummary {
  *        smoke checks for.
  */
 SimSummary
-run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
+run_sim(const CliArgs &args, const RealFlags &real, Scheme scheme, bool dump,
+        bool labeled = false)
 {
     NocConfig ncfg = parse_noc_config(args);
     CodecConfig cc;
     cc.n_nodes = ncfg.nodes();
-    cc.error_threshold_pct = args.getDouble("threshold", 10.0);
+    cc.error_threshold_pct = real.threshold;
     auto codec = CodecFactory::create(scheme, cc);
 
     Network net(ncfg, codec.get());
@@ -194,26 +228,25 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
                 ? static_cast<double>(flits) /
                       (static_cast<double>(trace->duration()) * ncfg.nodes())
                 : 0.0;
-        double load = args.getDouble("load", 0.04);
         replay = std::make_unique<TraceReplay>(
-            net, *trace, natural > 0 ? natural / load : 1.0,
-            args.getDouble("approx-ratio", 0.75));
+            net, *trace, natural > 0 ? natural / real.load : 1.0,
+            real.approx_ratio);
         sim.add(replay.get());
     } else if (args.getBool("closed-loop", false)) {
         ClosedLoopConfig lc;
         lc.window = static_cast<unsigned>(args.getCount("window", 4));
         lc.think_time = static_cast<Cycle>(args.getCount("think", 4));
-        lc.approx_ratio = args.getDouble("approx-ratio", 0.75);
+        lc.approx_ratio = real.approx_ratio;
         lc.seed = seed;
         closed = std::make_unique<ClosedLoopTraffic>(net, lc, *provider);
         sim.add(closed.get());
     } else {
         SyntheticConfig tc;
-        tc.injection_rate = args.getDouble("rate", 0.1);
-        tc.data_packet_ratio = args.getDouble("data-ratio", 0.25);
+        tc.injection_rate = real.rate;
+        tc.data_packet_ratio = real.data_ratio;
         tc.pattern = pattern_from_string(
             args.getString("traffic", "uniform"));
-        tc.approx_ratio = args.getDouble("approx-ratio", 0.75);
+        tc.approx_ratio = real.approx_ratio;
         tc.seed = seed;
         synth = std::make_unique<SyntheticTraffic>(net, tc, *provider);
         sim.add(synth.get());
@@ -223,8 +256,7 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
     if (args.has("qos-target")) {
         qos = std::make_unique<ErrorControlLoop>(
             net,
-            QosController(args.getDouble("qos-target", 0.2),
-                          cc.error_threshold_pct),
+            QosController(real.qos_target, cc.error_threshold_pct),
             2000);
         sim.add(qos.get());
     }
@@ -305,7 +337,7 @@ run_sim(const CliArgs &args, Scheme scheme, bool dump, bool labeled = false)
 
 /** `--compare` mode: one simulation per scheme on the worker pool. */
 int
-run_compare(const CliArgs &args)
+run_compare(const CliArgs &args, const RealFlags &real)
 {
     std::vector<Scheme> schemes =
         harness::parse_scheme_list(args.getString("compare", "all"));
@@ -313,7 +345,8 @@ run_compare(const CliArgs &args)
     harness::ExperimentRunner runner(
         static_cast<unsigned>(args.getCount("jobs", 1)));
     auto out = runner.map(schemes.size(), [&](std::size_t i) {
-        return run_sim(args, schemes[i], /*dump=*/false, /*labeled=*/true);
+        return run_sim(args, real, schemes[i], /*dump=*/false,
+                       /*labeled=*/true);
     });
 
     Table t({"scheme", "latency", "delivered", "data_flits", "quality",
@@ -354,13 +387,14 @@ main(int argc, char **argv)
         return 0;
     }
 
+    const RealFlags real = parse_real_flags(args);
     if (args.has("compare"))
-        return run_compare(args);
+        return run_compare(args, real);
 
     Scheme scheme =
         scheme_from_string(args.getString("scheme", "FP-VAXX"));
     bool quiet = args.getBool("quiet", false);
-    SimSummary s = run_sim(args, scheme, /*dump=*/!quiet);
+    SimSummary s = run_sim(args, real, scheme, /*dump=*/!quiet);
     if (quiet)
         std::printf("%s: latency %.2f, delivered %llu, data flits %llu, "
                     "quality %.4f (%s)\n",
