@@ -59,7 +59,7 @@ main(int argc, char **argv)
     double ratio = spec.approxRatios().front();
     BodytrackWorkload wl(cfg.scale);
 
-    // The two tracker runs are independent; run them on the pool.
+    // The two tracker runs are independent; run them in parallel.
     ExperimentRunner runner(cfg.jobs, make_progress(cfg));
     std::vector<Outcome<WorkloadResult>> out =
         runner.map(2, [&](std::size_t i) {

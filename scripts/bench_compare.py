@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Diff two micro_codec/micro_sim --bench-out JSON files for regressions.
+"""Diff two micro_codec --bench-out JSON files for regressions.
 
 Usage:
     bench_compare.py OLD.json NEW.json [--threshold FRAC] [--report-only]
 
-Compares results.<scheme> throughput between the two files:
-`words_per_sec` for micro_codec files, `cycles_per_sec` for micro_sim
-files. A scheme whose new throughput falls below
+Compares results.<scheme>.words_per_sec between the two files. A
+scheme whose new throughput falls below
 (1 - threshold) * old throughput is a regression; a scheme present in
 OLD but missing from NEW is treated as one too. A file with no
 `results` section is malformed input and names the sections it does
@@ -28,9 +27,7 @@ import json
 import sys
 
 
-# Per-scheme throughput key: words_per_sec (micro_codec) or
-# cycles_per_sec (micro_sim).
-METRIC_KEYS = ("words_per_sec", "cycles_per_sec")
+METRIC_KEY = "words_per_sec"
 SECTION = "results"
 
 
@@ -57,15 +54,10 @@ def load_results(path):
     for scheme, entry in results.items():
         if not isinstance(entry, dict):
             continue
-        wps = None
-        for key in METRIC_KEYS:
-            if key in entry:
-                wps = entry[key]
-                break
+        wps = entry.get(METRIC_KEY)
         if not isinstance(wps, (int, float)) or wps <= 0:
-            print(f"bench_compare: {path}: no positive throughput "
-                  f"({' or '.join(METRIC_KEYS)}) for '{SECTION}.{scheme}'",
-                  file=sys.stderr)
+            print(f"bench_compare: {path}: no positive {METRIC_KEY} for "
+                  f"'{SECTION}.{scheme}'", file=sys.stderr)
             sys.exit(2)
         out[scheme] = float(wps)
     if not out:

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: configure, build, test, then smoke the parallel
-# experiment harness (2-point sweep on 2 workers must match --jobs=1
-# byte for byte).
+# experiment harness (2-point sweep on 2 lanes must match --jobs=1
+# byte for byte, in every table sweep_all writes).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,13 +21,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 # determinism contract against a serial run.
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
-"./$BUILD_DIR/bench/fig10_compression" \
+"./$BUILD_DIR/bench/sweep_all" \
     --benchmarks=blackscholes,swaptions --schemes=FP-VAXX \
     --max-records=1500 --jobs=2 --csv-dir="$SMOKE/j2" >/dev/null
-"./$BUILD_DIR/bench/fig10_compression" \
+"./$BUILD_DIR/bench/sweep_all" \
     --benchmarks=blackscholes,swaptions --schemes=FP-VAXX \
     --max-records=1500 --jobs=1 --csv-dir="$SMOKE/j1" >/dev/null
-cmp "$SMOKE/j1/fig10_compression.csv" "$SMOKE/j2/fig10_compression.csv"
-cmp "$SMOKE/j1/fig10_compression.json" "$SMOKE/j2/fig10_compression.json"
+for t in fig09_latency_breakdown fig10_compression fig11_flit_reduction \
+         fig15_power sweep_points; do
+    cmp "$SMOKE/j1/$t.csv" "$SMOKE/j2/$t.csv"
+    cmp "$SMOKE/j1/$t.json" "$SMOKE/j2/$t.json"
+done
 
 echo "check_build: OK (build + tests + parallel sweep determinism)"

@@ -27,17 +27,6 @@ def bench_json(path, **words_per_sec):
         json.dump(data, f)
 
 
-def sim_bench_json(path, cps):
-    """The micro_sim schema: cycles_per_sec keys, one config entry."""
-    data = {
-        "schema": "approxnoc-micro-sim-bench-v1",
-        "results": {"mesh_8x8": {"cycles_per_sec": cps,
-                                 "packets_delivered": 12345}},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f)
-
-
 def run(*argv):
     p = subprocess.run([sys.executable, SCRIPT, *argv],
                        capture_output=True, text=True)
@@ -129,19 +118,6 @@ def main():
             failures.append(
                 f"results-missing: want a message listing the present "
                 f"sections, no traceback\n{out}")
-
-        # The micro_sim schema compares on cycles_per_sec.
-        sim_old = os.path.join(d, "sim_old.json")
-        sim_bench_json(sim_old, cps=4e5)
-        sim_same = os.path.join(d, "sim_same.json")
-        sim_bench_json(sim_same, cps=4e5)
-        rc, out = run(sim_old, sim_same)
-        check("sim-identical", rc, 0, out)
-
-        sim_slow = os.path.join(d, "sim_slow.json")
-        sim_bench_json(sim_slow, cps=1e5)
-        rc, out = run(sim_old, sim_slow)
-        check("sim-regression", rc, 1, out)
 
     if failures:
         print("\n".join(failures), file=sys.stderr)

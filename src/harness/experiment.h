@@ -4,7 +4,7 @@
  * (benchmark x scheme x threshold x approx-ratio x load) grid plus the
  * shared run configuration; its fluent Builder parses the common CLI
  * flags every harness binary accepts (including --jobs, --seed and
- * --json-dir). An Experiment executes the grid on a worker pool, one
+ * --json-dir). An Experiment executes the grid on `--jobs` lanes, one
  * isolated Simulator + Network + CodecSystem per point, with
  * deterministic per-point seeds — `--jobs=1` and `--jobs=N` produce
  * bit-identical result tables.

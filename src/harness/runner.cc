@@ -1,5 +1,6 @@
 #include "harness/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -36,40 +37,38 @@ std::vector<JobStatus>
 ExperimentRunner::run(std::size_t n, const std::function<void(std::size_t)> &fn)
 {
     std::vector<JobStatus> statuses(n);
-    if (n == 0)
-        return statuses;
-
-    std::atomic<std::size_t> done{0};
+    std::atomic<std::size_t> next{0};
     std::mutex progress_mtx;
+    std::size_t done = 0; // guarded by progress_mtx
 
-    // The WorkerPool contract forbids throwing tasks, so exception
-    // capture into JobStatus lives in this wrapper — job i's status
-    // lands at index i regardless of which lane ran it.
-    auto task = [&](std::size_t i) {
-        try {
-            fn(i);
-        } catch (const std::exception &e) {
-            statuses[i].ok = false;
-            statuses[i].error = e.what();
-        } catch (...) {
-            statuses[i].ok = false;
-            statuses[i].error = "unknown exception";
-        }
-        std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (progress_) {
-            std::lock_guard<std::mutex> lock(progress_mtx);
-            progress_(d, n);
+    // One lane: claim indices until none is left. Exception capture
+    // lives here, so job i's status lands at index i whichever lane
+    // ran it.
+    auto lane = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+            try {
+                fn(i);
+            } catch (const std::exception &e) {
+                statuses[i].ok = false;
+                statuses[i].error = e.what();
+            } catch (...) {
+                statuses[i].ok = false;
+                statuses[i].error = "unknown exception";
+            }
+            if (progress_) {
+                // Count and report under one lock, so the reports
+                // arrive as 1, 2, ..., n.
+                std::lock_guard<std::mutex> lock(progress_mtx);
+                progress_(++done, n);
+            }
         }
     };
 
-    if (jobs_ <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            task(i);
-        return statuses;
-    }
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(jobs_);
-    pool_->parallelFor(n, task);
+    std::vector<std::jthread> lanes;
+    for (std::size_t l = 1; l < std::min<std::size_t>(jobs_, n); ++l)
+        lanes.emplace_back(lane);
+    lane(); // the caller is the last lane
+    lanes.clear(); // joins
     return statuses;
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Parallel experiment execution: a small self-scheduling thread pool
- * that fans a list of independent jobs out over worker threads. Each
- * idle worker steals the next unclaimed job index from a shared
- * counter, so load imbalance between points (saturated vs idle
- * networks, large vs small traces) never leaves a core idle.
+ * Parallel experiment execution: each `run` call fans a list of
+ * independent jobs out over up to `jobs` lanes (the calling thread
+ * plus fresh threads that join before `run` returns). Each lane takes
+ * the next unclaimed job index from a shared counter, so load
+ * imbalance between points (saturated vs idle networks, large vs
+ * small traces) never leaves a lane idle while work remains.
  *
  * Results are always delivered indexed by job position, so output is
  * bit-identical regardless of the worker count or completion order —
@@ -15,12 +16,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#include "common/worker_pool.h"
 
 namespace approxnoc::harness {
 
@@ -37,7 +35,10 @@ template <typename R> struct Outcome {
     std::string error;
 };
 
-/** Progress callback: (jobs finished, jobs total). Serialized. */
+/**
+ * Progress callback: (jobs finished, jobs total). Serialized, and
+ * called with 1, 2, ..., total in that order.
+ */
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
 /**
@@ -54,8 +55,10 @@ class ExperimentRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run fn(i) for every i in [0, n). Exceptions thrown by a job are
-     * captured into its JobStatus; the remaining jobs still run.
+     * Run fn(i) for every i in [0, n) on `min(jobs, n)` lanes: the
+     * calling thread and `min(jobs, n) - 1` threads started for this
+     * call. Exceptions thrown by a job are captured into its
+     * JobStatus; the remaining jobs still run.
      */
     std::vector<JobStatus> run(std::size_t n,
                                const std::function<void(std::size_t)> &fn);
@@ -82,9 +85,6 @@ class ExperimentRunner
   private:
     unsigned jobs_;
     ProgressFn progress_;
-    /** Lazily-created persistent pool shared across run() calls, so a
-     *  sweep that maps many batches pays thread spawn once. */
-    std::unique_ptr<WorkerPool> pool_;
 };
 
 /** `jobs == 0` -> hardware concurrency (at least 1). */

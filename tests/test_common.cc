@@ -1,9 +1,14 @@
 /** Tests for stats, table, CLI parsing, DataBlock and quality. */
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "common/cli.h"
 #include "common/data_block.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/quality.h"
@@ -208,6 +213,94 @@ TEST(CliArgs, HarnessRealFlagsAreRangeChecked)
                     ::testing::ExitedWithCode(1),
                     std::string("fatal: ") + c.message)
             << c.arg;
+    }
+}
+
+/** Seeded mutation fuzz over the numeric flag getters: every value
+ *  either comes back inside the getter's range or exits 1 with a
+ *  fatal: line naming the flag; never a panic, an abort, an uncaught
+ *  exception or a silently wrapped value. */
+TEST(CliFuzz, NumericFlagsReturnInRangeOrFail)
+{
+    std::vector<std::string> values = {
+        "0", "5", "-3", "0.5", "100", "1e3", "0x1f", "017", "+7", ".5",
+        "5.", "1e-400", "1e400", "-0", "0x", " 5", "5 ", "nan", "inf",
+        "-inf", "", "99999999999999999999", "-99999999999999999999"};
+    Rng rng(20170624);
+    const std::size_t n_seeds = values.size();
+    for (int k = 0; k < 24; ++k) {
+        std::string v = values[rng.next(n_seeds)];
+        const char c = static_cast<char>(1 + rng.next(255)); // argv has no NUL
+        switch (rng.next(4)) {
+        case 0: // replace a byte
+            if (!v.empty())
+                v[rng.next(v.size())] = c;
+            break;
+        case 1: // insert a byte
+            v.insert(v.begin() + static_cast<long>(rng.next(v.size() + 1)),
+                     c);
+            break;
+        case 2: // delete a byte
+            if (!v.empty())
+                v.erase(rng.next(v.size()), 1);
+            break;
+        default: // truncate
+            v.resize(rng.next(v.size() + 1));
+        }
+        values.push_back(v);
+    }
+
+    const auto ok_or_fatal = [](int status) {
+        return WIFEXITED(status) &&
+               (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
+    };
+    const struct {
+        const char *name;
+        RealRange range;
+    } ranges[] = {{"any", {}},
+                  {"percent", kPercentRange},
+                  {"fraction", kFractionRange},
+                  {"positive", kPositiveRange}};
+    for (const std::string &v : values) {
+        const std::string arg = "--x=" + v;
+        const char *argv[] = {"prog", arg.c_str()};
+        CliArgs args(2, const_cast<char **>(argv));
+        // The child exits 0 after an in-range value and 2 after an
+        // out-of-range one, which the predicate rejects.
+        EXPECT_EXIT(
+            {
+                args.getInt("x", 0);
+                std::fputs("in range\n", stderr);
+                std::exit(0);
+            },
+            ok_or_fatal, "in range|fatal: flag --x ")
+            << "getInt '" << v << "'";
+        EXPECT_EXIT(
+            {
+                // A negative value wrapped into an unsigned count lands
+                // above LONG_MAX.
+                const bool in = args.getCount("x", 0) <=
+                                static_cast<unsigned long>(
+                                    std::numeric_limits<long>::max());
+                std::fputs(in ? "in range\n" : "wrapped\n", stderr);
+                std::exit(in ? 0 : 2);
+            },
+            ok_or_fatal, "in range|fatal: flag --x ")
+            << "getCount '" << v << "'";
+        for (const auto &r : ranges) {
+            EXPECT_EXIT(
+                {
+                    double d = args.getDouble("x", 0.5, r.range);
+                    const bool in = std::isfinite(d) &&
+                                    (r.range.lo_open ? d > r.range.lo
+                                                     : d >= r.range.lo) &&
+                                    d <= r.range.hi;
+                    std::fputs(in ? "in range\n" : "out of range\n", stderr);
+                    std::exit(in ? 0 : 2);
+                },
+                ok_or_fatal, "in range|fatal: flag --x ")
+                << "getDouble(" << r.name << ") '" << v << "'";
+        }
     }
 }
 

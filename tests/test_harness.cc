@@ -6,10 +6,13 @@
  * sweep), seed derivation, grid construction and stats merging.
  */
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +98,41 @@ TEST(Runner, ThrowingJobIsCapturedOthersStillRun)
             EXPECT_TRUE(statuses[i].ok) << i;
         }
     }
+}
+
+TEST(Runner, FirstBatchRunsOnEveryLane)
+{
+    // Four jobs that can only finish together: each waits until all
+    // four have started. A runner that leaves a lane idle on its first
+    // batch runs them one or two at a time, and the early ones time out.
+    ExperimentRunner runner(4);
+    std::latch started(4);
+    auto out = runner.map(4, [&](std::size_t) {
+        started.count_down();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!started.try_wait()) {
+            if (std::chrono::steady_clock::now() > deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return true;
+    });
+    for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_TRUE(out[i].ok && out[i].value) << "job " << i;
+}
+
+TEST(Runner, ProgressCountsUpToTotal)
+{
+    std::vector<std::size_t> seen;
+    ExperimentRunner runner(4, [&](std::size_t done, std::size_t total) {
+        EXPECT_EQ(total, 64u);
+        seen.push_back(done);
+    });
+    runner.run(64, [](std::size_t) {});
+    ASSERT_EQ(seen.size(), 64u);
+    for (std::size_t k = 0; k < seen.size(); ++k)
+        EXPECT_EQ(seen[k], k + 1);
 }
 
 TEST(Spec, GridEnumerationAndSeeds)

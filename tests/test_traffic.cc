@@ -1,7 +1,10 @@
 /** Traffic layer tests: patterns, providers, trace I/O, replay. */
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -247,6 +250,109 @@ TEST(TraceErrors, ControlRecordWithBlockIsFatal)
     EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
                 "fatal: .*ctlblock\\.trace:2: bad trace line: control "
                 "record names block '0'");
+}
+
+namespace {
+
+/** One seeded mutation of @p s: replace, insert or delete a byte, drop
+ *  or duplicate a whitespace-separated token, or truncate. Half the new
+ *  bytes come from the format's own alphabet, so that mutants get past
+ *  the tokenizer to the checks on numbers, indices and order. */
+std::string
+mutate(std::string s, Rng &rng)
+{
+    static constexpr char kAlphabet[] = "0123456789abcdefx -#\nBRDC";
+    const char c = rng.next(2)
+                       ? kAlphabet[rng.next(sizeof(kAlphabet) - 1)]
+                       : static_cast<char>(rng.next(256));
+    switch (rng.next(6)) {
+    case 0:
+        if (!s.empty())
+            s[rng.next(s.size())] = c;
+        break;
+    case 1:
+        s.insert(s.begin() + static_cast<long>(rng.next(s.size() + 1)), c);
+        break;
+    case 2:
+        if (!s.empty())
+            s.erase(rng.next(s.size()), 1);
+        break;
+    case 3:
+    case 4: {
+        std::vector<std::pair<std::size_t, std::size_t>> tokens; // [b, e)
+        for (std::size_t i = 0; i < s.size();) {
+            if (std::isspace(static_cast<unsigned char>(s[i]))) {
+                ++i;
+                continue;
+            }
+            std::size_t b = i;
+            while (i < s.size() &&
+                   !std::isspace(static_cast<unsigned char>(s[i])))
+                ++i;
+            tokens.emplace_back(b, i);
+        }
+        if (tokens.empty())
+            break;
+        auto [b, e] = tokens[rng.next(tokens.size())];
+        const std::string tok = s.substr(b, e - b);
+        if (rng.next(2) == 0) {
+            s.erase(b, e - b);
+        } else {
+            s.insert(e, tok);
+            s.insert(e, 1, ' ');
+        }
+        break;
+    }
+    default:
+        s.resize(rng.next(s.size() + 1));
+    }
+    return s;
+}
+
+} // namespace
+
+/** Seeded mutation fuzz over the trace format: every mutant of a valid
+ *  file either loads or exits 1 with a fatal: line naming the file and
+ *  line; never a panic, an abort or an uncaught exception. */
+TEST(TraceFuzz, MutantsLoadOrFailWithFileAndLine)
+{
+    CommTrace t;
+    std::uint32_t i32 = t.addBlock(
+        DataBlock({1, 0x7fffffff, 0x80000000}, DataType::Int32, true));
+    std::uint32_t f32 = t.addBlock(
+        DataBlock({0x3f800000, 0xc0490fdb}, DataType::Float32, false));
+    std::uint32_t raw =
+        t.addBlock(DataBlock({0xDEADBEEF}, DataType::Raw, true));
+    t.add(TraceRecord{0, 0, 1, PacketClass::Control, TraceRecord::kNoBlock});
+    t.add(TraceRecord{3, 2, 31, PacketClass::Data, i32});
+    t.add(TraceRecord{3, 5, 4, PacketClass::Data, f32});
+    t.add(TraceRecord{17, 31, 0, PacketClass::Data, raw});
+    t.add(TraceRecord{40, 7, 6, PacketClass::Control, TraceRecord::kNoBlock});
+    const std::string path = ::testing::TempDir() + "trace_fuzz.txt";
+    t.save(path);
+    std::stringstream text;
+    text << std::ifstream(path).rdbuf();
+    const std::string valid = text.str();
+
+    const auto ok_or_fatal = [](int status) {
+        return WIFEXITED(status) &&
+               (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
+    };
+    Rng rng(20170624);
+    for (int k = 0; k < 200; ++k) {
+        const std::string mutant = mutate(valid, rng);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << mutant;
+        EXPECT_EXIT(
+            {
+                CommTrace::load(path);
+                std::fputs("loaded\n", stderr);
+                std::exit(0);
+            },
+            ok_or_fatal,
+            "loaded|fatal: .*trace_fuzz\\.txt:[0-9]+: bad trace line: ")
+            << "mutant " << k << ":\n" << mutant;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Replay, InjectsEveryRecordOnce)

@@ -335,7 +335,7 @@ run_sim(const CliArgs &args, const RealFlags &real, Scheme scheme, bool dump,
     return s;
 }
 
-/** `--compare` mode: one simulation per scheme on the worker pool. */
+/** `--compare` mode: one simulation per scheme, `--jobs` at a time. */
 int
 run_compare(const CliArgs &args, const RealFlags &real)
 {
