@@ -54,6 +54,16 @@ using harness::run_replay_point;
 void emit(const Table &t, const ExperimentSpec &spec,
           const std::string &name);
 
+/**
+ * The QoR companion table of a replay grid, in long form (one row per
+ * point): the signed mean, mean-absolute and worst-case relative error
+ * the error ledger measured at that point, from its ErrorProfile. The
+ * point is keyed by benchmark, scheme and the swept coordinate
+ * @p field, printed under @p column with @p precision decimals.
+ */
+Table qor_table(const Experiment &ex, const std::string &column,
+                double ExperimentPoint::*field, int precision);
+
 } // namespace approxnoc::bench
 
 #endif // APPROXNOC_BENCH_BENCH_COMMON_H

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "telemetry/error_profile.h"
 
 using namespace approxnoc;
 using namespace approxnoc::bench;
@@ -78,26 +77,8 @@ main(int argc, char **argv)
     emit(t, ex.spec(), "fig13_error_threshold");
 
     // QoR companion table: the mean and worst-case relative error each
-    // scheme actually introduced at each threshold, from the per-point
-    // ErrorProfile (long form, one row per grid point).
-    Table q({"benchmark", "scheme", "threshold", "mean_rel_err",
-             "mean_abs_rel_err", "max_abs_rel_err"});
-    for (const auto &pt : ex.spec().points()) {
-        const PointResult &pr = ex.resultAt(pt.index);
-        auto row = q.row();
-        row.cell(pt.benchmark)
-            .cell(std::string(to_string(pt.scheme)))
-            .cell(pt.threshold, 0);
-        if (pr.ok && pr.replay.qor) {
-            row.cell(pr.replay.qor->mean(), 6)
-                .cell(pr.replay.qor->meanAbs(), 6)
-                .cell(pr.replay.qor->maxAbs(), 6);
-        } else {
-            row.cell(std::string("FAILED"))
-                .cell(std::string("FAILED"))
-                .cell(std::string("FAILED"));
-        }
-    }
-    emit(q, ex.spec(), "fig13_error_threshold_qor");
+    // scheme's delivered data carried at each threshold.
+    emit(qor_table(ex, "threshold", &ExperimentPoint::threshold, 0),
+         ex.spec(), "fig13_error_threshold_qor");
     return 0;
 }

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "telemetry/error_profile.h"
 
 using namespace approxnoc;
 using namespace approxnoc::bench;
@@ -89,26 +88,10 @@ main(int argc, char **argv)
     emit(t, ex.spec(), "fig14_approx_ratio");
 
     // QoR companion table: the mean and worst-case relative error each
-    // scheme introduced at each approximable ratio (the -1 sentinel
-    // rows are the plain-compression baseline at the CLI ratio).
-    Table q({"benchmark", "scheme", "approx_ratio", "mean_rel_err",
-             "mean_abs_rel_err", "max_abs_rel_err"});
-    for (const auto &pt : ex.spec().points()) {
-        const PointResult &pr = ex.resultAt(pt.index);
-        auto row = q.row();
-        row.cell(pt.benchmark)
-            .cell(std::string(to_string(pt.scheme)))
-            .cell(pt.approx_ratio, 2);
-        if (pr.ok && pr.replay.qor) {
-            row.cell(pr.replay.qor->mean(), 6)
-                .cell(pr.replay.qor->meanAbs(), 6)
-                .cell(pr.replay.qor->maxAbs(), 6);
-        } else {
-            row.cell(std::string("FAILED"))
-                .cell(std::string("FAILED"))
-                .cell(std::string("FAILED"));
-        }
-    }
-    emit(q, ex.spec(), "fig14_approx_ratio_qor");
+    // scheme's delivered data carried at each approximable ratio (the
+    // -1 sentinel rows are the plain-compression baseline at the CLI
+    // ratio).
+    emit(qor_table(ex, "approx_ratio", &ExperimentPoint::approx_ratio, 2),
+         ex.spec(), "fig14_approx_ratio_qor");
     return 0;
 }

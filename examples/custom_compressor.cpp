@@ -82,8 +82,7 @@ class BaseDeltaCodec : public CodecSystem
         for (std::size_t i = 0; i < cand.size(); ++i) {
             EncodedWord ew;
             ew.decoded = fits ? cand[i] : block.word(i);
-            ew.approximated = fits && approximated[i];
-            ew.approx_count = ew.approximated ? 1 : 0;
+            ew.approx_count = fits && approximated[i] ? 1 : 0;
             if (fits) {
                 ew.kind = 1;
                 // Word 0 carries the base and the 5-bit width field.

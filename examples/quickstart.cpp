@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "core/codec_factory.h"
+#include "core/quality.h"
 #include "noc/packet.h"
 
 using namespace approxnoc;
@@ -50,6 +51,8 @@ main()
         EncodedBlock enc = codec->encode(block, 0, 1, t);
         DataBlock out = codec->decode(enc, 0, 1, t);
         unsigned flits = 1 + payload_flits(enc.bits(), 64);
+        // The error ledger: mean relative error over the block's words.
+        const double err = QualityTracker().record(block, enc, out);
 
         std::printf("%-8s : NR %4zu bits -> %u flits  "
                     "(exact %zu, approx %zu, raw %zu words)  "
@@ -57,7 +60,7 @@ main()
                     to_string(scheme).c_str(), enc.bits(), flits,
                     enc.exactCompressedWords(), enc.approximatedWords(),
                     enc.uncompressedWords(),
-                    100.0 * block_relative_error(block, out));
+                    100.0 * err);
     }
 
     std::printf("\nA baseline data packet needs %u flits; every scheme "

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: configure, build, test, then smoke the parallel
+# Full local gate: configure, build, test, smoke the parallel
 # experiment harness (2-point sweep on 2 lanes must match --jobs=1
-# byte for byte, in every table sweep_all writes).
+# byte for byte, in every table sweep_all writes), then regenerate
+# every committed results/ file and compare it byte for byte.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,4 +34,6 @@ for t in fig09_latency_breakdown fig10_compression fig11_flit_reduction \
     cmp "$SMOKE/j1/$t.json" "$SMOKE/j2/$t.json"
 done
 
-echo "check_build: OK (build + tests + parallel sweep determinism)"
+scripts/check_results.sh "$BUILD_DIR"
+
+echo "check_build: OK (build + tests + parallel sweep determinism + results)"

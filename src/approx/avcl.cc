@@ -50,10 +50,9 @@ avcl_analyze(const ErrorModel &model, Word w, DataType t)
 double
 avcl_relative_error(Word w, Word candidate, DataType t)
 {
-    // The admission check only cares about the magnitude; the signed
-    // value feeds the QoR error telemetry. Folding fabs over the
-    // signed error is bit-identical to the historical formula (IEEE
-    // division computes sign and magnitude independently).
+    // The admission check only cares about the magnitude (IEEE
+    // division computes sign and magnitude independently, so this is
+    // exactly the magnitude the error ledger measures).
     return std::fabs(signed_relative_error(w, candidate, t));
 }
 

@@ -54,7 +54,6 @@ DiVaxxCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
             ew.bits = compressedBits();
             ew.payload = de.index;
             ew.decoded = de.original;
-            ew.approximated = !exact;
             ew.approx_count = exact ? 0 : 1;
             compressed = true;
             return true;

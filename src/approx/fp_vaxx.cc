@@ -13,7 +13,7 @@ constexpr std::size_t kStackWords = 64;
 } // namespace
 
 EncodedBlock
-FpVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
+FpVaxxCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
 {
     noteEncoded(block.size());
     const bool approximable = block.approximable() &&
@@ -40,7 +40,7 @@ FpVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
         }
         enc = fpc_encode_block(block, [&](std::size_t i) { return k[i]; });
     }
-    noteBlockEncoded(enc, block, src, dst);
+    noteBlockEncoded(enc);
     return enc;
 }
 

@@ -8,7 +8,7 @@
 namespace approxnoc {
 
 EncodedBlock
-WindowVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
+WindowVaxxCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
 {
     noteEncoded(block.size());
     const bool approx_ok = block.approximable() &&
@@ -18,7 +18,7 @@ WindowVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
     if (!approx_ok) {
         EncodedBlock enc =
             fpc_encode_block(block, [](std::size_t) { return 0u; });
-        noteBlockEncoded(enc, block, src, dst);
+        noteBlockEncoded(enc);
         return enc;
     }
 
@@ -66,7 +66,7 @@ WindowVaxxCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
     EncodedBlock enc =
         fpc_encode_block(block, [&](std::size_t i) { return ks[i]; });
     last_spent_ = spent;
-    noteBlockEncoded(enc, block, src, dst);
+    noteBlockEncoded(enc);
     return enc;
 }
 

@@ -1,10 +1,7 @@
 #include "common/data_block.h"
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
-
-#include "common/log.h"
 
 namespace approxnoc {
 
@@ -53,37 +50,6 @@ DataBlock::toString() const
     }
     s += "]";
     return s;
-}
-
-double
-block_relative_error(const DataBlock &precise, const DataBlock &approx)
-{
-    ANOC_ASSERT(precise.size() == approx.size(),
-                "block size mismatch in error computation");
-    if (precise.size() == 0)
-        return 0.0;
-
-    double total = 0.0;
-    for (std::size_t i = 0; i < precise.size(); ++i) {
-        if (precise.word(i) == approx.word(i))
-            continue;
-        double p, a;
-        if (precise.type() == DataType::Float32) {
-            p = precise.floatAt(i);
-            a = approx.floatAt(i);
-        } else {
-            p = static_cast<double>(precise.intAt(i));
-            a = static_cast<double>(approx.intAt(i));
-        }
-        if (!std::isfinite(p) || !std::isfinite(a)) {
-            total += 1.0;
-        } else if (p == 0.0) {
-            total += (a == 0.0) ? 0.0 : 1.0;
-        } else {
-            total += std::fabs(a - p) / std::fabs(p);
-        }
-    }
-    return total / static_cast<double>(precise.size());
 }
 
 std::string

@@ -100,14 +100,6 @@ class DataBlock
     bool approximable_ = false;
 };
 
-/**
- * Relative per-word error between a precise and an approximated block,
- * averaged over words. This is the paper's "data value quality" metric:
- * quality = 1 - mean relative error. Non-finite or zero-valued precise
- * words contribute error only when bits differ.
- */
-double block_relative_error(const DataBlock &precise, const DataBlock &approx);
-
 } // namespace approxnoc
 
 #endif // APPROXNOC_COMMON_DATA_BLOCK_H

@@ -2,17 +2,11 @@
  * @file
  * Signed per-word relative error between a precise word and an
  * approximation candidate. This is the single definition of "relative
- * error" shared by the AVCL admission check (which only needs the
- * magnitude) and the QoR error telemetry (which keeps the sign so
- * over- and under-approximation are distinguishable in the profile).
- *
- * The magnitude contract is exact: for every input,
- * `std::fabs(signed_relative_error(w, c, t))` is bit-identical to the
- * historical `avcl_relative_error(w, c, t)` — IEEE-754 division
- * computes the sign separately from the magnitude, so folding the sign
- * into the numerator cannot perturb a single mantissa bit. The AVCL
- * threshold comparisons therefore approximate exactly the same words
- * before and after this refactor.
+ * error": the AVCL admission checks use its magnitude
+ * (`avcl_relative_error`), and the error ledger
+ * (QualityTracker::record) measures every delivered word with it,
+ * keeping the sign so over- and under-approximation are
+ * distinguishable in the QoR profile.
  */
 #ifndef APPROXNOC_COMMON_RELATIVE_ERROR_H
 #define APPROXNOC_COMMON_RELATIVE_ERROR_H
@@ -26,7 +20,7 @@ namespace approxnoc {
  * data type @p t, signed: positive when the candidate overshoots the
  * precise value, negative when it undershoots.
  *
- * Conventions (matching the unsigned version this generalizes):
+ * Conventions:
  * - equal bits are error 0;
  * - Int32: (c - w) / |w|; a zero precise word yields ±1 by direction;
  * - Float32: specials (zero/denormal/inf/NaN) must never be

@@ -50,7 +50,7 @@ AdaptiveCodec::encode(const DataBlock &block, NodeId src, NodeId dst,
             ++bypassed_;
             // Raw-block flag rides in the head flit, hence 32 bits/word.
             EncodedBlock raw = raw_encoded_block(block, inner_->rawKind());
-            noteBlockEncoded(raw, block, src, dst);
+            noteBlockEncoded(raw);
             return raw;
         }
     }

@@ -88,14 +88,6 @@ class AdaptiveCodec : public CodecSystem
         inner_->bindCounters(c);
     }
 
-    /** Inner codec only: bypassed blocks are bit-exact by definition,
-     * so only delegated (possibly approximating) encodes record QoR. */
-    void
-    bindErrorProfile(telemetry::ErrorProfile *qor) override
-    {
-        inner_->bindErrorProfile(qor);
-    }
-
     /** Both layers: the inner codec owns the apply-pending phase. */
     void bindProfiler(telemetry::PhaseProfiler *prof) override;
 

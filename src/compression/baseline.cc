@@ -12,11 +12,11 @@ CodecSystem::activity() const
 }
 
 EncodedBlock
-BaselineCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
+BaselineCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
 {
     noteEncoded(block.size());
     EncodedBlock enc = raw_encoded_block(block, 0);
-    noteBlockEncoded(enc, block, src, dst);
+    noteBlockEncoded(enc);
     return enc;
 }
 

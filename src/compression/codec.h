@@ -135,9 +135,9 @@ class CodecSystem
      * @name Forwarders
      * Older entry points, kept only because the repository benchmark's
      * forwarding codec (perfbench/tracing.h) overrides them. No scheme
-     * overrides them and nothing in the simulator calls them: each
-     * returns exactly what encode()/decode() return, with the same
-     * side effects.
+     * overrides them and nothing in the simulator calls them. The four
+     * coding forwarders return exactly what encode()/decode() return,
+     * with the same side effects; bindErrorProfile does nothing.
      * @{
      */
     virtual EncodedBlock
@@ -165,6 +165,11 @@ class CodecSystem
      * as a view that stays valid until the arena is reset. */
     virtual DecodedSpan decodeSpan(const EncodedBlock &enc, NodeId src,
                                    NodeId dst, Cycle now, Arena &arena);
+
+    /** Codecs do not measure error: the error ledger
+     * (QualityTracker::record) does, at delivery, and
+     * Network::bindErrorProfile binds the profile there. */
+    virtual void bindErrorProfile(telemetry::ErrorProfile *) {}
     /** @} */
 
     /** Cycles the encoder adds before the first body flit is ready. */
@@ -238,18 +243,6 @@ class CodecSystem
     virtual void bindCounters(const CodecCounters &c) { counters_ = c; }
 
     /**
-     * Bind the QoR error profile the encode path records per-word
-     * signed relative errors into at approximation time. Null (the
-     * default) costs one predicted branch per *approximated* block —
-     * exact blocks never reach the recording walk. Wrappers forward
-     * to their inner codec.
-     */
-    virtual void bindErrorProfile(telemetry::ErrorProfile *qor)
-    {
-        qor_ = qor;
-    }
-
-    /**
      * Bind the self-profiler. The base registers the shared
      * `codec.apply_pending` phase that the dictionary schemes time
      * their deferred-update merge under; wrappers forward.
@@ -270,24 +263,18 @@ class CodecSystem
     /**
      * Per-block telemetry record, called once at the end of every
      * derived encode(). Derives hit/miss/approx splits from the block's
-     * aggregate accessors (a no-op when counters are unbound) and,
-     * when an error profile is bound and the block was actually
-     * approximated, records one signed relative-error sample per
-     * changed word on flow @p src -> @p dst.
+     * aggregate accessors; a no-op when counters are unbound.
      */
     void
-    noteBlockEncoded(const EncodedBlock &enc, const DataBlock &precise,
-                     NodeId src, NodeId dst)
+    noteBlockEncoded(const EncodedBlock &enc)
     {
-        if (counters_.bound()) {
-            counters_.blocks_encoded->inc();
-            counters_.hit_exact->inc(enc.exactCompressedWords());
-            counters_.hit_approx->inc(enc.approximatedWords());
-            counters_.miss_raw->inc(enc.uncompressedWords());
-            counters_.bits_out->inc(enc.bits());
-        }
-        if (qor_ && enc.approximatedWords() > 0)
-            recordQoR(precise, enc, src, dst);
+        if (!counters_.bound())
+            return;
+        counters_.blocks_encoded->inc();
+        counters_.hit_exact->inc(enc.exactCompressedWords());
+        counters_.hit_approx->inc(enc.approximatedWords());
+        counters_.miss_raw->inc(enc.uncompressedWords());
+        counters_.bits_out->inc(enc.bits());
     }
 
     /** Decode-side telemetry record; no-op when counters are unbound. */
@@ -305,11 +292,6 @@ class CodecSystem
     std::size_t applyPendingPhase() const { return apply_pending_phase_; }
 
   private:
-    /** Walk @p enc against the precise block and record every
-     * approximation-changed word's signed relative error. */
-    void recordQoR(const DataBlock &precise, const EncodedBlock &enc,
-                   NodeId src, NodeId dst);
-
     /** Bookkeeping shared by every source (encode side) and every
      * destination (decode side). */
     std::uint64_t mismatches_ = 0;
@@ -317,7 +299,6 @@ class CodecSystem
     std::uint64_t words_decoded_ = 0;
     /** Bind-time handles (null until bound). */
     CodecCounters counters_;
-    telemetry::ErrorProfile *qor_ = nullptr;
     telemetry::PhaseProfiler *profiler_ = nullptr;
     std::size_t apply_pending_phase_ = 0;
 };

@@ -53,8 +53,7 @@ DictionaryCodecBase::preloadEncoders()
 }
 
 EncodedBlock
-DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block,
-                                   NodeId src, NodeId dst)
+DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block)
 {
     enc.setMeta(block.type(), block.approximable());
 
@@ -64,7 +63,7 @@ DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block,
     if (enc.bits() > block.sizeBits() && block.size() > 0)
         enc = raw_encoded_block(block,
                                 static_cast<std::uint8_t>(DiWordKind::Raw));
-    noteBlockEncoded(enc, block, src, dst);
+    noteBlockEncoded(enc);
     return enc;
 }
 
@@ -78,7 +77,7 @@ DictionaryCodecBase::encode(const DataBlock &block, NodeId src, NodeId dst,
     noteEncoded(block.size());
     EncodedBlock enc;
     encodeWords(block, src, dst, enc);
-    return finishEncoded(std::move(enc), block, src, dst);
+    return finishEncoded(std::move(enc), block);
 }
 
 DataBlock

@@ -169,9 +169,8 @@ class DictionaryCodecBase : public CodecSystem
 
   private:
     /** Shared encode tail: meta, incompressible-block fallback (after
-     * Das et al. [12]), per-block telemetry + QoR error recording. */
-    EncodedBlock finishEncoded(EncodedBlock enc, const DataBlock &block,
-                               NodeId src, NodeId dst);
+     * Das et al. [12]) and per-block telemetry. */
+    EncodedBlock finishEncoded(EncodedBlock enc, const DataBlock &block);
 
     /** Decoder-side learning on an uncompressed word from @p src. */
     void learn(Word w, DataType type, NodeId src, NodeId dst, Cycle now);

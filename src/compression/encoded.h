@@ -36,8 +36,6 @@ struct EncodedWord {
     std::uint8_t approx_count = 0;
     /** Value the encoder expects the decoder to produce (all run words). */
     Word decoded = 0;
-    /** True when any covered word was matched approximately. */
-    bool approximated = false;
     /** True when the word was emitted uncompressed. */
     bool uncompressed = false;
 };

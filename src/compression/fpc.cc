@@ -173,11 +173,11 @@ fpc_decode(FpcPattern p, std::uint32_t payload)
 }
 
 EncodedBlock
-FpcCodec::encode(const DataBlock &block, NodeId src, NodeId dst, Cycle)
+FpcCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
 {
     noteEncoded(block.size());
     EncodedBlock enc = fpc_encode_block(block, [](std::size_t) { return 0u; });
-    noteBlockEncoded(enc, block, src, dst);
+    noteBlockEncoded(enc);
     return enc;
 }
 

@@ -226,7 +226,6 @@ fpc_encode_block(const DataBlock &block, KFn &&k_of_word)
             ew.run = run;
             ew.approx_count = approx;
             ew.decoded = 0;
-            ew.approximated = approx > 0;
             enc.append(ew);
             i += run;
             continue;
@@ -237,8 +236,7 @@ fpc_encode_block(const DataBlock &block, KFn &&k_of_word)
             ew.bits = kFpcPrefixBits + fpc_data_bits(m->pattern);
             ew.payload = m->payload;
             ew.decoded = m->candidate;
-            ew.approximated = m->candidate != block.word(i);
-            ew.approx_count = ew.approximated ? 1 : 0;
+            ew.approx_count = m->candidate != block.word(i) ? 1 : 0;
         } else {
             ew.kind = static_cast<std::uint8_t>(FpcPattern::Uncompressed);
             ew.bits = kFpcPrefixBits + 32;

@@ -1,10 +1,13 @@
 /**
  * @file
- * Data-value quality accounting (paper Fig. 9's Data_approx_quality):
- * the per-word relative error incurred across all delivered blocks,
- * reported as quality = 1 - mean relative error. Also tracks the
- * encoded-word breakdown for Fig. 10(a) and compression ratios for
- * Fig. 10(b).
+ * The error ledger: the one place approximation error is measured.
+ * Every delivered block passes through QualityTracker::record, which
+ * compares the precise words with the delivered ones under
+ * signed_relative_error (common/relative_error.h) and feeds the
+ * paper's Fig. 9 Data_approx_quality (quality = 1 - mean relative
+ * error), the `net.approx_error` histogram and, when bound, the
+ * per-word QoR ErrorProfile. Also tracks the encoded-word breakdown
+ * for Fig. 10(a) and compression ratios for Fig. 10(b).
  */
 #ifndef APPROXNOC_CORE_QUALITY_H
 #define APPROXNOC_CORE_QUALITY_H
@@ -12,17 +15,37 @@
 #include <cstdint>
 
 #include "common/data_block.h"
+#include "common/types.h"
 #include "compression/encoded.h"
 
 namespace approxnoc {
+
+namespace telemetry {
+class ErrorProfile;
+} // namespace telemetry
 
 /** Accumulates codec effectiveness and value quality over blocks. */
 class QualityTracker
 {
   public:
-    /** Record one encoded block and its delivered reconstruction. */
-    void record(const DataBlock &precise, const EncodedBlock &enc,
-                const DataBlock &delivered);
+    /**
+     * Record one encoded block and its delivered reconstruction. Each
+     * delivered word that differs from its precise word costs one
+     * signed_relative_error; the bound profile (if any) records it on
+     * flow @p src -> @p dst.
+     * @return the block's mean |relative error| over all its words.
+     */
+    double record(const DataBlock &precise, const EncodedBlock &enc,
+                  const DataBlock &delivered, NodeId src = 0,
+                  NodeId dst = 0);
+
+    /**
+     * Bind the QoR profile that receives one signed relative error per
+     * differing delivered word. Null (the default) detaches. The
+     * binding survives reset().
+     */
+    void bindErrorProfile(telemetry::ErrorProfile *qor) { qor_ = qor; }
+    telemetry::ErrorProfile *errorProfile() const { return qor_; }
 
     /** Blocks observed. */
     std::uint64_t blocks() const { return blocks_; }
@@ -55,8 +78,8 @@ class QualityTracker
     std::uint64_t totalWords() const { return words_total_; }
     std::uint64_t approximatedWords() const { return words_approx_; }
 
-    /** Forget everything (measurement-window bookkeeping). */
-    void reset() { *this = QualityTracker(); }
+    /** Forget every measurement (measurement-window bookkeeping). */
+    void reset();
 
   private:
     std::uint64_t blocks_ = 0;
@@ -66,6 +89,7 @@ class QualityTracker
     std::uint64_t words_approx_ = 0;
     std::uint64_t bits_original_ = 0;
     std::uint64_t bits_encoded_ = 0;
+    telemetry::ErrorProfile *qor_ = nullptr;
 };
 
 } // namespace approxnoc

@@ -415,8 +415,8 @@ Experiment::run(const PointFn &fn)
         // Same spec-order discipline for the sweep-level QoR report:
         // ErrorProfile::merge commutes, so qor.json is byte-identical
         // at any --jobs. profile.json is wall-clock and exempt.
-        QorParts qor;
-        ProfileParts prof;
+        ReportParts<telemetry::ErrorProfile> qor;
+        ReportParts<telemetry::PhaseProfiler> prof;
         qor.reserve(points.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
             const PointResult &pr = sink_->at(i);
@@ -427,9 +427,9 @@ Experiment::run(const PointFn &fn)
             if (cfg.profile)
                 prof.emplace_back(label, pr.ok ? pr.replay.profile : nullptr);
         }
-        write_qor_report(cfg.metrics_dir, qor);
+        write_report(cfg.metrics_dir, "qor", qor);
         if (cfg.profile)
-            write_profile_report(cfg.metrics_dir, prof);
+            write_report(cfg.metrics_dir, "profile", prof);
     }
     return *sink_;
 }

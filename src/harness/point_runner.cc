@@ -32,9 +32,9 @@ run_replay(const CommTrace &trace, const ReplayJob &job)
     Simulator sim;
     net.attach(sim);
 
-    // QoR error telemetry is always on: recording costs one walk over
-    // each approximated block's words, and the figure executors need
-    // the mean/worst-case relative error even without --metrics-out.
+    // QoR error telemetry is always on: the error ledger walks every
+    // delivered block anyway, and the figure executors need the
+    // mean/worst-case relative error even without --metrics-out.
     // The debug limit arms the ErrorProfile assertion: no recorded
     // relative error may exceed the configured threshold by more than
     // the codec overshoot slack (WindowVaxx's per-word budget cap and

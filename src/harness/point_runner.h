@@ -51,9 +51,11 @@ struct ReplayResult {
 
     /**
      * The point's QoR error profile — always present: one signed
-     * relative error per approximated word, recorded at encode time.
-     * Immutable once the point completes; the harness merges the
-     * per-point profiles in spec order for the sweep-level qor.json.
+     * relative error per delivered word that differs from its precise
+     * word, recorded by the error ledger (QualityTracker::record) at
+     * delivery. Immutable once the point completes; the harness merges
+     * the per-point profiles in spec order for the sweep-level
+     * qor.json.
      */
     std::shared_ptr<const telemetry::ErrorProfile> qor;
 

@@ -46,26 +46,28 @@ print_banner(const std::string &figure, const ExperimentSpec &spec)
                 resolve_jobs(cfg.jobs) == 1 ? "" : "s");
 }
 
+template <typename Profile>
 bool
-write_qor_report(const std::string &dir, const QorParts &parts)
+write_report(const std::string &dir, const std::string &name,
+             const ReportParts<Profile> &parts)
 {
-    telemetry::ErrorProfile merged;
-    for (const auto &[label, qor] : parts)
-        if (qor)
-            merged.merge(*qor);
+    Profile merged;
+    for (const auto &[label, p] : parts)
+        if (p)
+            merged.merge(*p);
     return telemetry::write_json_artifact(
-        dir, "qor.json", [&](std::ostream &os) {
-            os << "{\n\"schema\": \"approxnoc-qor-report-v1\",\n";
+        dir, name + ".json", [&](std::ostream &os) {
+            os << "{\n\"schema\": \"approxnoc-" << name << "-report-v1\",\n";
             os << "\"points\": {";
             bool first = true;
-            for (const auto &[label, qor] : parts) {
-                if (!qor)
+            for (const auto &[label, p] : parts) {
+                if (!p)
                     continue;
                 if (!first)
                     os << ",";
                 first = false;
                 os << "\n\"" << label << "\": ";
-                qor->writeJson(os);
+                p->writeJson(os);
             }
             os << (first ? "" : "\n") << "},\n\"merged\": ";
             merged.writeJson(os);
@@ -73,31 +75,9 @@ write_qor_report(const std::string &dir, const QorParts &parts)
         });
 }
 
-bool
-write_profile_report(const std::string &dir, const ProfileParts &parts)
-{
-    telemetry::PhaseProfiler merged;
-    for (const auto &[label, prof] : parts)
-        if (prof)
-            merged.merge(*prof);
-    return telemetry::write_json_artifact(
-        dir, "profile.json", [&](std::ostream &os) {
-            os << "{\n\"schema\": \"approxnoc-profile-report-v1\",\n";
-            os << "\"points\": {";
-            bool first = true;
-            for (const auto &[label, prof] : parts) {
-                if (!prof)
-                    continue;
-                if (!first)
-                    os << ",";
-                first = false;
-                os << "\n\"" << label << "\": ";
-                prof->writeJson(os);
-            }
-            os << (first ? "" : "\n") << "},\n\"merged\": ";
-            merged.writeJson(os);
-            os << "}\n";
-        });
-}
+template bool write_report(const std::string &, const std::string &,
+                           const ReportParts<telemetry::ErrorProfile> &);
+template bool write_report(const std::string &, const std::string &,
+                           const ReportParts<telemetry::PhaseProfiler> &);
 
 } // namespace approxnoc::harness

@@ -17,10 +17,9 @@
 namespace approxnoc::harness {
 
 /** (point label, per-point profile) pairs, in spec order. */
-using QorParts = std::vector<
-    std::pair<std::string, std::shared_ptr<const telemetry::ErrorProfile>>>;
-using ProfileParts = std::vector<
-    std::pair<std::string, std::shared_ptr<const telemetry::PhaseProfiler>>>;
+template <typename Profile>
+using ReportParts =
+    std::vector<std::pair<std::string, std::shared_ptr<const Profile>>>;
 
 /**
  * Print @p t and write `<csv_dir>/<name>.csv` plus
@@ -33,21 +32,21 @@ void emit_table(const Table &t, const ExperimentConfig &cfg,
 void print_banner(const std::string &figure, const ExperimentSpec &spec);
 
 /**
- * Write `<dir>/qor.json`: every point's QoR error profile plus the
- * spec-order merge of all of them. Null profiles (failed points) are
- * skipped. ErrorProfile::merge is order-independent, so the file is
- * byte-identical at any --jobs setting. Best effort like the other
+ * Write `<dir>/<name>.json` (schema `approxnoc-<name>-report-v1`):
+ * every point's profile plus the spec-order merge of all of them. Null
+ * profiles (failed points) are skipped. Best effort like the other
  * telemetry artifacts; returns false when the file cannot be written.
+ *
+ * Defined for the two sweep-level reports:
+ * - `qor`, telemetry::ErrorProfile: merge is order-independent, so
+ *   the file is byte-identical at any --jobs setting;
+ * - `profile`, telemetry::PhaseProfiler: phase timings merged by name.
+ *   Wall-clock derived, so outside the byte-identical determinism
+ *   contract.
  */
-bool write_qor_report(const std::string &dir, const QorParts &parts);
-
-/**
- * Write `<dir>/profile.json`: every point's phase timings plus their
- * by-name merge. Wall-clock derived — outside the byte-identical
- * determinism contract (unlike qor.json/metrics.json).
- */
-bool write_profile_report(const std::string &dir,
-                          const ProfileParts &parts);
+template <typename Profile>
+bool write_report(const std::string &dir, const std::string &name,
+                  const ReportParts<Profile> &parts);
 
 } // namespace approxnoc::harness
 

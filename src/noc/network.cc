@@ -31,6 +31,7 @@ NetworkStats::reset()
     data_packets_delivered.reset();
     notification_packets.reset();
     quality.reset();
+    ++resets;
 }
 
 Network::Network(const NocConfig &cfg, CodecSystem *codec,
@@ -248,10 +249,10 @@ Network::onDelivery(const PacketPtr &pkt, Cycle now)
         stats_.data_total_lat.add(static_cast<double>(pkt->totalLatency()));
     }
     if (pkt->carries_block) {
-        stats_.quality.record(pkt->precise, pkt->enc, pkt->delivered);
+        const double err = stats_.quality.record(
+            pkt->precise, pkt->enc, pkt->delivered, pkt->src, pkt->dst);
         if (err_hist_)
-            err_hist_->add(block_relative_error(pkt->precise,
-                                                pkt->delivered));
+            err_hist_->add(err);
     }
     if (tracer_) {
         // Reconstruct the packet's lifecycle spans from its timestamps:
@@ -336,8 +337,7 @@ Network::bindTelemetry(telemetry::PointTelemetry &pt)
         });
         s->addProbe("quality.mean_rel_error",
                     [this] { return stats_.quality.meanRelativeError(); });
-        if (qor_) {
-            telemetry::ErrorProfile *q = qor_;
+        if (telemetry::ErrorProfile *q = stats_.quality.errorProfile()) {
             s->addProbe("qor.samples", [q] {
                 return static_cast<double>(q->samples());
             });
@@ -357,8 +357,7 @@ Network::bindTelemetry(telemetry::PointTelemetry &pt)
 void
 Network::bindErrorProfile(telemetry::ErrorProfile *qor)
 {
-    qor_ = qor;
-    codec_->bindErrorProfile(qor);
+    stats_.quality.bindErrorProfile(qor);
 }
 
 void

@@ -37,6 +37,9 @@ struct NetworkStats {
     Counter data_packets_delivered;
     Counter notification_packets;
     QualityTracker quality;
+    /** reset() calls so far (never cleared): lets a reader that
+     * differences the cumulative sums across cycles see a restart. */
+    std::uint64_t resets = 0;
 
     /** Latency below which 99% of packets completed. */
     double p99Latency() const { return total_lat_hist.percentile(0.99); }
@@ -123,10 +126,12 @@ class Network : public Clocked
     void bindTelemetry(telemetry::PointTelemetry &pt);
 
     /**
-     * Attach the QoR error profile: forwarded to the codec, which
-     * records one signed relative error per approximated word at
-     * encode time. Call before bindTelemetry so the sampler (when
-     * enabled) also gets live `qor.*` probes. Null detaches.
+     * Attach the QoR error profile to the error ledger
+     * (NetworkStats::quality), which records one signed relative error
+     * per delivered word that differs from its precise word, on the
+     * packet's src -> dst flow, at delivery. Survives stats().reset().
+     * Call before bindTelemetry so the sampler (when enabled) also gets
+     * live `qor.*` probes. Null detaches.
      */
     void bindErrorProfile(telemetry::ErrorProfile *qor);
 
@@ -165,8 +170,6 @@ class Network : public Clocked
     /** Lifecycle tracer + error histogram, null unless bound. */
     telemetry::PacketTracer *tracer_ = nullptr;
     Histogram *err_hist_ = nullptr;
-    /** QoR profile, null unless bound (see bindErrorProfile). */
-    telemetry::ErrorProfile *qor_ = nullptr;
 
     std::uint64_t next_packet_id_ = 1;
 

@@ -23,7 +23,15 @@ ErrorControlLoop::advance(Cycle now)
         return;
     next_ = now + interval_;
 
-    const QualityTracker &q = net_.stats().quality;
+    const NetworkStats &stats = net_.stats();
+    if (stats.resets != last_resets_) {
+        // The stats restarted since the last window: this window
+        // starts at the reset, so only the blocks since then count.
+        last_resets_ = stats.resets;
+        last_blocks_ = 0;
+        last_error_sum_ = 0.0;
+    }
+    const QualityTracker &q = stats.quality;
     std::uint64_t blocks = q.blocks();
     double error_sum = q.errorSum();
     if (blocks == last_blocks_)

@@ -35,6 +35,9 @@ class ErrorControlLoop : public Clocked
     QosController controller_;
     Cycle interval_;
     Cycle next_;
+    /** Cumulative ledger sums at the last window's end, and the
+     * NetworkStats::resets count they were read under. */
+    std::uint64_t last_resets_ = 0;
     std::uint64_t last_blocks_ = 0;
     double last_error_sum_ = 0.0;
     std::uint64_t adjustments_ = 0;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Quality-of-result error telemetry: a profile of the
- * signed per-word relative errors a codec introduced at approximation
- * time. This is the paper's bounded-error claim made observable — not
- * just "compression ratio X at threshold T" but the actual error
- * distribution the threshold bought.
+ * Quality-of-result error telemetry: a profile of the signed per-word
+ * relative errors in the delivered data, filled by the error ledger
+ * (QualityTracker::record). This is the paper's bounded-error claim
+ * made observable — not just "compression ratio X at threshold T" but
+ * the actual error distribution the threshold bought.
  *
  * Determinism contract: every accumulator is either an integer (sample
  * counts, log-bucket occupancy, a fixed-point error sum) or an
@@ -54,7 +54,7 @@ class ErrorProfile
 
     ErrorProfile() = default;
 
-    /** Record one approximated word on flow @p src -> @p dst. */
+    /** Record one delivered word's error on flow @p src -> @p dst. */
     void record(NodeId src, NodeId dst, double signed_err);
 
     /** Fold @p o into this profile (commutative, associative). */

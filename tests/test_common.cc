@@ -328,20 +328,23 @@ TEST(DataBlock, FloatRoundTrip)
     EXPECT_FLOAT_EQ(b.floatAt(2), 7.0f);
 }
 
+// The error ledger's per-block figure (QualityTracker::record's
+// return): the mean |relative error| over the block's words.
 TEST(DataBlock, RelativeError)
 {
     DataBlock p = DataBlock::fromInts({100, 200, 0, 50});
     DataBlock a = DataBlock::fromInts({110, 200, 0, 50});
+    QualityTracker ledger;
     // One word off by 10%: mean error = 0.10 / 4.
-    EXPECT_NEAR(block_relative_error(p, a), 0.025, 1e-12);
-    EXPECT_DOUBLE_EQ(block_relative_error(p, p), 0.0);
+    EXPECT_NEAR(ledger.record(p, EncodedBlock{}, a), 0.025, 1e-12);
+    EXPECT_DOUBLE_EQ(ledger.record(p, EncodedBlock{}, p), 0.0);
 }
 
 TEST(DataBlock, RelativeErrorZeroPrecise)
 {
     DataBlock p = DataBlock::fromInts({0, 0});
     DataBlock a = DataBlock::fromInts({5, 0});
-    EXPECT_NEAR(block_relative_error(p, a), 0.5, 1e-12);
+    EXPECT_NEAR(QualityTracker().record(p, EncodedBlock{}, a), 0.5, 1e-12);
 }
 
 TEST(Quality, TracksFractionsAndRatio)
@@ -356,7 +359,6 @@ TEST(Quality, TracksFractionsAndRatio)
     EncodedWord w2;
     w2.bits = 7;
     w2.decoded = 21;
-    w2.approximated = true;
     w2.approx_count = 1;
     enc.append(w2);
     EncodedWord w3;

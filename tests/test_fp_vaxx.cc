@@ -228,8 +228,7 @@ same_nr(const EncodedBlock &a, const EncodedBlock &b)
         const EncodedWord &y = b.words()[i];
         if (x.kind != y.kind || x.bits != y.bits || x.payload != y.payload ||
             x.run != y.run || x.approx_count != y.approx_count ||
-            x.decoded != y.decoded || x.approximated != y.approximated ||
-            x.uncompressed != y.uncompressed)
+            x.decoded != y.decoded || x.uncompressed != y.uncompressed)
             return false;
     }
     return true;

@@ -351,7 +351,7 @@ expect_same_stream(const EncodedBlock &a, const EncodedBlock &b,
             << what << " block " << block << " unit " << i;
         ASSERT_EQ(wa.decoded, wb.decoded)
             << what << " block " << block << " unit " << i;
-        ASSERT_EQ(wa.approximated, wb.approximated)
+        ASSERT_EQ(wa.approx_count, wb.approx_count)
             << what << " block " << block << " unit " << i;
         ASSERT_EQ(wa.uncompressed, wb.uncompressed)
             << what << " block " << block << " unit " << i;

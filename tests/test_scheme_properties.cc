@@ -193,8 +193,6 @@ expect_same_stream(const EncodedBlock &x, const EncodedBlock &y, int i)
         ASSERT_EQ(a.approx_count, b.approx_count)
             << "block " << i << " word " << w;
         ASSERT_EQ(a.decoded, b.decoded) << "block " << i << " word " << w;
-        ASSERT_EQ(a.approximated, b.approximated)
-            << "block " << i << " word " << w;
         ASSERT_EQ(a.uncompressed, b.uncompressed)
             << "block " << i << " word " << w;
     }

@@ -29,6 +29,7 @@
 #include "common/table.h"
 #include "core/codec_factory.h"
 #include "harness/experiment.h"
+#include "harness/trace_library.h"
 #include "telemetry/error_profile.h"
 #include "telemetry/phase_profiler.h"
 #include "noc/network.h"
@@ -172,8 +173,8 @@ run_sim(const CliArgs &args, const RealFlags &real, Scheme scheme, bool dump,
         static_cast<Cycle>(args.getCount("sample-interval", 0));
     topts.label = telemetry::sanitize_component(to_string(scheme));
     topts.pid = static_cast<std::uint32_t>(scheme);
-    // QoR error telemetry is always on (encode-time recording costs a
-    // few adds per approximated word); the self-profiler only under
+    // QoR error telemetry is always on (the error ledger walks every
+    // delivered block anyway); the self-profiler only under
     // --profile. Bind before bindTelemetry so the sampler also
     // carries live qor.* probes.
     telemetry::ErrorProfile qor;
@@ -220,14 +221,8 @@ run_sim(const CliArgs &args, const RealFlags &real, Scheme scheme, bool dump,
     if (args.has("trace")) {
         trace = std::make_unique<CommTrace>(
             CommTrace::load(args.getString("trace", "")));
-        std::uint64_t flits = 0;
-        for (const auto &r : trace->records())
-            flits += r.cls == PacketClass::Data ? 9 : 1;
-        double natural =
-            trace->duration()
-                ? static_cast<double>(flits) /
-                      (static_cast<double>(trace->duration()) * ncfg.nodes())
-                : 0.0;
+        const double natural =
+            harness::TraceLibrary::naturalLoad(*trace, ncfg.nodes());
         replay = std::make_unique<TraceReplay>(
             net, *trace, natural > 0 ? natural / real.load : 1.0,
             real.approx_ratio);
