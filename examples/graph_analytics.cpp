@@ -54,7 +54,7 @@ main(int argc, char **argv)
 {
     CliArgs args(argc, argv);
     double threshold = args.getDouble("threshold", 10.0, kPercentRange);
-    auto scale = static_cast<unsigned>(args.getInt("scale", 1));
+    auto scale = static_cast<unsigned>(args.getCount("scale", 1));
 
     std::printf("SSCA2 betweenness centrality (R-MAT small world), "
                 "16-core cache model\n\n");

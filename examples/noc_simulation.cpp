@@ -28,7 +28,7 @@ main(int argc, char **argv)
     Scheme scheme = scheme_from_string(args.getString("scheme", "FP-VAXX"));
     TrafficPattern pattern =
         pattern_from_string(args.getString("pattern", "uniform"));
-    auto cycles = static_cast<Cycle>(args.getInt("cycles", 20000));
+    auto cycles = static_cast<Cycle>(args.getCount("cycles", 20000));
     DataType type = args.getString("type", "float") == "int"
                         ? DataType::Int32
                         : DataType::Float32;

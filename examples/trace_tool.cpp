@@ -16,6 +16,7 @@
 
 #include "common/cli.h"
 #include "core/codec_factory.h"
+#include "harness/trace_library.h"
 #include "noc/network.h"
 #include "sim/simulator.h"
 #include "traffic/replay.h"
@@ -35,7 +36,7 @@ cmd_record(const CliArgs &args)
     ApproxCacheSystem mem(ccfg, nullptr);
     CommTrace trace;
     mem.setTraceSink(&trace);
-    make_workload(bm, static_cast<unsigned>(args.getInt("scale", 1)))
+    make_workload(bm, static_cast<unsigned>(args.getCount("scale", 1)))
         ->run(mem);
     trace.save(out);
     std::printf("recorded %zu records (%zu blocks, %llu cycles) from %s "
@@ -98,14 +99,7 @@ cmd_replay(const CliArgs &args)
     Simulator sim;
     net.attach(sim);
 
-    std::uint64_t flits = 0;
-    for (const auto &r : trace.records())
-        flits += r.cls == PacketClass::Data ? 9 : 1;
-    double natural = trace.duration()
-                         ? static_cast<double>(flits) /
-                               (static_cast<double>(trace.duration()) *
-                                ncfg.nodes())
-                         : 0.0;
+    double natural = harness::TraceLibrary::naturalLoad(trace, ncfg.nodes());
     TraceReplay replay(net, trace, natural > 0 ? natural / load : 1.0,
                        args.getDouble("approx-ratio", 0.75, kFractionRange));
     sim.add(&replay);

@@ -5,9 +5,9 @@
 namespace approxnoc {
 
 DiVaxxCodec::EncoderState::EncoderState(const DictionaryConfig &cfg)
-    : tcam(cfg.pmt_entries, cfg.policy),
-      types(cfg.pmt_entries, DataType::Raw),
-      dst_entries(cfg.pmt_entries)
+    : tcam(cfg.pmt_entries), types(cfg.pmt_entries, DataType::Raw),
+      indices(cfg),
+      originals(cfg.pmt_entries, std::vector<Word>(cfg.n_nodes, 0))
 {}
 
 DiVaxxCodec::DiVaxxCodec(const DictionaryConfig &cfg, const ErrorModel &model,
@@ -39,21 +39,21 @@ DiVaxxCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
         // costs a single search instead of a search plus a full-match
         // sweep.
         e.tcam.searchVisit(w, [&](std::size_t slot) {
-            auto it = e.dst_entries[slot].find(dst);
-            if (it == e.dst_entries[slot].end())
+            const std::int16_t index = e.indices.index(slot, dst);
+            if (index == IndexTable::kNone)
                 return false;
-            const DstEntry &de = it->second;
+            const Word original = e.originals[slot][dst];
             // Approximate hit: allowed only for approximable data of
             // the same type the pattern was learned from (masks are
             // only valid within one type's semantics). Exact hit:
             // always allowed.
-            bool exact = de.original == w;
+            bool exact = original == w;
             if (!exact && (!approx_ok || e.types[slot] != type))
                 return false;
             ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
             ew.bits = compressedBits();
-            ew.payload = de.index;
-            ew.decoded = de.original;
+            ew.payload = static_cast<std::uint32_t>(index);
+            ew.decoded = original;
             ew.approx_count = exact ? 0 : 1;
             compressed = true;
             return true;
@@ -74,14 +74,11 @@ DiVaxxCodec::applyUpdateAtEncoder(NodeId enc, const Update &u)
 {
     EncoderState &e = encoders_[enc];
     if (u.invalidate) {
-        for (std::size_t s = 0; s < e.tcam.capacity(); ++s) {
-            auto it = e.dst_entries[s].find(u.decoder);
-            if (it != e.dst_entries[s].end() && it->second.index == u.index) {
-                e.dst_entries[s].erase(it);
-                if (e.dst_entries[s].empty())
-                    e.tcam.erase(s);
-            }
-        }
+        // An entry left with no mapping can compress nothing: free it.
+        std::int16_t slot = e.indices.unmap(u.decoder, u.index);
+        if (slot != IndexTable::kNone &&
+            !e.indices.mapped(static_cast<std::size_t>(slot)))
+            e.tcam.erase(static_cast<std::size_t>(slot));
         return;
     }
 
@@ -90,11 +87,12 @@ DiVaxxCodec::applyUpdateAtEncoder(NodeId enc, const Update &u)
     std::size_t slot = e.tcam.victimFor(tp);
     bool evicting = e.tcam.valid(slot) && !(e.tcam.pattern(slot) == tp);
     if (evicting)
-        e.dst_entries[slot].clear();
+        e.indices.unmapSlot(slot);
     std::size_t got = e.tcam.insert(tp);
     ANOC_ASSERT(got == slot, "encoder TCAM victim selection diverged");
     e.types[slot] = u.type;
-    e.dst_entries[slot][u.decoder] = DstEntry{u.index, u.pattern};
+    e.indices.map(slot, u.decoder, u.index);
+    e.originals[slot][u.decoder] = u.pattern;
 }
 
 std::uint64_t

@@ -10,7 +10,6 @@
 #ifndef APPROXNOC_APPROX_DI_VAXX_H
 #define APPROXNOC_APPROX_DI_VAXX_H
 
-#include <map>
 #include <vector>
 
 #include "approx/avcl.h"
@@ -88,16 +87,14 @@ class DiVaxxCodec : public DictionaryCodecBase
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:
-    /** Per-destination view of one TCAM entry (Fig. 8: idx + op). */
-    struct DstEntry {
-        std::uint8_t index;
-        Word original;
-    };
-
     struct EncoderState {
         Tcam tcam;
         std::vector<DataType> types;
-        std::vector<std::map<NodeId, DstEntry>> dst_entries;
+        /** Fig. 8's idx per (entry, destination). */
+        IndexTable indices;
+        /** Fig. 8's op, [slot][dst]: the exact pattern the index stands
+         *  for; read only where @c indices maps (slot, dst). */
+        std::vector<std::vector<Word>> originals;
 
         EncoderState(const DictionaryConfig &cfg);
     };

@@ -97,12 +97,11 @@ struct CodecCounters {
  * So each NI touches only its own endpoint's state, encoding as
  * @p src and decoding as @p dst.
  *
- * Decoder updates reach an encoder through per-(encoder, decoder)
- * pending channels, merged in a fixed order (see
- * DictionaryCodecBase::applyPending), and every notification a decoder
- * emits carries a per-destination monotonic sequence number, so each
- * drainNotifications(dst) stream is a pure function of that
- * destination's decode history.
+ * Decoder updates reach an encoder through one queue per encoder,
+ * applied in send order (see DictionaryCodecBase::applyPending), and
+ * every notification a decoder emits carries a per-destination
+ * monotonic sequence number, so each drainNotifications(dst) stream is
+ * a pure function of that destination's decode history.
  */
 class CodecSystem
 {

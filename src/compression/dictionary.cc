@@ -1,10 +1,20 @@
 #include "compression/dictionary.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
 
 namespace approxnoc {
+
+/**
+ * Minimum spacing between update notifications from one decoder.
+ * Bounds the control-packet overhead of dictionary training on
+ * churn-heavy data (a decoder simply retries on a later sighting).
+ */
+constexpr Cycle kNotifyMinInterval = 50;
+constexpr Cycle kZombieGrace = 2000; ///< stale decode window after eviction
 
 unsigned
 DictionaryConfig::indexBits() const
@@ -13,8 +23,7 @@ DictionaryConfig::indexBits() const
 }
 
 DictionaryCodecBase::DecoderState::DecoderState(const DictionaryConfig &cfg)
-    : pmt(cfg.pmt_entries, cfg.policy),
-      tracker(cfg.tracker_entries, ReplacementPolicy::Lfu),
+    : pmt(cfg.pmt_entries), tracker(cfg.tracker_entries),
       types(cfg.pmt_entries, DataType::Raw),
       known_by(cfg.pmt_entries, std::vector<bool>(cfg.n_nodes, false))
 {}
@@ -26,26 +35,22 @@ DictionaryCodecBase::DictionaryCodecBase(const DictionaryConfig &cfg)
     decoders_.reserve(cfg.n_nodes);
     for (std::size_t i = 0; i < cfg.n_nodes; ++i)
         decoders_.emplace_back(cfg);
-    pending_.assign(cfg.n_nodes,
-                    std::vector<std::deque<Update>>(cfg.n_nodes));
-    pending_count_.assign(cfg.n_nodes, 0);
+    pending_.resize(cfg.n_nodes);
 
-    if (cfg_.preload_zero) {
-        for (auto &d : decoders_) {
-            std::size_t slot = d.pmt.insert(0);
-            ANOC_ASSERT(slot == 0, "zero preload must land in slot 0");
-            d.types[slot] = DataType::Raw;
-            std::fill(d.known_by[slot].begin(), d.known_by[slot].end(),
-                      true);
-        }
+    // Hardwire the all-zero word into every PMT at reset (index 0), as
+    // frequent-value compression does [37]: zero lines dominate real
+    // cache traffic and need no training.
+    for (auto &d : decoders_) {
+        std::size_t slot = d.pmt.insert(0);
+        ANOC_ASSERT(slot == 0, "zero preload must land in slot 0");
+        d.types[slot] = DataType::Raw;
+        std::fill(d.known_by[slot].begin(), d.known_by[slot].end(), true);
     }
 }
 
 void
 DictionaryCodecBase::preloadEncoders()
 {
-    if (!cfg_.preload_zero)
-        return;
     for (NodeId e = 0; e < cfg_.n_nodes; ++e)
         for (NodeId d = 0; d < cfg_.n_nodes; ++d)
             applyUpdateAtEncoder(
@@ -140,10 +145,10 @@ DictionaryCodecBase::learn(Word w, DataType type, NodeId src, NodeId dst,
     DecoderState &d = decoders_[dst];
 
     // Update-rate limiting: at most one notification per decoder per
-    // notify_min_interval cycles; a skipped opportunity simply recurs
+    // kNotifyMinInterval cycles; a skipped opportunity simply recurs
     // on a later sighting of the pattern.
     const bool may_notify =
-        !d.ever_notified || now >= d.last_notify + cfg_.notify_min_interval;
+        !d.ever_notified || now >= d.last_notify + kNotifyMinInterval;
     auto mark_notified = [&] {
         d.last_notify = now;
         d.ever_notified = true;
@@ -178,7 +183,7 @@ DictionaryCodecBase::learn(Word w, DataType type, NodeId src, NodeId dst,
                                static_cast<std::uint8_t>(victim), dst},
                      now);
                 d.stale[{victim, e}].emplace_back(
-                    old, now + cfg_.notify_delay + cfg_.zombie_grace);
+                    old, now + cfg_.notify_delay + kZombieGrace);
             }
         }
     }
@@ -198,8 +203,7 @@ DictionaryCodecBase::send(NodeId enc, Update u, Cycle now)
 {
     (void)now;
     DecoderState &d = decoders_[u.decoder];
-    pending_[enc][u.decoder].push_back(u);
-    ++pending_count_[enc];
+    pending_[enc].push_back(u);
     d.notify_queue.push_back(Notification{u.decoder, enc, d.next_seq++});
     ++notifications_sent_;
 }
@@ -207,33 +211,15 @@ DictionaryCodecBase::send(NodeId enc, Update u, Cycle now)
 void
 DictionaryCodecBase::applyPending(NodeId enc, Cycle now)
 {
-    if (pending_count_[enc] == 0)
+    std::deque<Update> &queue = pending_[enc];
+    if (queue.empty())
         return;
-    // Timed only once the occupancy gate has passed: the empty-FIFO
-    // early-out above stays a single load per encode.
+    // Timed only when updates are in flight: the empty-queue early-out
+    // above stays a single check per encode.
     telemetry::PhaseProfiler::Scope prof(profiler(), applyPendingPhase());
-    auto &chans = pending_[enc];
-    for (;;) {
-        // Earliest due update across channels; ties on the apply
-        // cycle break to the lowest decoder id. Each channel stays
-        // FIFO, so a channel whose head is in the future contributes
-        // nothing this round even if later entries are due — the
-        // per-(decoder, encoder) ordering the consistency protocol
-        // needs (an invalidation always precedes the reuse of its
-        // index).
-        std::size_t best = chans.size();
-        for (std::size_t d = 0; d < chans.size(); ++d) {
-            if (chans[d].empty() || chans[d].front().apply > now)
-                continue;
-            if (best == chans.size() ||
-                chans[d].front().apply < chans[best].front().apply)
-                best = d;
-        }
-        if (best == chans.size())
-            break;
-        Update u = chans[best].front();
-        chans[best].pop_front();
-        --pending_count_[enc];
+    while (!queue.empty() && queue.front().apply <= now) {
+        Update u = queue.front();
+        queue.pop_front();
         applyUpdateAtEncoder(enc, u);
     }
 }
@@ -265,39 +251,57 @@ DictionaryCodecBase::decoderWrites() const
     return n;
 }
 
-DiCompCodec::EncoderState::EncoderState(const DictionaryConfig &cfg)
-    : cam(cfg.pmt_entries, cfg.policy),
-      index_for_dst(cfg.pmt_entries,
-                    std::vector<std::int16_t>(cfg.n_nodes, kNoIndex)),
-      slot_of_index(cfg.n_nodes,
-                    std::vector<std::int16_t>(cfg.pmt_entries, kNoIndex))
+DictionaryCodecBase::IndexTable::IndexTable(const DictionaryConfig &cfg)
+    : index_of_(cfg.pmt_entries,
+                std::vector<std::int16_t>(cfg.n_nodes, kNone)),
+      slot_of_(cfg.n_nodes, std::vector<std::int16_t>(cfg.pmt_entries, kNone))
 {}
 
 void
-DiCompCodec::EncoderState::mapIndex(std::size_t slot, NodeId dst,
-                                    std::uint8_t index)
+DictionaryCodecBase::IndexTable::map(std::size_t slot, NodeId dst,
+                                     std::uint8_t index)
 {
+    // DI-VAXX: two exact patterns of one decoder can share a ternary
+    // TCAM entry, and the later update replaces the earlier index.
+    if (index_of_[slot][dst] != kNone)
+        unmap(dst, static_cast<std::uint8_t>(index_of_[slot][dst]));
     // The protocol guarantees at most one slot per (decoder, index):
     // an invalidation precedes any reuse of a decoder index. Drop a
     // stale inverse hit anyway so the two views can never diverge.
-    std::int16_t old_slot = slot_of_index[dst][index];
-    if (old_slot != kNoIndex)
-        index_for_dst[static_cast<std::size_t>(old_slot)][dst] = kNoIndex;
-    index_for_dst[slot][dst] = static_cast<std::int16_t>(index);
-    slot_of_index[dst][index] = static_cast<std::int16_t>(slot);
+    unmap(dst, index);
+    index_of_[slot][dst] = static_cast<std::int16_t>(index);
+    slot_of_[dst][index] = static_cast<std::int16_t>(slot);
+}
+
+std::int16_t
+DictionaryCodecBase::IndexTable::unmap(NodeId dst, std::uint8_t index)
+{
+    const std::int16_t slot = slot_of_[dst][index];
+    if (slot != kNone) {
+        index_of_[static_cast<std::size_t>(slot)][dst] = kNone;
+        slot_of_[dst][index] = kNone;
+    }
+    return slot;
 }
 
 void
-DiCompCodec::EncoderState::unmapSlot(std::size_t slot)
+DictionaryCodecBase::IndexTable::unmapSlot(std::size_t slot)
 {
-    for (NodeId d = 0; d < index_for_dst[slot].size(); ++d) {
-        std::int16_t idx = index_for_dst[slot][d];
-        if (idx != kNoIndex) {
-            slot_of_index[d][static_cast<std::size_t>(idx)] = kNoIndex;
-            index_for_dst[slot][d] = kNoIndex;
-        }
-    }
+    for (NodeId d = 0; d < index_of_[slot].size(); ++d)
+        if (index_of_[slot][d] != kNone)
+            unmap(d, static_cast<std::uint8_t>(index_of_[slot][d]));
 }
+
+bool
+DictionaryCodecBase::IndexTable::mapped(std::size_t slot) const
+{
+    return std::any_of(index_of_[slot].begin(), index_of_[slot].end(),
+                       [](std::int16_t i) { return i != kNone; });
+}
+
+DiCompCodec::EncoderState::EncoderState(const DictionaryConfig &cfg)
+    : cam(cfg.pmt_entries), indices(cfg)
+{}
 
 DiCompCodec::DiCompCodec(const DictionaryConfig &cfg)
     : DictionaryCodecBase(cfg)
@@ -317,11 +321,12 @@ DiCompCodec::encodeWords(const DataBlock &block, NodeId src, NodeId dst,
         const Word w = block.word(i);
         EncodedWord ew;
         auto slot = e.cam.search(w);
-        if (slot && e.index_for_dst[*slot][dst] != kNoIndex) {
+        const std::int16_t index =
+            slot ? e.indices.index(*slot, dst) : IndexTable::kNone;
+        if (index != IndexTable::kNone) {
             ew.kind = static_cast<std::uint8_t>(DiWordKind::Compressed);
             ew.bits = compressedBits();
-            ew.payload =
-                static_cast<std::uint32_t>(e.index_for_dst[*slot][dst]);
+            ew.payload = static_cast<std::uint32_t>(index);
             ew.decoded = w;
         } else {
             ew.kind = static_cast<std::uint8_t>(DiWordKind::Raw);
@@ -339,21 +344,16 @@ DiCompCodec::applyUpdateAtEncoder(NodeId enc, const Update &u)
 {
     EncoderState &e = encoders_[enc];
     if (u.invalidate) {
-        std::int16_t slot = e.slot_of_index[u.decoder][u.index];
-        if (slot != kNoIndex) {
-            e.index_for_dst[static_cast<std::size_t>(slot)][u.decoder] =
-                kNoIndex;
-            e.slot_of_index[u.decoder][u.index] = kNoIndex;
-        }
+        e.indices.unmap(u.decoder, u.index);
         return;
     }
     std::size_t slot = e.cam.victimFor(u.pattern);
     bool evicting = e.cam.valid(slot) && e.cam.key(slot) != u.pattern;
     if (evicting)
-        e.unmapSlot(slot);
+        e.indices.unmapSlot(slot);
     std::size_t got = e.cam.insert(u.pattern);
     ANOC_ASSERT(got == slot, "encoder PMT victim selection diverged");
-    e.mapIndex(slot, u.decoder, u.index);
+    e.indices.map(slot, u.decoder, u.index);
 }
 
 std::uint64_t

@@ -3,9 +3,9 @@
  * Dictionary-based NoC compression (DI-COMP) after Jin et al. [17] and
  * the paper's Fig. 7: decoders learn frequent patterns per sender and
  * send update notifications; encoder PMTs keep a per-destination vector
- * of encoded indices. The decoder-side learning, update channel and
- * consistency protocol live in DictionaryCodecBase so the DI-VAXX
- * variant (TCAM encoder, approx/di_vaxx.h) can reuse them.
+ * of encoded indices. The decoder-side learning, update queue, index
+ * vector and consistency protocol live in DictionaryCodecBase so the
+ * DI-VAXX variant (TCAM encoder, approx/di_vaxx.h) can reuse them.
  *
  * Consistency protocol: notifications apply at the encoder after
  * `notify_delay` cycles (FIFO per encoder, so ordering is preserved).
@@ -31,7 +31,9 @@
 
 namespace approxnoc {
 
-/** Tunables for the dictionary schemes (paper Table 1: 8-entry PMTs). */
+/** Tunables for the dictionary schemes (paper Table 1: 8-entry PMTs).
+ *  PMTs and trackers use LFU replacement (the paper's frequency
+ *  counters). */
 struct DictionaryConfig {
     std::size_t n_nodes = 16;          ///< endpoints in the network
     std::size_t pmt_entries = 8;       ///< encoder/decoder PMT size
@@ -40,20 +42,6 @@ struct DictionaryConfig {
     /** Decoder->encoder update latency; must be >= 1, so an update
      *  never takes effect in the cycle its decoder issued it. */
     Cycle notify_delay = 20;
-    /**
-     * Minimum spacing between update notifications from one decoder.
-     * Bounds the control-packet overhead of dictionary training on
-     * churn-heavy data (a decoder simply retries on a later sighting).
-     */
-    Cycle notify_min_interval = 50;
-    Cycle zombie_grace = 2000;         ///< stale decode window after eviction
-    ReplacementPolicy policy = ReplacementPolicy::Lfu;
-    /**
-     * Hardwire the all-zero word into every PMT at reset (index 0),
-     * as frequent-value compression does [37] — zero lines dominate
-     * real cache traffic and need no training.
-     */
-    bool preload_zero = true;
 
     /** Bits of an encoded index (3 for the default 8-entry PMT). */
     unsigned indexBits() const;
@@ -67,16 +55,17 @@ enum class DiWordKind : std::uint8_t {
 
 /**
  * Shared machinery: decoder PMTs + candidate trackers, the delayed
- * update channel, eviction/invalidation bookkeeping and the decode
- * path. Subclasses own the encoder-side structures.
+ * update channel, the per-destination index table, eviction/
+ * invalidation bookkeeping and the decode path. Subclasses own the
+ * encoder PMTs.
  *
  * Where the state lives (see CodecSystem): an encode for source s
  * touches only the subclass's encoders_[s] (PMT, replacement
- * metadata, per-destination index views), pending_[s] (the update
- * channels applyPending merges) and the shared counters. A decode for
- * destination d touches only decoders_[d] (PMT, tracker, stale
- * mappings, notification queue and sequence), the pending_[*][d]
- * channels it appends to via send(), and the shared counters.
+ * metadata, index table), pending_[s] (the update queue applyPending
+ * drains) and the shared counters. A decode for destination d touches
+ * only decoders_[d] (PMT, tracker, stale mappings, notification queue
+ * and sequence), the queues of the encoders it sends updates to, and
+ * the shared counters.
  */
 class DictionaryCodecBase : public CodecSystem
 {
@@ -143,12 +132,14 @@ class DictionaryCodecBase : public CodecSystem
     virtual void applyUpdateAtEncoder(NodeId enc, const Update &u) = 0;
 
     /**
-     * Apply every notification due at @p now for encoder @p enc,
-     * merging the per-(encoder, decoder) channels in a deterministic
-     * order: ascending (apply cycle, decoder id), each channel
-     * consumed in FIFO (= per-destination sequence) order, and a
-     * channel whose head is not yet due blocks only itself. The merge
-     * is a pure function of the channel contents.
+     * Apply, in send order, every update queued for encoder @p enc
+     * that is due at @p now. Every update is due notify_delay cycles
+     * after it is sent, so while the clock never goes back, send order
+     * is apply order; the network decodes same-cycle blocks in
+     * ascending destination order, so their updates apply in
+     * ascending decoder order. A caller that decodes in descending
+     * order within a cycle, or turns its clock back, sees its updates
+     * applied in call order.
      */
     void applyPending(NodeId enc, Cycle now);
 
@@ -163,6 +154,41 @@ class DictionaryCodecBase : public CodecSystem
     std::uint16_t compressedBits() const { return 1 + index_bits_; }
     /** Word length of a raw unit, in bits (flag + word). */
     std::uint16_t rawBits() const { return 1 + 32; }
+
+    /**
+     * One encoder PMT's per-destination index vector (Fig. 7(a); DI-VAXX's
+     * TCAM reuses it in Fig. 8), plus the inverse view, so an
+     * invalidation finds its slot in O(1). A (decoder, index) pair maps
+     * at most one slot, and a (slot, decoder) pair at most one index.
+     */
+    class IndexTable
+    {
+      public:
+        static constexpr std::int16_t kNone = -1;
+
+        explicit IndexTable(const DictionaryConfig &cfg);
+
+        /** The index @p dst holds @p slot's pattern under, or kNone. */
+        std::int16_t
+        index(std::size_t slot, NodeId dst) const
+        {
+            return index_of_[slot][dst];
+        }
+
+        /** Map (@p slot, @p dst) to @p index, dropping the index that
+         *  pair held before and the slot @p index mapped before. */
+        void map(std::size_t slot, NodeId dst, std::uint8_t index);
+        /** Drop @p dst's @p index; @return the slot it mapped, or kNone. */
+        std::int16_t unmap(NodeId dst, std::uint8_t index);
+        /** Drop every mapping of @p slot (the encoder evicts it). */
+        void unmapSlot(std::size_t slot);
+        /** True when some destination maps @p slot. */
+        bool mapped(std::size_t slot) const;
+
+      private:
+        std::vector<std::vector<std::int16_t>> index_of_; ///< [slot][dst]
+        std::vector<std::vector<std::int16_t>> slot_of_;  ///< [dst][index]
+    };
 
     DictionaryConfig cfg_;
     unsigned index_bits_;
@@ -203,19 +229,8 @@ class DictionaryCodecBase : public CodecSystem
     };
 
     std::vector<DecoderState> decoders_;
-    /**
-     * Pending update channels, [encoder][decoder]: the update FIFO
-     * from one decoder towards one encoder. Decoder d appends only to
-     * the [*][d] channels; applyPending merges an encoder's channels
-     * in a fixed order (see above).
-     */
-    std::vector<std::vector<std::deque<Update>>> pending_;
-    /**
-     * Occupancy gate per encoder: total updates queued across that
-     * encoder's channels, so the per-block applyPending call skips
-     * the channel scan when nothing is in flight.
-     */
-    std::vector<std::uint64_t> pending_count_;
+    /** Per encoder, the updates in flight towards it, in send order. */
+    std::vector<std::deque<Update>> pending_;
     std::uint64_t notifications_sent_ = 0;
 };
 
@@ -245,25 +260,11 @@ class DiCompCodec : public DictionaryCodecBase
     void applyUpdateAtEncoder(NodeId enc, const Update &u) override;
 
   private:
-    static constexpr std::int16_t kNoIndex = -1;
-
     struct EncoderState {
         Cam cam;
-        /** [slot][dst] -> decoder index or kNoIndex. */
-        std::vector<std::vector<std::int16_t>> index_for_dst;
-        /**
-         * Inverse view, [dst][index] -> slot or kNoIndex, so an
-         * invalidation notification drops its mapping in O(1) instead
-         * of sweeping every CAM slot.
-         */
-        std::vector<std::vector<std::int16_t>> slot_of_index;
+        IndexTable indices;
 
         EncoderState(const DictionaryConfig &cfg);
-
-        /** Set slot/index/dst triple, dropping any stale inverse hit. */
-        void mapIndex(std::size_t slot, NodeId dst, std::uint8_t index);
-        /** Clear every per-destination mapping of @p slot (eviction). */
-        void unmapSlot(std::size_t slot);
     };
 
     std::vector<EncoderState> encoders_;

@@ -12,6 +12,7 @@ CodecFactory::create(Scheme scheme, const CodecConfig &cfg)
 {
     DictionaryConfig dict = cfg.dict;
     dict.n_nodes = cfg.n_nodes;
+    const ErrorModel model(cfg.error_threshold_pct);
 
     switch (scheme) {
       case Scheme::Baseline:
@@ -19,13 +20,11 @@ CodecFactory::create(Scheme scheme, const CodecConfig &cfg)
       case Scheme::DiComp:
         return std::make_unique<DiCompCodec>(dict);
       case Scheme::DiVaxx:
-        return std::make_unique<DiVaxxCodec>(dict, cfg.errorModel(),
-                                             cfg.vaxx_placement);
+        return std::make_unique<DiVaxxCodec>(dict, model);
       case Scheme::FpComp:
         return std::make_unique<FpcCodec>();
       case Scheme::FpVaxx:
-        return std::make_unique<FpVaxxCodec>(cfg.errorModel(),
-                                             cfg.fpc_priority);
+        return std::make_unique<FpVaxxCodec>(model);
     }
     ANOC_PANIC("unknown scheme in CodecFactory::create");
 }

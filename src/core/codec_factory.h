@@ -1,10 +1,11 @@
 /**
  * @file
  * The APPROX-NoC framework entry point: a single configuration object
- * covering the approximation policy (error threshold, error-range mode,
- * VAXX placement) and the underlying compression scheme, plus the
- * factory that builds the matching CodecSystem. VAXX is plug-and-play:
- * pick any Scheme and the factory assembles the right pipeline.
+ * covering the approximation policy (error threshold) and the
+ * underlying compression scheme, plus the factory that builds the
+ * matching CodecSystem. VAXX is plug-and-play: pick any Scheme and the
+ * factory assembles the paper's pipeline for it; bench/ablation_codec
+ * builds the design alternatives directly.
  */
 #ifndef APPROXNOC_CORE_CODEC_FACTORY_H
 #define APPROXNOC_CORE_CODEC_FACTORY_H
@@ -26,20 +27,8 @@ struct CodecConfig {
     std::size_t n_nodes = 32;
     /** Error threshold e%% (paper default 10). */
     double error_threshold_pct = 10.0;
-    /** Error-range computation (paper: shift). */
-    ErrorRangeMode error_mode = ErrorRangeMode::Shift;
-    /** FP-VAXX priority behaviour (paper: PreferApprox). */
-    FpcPriorityMode fpc_priority = FpcPriorityMode::PreferApprox;
-    /** DI-VAXX approximation placement (paper: Insertion). */
-    VaxxPlacement vaxx_placement = VaxxPlacement::Insertion;
     /** Dictionary parameters (n_nodes is overwritten from above). */
     DictionaryConfig dict;
-
-    ErrorModel
-    errorModel() const
-    {
-        return ErrorModel(error_threshold_pct, error_mode);
-    }
 };
 
 /**

@@ -34,10 +34,8 @@ NetworkStats::reset()
     ++resets;
 }
 
-Network::Network(const NocConfig &cfg, CodecSystem *codec,
-                 bool model_notifications)
-    : Clocked("network"), cfg_(cfg), codec_(codec),
-      model_notifications_(model_notifications)
+Network::Network(const NocConfig &cfg, CodecSystem *codec)
+    : Clocked("network"), cfg_(cfg), codec_(codec)
 {
     ANOC_ASSERT(codec != nullptr, "Network requires a codec");
     ANOC_ASSERT(cfg_.routing != RoutingAlgo::WestFirst ||
@@ -572,7 +570,7 @@ Network::drainDecoded(Cycle now)
                    decoded_.end());
     for (NodeId d : decoded_) {
         for (const auto &n : codec_->drainNotifications(d)) {
-            if (!model_notifications_ || n.from == n.to)
+            if (n.from == n.to)
                 continue;
             auto p = makeControlPacket(n.from, n.to);
             stats_.notification_packets.inc();

@@ -54,13 +54,13 @@ class Network : public Clocked
 {
   public:
     /**
+     * Every dictionary update notification travels as a 1-flit
+     * control packet, so the network charges its cost.
+     *
      * @param cfg topology and router parameters.
      * @param codec the compression/approximation system all NIs share.
-     * @param model_notifications inject a 1-flit control packet per
-     *        dictionary update notification (charges their cost).
      */
-    Network(const NocConfig &cfg, CodecSystem *codec,
-            bool model_notifications = true);
+    Network(const NocConfig &cfg, CodecSystem *codec);
 
     /** Register every component with @p sim. Call once. */
     void attach(Simulator &sim);
@@ -159,7 +159,6 @@ class Network : public Clocked
 
     NocConfig cfg_;
     CodecSystem *codec_;
-    bool model_notifications_;
 
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;

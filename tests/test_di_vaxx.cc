@@ -39,6 +39,27 @@ train(DiVaxxCodec &c, Word w, NodeId src, NodeId dst, Cycle &t)
     t += 20; // let the update notification apply
 }
 
+/** Applies encoder-side updates directly, as the update queue would. */
+class DiVaxxUpdates : public DiVaxxCodec
+{
+  public:
+    using DiVaxxCodec::DiVaxxCodec;
+
+    void
+    update(NodeId enc, NodeId dec, std::uint8_t index, Word pattern)
+    {
+        applyUpdateAtEncoder(
+            enc, Update{0, false, pattern, DataType::Int32, index, dec});
+    }
+
+    void
+    invalidate(NodeId enc, NodeId dec, std::uint8_t index, Word pattern)
+    {
+        applyUpdateAtEncoder(
+            enc, Update{0, true, pattern, DataType::Int32, index, dec});
+    }
+};
+
 double
 bound_for(double e_pct)
 {
@@ -231,4 +252,36 @@ TEST(DiVaxx, FusedProbeCostsOneSearchPerWord)
     before = c.encoderSearches();
     c.encode(b, 0, 3, t);
     EXPECT_EQ(c.encoderSearches(), before + 4);
+}
+
+TEST(DiVaxx, SharedTcamEntryKeepsTheLatestIndexOfADecoder)
+{
+    // At 20%, 1000 and 1001 both approximate to 960..1023: one ternary
+    // TCAM entry. Decoder 1 holds them under indices 1 and 2, and the
+    // second update replaces the first's mapping.
+    DiVaxxUpdates c(small_config(), ErrorModel(20.0));
+    c.update(0, 1, 1, 1000);
+    c.update(0, 1, 2, 1001);
+    ASSERT_EQ(c.encoderPatternCount(0), 2u) << "zero preload + one entry";
+
+    auto encode_exact = [&](Word w) {
+        return c.encode(train_block(w, /*approximable=*/false), 0, 1, 0);
+    };
+    EncodedBlock enc = encode_exact(1001);
+    ASSERT_EQ(enc.uncompressedWords(), 0u);
+    EXPECT_EQ(enc.words()[0].payload, 2u);
+    EXPECT_EQ(encode_exact(1000).uncompressedWords(), 1u)
+        << "index 1 no longer maps the entry";
+
+    c.invalidate(0, 1, 1, 1000);
+    EXPECT_EQ(c.encoderPatternCount(0), 2u)
+        << "invalidating the replaced index keeps the entry";
+    enc = encode_exact(1001);
+    ASSERT_EQ(enc.uncompressedWords(), 0u);
+    EXPECT_EQ(enc.words()[0].payload, 2u);
+
+    c.invalidate(0, 1, 2, 1001);
+    EXPECT_EQ(c.encoderPatternCount(0), 1u)
+        << "an entry left with no mapping is erased";
+    EXPECT_EQ(encode_exact(1001).uncompressedWords(), 1u);
 }

@@ -390,7 +390,7 @@ TEST(EncodeBlockEquivalence, MatchesWordAtATimeForEveryScheme)
             DataBlock d_fwd = fwd->decode(e_fwd, src, dst, now);
             ASSERT_EQ(d_direct.words(), d_fwd.words())
                 << to_string(s) << " block " << block;
-            now += 51; // past notify_min_interval so training progresses
+            now += 51; // > 50-cycle notify spacing: training progresses
         }
         EXPECT_EQ(direct->consistencyMismatches(), 0u) << to_string(s);
         EXPECT_EQ(fwd->consistencyMismatches(), 0u) << to_string(s);

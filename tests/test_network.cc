@@ -252,6 +252,51 @@ TEST(Network, EveryDictionaryNotificationBecomesOnePacket)
     }
 }
 
+TEST(Network, DecodesWithinACycleRunInAscendingDestinationOrder)
+{
+    // Dictionary updates apply at each encoder in send order, so the
+    // order of same-cycle decodes is the order their updates apply in.
+    // Routers advance in ascending id and eject through their local
+    // ports in ascending order, and node n sits on local port
+    // n % concentration of router n / concentration: same-cycle decodes
+    // run in ascending destination order. The NI decodes a packet
+    // right before it delivers it. A router change that reorders
+    // ejections fails here, and moves dictionary update order.
+    NocConfig mesh8;
+    mesh8.rows = 8;
+    mesh8.cols = 8;
+    mesh8.concentration = 1;
+    for (const NocConfig &cfg : {small_noc(), mesh8}) {
+        Bench b(Scheme::DiComp, cfg);
+        std::vector<std::pair<Cycle, NodeId>> decodes;
+        b.net->setDeliveryCallback([&](const PacketPtr &p, Cycle now) {
+            if (p->carries_block)
+                decodes.emplace_back(now, p->dst);
+        });
+        SyntheticConfig tc;
+        tc.injection_rate = 0.3;
+        tc.data_packet_ratio = 0.8;
+        SyntheticDataProvider provider(DataType::Int32);
+        SyntheticTraffic gen(*b.net, tc, provider);
+        b.sim.add(&gen);
+        b.sim.run(4000);
+        gen.setEnabled(false);
+        ASSERT_TRUE(b.sim.runUntil([&] { return b.net->drained(); }, 100000))
+            << cfg.rows << "x" << cfg.cols;
+
+        std::size_t same_cycle = 0;
+        for (std::size_t i = 1; i < decodes.size(); ++i) {
+            if (decodes[i].first != decodes[i - 1].first)
+                continue;
+            ++same_cycle;
+            ASSERT_LT(decodes[i - 1].second, decodes[i].second)
+                << cfg.rows << "x" << cfg.cols << ", cycle "
+                << decodes[i].first;
+        }
+        EXPECT_GT(same_cycle, 1000u) << cfg.rows << "x" << cfg.cols;
+    }
+}
+
 TEST(Network, SelfAddressedPacketsRejected)
 {
     Bench b;
