@@ -48,9 +48,10 @@ score(CodecSystem &codec, DataType type, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    ExperimentSpec spec = ExperimentSpec::Builder()
-                              .fromCli(argc, argv, "Design-choice ablations")
-                              .build();
+    ExperimentSpec spec =
+        ExperimentSpec::Builder()
+            .fromCli(argc, argv, "Design-choice ablations", {"threshold"})
+            .build();
     const double threshold = spec.thresholds().front();
     print_banner("Ablations (error mode, FPC priority, VAXX placement)",
                  spec);

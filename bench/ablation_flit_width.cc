@@ -18,88 +18,52 @@ using namespace approxnoc::bench;
 int
 main(int argc, char **argv)
 {
-    ExperimentSpec spec =
-        ExperimentSpec::Builder()
-            .fromCli(argc, argv,
-                     "Ablation: flit width vs internal fragmentation")
-            .build();
-    const ExperimentConfig &cfg = spec.config();
-    print_banner("Ablation (flit width / internal fragmentation)", spec);
-
-    std::vector<std::string> bms = {"blackscholes", "ssca2"};
-    if (spec.benchmarks().size() < workload_names().size())
-        bms = spec.benchmarks();
-
-    const unsigned widths[] = {32u, 64u, 128u};
-    const Scheme schemes[] = {Scheme::DiVaxx, Scheme::FpComp,
-                              Scheme::FpVaxx};
-
-    struct Point {
-        std::string bm;
-        unsigned width;
-        Scheme scheme;
-    };
-    std::vector<Point> points;
-    for (const auto &bm : bms)
-        for (unsigned width : widths)
-            for (Scheme s : schemes)
-                points.push_back({bm, width, s});
-
-    TraceLibrary traces(cfg.scale);
-    ExperimentRunner runner(cfg.jobs, make_progress(cfg));
-    traces.prefetch(bms, runner);
-    std::vector<Outcome<ReplayResult>> out =
-        runner.map(points.size(), [&](std::size_t i) {
-            const Point &p = points[i];
-            ReplayJob job;
-            job.scheme = p.scheme;
-            job.threshold = spec.thresholds().front();
-            job.approx_ratio = spec.approxRatios().front();
-            job.load = spec.loads().front();
-            job.max_records = cfg.max_records;
-            job.seed = derive_seed(cfg.base_seed, i);
-            job.flit_bits = p.width;
-            return run_replay(traces.get(p.bm), job);
-        });
+    Experiment ex(ExperimentSpec::Builder()
+                      .benchmarks({"blackscholes", "ssca2"})
+                      .fromCli(argc, argv,
+                               "Ablation: flit width vs internal "
+                               "fragmentation",
+                               kReplayFlags)
+                      .schemes({Scheme::DiVaxx, Scheme::FpComp,
+                                Scheme::FpVaxx})
+                      .flitBits({32, 64, 128})
+                      .build());
+    const ExperimentSpec &spec = ex.spec();
+    print_banner("Ablation (flit width / internal fragmentation)", spec,
+                 spec.size());
+    ex.run();
 
     Table t({"benchmark", "scheme", "flit_bits", "compr_ratio",
              "flit_reduction", "latency"});
-    std::size_t idx = 0;
-    for (const auto &bm : bms) {
-        const CommTrace &trace = traces.get(bm);
+    for (const auto &bm : spec.benchmarks()) {
+        const CommTrace &trace = ex.traces().get(bm);
         std::uint64_t data_pkts = 0;
         for (std::size_t i = 0;
-             i < std::min(trace.size(), cfg.max_records); ++i)
+             i < std::min(trace.size(), spec.config().max_records); ++i)
             data_pkts += trace.records()[i].cls == PacketClass::Data ? 1 : 0;
-        for (unsigned width : widths) {
+        for (unsigned width : spec.flitBits()) {
             // Baseline flit count at this width, analytically: every
             // data packet is 1 head + ceil(512 / width) payload flits.
             std::uint64_t base =
                 data_pkts * (1 + (512 + width - 1) / width);
-            for ([[maybe_unused]] Scheme s : schemes) {
-                const Point &p = points[idx];
-                const Outcome<ReplayResult> &o = out[idx];
-                ++idx;
-                if (!o.ok) {
-                    t.row()
-                        .cell(p.bm)
-                        .cell(to_string(p.scheme))
-                        .cell(static_cast<long>(p.width))
-                        .cell(std::string("FAILED"))
+            for (Scheme s : spec.schemes()) {
+                const PointResult &pr = ex.result(
+                    {.benchmark = bm, .scheme = s, .flit_bits = width});
+                auto row = t.row();
+                row.cell(bm).cell(to_string(s)).cell(
+                    static_cast<long>(width));
+                if (!pr.ok) {
+                    row.cell(std::string("FAILED"))
                         .cell(std::string("-"))
                         .cell(std::string("-"));
                     continue;
                 }
-                const ReplayResult &r = o.value;
+                const ReplayResult &r = pr.replay;
                 double reduction =
                     base ? 1.0 - static_cast<double>(r.data_flits) /
                                      static_cast<double>(base)
                          : 0.0;
-                t.row()
-                    .cell(p.bm)
-                    .cell(to_string(p.scheme))
-                    .cell(static_cast<long>(p.width))
-                    .cell(r.compression_ratio, 3)
+                row.cell(r.compression_ratio, 3)
                     .cell(reduction, 3)
                     .cell(r.total_lat, 2);
             }

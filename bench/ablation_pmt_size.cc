@@ -16,71 +16,42 @@ using namespace approxnoc::bench;
 int
 main(int argc, char **argv)
 {
-    ExperimentSpec spec =
-        ExperimentSpec::Builder()
-            .fromCli(argc, argv, "Ablation: dictionary PMT size")
-            .build();
-    const ExperimentConfig &cfg = spec.config();
-    print_banner("Ablation (dictionary PMT size sweep)", spec);
-
-    std::vector<std::string> bms = {"blackscholes", "streamcluster"};
-    if (spec.benchmarks().size() < workload_names().size())
-        bms = spec.benchmarks();
-
-    const Scheme schemes[] = {Scheme::DiComp, Scheme::DiVaxx};
-    const std::size_t sizes[] = {4u, 8u, 16u, 32u};
-
-    struct Point {
-        std::string bm;
-        Scheme scheme;
-        std::size_t entries;
-    };
-    std::vector<Point> points;
-    for (const auto &bm : bms)
-        for (Scheme s : schemes)
-            for (std::size_t entries : sizes)
-                points.push_back({bm, s, entries});
-
-    TraceLibrary traces(cfg.scale);
-    ExperimentRunner runner(cfg.jobs, make_progress(cfg));
-    traces.prefetch(bms, runner);
-    std::vector<Outcome<ReplayResult>> out =
-        runner.map(points.size(), [&](std::size_t i) {
-            const Point &p = points[i];
-            ReplayJob job;
-            job.scheme = p.scheme;
-            job.threshold = spec.thresholds().front();
-            job.approx_ratio = spec.approxRatios().front();
-            job.load = spec.loads().front();
-            job.max_records = cfg.max_records;
-            job.seed = derive_seed(cfg.base_seed, i);
-            job.pmt_entries = p.entries;
-            return run_replay(traces.get(p.bm), job);
-        });
+    Experiment ex(ExperimentSpec::Builder()
+                      .benchmarks({"blackscholes", "streamcluster"})
+                      .fromCli(argc, argv, "Ablation: dictionary PMT size",
+                               kReplayFlags)
+                      .schemes({Scheme::DiComp, Scheme::DiVaxx})
+                      .pmtEntries({4, 8, 16, 32})
+                      .build());
+    const ExperimentSpec &spec = ex.spec();
+    print_banner("Ablation (dictionary PMT size sweep)", spec, spec.size());
+    ex.run();
 
     Table t({"benchmark", "scheme", "pmt_entries", "encoded_frac",
              "compr_ratio", "latency", "encoder_mm2"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        DictionaryConfig dict;
-        dict.pmt_entries = p.entries;
-        dict.n_nodes = 32;
-        auto row = t.row();
-        row.cell(p.bm)
-            .cell(to_string(p.scheme))
-            .cell(static_cast<long>(p.entries));
-        if (out[i].ok) {
-            const ReplayResult &r = out[i].value;
-            row.cell(r.exact_fraction + r.approx_fraction, 3)
-                .cell(r.compression_ratio, 3)
-                .cell(r.total_lat, 2);
-        } else {
-            row.cell(std::string("FAILED"))
-                .cell(std::string("-"))
-                .cell(std::string("-"));
-        }
-        row.cell(encoder_area_mm2(p.scheme, dict, 32), 5);
-    }
+    for (const auto &bm : spec.benchmarks())
+        for (Scheme s : spec.schemes())
+            for (std::size_t entries : spec.pmtEntries()) {
+                const PointResult &pr = ex.result(
+                    {.benchmark = bm, .scheme = s, .pmt_entries = entries});
+                DictionaryConfig dict;
+                dict.pmt_entries = entries;
+                dict.n_nodes = 32;
+                auto row = t.row();
+                row.cell(bm).cell(to_string(s)).cell(
+                    static_cast<long>(entries));
+                if (pr.ok) {
+                    const ReplayResult &r = pr.replay;
+                    row.cell(r.exact_fraction + r.approx_fraction, 3)
+                        .cell(r.compression_ratio, 3)
+                        .cell(r.total_lat, 2);
+                } else {
+                    row.cell(std::string("FAILED"))
+                        .cell(std::string("-"))
+                        .cell(std::string("-"));
+                }
+                row.cell(encoder_area_mm2(s, dict, 32), 5);
+            }
     emit(t, spec, "ablation_pmt_size");
     return 0;
 }

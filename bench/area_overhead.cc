@@ -17,7 +17,7 @@ main(int argc, char **argv)
 {
     ExperimentSpec spec =
         ExperimentSpec::Builder()
-            .fromCli(argc, argv, "Sec 5.5: encoder area overhead")
+            .fromCli(argc, argv, "Sec 5.5: encoder area overhead", {})
             .build();
     print_banner("Section 5.5 (encoder area overhead, 45 nm)", spec);
 

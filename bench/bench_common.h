@@ -3,8 +3,7 @@
  * Shared infrastructure for the per-figure bench harnesses, re-exported
  * from the src/harness experiment subsystem: the ExperimentSpec fluent
  * builder (CLI-integrated), the parallel Experiment runner, the
- * thread-safe TraceLibrary, the replay point executor and the CSV+JSON
- * table emitter.
+ * TraceLibrary and the CSV+JSON table emitter.
  */
 #ifndef APPROXNOC_BENCH_BENCH_COMMON_H
 #define APPROXNOC_BENCH_BENCH_COMMON_H
@@ -35,14 +34,13 @@ using harness::ExperimentSpec;
 using harness::Outcome;
 using harness::PointQuery;
 using harness::PointResult;
-using harness::ReplayJob;
 using harness::ReplayResult;
 using harness::TraceLibrary;
 
-using harness::derive_seed;
+using harness::kReplayFlags;
 using harness::make_progress;
+using harness::points_table;
 using harness::print_banner;
-using harness::run_replay;
 
 /** emit_table under the figure's name (CSV + JSON alongside). */
 void emit(const Table &t, const ExperimentSpec &spec,

@@ -30,10 +30,11 @@ main(int argc, char **argv)
     ExperimentSpec spec =
         ExperimentSpec::Builder()
             .fromCli(argc, argv,
-                     "Closed-loop request/reply round-trip latency")
+                     "Closed-loop request/reply round-trip latency",
+                     {"schemes", "threshold", "approx-ratio", "cycles",
+                      "scale", "jobs", "progress"})
             .build();
     const ExperimentConfig &cfg = spec.config();
-    print_banner("Closed-loop round-trip latency (extra experiment)", spec);
 
     const unsigned windows[] = {1u, 4u, 16u};
     struct Point {
@@ -44,8 +45,10 @@ main(int argc, char **argv)
     for (Scheme s : spec.schemes())
         for (unsigned window : windows)
             points.push_back({s, window});
+    print_banner("Closed-loop round-trip latency (extra experiment)", spec,
+                 points.size(), "runs");
 
-    ExperimentRunner runner(cfg.jobs, make_progress(cfg));
+    ExperimentRunner runner(cfg.jobs, make_progress(cfg, "runs"));
     std::vector<Outcome<LoopResult>> out =
         runner.map(points.size(), [&](std::size_t i) {
             const Point &p = points[i];

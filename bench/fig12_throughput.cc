@@ -73,15 +73,12 @@ main(int argc, char **argv)
 {
     ExperimentSpec spec =
         ExperimentSpec::Builder()
-            .fromCli(argc, argv, "Figure 12: throughput curves")
+            .benchmarks({"blackscholes", "streamcluster"})
+            .fromCli(argc, argv, "Figure 12: throughput curves",
+                     {"benchmarks", "schemes", "threshold", "approx-ratio",
+                      "cycles", "scale", "jobs", "progress"})
             .build();
     const ExperimentConfig &cfg = spec.config();
-    print_banner("Figure 12 (load-latency, UR & TR, 25:75 data:control)",
-                 spec);
-
-    std::vector<std::string> bms = {"blackscholes", "streamcluster"};
-    if (spec.benchmarks().size() < workload_names().size())
-        bms = spec.benchmarks(); // user narrowed the set
 
     // Finer steps near saturation so scheme crossover points resolve.
     const std::vector<double> rates = {0.05, 0.15, 0.25, 0.35, 0.40,
@@ -91,17 +88,24 @@ main(int argc, char **argv)
                                        TrafficPattern::Transpose};
 
     std::vector<Series> series;
-    for (const auto &bm : bms)
+    for (const auto &bm : spec.benchmarks())
         for (TrafficPattern pat : patterns)
             for (Scheme s : spec.schemes())
                 series.push_back({bm, pat, s});
+    print_banner("Figure 12 (load-latency, UR & TR, 25:75 data:control)",
+                 spec, series.size(), "series");
+
+    // The payload traces exist before any series reads them. Their
+    // generation is not a series, so --progress does not count it.
+    TraceLibrary traces(cfg.scale);
+    ExperimentRunner prefetcher(cfg.jobs);
+    traces.prefetch(spec.benchmarks(), prefetcher);
 
     // One job per series, each returning one cell per rate. A rate
     // whose run throws prints FAILED and the series goes on; the
     // first saturated rate ends it, so its cell and every later one
     // keep "sat".
-    TraceLibrary traces(cfg.scale);
-    ExperimentRunner runner(cfg.jobs, make_progress(cfg));
+    ExperimentRunner runner(cfg.jobs, make_progress(cfg, "series"));
     auto out = runner.map(series.size(), [&](std::size_t i) {
         const Series &sr = series[i];
         std::vector<std::string> cells(rates.size(), "sat");

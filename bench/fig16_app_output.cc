@@ -39,9 +39,10 @@ main(int argc, char **argv)
         ExperimentSpec::Builder()
             .fromCli(argc, argv,
                      "Figure 16: application output accuracy + "
-                     "normalized performance")
+                     "normalized performance",
+                     {"benchmarks", "schemes", "approx-ratio", "scale",
+                      "jobs", "progress"})
             .build();
-    print_banner("Figure 16 (application output error, performance)", spec);
     // DI-VAXX by default: approximating to learned reference values
     // surfaces the error-budget sensitivity the paper's Fig. 16 plots
     // (FP-VAXX's static patterns rarely alter integer data at all).
@@ -51,10 +52,6 @@ main(int argc, char **argv)
             if (s == Scheme::DiVaxx || s == Scheme::FpVaxx)
                 scheme = s;
     }
-    std::printf("scheme for approximate runs: %s "
-                "(select with --schemes=FP-VAXX / DI-VAXX)\n\n",
-                to_string(scheme).c_str());
-
     const std::vector<double> budgets = {0.0, 10.0, 20.0};
 
     // Per benchmark: one precise run, then one run per budget (the 0%
@@ -70,8 +67,14 @@ main(int argc, char **argv)
         for (double budget : budgets)
             runs.push_back({bm, scheme, budget});
     }
+    print_banner("Figure 16 (application output error, performance)", spec,
+                 runs.size(), "workload runs");
+    std::printf("scheme for approximate runs: %s "
+                "(select with --schemes=FP-VAXX / DI-VAXX)\n\n",
+                to_string(scheme).c_str());
 
-    ExperimentRunner runner(spec.config().jobs, make_progress(spec.config()));
+    ExperimentRunner runner(spec.config().jobs,
+                            make_progress(spec.config(), "workload runs"));
     std::vector<Outcome<WorkloadResult>> out =
         runner.map(runs.size(), [&](std::size_t i) {
             const Run &r = runs[i];

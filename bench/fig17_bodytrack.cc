@@ -50,17 +50,20 @@ main(int argc, char **argv)
     ExperimentSpec spec =
         ExperimentSpec::Builder()
             .fromCli(argc, argv,
-                     "Figure 17: bodytrack precise vs approximate output")
+                     "Figure 17: bodytrack precise vs approximate output",
+                     {"threshold", "approx-ratio", "scale", "jobs",
+                      "progress"})
             .build();
     const ExperimentConfig &cfg = spec.config();
-    print_banner("Figure 17 (bodytrack visual comparison)", spec);
+    print_banner("Figure 17 (bodytrack visual comparison)", spec, 2,
+                 "workload runs");
 
     double threshold = spec.thresholds().front();
     double ratio = spec.approxRatios().front();
     BodytrackWorkload wl(cfg.scale);
 
     // The two tracker runs are independent; run them in parallel.
-    ExperimentRunner runner(cfg.jobs, make_progress(cfg));
+    ExperimentRunner runner(cfg.jobs, make_progress(cfg, "workload runs"));
     std::vector<Outcome<WorkloadResult>> out =
         runner.map(2, [&](std::size_t i) {
             // Each job builds its own workload so the runs stay

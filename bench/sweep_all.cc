@@ -26,6 +26,7 @@
 #include <map>
 
 #include "bench/bench_common.h"
+#include "common/stats.h"
 
 using namespace approxnoc;
 using namespace approxnoc::bench;
@@ -234,25 +235,32 @@ fig15(const Experiment &ex)
 int
 main(int argc, char **argv)
 {
-    ExperimentSpec::Builder builder;
-    builder.fromCli(argc, argv,
-                    "Paper grid: every benchmark x scheme point, the "
-                    "Figure 9/10/11/15 tables from one run");
-    Experiment ex(builder.build());
+    std::vector<std::string> flags = kReplayFlags;
+    flags.push_back("schemes");
+    Experiment ex(ExperimentSpec::Builder()
+                      .fromCli(argc, argv,
+                               "Paper grid: every benchmark x scheme point, "
+                               "the Figure 9/10/11/15 tables from one run",
+                               flags)
+                      .build());
     const ExperimentSpec &spec = ex.spec();
-    print_banner("Paper grid (fig09/10/11/15 from one run)", spec);
+    print_banner("Paper grid (fig09/10/11/15 from one run)", spec,
+                 spec.size());
     ex.run();
 
-    emit(ex.results().toTable(spec), spec, "sweep_points");
+    emit(points_table(ex), spec, "sweep_points");
     emit(fig09(ex), spec, "fig09_latency_breakdown");
     emit(fig10(ex), spec, "fig10_compression");
     emit(fig11(ex), spec, "fig11_flit_reduction");
     emit(fig15(ex), spec, "fig15_power");
 
-    const RunningStat &summary = ex.results().latencySummary();
+    RunningStat summary; // in spec order
+    for (const ExperimentPoint &p : spec.points())
+        if (ex.resultAt(p.index).ok)
+            summary.add(ex.resultAt(p.index).replay.total_lat);
     std::printf("\n%zu points, %zu failed; per-point mean latency "
                 "min/mean/max = %.2f / %.2f / %.2f cycles\n",
-                spec.size(), ex.results().failures(), summary.min(),
-                summary.mean(), summary.max());
-    return ex.results().failures() ? 1 : 0;
+                spec.size(), ex.failures(), summary.min(), summary.mean(),
+                summary.max());
+    return ex.failures() ? 1 : 0;
 }

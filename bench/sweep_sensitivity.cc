@@ -7,7 +7,8 @@
  * compression at threshold 0 and ratio R, which both figures share
  * (DI-COMP and FP-COMP read no threshold). A point both figures show
  * runs once. Each figure gets a QoR companion table: the relative
- * error of each point's delivered data. --schemes is ignored.
+ * error of each point's delivered data. The schemes are the figures'
+ * own, so there is no --schemes flag.
  */
 #include <algorithm>
 #include <optional>
@@ -126,7 +127,8 @@ main(int argc, char **argv)
     ExperimentSpec::Builder builder;
     builder.fromCli(argc, argv,
                     "Figures 13 and 14: error-threshold and "
-                    "approximable-ratio sensitivity");
+                    "approximable-ratio sensitivity",
+                    kReplayFlags);
     const ExperimentSpec cli = builder.build();
     const double threshold = cli.thresholds().front();
     const double ratio = cli.approxRatios().front();
@@ -171,7 +173,7 @@ main(int argc, char **argv)
     Experiment ex(builder.build());
     print_banner("Figures 13 and 14 (error-threshold and "
                  "approximable-ratio sensitivity)",
-                 ex.spec());
+                 ex.spec(), ex.spec().size());
     ex.run();
 
     for (const Figure &fig : figures)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: configure, build, test, smoke the parallel
-# experiment harness (a 2-point sweep_all run and a one-benchmark
-# sweep_sensitivity run on 2 lanes must match --jobs=1 byte for byte,
-# in every table they write), then regenerate every committed results/
-# file and compare it byte for byte.
+# experiment harness (a 2-point sweep_all run and one-benchmark
+# sweep_sensitivity and ablation_flit_width runs on 2 lanes must match
+# --jobs=1 byte for byte, in every table they write), then regenerate
+# every committed results/ file and compare it byte for byte.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,6 +44,13 @@ for t in fig13_error_threshold fig13_error_threshold_qor \
     cmp "$SMOKE/s1/$t.csv" "$SMOKE/s2/$t.csv"
     cmp "$SMOKE/s1/$t.json" "$SMOKE/s2/$t.json"
 done
+# And for a hardware-coordinate grid (flit widths).
+for j in 1 2; do
+    "./$BUILD_DIR/bench/ablation_flit_width" --benchmarks=blackscholes \
+        --max-records=1500 --jobs=$j --csv-dir="$SMOKE/f$j" >/dev/null
+done
+cmp "$SMOKE/f1/ablation_flit_width.csv" "$SMOKE/f2/ablation_flit_width.csv"
+cmp "$SMOKE/f1/ablation_flit_width.json" "$SMOKE/f2/ablation_flit_width.json"
 
 scripts/check_results.sh "$BUILD_DIR"
 

@@ -5,8 +5,9 @@
 #
 #   scripts/check_results.sh [build-dir]   (default: $BUILD_DIR or build)
 #
-# Every harness runs at --jobs=$JOBS (default: nproc); the tables are
-# byte-identical at any job count.
+# Every harness that simulates runs at --jobs=$JOBS (default: nproc);
+# the tables are byte-identical at any job count. area_overhead and
+# ablation_codec run no simulation and take no --jobs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,9 +19,12 @@ OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 for h in sweep_all sweep_sensitivity fig12_throughput fig16_app_output \
-         fig17_bodytrack area_overhead ablation_codec ablation_flit_width \
-         ablation_pmt_size closed_loop_latency; do
+         fig17_bodytrack ablation_flit_width ablation_pmt_size \
+         closed_loop_latency; do
     "$BUILD/bench/$h" --jobs="$JOBS" --csv-dir="$OUT/results" >/dev/null
+done
+for h in area_overhead ablation_codec; do
+    "$BUILD/bench/$h" --csv-dir="$OUT/results" >/dev/null
 done
 # image_transmission writes ./results/, so it runs inside the temp dir.
 (cd "$OUT" && "$BUILD/examples/image_transmission" >/dev/null)

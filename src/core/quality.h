@@ -75,7 +75,6 @@ class QualityTracker
     /** Mean compression ratio: original bits / NR bits. */
     double compressionRatio() const;
 
-    std::uint64_t totalWords() const { return words_total_; }
     std::uint64_t approximatedWords() const { return words_approx_; }
 
     /** Forget every measurement (measurement-window bookkeeping). */

@@ -1,5 +1,6 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -57,6 +58,10 @@ PointQuery::matches(const ExperimentPoint &p) const
         return false;
     if (load && *load != p.load)
         return false;
+    if (flit_bits && *flit_bits != p.flit_bits)
+        return false;
+    if (pmt_entries && *pmt_entries != p.pmt_entries)
+        return false;
     return true;
 }
 
@@ -67,7 +72,9 @@ ExperimentSpec::Builder::Builder()
       schemes_(kAllSchemes, kAllSchemes + 5),
       thresholds_{10.0},
       ratios_{0.75},
-      loads_{0.04}
+      loads_{0.04},
+      flit_bits_{64},
+      pmt_entries_{8}
 {}
 
 ExperimentSpec::Builder &
@@ -121,6 +128,20 @@ ExperimentSpec::Builder &
 ExperimentSpec::Builder::load(double v)
 {
     return loads({v});
+}
+
+ExperimentSpec::Builder &
+ExperimentSpec::Builder::flitBits(std::vector<unsigned> v)
+{
+    flit_bits_ = std::move(v);
+    return *this;
+}
+
+ExperimentSpec::Builder &
+ExperimentSpec::Builder::pmtEntries(std::vector<std::size_t> v)
+{
+    pmt_entries_ = std::move(v);
+    return *this;
 }
 
 ExperimentSpec::Builder &
@@ -215,14 +236,15 @@ ExperimentSpec::Builder::filter(std::function<bool(const ExperimentPoint &)> kee
 }
 
 ExperimentSpec::Builder &
-ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
+ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what,
+                                 const std::vector<std::string> &flags)
 {
-    // The shared harness flags and their --help lines; the same list
-    // is the set of flags accepted.
+    // Every harness flag and its --help line; a binary accepts the
+    // ones it names plus the three output flags.
     static const struct {
         const char *name, *syntax, *help;
     } kHarnessFlags[] = {
-        {"benchmarks", "=<all|name,name,...>", "(default all)"},
+        {"benchmarks", "=<all|name,name,...>", nullptr},
         {"schemes", "=<all|name,name,...>", "(default all)"},
         {"threshold", "=<pct>", "error threshold, 0..100 (10)"},
         {"approx-ratio", "=<0..1>", "approximable ratio (0.75)"},
@@ -238,41 +260,71 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what)
         {"trace-out", "=<dir>", "Chrome trace-event JSON per point"},
         {"sample-interval", "=<cycles>", "time-series epoch, 0=off (0)"},
         {"profile", "", "phase self-profiling + profile.json"},
-        {"progress", "", "per-point progress on stderr"},
+        {"progress", "", "live progress on stderr"},
         {"verbose", "", "chatty logging"},
     };
+    std::vector<std::string> names = {"csv-dir", "json-dir", "verbose"};
+    for (const std::string &f : flags) {
+        ANOC_ASSERT(std::any_of(std::begin(kHarnessFlags),
+                                std::end(kHarnessFlags),
+                                [&](const auto &h) { return f == h.name; }),
+                    "no harness flag --", f);
+        names.push_back(f);
+    }
+    auto accepted = [&](const std::string &f) {
+        return std::find(names.begin(), names.end(), f) != names.end();
+    };
+
     CliArgs args(argc, argv);
     if (args.has("help")) {
+        // The benchmark default is the harness's own set.
+        std::string bms;
+        for (const auto &bm : benchmarks_) {
+            if (!bms.empty())
+                bms += ',';
+            bms += bm;
+        }
+        if (benchmarks_ == workload_names())
+            bms = "all";
         std::printf("%s\nFlags:\n", what.c_str());
         for (const auto &f : kHarnessFlags)
-            std::printf("  --%-32s%s\n",
-                        (std::string(f.name) + f.syntax).c_str(), f.help);
+            if (accepted(f.name))
+                std::printf("  --%-32s%s\n",
+                            (std::string(f.name) + f.syntax).c_str(),
+                            f.help ? f.help
+                                   : ("(default " + bms + ")").c_str());
         std::exit(0);
     }
-    std::vector<std::string> names;
-    for (const auto &f : kHarnessFlags)
-        names.emplace_back(f.name);
     args.expect(names);
 
-    benchmarks_ = parse_benchmark_list(args.getString("benchmarks", "all"));
-    schemes_ = parse_scheme_list(args.getString("schemes", "all"));
-    thresholds_ = {args.getDouble("threshold", 10.0, kPercentRange)};
-    ratios_ = {args.getDouble("approx-ratio", 0.75, kFractionRange)};
-    loads_ = {args.getDouble("load", 0.04, kPositiveRange)};
-    cfg_.max_records = args.getCount<std::size_t>("max-records", 20000);
-    cfg_.cycles = args.getCount<Cycle>("cycles", 50000);
-    cfg_.scale = args.getCount<unsigned>("scale", 1);
-    cfg_.jobs = args.getCount<unsigned>("jobs", 1);
+    // A dimension flag replaces the dimension only when given, and a
+    // config flag defaults to the value set before fromCli().
+    if (args.has("benchmarks"))
+        benchmarks_ = parse_benchmark_list(args.getString("benchmarks", ""));
+    if (args.has("schemes"))
+        schemes_ = parse_scheme_list(args.getString("schemes", ""));
+    if (args.has("threshold"))
+        thresholds_ = {args.getDouble("threshold", 0.0, kPercentRange)};
+    if (args.has("approx-ratio"))
+        ratios_ = {args.getDouble("approx-ratio", 0.0, kFractionRange)};
+    if (args.has("load"))
+        loads_ = {args.getDouble("load", 0.0, kPositiveRange)};
+    cfg_.max_records =
+        args.getCount<std::size_t>("max-records", cfg_.max_records);
+    cfg_.cycles = args.getCount<Cycle>("cycles", cfg_.cycles);
+    cfg_.scale = args.getCount<unsigned>("scale", cfg_.scale);
+    cfg_.jobs = args.getCount<unsigned>("jobs", cfg_.jobs);
     cfg_.base_seed = static_cast<std::uint64_t>(
         args.getInt("seed", static_cast<long>(cfg_.base_seed)));
-    cfg_.csv_dir = args.getString("csv-dir", "results");
-    cfg_.json_dir = args.getString("json-dir", "");
-    cfg_.metrics_dir = args.getString("metrics-out", "");
-    cfg_.trace_dir = args.getString("trace-out", "");
-    cfg_.sample_interval = args.getCount<Cycle>("sample-interval", 0);
-    cfg_.profile = args.getBool("profile", false);
-    cfg_.progress = args.getBool("progress", false);
-    cfg_.verbose = args.getBool("verbose", false);
+    cfg_.csv_dir = args.getString("csv-dir", cfg_.csv_dir);
+    cfg_.json_dir = args.getString("json-dir", cfg_.json_dir);
+    cfg_.metrics_dir = args.getString("metrics-out", cfg_.metrics_dir);
+    cfg_.trace_dir = args.getString("trace-out", cfg_.trace_dir);
+    cfg_.sample_interval =
+        args.getCount<Cycle>("sample-interval", cfg_.sample_interval);
+    cfg_.profile = args.getBool("profile", cfg_.profile);
+    cfg_.progress = args.getBool("progress", cfg_.progress);
+    cfg_.verbose = args.getBool("verbose", cfg_.verbose);
     set_verbose(cfg_.verbose);
     return *this;
 }
@@ -282,7 +334,8 @@ ExperimentSpec::Builder::build() const
 {
     ANOC_ASSERT(!benchmarks_.empty() && !schemes_.empty() &&
                     !thresholds_.empty() && !ratios_.empty() &&
-                    !loads_.empty(),
+                    !loads_.empty() && !flit_bits_.empty() &&
+                    !pmt_entries_.empty(),
                 "experiment grid has an empty dimension");
     ExperimentSpec spec;
     spec.cfg_ = cfg_;
@@ -291,26 +344,35 @@ ExperimentSpec::Builder::build() const
     spec.thresholds_ = thresholds_;
     spec.ratios_ = ratios_;
     spec.loads_ = loads_;
+    spec.flit_bits_ = flit_bits_;
+    spec.pmt_entries_ = pmt_entries_;
 
     // Benchmark-major nesting mirrors the original per-figure loops,
-    // so tables read in the familiar order.
+    // so tables read in the familiar order. The hardware coordinates
+    // nest innermost: a grid with one value in each keeps the indices
+    // (and artifact labels) it has without them.
     for (const auto &bm : benchmarks_)
         for (Scheme s : schemes_)
             for (double th : thresholds_)
                 for (double ratio : ratios_)
-                    for (double ld : loads_) {
-                        ExperimentPoint p;
-                        p.benchmark = bm;
-                        p.scheme = s;
-                        p.threshold = th;
-                        p.approx_ratio = ratio;
-                        p.load = ld;
-                        if (keep_ && !keep_(p))
-                            continue;
-                        p.index = spec.points_.size();
-                        p.seed = derive_seed(cfg_.base_seed, p.index);
-                        spec.points_.push_back(std::move(p));
-                    }
+                    for (double ld : loads_)
+                        for (unsigned fb : flit_bits_)
+                            for (std::size_t pmt : pmt_entries_) {
+                                ExperimentPoint p;
+                                p.benchmark = bm;
+                                p.scheme = s;
+                                p.threshold = th;
+                                p.approx_ratio = ratio;
+                                p.load = ld;
+                                p.flit_bits = fb;
+                                p.pmt_entries = pmt;
+                                if (keep_ && !keep_(p))
+                                    continue;
+                                p.index = spec.points_.size();
+                                p.seed =
+                                    derive_seed(cfg_.base_seed, p.index);
+                                spec.points_.push_back(std::move(p));
+                            }
     ANOC_ASSERT(!spec.points_.empty(), "experiment grid is empty");
     return spec;
 }
@@ -342,64 +404,52 @@ Experiment::Experiment(ExperimentSpec spec)
 {}
 
 void
-Experiment::prefetchTraces()
-{
-    // Generate every trace the grid references up front (in parallel)
-    // so point workers only ever read shared immutable traces.
-    std::vector<std::string> needed;
-    for (const auto &p : spec_.points()) {
-        if (p.benchmark.empty())
-            continue;
-        bool seen = false;
-        for (const auto &bm : needed)
-            seen = seen || bm == p.benchmark;
-        if (!seen)
-            needed.push_back(p.benchmark);
-    }
-    ExperimentRunner runner(spec_.config().jobs);
-    traces_.prefetch(needed, runner);
-}
-
-const ResultSink &
 Experiment::run()
 {
-    prefetchTraces();
-    return run([this](const ExperimentPoint &pt) {
+    // Every trace exists before a lane replays it, so lanes only read
+    // the library.
+    std::vector<std::string> needed;
+    for (const auto &p : spec_.points())
+        needed.push_back(p.benchmark);
+    ExperimentRunner runner(spec_.config().jobs);
+    traces_.prefetch(needed, runner);
+    run([this](const ExperimentPoint &pt) {
         return run_replay_point(traces_.get(pt.benchmark), pt,
                                 spec_.config());
     });
 }
 
 ProgressFn
-make_progress(const ExperimentConfig &cfg)
+make_progress(const ExperimentConfig &cfg, const char *unit)
 {
     if (!cfg.progress)
         return {};
-    return [](std::size_t done, std::size_t total) {
-        std::fprintf(stderr, "\r[%zu/%zu points]", done, total);
+    return [unit](std::size_t done, std::size_t total) {
+        std::fprintf(stderr, "\r[%zu/%zu %s]", done, total, unit);
         if (done == total)
             std::fputc('\n', stderr);
         std::fflush(stderr);
     };
 }
 
-const ResultSink &
+void
 Experiment::run(const PointFn &fn)
 {
     const ExperimentConfig &cfg = spec_.config();
+    const auto &points = spec_.points();
     ExperimentRunner runner(cfg.jobs, make_progress(cfg));
 
-    sink_ = std::make_unique<ResultSink>(spec_.size());
-    const auto &points = spec_.points();
+    // Each lane writes only the slots of the points it claimed, and
+    // the runner joins its lanes before returning: no lock.
+    results_.assign(points.size(), PointResult{});
     auto statuses = runner.run(points.size(), [&](std::size_t i) {
-        sink_->record(i, fn(points[i]));
+        results_[i].replay = fn(points[i]);
+        results_[i].ok = true;
     });
     for (std::size_t i = 0; i < statuses.size(); ++i)
-        if (!statuses[i].ok)
-            sink_->recordFailure(i, statuses[i].error);
-    if (sink_->failures())
-        ANOC_WARN(sink_->failures(), " of ", points.size(),
-                  " grid points failed");
+        results_[i].error = std::move(statuses[i].error);
+    if (failures())
+        ANOC_WARN(failures(), " of ", points.size(), " grid points failed");
 
     // Fold the per-point registries in spec order into one merged
     // dump. Spec-order iteration (not completion order) keeps the file
@@ -407,10 +457,8 @@ Experiment::run(const PointFn &fn)
     if (!cfg.metrics_dir.empty()) {
         std::vector<std::shared_ptr<const telemetry::MetricRegistry>> parts;
         parts.reserve(points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const PointResult &pr = sink_->at(i);
+        for (const PointResult &pr : results_)
             parts.push_back(pr.ok ? pr.replay.metrics : nullptr);
-        }
         telemetry::write_merged_metrics(cfg.metrics_dir, "metrics.json",
                                         parts);
 
@@ -421,7 +469,7 @@ Experiment::run(const PointFn &fn)
         ReportParts<telemetry::PhaseProfiler> prof;
         qor.reserve(points.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
-            const PointResult &pr = sink_->at(i);
+            const PointResult &pr = results_[i];
             const std::string label = telemetry::PointTelemetry::pointLabel(
                 points[i].index, points[i].benchmark,
                 to_string(points[i].scheme));
@@ -433,26 +481,28 @@ Experiment::run(const PointFn &fn)
         if (cfg.profile)
             write_report(cfg.metrics_dir, "profile", prof);
     }
-    return *sink_;
 }
 
-const ResultSink &
-Experiment::results() const
+std::size_t
+Experiment::failures() const
 {
-    ANOC_ASSERT(sink_, "Experiment::run() has not been called");
-    return *sink_;
+    return static_cast<std::size_t>(
+        std::count_if(results_.begin(), results_.end(),
+                      [](const PointResult &pr) { return !pr.ok; }));
 }
 
 const PointResult &
 Experiment::result(const PointQuery &q) const
 {
-    return results().at(spec_.indexOf(q));
+    return resultAt(spec_.indexOf(q));
 }
 
 const PointResult &
 Experiment::resultAt(std::size_t index) const
 {
-    return results().at(index);
+    ANOC_ASSERT(index < results_.size(), "no result for point ", index,
+                " (has Experiment::run() been called?)");
+    return results_[index];
 }
 
 } // namespace approxnoc::harness

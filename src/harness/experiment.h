@@ -1,26 +1,23 @@
 /**
  * @file
  * The unified experiment API. An ExperimentSpec describes a
- * (benchmark x scheme x threshold x approx-ratio x load) grid plus the
- * shared run configuration; its fluent Builder parses the common CLI
- * flags every harness binary accepts (including --jobs, --seed and
- * --json-dir). An Experiment executes the grid on `--jobs` lanes, one
- * isolated Simulator + Network + CodecSystem per point, with
- * deterministic per-point seeds — `--jobs=1` and `--jobs=N` produce
- * bit-identical result tables.
+ * (benchmark x scheme x threshold x approx-ratio x load x flit width x
+ * PMT size) grid plus the shared run configuration; its fluent Builder
+ * parses the harness flags a binary reads. An Experiment executes the
+ * grid on `--jobs` lanes, one isolated Simulator + Network +
+ * CodecSystem per point, with deterministic per-point seeds —
+ * `--jobs=1` and `--jobs=N` produce bit-identical result tables.
  */
 #ifndef APPROXNOC_HARNESS_EXPERIMENT_H
 #define APPROXNOC_HARNESS_EXPERIMENT_H
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "harness/point_runner.h"
-#include "harness/result_sink.h"
 #include "harness/runner.h"
 #include "harness/trace_library.h"
 
@@ -59,6 +56,8 @@ struct ExperimentPoint {
     double threshold = 10.0;    ///< error threshold e%
     double approx_ratio = 0.75; ///< approximable packet fraction
     double load = 0.04;         ///< offered data flits/cycle/node
+    unsigned flit_bits = 64;    ///< flit width (Table 1)
+    std::size_t pmt_entries = 8; ///< dictionary PMT size (Table 1)
     std::uint64_t seed = 0;     ///< derived from (base_seed, index)
 };
 
@@ -69,6 +68,8 @@ struct PointQuery {
     std::optional<double> threshold;
     std::optional<double> approx_ratio;
     std::optional<double> load;
+    std::optional<unsigned> flit_bits;
+    std::optional<std::size_t> pmt_entries;
 
     bool matches(const ExperimentPoint &p) const;
 };
@@ -91,6 +92,8 @@ class ExperimentSpec
         Builder &approxRatio(double v);
         Builder &loads(std::vector<double> v);
         Builder &load(double v);
+        Builder &flitBits(std::vector<unsigned> v);
+        Builder &pmtEntries(std::vector<std::size_t> v);
 
         Builder &jobs(unsigned n);
         Builder &seed(std::uint64_t s);
@@ -109,15 +112,18 @@ class ExperimentSpec
         Builder &filter(std::function<bool(const ExperimentPoint &)> keep);
 
         /**
-         * Parse the shared harness flags (--benchmarks, --schemes,
-         * --threshold, --approx-ratio, --load, --max-records,
-         * --cycles, --scale, --jobs, --seed, --csv-dir, --json-dir,
-         * --metrics-out, --trace-out, --sample-interval, --profile,
-         * --progress, --verbose); any other flag is fatal. Prints
-         * @p what and the flag list on --help, then exits. Dimension
-         * calls made after fromCli() override the CLI values.
+         * Parse the harness flags named in @p flags (from --benchmarks,
+         * --schemes, --threshold, --approx-ratio, --load,
+         * --max-records, --cycles, --scale, --jobs, --seed,
+         * --metrics-out, --trace-out, --sample-interval, --profile and
+         * --progress) plus --csv-dir, --json-dir and --verbose; any
+         * other flag is fatal. Prints @p what and those flags on
+         * --help, then exits. A flag that is given replaces the value
+         * set before fromCli(), so a harness sets its own defaults
+         * first; calls made after fromCli() override the CLI values.
          */
-        Builder &fromCli(int argc, char **argv, const std::string &what);
+        Builder &fromCli(int argc, char **argv, const std::string &what,
+                         const std::vector<std::string> &flags);
 
         /** Materialize the (filtered) grid in deterministic order. */
         ExperimentSpec build() const;
@@ -129,6 +135,8 @@ class ExperimentSpec
         std::vector<double> thresholds_;
         std::vector<double> ratios_;
         std::vector<double> loads_;
+        std::vector<unsigned> flit_bits_;
+        std::vector<std::size_t> pmt_entries_;
         std::function<bool(const ExperimentPoint &)> keep_;
     };
 
@@ -141,6 +149,11 @@ class ExperimentSpec
     const std::vector<double> &thresholds() const { return thresholds_; }
     const std::vector<double> &approxRatios() const { return ratios_; }
     const std::vector<double> &loads() const { return loads_; }
+    const std::vector<unsigned> &flitBits() const { return flit_bits_; }
+    const std::vector<std::size_t> &pmtEntries() const
+    {
+        return pmt_entries_;
+    }
 
     /** Indices of every point matching @p q, in spec order. */
     std::vector<std::size_t> select(const PointQuery &q) const;
@@ -155,12 +168,31 @@ class ExperimentSpec
     std::vector<double> thresholds_;
     std::vector<double> ratios_;
     std::vector<double> loads_;
+    std::vector<unsigned> flit_bits_;
+    std::vector<std::size_t> pmt_entries_;
     std::vector<ExperimentPoint> points_;
 };
 
 /**
+ * The flags a trace-replay grid reads besides --schemes: its
+ * benchmark, threshold, ratio and load dimensions and every
+ * ExperimentConfig field Experiment::run and run_replay_point read.
+ */
+inline const std::vector<std::string> kReplayFlags = {
+    "benchmarks", "threshold", "approx-ratio", "load", "max-records",
+    "scale", "jobs", "seed", "progress", "metrics-out", "trace-out",
+    "sample-interval", "profile"};
+
+/** Result slot of one grid point. */
+struct PointResult {
+    bool ok = false;   ///< the point produced a result
+    std::string error; ///< failure text when !ok
+    ReplayResult replay;
+};
+
+/**
  * An executable experiment: the spec, its trace library and, after
- * run(), the per-point results.
+ * run(), one result per point in spec order.
  */
 class Experiment
 {
@@ -168,47 +200,44 @@ class Experiment
     explicit Experiment(ExperimentSpec spec);
 
     const ExperimentSpec &spec() const { return spec_; }
-    TraceLibrary &traces() { return traces_; }
+    /** The traces of the grid's benchmarks, generated by run(). */
+    const TraceLibrary &traces() const { return traces_; }
 
     /** Custom point executor (testing, non-replay experiments). */
     using PointFn = std::function<ReplayResult(const ExperimentPoint &)>;
 
     /**
-     * Run every grid point through the standard trace-replay executor
-     * on config().jobs workers. Traces are pre-generated in parallel
-     * first. Returns the sink with results in spec order.
+     * Generate every trace the grid references (in parallel), then
+     * replay each grid point through run_replay_point on
+     * config().jobs lanes.
      */
-    const ResultSink &run();
+    void run();
 
-    /**
-     * Like run(), but with @p fn as the per-point executor. Traces
-     * are not prefetched; call prefetchTraces() first (or rely on the
-     * library's lazy thread-safe generation) if @p fn replays traces.
-     */
-    const ResultSink &run(const PointFn &fn);
+    /** Like run(), but with @p fn as the per-point executor and no
+     *  traces generated. */
+    void run(const PointFn &fn);
 
-    /** Generate every trace the grid references, in parallel. */
-    void prefetchTraces();
-
-    /** Results of the last run() (fatal if never run). */
-    const ResultSink &results() const;
+    /** Number of points whose run threw. */
+    std::size_t failures() const;
 
     /** Result of the unique point matching @p q. */
     const PointResult &result(const PointQuery &q) const;
+    /** Result of point @p index (fatal before run()). */
     const PointResult &resultAt(std::size_t index) const;
 
   private:
     ExperimentSpec spec_;
     TraceLibrary traces_;
-    std::unique_ptr<ResultSink> sink_;
+    std::vector<PointResult> results_; ///< by point index, after run()
 };
 
 /**
- * Standard stderr progress callback (`\r[done/total points]`) when
+ * Standard stderr progress callback (`\r[done/total <unit>]`) when
  * @p cfg asks for progress, empty otherwise. Shared by Experiment and
  * binaries that drive an ExperimentRunner directly.
  */
-ProgressFn make_progress(const ExperimentConfig &cfg);
+ProgressFn make_progress(const ExperimentConfig &cfg,
+                         const char *unit = "points");
 
 /** Scheme list parsing ("all" or comma-separated names). */
 std::vector<Scheme> parse_scheme_list(const std::string &s);

@@ -65,35 +65,12 @@ struct ReplayResult {
 };
 
 /**
- * Everything one replay run needs beyond the trace itself. The
- * zero-valued hardware knobs fall back to the Table 1 defaults.
- */
-struct ReplayJob {
-    Scheme scheme = Scheme::FpVaxx;
-    double threshold = 10.0;     ///< error threshold e%
-    double approx_ratio = 0.75;  ///< approximable packet fraction
-    double load = 0.04;          ///< offered data flits/cycle/node
-    std::size_t max_records = 20000;
-    std::uint64_t seed = 0;      ///< per-point stream seed
-    unsigned flit_bits = 0;      ///< 0 = NocConfig default (64)
-    std::size_t pmt_entries = 0; ///< 0 = DictionaryConfig default (8)
-
-    /** Telemetry collection; default-constructed = everything off. */
-    telemetry::TelemetryOptions telemetry;
-
-    /** Self-profiling: time the simulator/codec phases and (with
-     * metrics enabled) write `<label>.profile.json`. */
-    bool profile = false;
-};
-
-/**
- * Replay @p trace on the paper's 4x4 cmesh under @p job. Throws
+ * Replay @p trace on the paper's 4x4 cmesh at grid point @p pt: its
+ * scheme, threshold, approximable ratio, load, flit width and PMT
+ * size, with the replay cap, telemetry and profiling of @p cfg. Throws
  * std::runtime_error if the replay fails to drain (the runner reports
  * the point as a failed cell instead of aborting the sweep).
  */
-ReplayResult run_replay(const CommTrace &trace, const ReplayJob &job);
-
-/** Map a grid point onto a ReplayJob and run it. */
 ReplayResult run_replay_point(const CommTrace &trace,
                               const ExperimentPoint &pt,
                               const ExperimentConfig &cfg);

@@ -30,20 +30,72 @@ emit_table(const Table &t, const ExperimentConfig &cfg,
 }
 
 void
-print_banner(const std::string &figure, const ExperimentSpec &spec)
+print_banner(const std::string &figure, const ExperimentSpec &spec,
+             std::size_t runs, const char *unit)
 {
-    const ExperimentConfig &cfg = spec.config();
+    // "32/64/128": every value a hardware dimension of the grid takes.
+    auto values = [](const auto &dim) {
+        std::string s;
+        for (const auto &v : dim) {
+            if (!s.empty())
+                s += '/';
+            s += std::to_string(v);
+        }
+        return s;
+    };
     std::printf("== APPROX-NoC reproduction: %s ==\n", figure.c_str());
     std::printf(
         "config: 4x4 concentrated 2D mesh (32 nodes), 3-stage routers, "
-        "4 VCs x 4 flits, 64-bit flits, XY wormhole\n");
+        "4 VCs x 4 flits, %s-bit flits, XY wormhole\n",
+        values(spec.flitBits()).c_str());
     std::printf("        error threshold %.0f%%, approximable ratio %.0f%%, "
-                "8-entry PMTs\n",
+                "%s-entry PMTs\n",
                 spec.thresholds().front(),
-                spec.approxRatios().front() * 100.0);
-    std::printf("        %zu grid points, %u worker thread%s\n\n",
-                spec.size(), resolve_jobs(cfg.jobs),
-                resolve_jobs(cfg.jobs) == 1 ? "" : "s");
+                spec.approxRatios().front() * 100.0,
+                values(spec.pmtEntries()).c_str());
+    if (runs) {
+        const unsigned jobs = resolve_jobs(spec.config().jobs);
+        std::printf("        %zu %s, %u worker thread%s\n", runs, unit, jobs,
+                    jobs == 1 ? "" : "s");
+    }
+    std::printf("\n");
+}
+
+Table
+points_table(const Experiment &ex)
+{
+    Table t({"benchmark", "scheme", "threshold", "approx_ratio", "load",
+             "status", "queue_lat", "net_lat", "decode_lat", "total_lat",
+             "quality", "exact_frac", "approx_frac", "compr_ratio",
+             "data_flits", "packets", "dyn_power_mw"});
+    for (const ExperimentPoint &p : ex.spec().points()) {
+        const PointResult &r = ex.resultAt(p.index);
+        auto row = t.row();
+        row.cell(p.benchmark)
+            .cell(to_string(p.scheme))
+            .cell(p.threshold, 1)
+            .cell(p.approx_ratio, 2)
+            .cell(p.load, 3);
+        if (!r.ok) {
+            row.cell(std::string("FAILED: ") + r.error);
+            for (int i = 0; i < 11; ++i)
+                row.cell(std::string("-"));
+        } else {
+            row.cell(std::string("ok"))
+                .cell(r.replay.queue_lat, 2)
+                .cell(r.replay.net_lat, 2)
+                .cell(r.replay.decode_lat, 2)
+                .cell(r.replay.total_lat, 2)
+                .cell(r.replay.quality, 4)
+                .cell(r.replay.exact_fraction, 3)
+                .cell(r.replay.approx_fraction, 3)
+                .cell(r.replay.compression_ratio, 3)
+                .cell(static_cast<long>(r.replay.data_flits))
+                .cell(static_cast<long>(r.replay.packets))
+                .cell(r.replay.dynamic_power_mw, 3);
+        }
+    }
+    return t;
 }
 
 template <typename Profile>

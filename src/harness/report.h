@@ -28,8 +28,21 @@ using ReportParts =
 void emit_table(const Table &t, const ExperimentConfig &cfg,
                 const std::string &name);
 
-/** Print the Table-1 style banner every harness binary emits. */
-void print_banner(const std::string &figure, const ExperimentSpec &spec);
+/**
+ * Print the Table-1 style banner every harness binary emits, at the
+ * flit widths and PMT sizes of @p spec. @p runs counts what the
+ * harness runs, in @p unit; a harness that runs no simulation passes
+ * no count.
+ */
+void print_banner(const std::string &figure, const ExperimentSpec &spec,
+                  std::size_t runs = 0, const char *unit = "grid points");
+
+/**
+ * The grid of @p ex as one table, one row per point in spec order:
+ * coordinates, status, then every ReplayResult metric. Failed points
+ * carry "FAILED: <error>" and "-" in every metric column.
+ */
+Table points_table(const Experiment &ex);
 
 /**
  * Write `<dir>/<name>.json` (schema `approxnoc-<name>-report-v1`):

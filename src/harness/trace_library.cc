@@ -1,5 +1,7 @@
 #include "harness/trace_library.h"
 
+#include <algorithm>
+
 #include "cache/approx_cache.h"
 #include "common/log.h"
 #include "harness/runner.h"
@@ -8,19 +10,25 @@
 namespace approxnoc::harness {
 
 const CommTrace &
-TraceLibrary::get(const std::string &benchmark)
+TraceLibrary::get(const std::string &benchmark) const
 {
-    Entry *entry;
-    {
-        std::lock_guard<std::mutex> lock(mtx_);
-        auto &slot = entries_[benchmark];
-        if (!slot)
-            slot = std::make_unique<Entry>();
-        entry = slot.get();
-    }
-    // Generation runs outside the map lock so distinct benchmarks
-    // build concurrently; call_once serializes same-benchmark callers.
-    std::call_once(entry->once, [&] {
+    auto it = traces_.find(benchmark);
+    if (it == traces_.end())
+        ANOC_FATAL("no trace for '", benchmark,
+                   "': TraceLibrary::prefetch did not generate it");
+    return it->second;
+}
+
+void
+TraceLibrary::prefetch(const std::vector<std::string> &benchmarks,
+                       ExperimentRunner &runner)
+{
+    std::vector<std::string> missing;
+    for (const auto &bm : benchmarks)
+        if (!traces_.count(bm) &&
+            std::find(missing.begin(), missing.end(), bm) == missing.end())
+            missing.push_back(bm);
+    auto out = runner.map(missing.size(), [&](std::size_t i) {
         // The paper's trace-collection step: run the kernel through
         // the coherent cache model with a precise codec, recording
         // every miss request/response and writeback as a packet.
@@ -28,26 +36,20 @@ TraceLibrary::get(const std::string &benchmark)
         ApproxCacheSystem mem(ccfg, nullptr);
         CommTrace trace;
         mem.setTraceSink(&trace);
-        auto wl = make_workload(benchmark, scale_);
-        wl->run(mem);
-        entry->trace = std::move(trace);
-        ANOC_INFORM("trace ", benchmark, ": ", entry->trace.size(),
-                    " records, ", entry->trace.duration(), " cycles");
+        make_workload(missing[i], scale_)->run(mem);
+        return trace;
     });
-    return entry->trace;
-}
-
-void
-TraceLibrary::prefetch(const std::vector<std::string> &benchmarks,
-                       ExperimentRunner &runner)
-{
-    auto statuses =
-        runner.run(benchmarks.size(),
-                   [&](std::size_t i) { (void)get(benchmarks[i]); });
-    for (std::size_t i = 0; i < statuses.size(); ++i)
-        if (!statuses[i].ok)
-            ANOC_FATAL("trace generation for '", benchmarks[i],
-                       "' failed: ", statuses[i].error);
+    // The lanes have joined: the map is written on this thread only.
+    for (std::size_t i = 0; i < missing.size(); ++i) {
+        if (!out[i].ok)
+            ANOC_FATAL("trace generation for '", missing[i],
+                       "' failed: ", out[i].error);
+        const CommTrace &t =
+            traces_.emplace(missing[i], std::move(out[i].value))
+                .first->second;
+        ANOC_INFORM("trace ", missing[i], ": ", t.size(), " records, ",
+                    t.duration(), " cycles");
+    }
 }
 
 double

@@ -1,16 +1,14 @@
 /**
  * @file
- * Thread-safe communication-trace cache. Traces are generated once per
- * benchmark by running the kernel through the cache model with a
- * precise codec and a trace sink (the paper's gem5 trace-collection
- * step), then shared read-only by every concurrently replaying point.
+ * Communication-trace cache. Traces are generated once per benchmark
+ * by running the kernel through the cache model with a precise codec
+ * and a trace sink (the paper's gem5 trace-collection step), then
+ * shared read-only by every concurrently replaying point.
  */
 #ifndef APPROXNOC_HARNESS_TRACE_LIBRARY_H
 #define APPROXNOC_HARNESS_TRACE_LIBRARY_H
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,20 +18,26 @@ namespace approxnoc::harness {
 
 class ExperimentRunner;
 
-/** Lazily generated, mutex-guarded per-benchmark trace store. */
+/**
+ * Per-benchmark trace store. prefetch() is its only writer and runs
+ * before any lane reads, so get() takes no lock.
+ */
 class TraceLibrary
 {
   public:
     explicit TraceLibrary(unsigned scale = 1) : scale_(scale) {}
 
     /**
-     * The trace for @p benchmark, generated on first use. Safe to call
-     * from any thread; distinct benchmarks generate concurrently, and
-     * the returned reference stays valid for the library's lifetime.
+     * The trace of @p benchmark; fatal unless prefetch() generated it.
+     * The reference stays valid for the library's lifetime.
      */
-    const CommTrace &get(const std::string &benchmark);
+    const CommTrace &get(const std::string &benchmark) const;
 
-    /** Generate all of @p benchmarks in parallel on @p runner. */
+    /**
+     * Generate those of @p benchmarks the library does not hold yet,
+     * in parallel on @p runner's lanes. Not to be called while a lane
+     * reads the library.
+     */
     void prefetch(const std::vector<std::string> &benchmarks,
                   ExperimentRunner &runner);
 
@@ -41,14 +45,8 @@ class TraceLibrary
     static double naturalLoad(const CommTrace &t, unsigned n_nodes);
 
   private:
-    struct Entry {
-        std::once_flag once;
-        CommTrace trace;
-    };
-
     unsigned scale_;
-    std::mutex mtx_;
-    std::map<std::string, std::unique_ptr<Entry>> entries_;
+    std::map<std::string, CommTrace> traces_;
 };
 
 } // namespace approxnoc::harness

@@ -24,7 +24,6 @@ NetworkStats::reset()
     net_lat.reset();
     decode_lat.reset();
     total_lat.reset();
-    data_total_lat.reset();
     hops.reset();
     total_lat_hist.reset();
     packets_delivered.reset();
@@ -243,7 +242,6 @@ Network::onDelivery(const PacketPtr &pkt, Cycle now)
     stats_.packets_delivered.inc();
     if (pkt->cls == PacketClass::Data) {
         stats_.data_packets_delivered.inc();
-        stats_.data_total_lat.add(static_cast<double>(pkt->totalLatency()));
         const double err = stats_.quality.record(
             pkt->precise, pkt->enc, pkt->delivered, pkt->src, pkt->dst);
         if (err_hist_)

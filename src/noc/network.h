@@ -30,7 +30,6 @@ struct NetworkStats {
     RunningStat net_lat;    ///< head injection -> tail ejection
     RunningStat decode_lat; ///< ejection -> decompression done
     RunningStat total_lat;  ///< the paper's average packet latency
-    RunningStat data_total_lat; ///< data packets only
     RunningStat hops;       ///< routers traversed per packet
     Histogram total_lat_hist{4.0, 128}; ///< 4-cycle buckets to 512+
     Counter packets_delivered;

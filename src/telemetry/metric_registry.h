@@ -43,7 +43,6 @@ class MetricScope
     MetricScope scope(const std::string &sub) const;
 
     const std::string &prefix() const { return prefix_; }
-    MetricRegistry &registry() const { return *reg_; }
 
   private:
     MetricRegistry *reg_;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/codec_factory.h"
+#include "harness/runner.h"
 #include "harness/trace_library.h"
 #include "noc/network.h"
 #include "sim/simulator.h"
@@ -197,6 +198,8 @@ TEST(ActiveSet, TraceReplayMatchesDenseUnderEveryScheme)
     // The paper grid's point: a kernel trace on the 4x4 cmesh at 0.04
     // flits/cycle/node, where routers and NIs sleep most of the time.
     harness::TraceLibrary lib;
+    harness::ExperimentRunner runner;
+    lib.prefetch({"blackscholes"}, runner);
     const CommTrace &full = lib.get("blackscholes");
     CommTrace trace;
     for (const auto &b : full.blocks())

@@ -145,7 +145,7 @@ TEST(CliArgs, CountFlagsRejectNegativeAndMalformedValues)
         const std::string arg = "--jobs=" + v;
         const char *argv[] = {"prog", arg.c_str()};
         EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
-                        2, const_cast<char **>(argv), "test"),
+                        2, const_cast<char **>(argv), "test", {"jobs"}),
                     ::testing::ExitedWithCode(1),
                     "fatal: flag --jobs expects a non-negative integer, "
                     "got '" + v + "'")
@@ -154,7 +154,7 @@ TEST(CliArgs, CountFlagsRejectNegativeAndMalformedValues)
     // 2^32 does not wrap into --jobs=0 (hardware concurrency).
     const char *argv[] = {"prog", "--jobs=4294967296"};
     EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
-                    2, const_cast<char **>(argv), "test"),
+                    2, const_cast<char **>(argv), "test", {"jobs"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: flag --jobs expects a non-negative integer no "
                 "larger than 4294967295, got '4294967296'");
@@ -190,9 +190,42 @@ TEST(CliArgs, ExpectRejectsUnknownFlags)
                 "fatal: unknown flag --cycles");
     const char *typo[] = {"prog", "--benchmark=blackscholes"};
     EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
-                    2, const_cast<char **>(typo), "test"),
+                    2, const_cast<char **>(typo), "test", {"benchmarks"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: unknown flag --benchmark");
+    // A harness flag the binary does not name is unknown too.
+    const char *unread[] = {"prog", "--jobs=2"};
+    EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
+                    2, const_cast<char **>(unread), "test", {"benchmarks"}),
+                ::testing::ExitedWithCode(1), "fatal: unknown flag --jobs");
+}
+
+/** A harness sets its defaults before fromCli(): each survives while
+ *  its flag is absent and gives way when the flag is given. */
+TEST(CliArgs, HarnessDefaultsGiveWayOnlyToGivenFlags)
+{
+    auto parse = [](std::vector<const char *> argv) {
+        return harness::ExperimentSpec::Builder()
+            .benchmarks({"blackscholes", "streamcluster"})
+            .threshold(5.0)
+            .maxRecords(300)
+            .fromCli(static_cast<int>(argv.size()),
+                     const_cast<char **>(argv.data()), "test",
+                     harness::kReplayFlags)
+            .build();
+    };
+    const harness::ExperimentSpec absent = parse({"prog", "--load=0.5"});
+    EXPECT_EQ(absent.benchmarks(),
+              (std::vector<std::string>{"blackscholes", "streamcluster"}));
+    EXPECT_EQ(absent.thresholds(), std::vector<double>{5.0});
+    EXPECT_EQ(absent.config().max_records, 300u);
+    EXPECT_EQ(absent.loads(), std::vector<double>{0.5});
+
+    const harness::ExperimentSpec given = parse(
+        {"prog", "--benchmarks=all", "--threshold=20", "--max-records=900"});
+    EXPECT_EQ(given.benchmarks().size(), 8u);
+    EXPECT_EQ(given.thresholds(), std::vector<double>{20.0});
+    EXPECT_EQ(given.config().max_records, 900u);
 }
 
 /** A real-valued flag outside its range, or not finite, exits 1 naming
@@ -251,7 +284,8 @@ TEST(CliArgs, HarnessRealFlagsAreRangeChecked)
     for (const auto &c : cases) {
         const char *argv[] = {"prog", c.arg};
         EXPECT_EXIT(harness::ExperimentSpec::Builder().fromCli(
-                        2, const_cast<char **>(argv), "test"),
+                        2, const_cast<char **>(argv), "test",
+                        harness::kReplayFlags),
                     ::testing::ExitedWithCode(1),
                     std::string("fatal: ") + c.message)
             << c.arg;

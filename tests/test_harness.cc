@@ -42,7 +42,7 @@ std::string
 render(const Experiment &ex)
 {
     std::ostringstream os;
-    ex.results().toTable(ex.spec()).print(os);
+    points_table(ex).print(os);
     return os.str();
 }
 
@@ -149,6 +149,42 @@ TEST(Spec, GridEnumerationAndSeeds)
                   derive_seed(spec.config().base_seed, p.index));
 }
 
+TEST(Spec, HardwareCoordinatesNestInnermost)
+{
+    ExperimentSpec spec = ExperimentSpec::Builder()
+                              .benchmarks({"blackscholes"})
+                              .schemes({Scheme::DiComp, Scheme::DiVaxx})
+                              .flitBits({32, 128})
+                              .pmtEntries({4, 16})
+                              .build();
+    ASSERT_EQ(spec.size(), 8u);
+    // Scheme, then flit width, then PMT size, innermost.
+    const struct {
+        Scheme scheme;
+        unsigned flit_bits;
+        std::size_t pmt_entries;
+    } order[] = {{Scheme::DiComp, 32, 4},   {Scheme::DiComp, 32, 16},
+                 {Scheme::DiComp, 128, 4},  {Scheme::DiComp, 128, 16},
+                 {Scheme::DiVaxx, 32, 4},   {Scheme::DiVaxx, 32, 16},
+                 {Scheme::DiVaxx, 128, 4},  {Scheme::DiVaxx, 128, 16}};
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        EXPECT_EQ(spec.points()[i].scheme, order[i].scheme) << i;
+        EXPECT_EQ(spec.points()[i].flit_bits, order[i].flit_bits) << i;
+        EXPECT_EQ(spec.points()[i].pmt_entries, order[i].pmt_entries) << i;
+    }
+    EXPECT_EQ(spec.select({.flit_bits = 128}).size(), 4u);
+    EXPECT_EQ(spec.select({.pmt_entries = 4}).size(), 4u);
+    EXPECT_EQ(spec.indexOf({.scheme = Scheme::DiVaxx,
+                            .flit_bits = 32,
+                            .pmt_entries = 16}),
+              5u);
+
+    // Table 1's values when the grid does not vary them.
+    const ExperimentSpec table1 = small_spec(1);
+    EXPECT_EQ(table1.points().front().flit_bits, 64u);
+    EXPECT_EQ(table1.points().front().pmt_entries, 8u);
+}
+
 TEST(Spec, FilterAndSelect)
 {
     ExperimentSpec spec =
@@ -192,16 +228,14 @@ TEST(Experiment, ParallelRunIsBitIdenticalToSerial)
 TEST(Experiment, ThrowingPointBecomesFailedCell)
 {
     Experiment ex(small_spec(4));
-    const ResultSink &sink =
-        ex.run([](const ExperimentPoint &pt) -> ReplayResult {
-            if (pt.scheme == Scheme::DiComp)
-                throw std::runtime_error("injected failure");
-            return ReplayResult{};
-        });
-    EXPECT_EQ(sink.failures(), 2u); // one DiComp point per benchmark
+    ex.run([](const ExperimentPoint &pt) -> ReplayResult {
+        if (pt.scheme == Scheme::DiComp)
+            throw std::runtime_error("injected failure");
+        return ReplayResult{};
+    });
+    EXPECT_EQ(ex.failures(), 2u); // one DiComp point per benchmark
     for (const auto &p : ex.spec().points()) {
         const PointResult &pr = ex.resultAt(p.index);
-        EXPECT_TRUE(pr.done);
         if (p.scheme == Scheme::DiComp) {
             EXPECT_FALSE(pr.ok);
             EXPECT_NE(pr.error.find("injected failure"),
@@ -211,12 +245,19 @@ TEST(Experiment, ThrowingPointBecomesFailedCell)
         }
     }
     // The failed cells surface in the grid table instead of aborting.
-    Table t = sink.toTable(ex.spec());
+    Table t = points_table(ex);
     std::size_t failed_rows = 0;
     for (const auto &row : t.data())
         for (const auto &cell : row)
             failed_rows += cell.find("FAILED") != std::string::npos;
     EXPECT_EQ(failed_rows, 2u);
+}
+
+TEST(TraceLibrary, GetBeforePrefetchIsFatal)
+{
+    TraceLibrary lib;
+    EXPECT_EXIT(lib.get("blackscholes"), ::testing::ExitedWithCode(1),
+                "no trace for 'blackscholes'");
 }
 
 TEST(Stats, RunningStatMergeMatchesSequential)

@@ -591,20 +591,18 @@ TEST(Telemetry, PointLabelIsWorkerIndependent)
 
 namespace {
 
-/** Tiny replay with full telemetry into @p dir; returns the result. */
+/** One blackscholes replay point of @p scheme under @p cfg. */
 harness::ReplayResult
-replay_with_telemetry(const std::string &dir, const std::string &label)
+replay_point(Scheme scheme, const harness::ExperimentConfig &cfg)
 {
     using namespace harness;
     TraceLibrary lib;
-    ReplayJob job;
-    job.scheme = Scheme::FpVaxx;
-    job.max_records = 300;
-    job.telemetry.metrics_dir = dir;
-    job.telemetry.trace_dir = dir;
-    job.telemetry.sample_interval = 100;
-    job.telemetry.label = label;
-    return run_replay(lib.get("blackscholes"), job);
+    ExperimentRunner runner;
+    lib.prefetch({"blackscholes"}, runner);
+    ExperimentPoint pt;
+    pt.benchmark = "blackscholes";
+    pt.scheme = scheme;
+    return run_replay_point(lib.get("blackscholes"), pt, cfg);
 }
 
 } // namespace
@@ -612,15 +610,21 @@ replay_with_telemetry(const std::string &dir, const std::string &label)
 TEST(TelemetryEndToEnd, ReplayProducesValidArtifacts)
 {
     const std::string dir = ::testing::TempDir() + "telemetry_e2e";
-    harness::ReplayResult r = replay_with_telemetry(dir, "e2e");
+    harness::ExperimentConfig cfg;
+    cfg.max_records = 300;
+    cfg.metrics_dir = dir;
+    cfg.trace_dir = dir;
+    cfg.sample_interval = 100;
+    harness::ReplayResult r = replay_point(Scheme::FpVaxx, cfg);
     ASSERT_NE(r.metrics, nullptr);
+    const std::string e2e = dir + "/p0_blackscholes_fp_vaxx"; // point 0
 
     // The trace validates: required fields + monotonic tracks.
-    Json trace = parse_json(slurp(dir + "/e2e.trace.json"));
+    Json trace = parse_json(slurp(e2e + ".trace.json"));
     validate_trace_events(trace);
 
     // The metrics dump has the instrumented hierarchy.
-    Json metrics = parse_json(slurp(dir + "/e2e.metrics.json"));
+    Json metrics = parse_json(slurp(e2e + ".metrics.json"));
     const Json &counters = metrics.at("counters");
     EXPECT_TRUE(counters.has("codec.fp_vaxx.blocks_encoded"));
     EXPECT_TRUE(counters.has("router.0.buffer_writes"));
@@ -635,13 +639,13 @@ TEST(TelemetryEndToEnd, ReplayProducesValidArtifacts)
               r.packets);
 
     // The time-series has rows and the declared columns.
-    Json ts = parse_json(slurp(dir + "/e2e.timeseries.json"));
+    Json ts = parse_json(slurp(e2e + ".timeseries.json"));
     EXPECT_GT(ts.at("rows").arr.size(), 1u);
     EXPECT_GT(ts.at("columns").arr.size(), 1u);
 
     // The QoR artifact parses and, whenever any word was approximated,
     // its sample count surfaces in the metrics under qor.<scheme>.
-    Json qor = parse_json(slurp(dir + "/e2e.qor.json"));
+    Json qor = parse_json(slurp(e2e + ".qor.json"));
     EXPECT_EQ(qor.at("schema").str, "approxnoc-qor-profile-v1");
     if (qor.at("total").at("count").num > 0) {
         ASSERT_TRUE(counters.has("qor.fp_vaxx.samples"));
@@ -652,13 +656,9 @@ TEST(TelemetryEndToEnd, ReplayProducesValidArtifacts)
 
 TEST(TelemetryEndToEnd, DisabledTelemetryLeavesNoTrace)
 {
-    using namespace harness;
-    TraceLibrary lib;
-    ReplayJob job;
-    job.scheme = Scheme::Baseline;
-    job.max_records = 200;
-    ReplayResult r = run_replay(lib.get("blackscholes"), job);
-    EXPECT_EQ(r.metrics, nullptr);
+    harness::ExperimentConfig cfg;
+    cfg.max_records = 200;
+    EXPECT_EQ(replay_point(Scheme::Baseline, cfg).metrics, nullptr);
 }
 
 TEST(TelemetryEndToEnd, CompareRunTraceValidates)
