@@ -114,19 +114,24 @@ CliArgs::getDouble(const std::string &name, double def, RealRange range) const
 }
 
 unsigned long
-CliArgs::count(const std::string &name, unsigned long def,
-               unsigned long max) const
+CliArgs::count(const std::string &name, unsigned long def, unsigned long lo,
+               unsigned long hi) const
 {
     const std::string *s = value(name);
     if (!s)
         return def;
     std::optional<long> v = whole_long(*s);
-    if (!v || *v < 0)
+    const bool counts = v && *v >= 0;
+    if (lo > 0 && !(counts && static_cast<unsigned long>(*v) >= lo &&
+                    static_cast<unsigned long>(*v) <= hi))
+        ANOC_FATAL("flag --", name, " expects an integer in [", lo, ", ", hi,
+                   "], got '", *s, "'");
+    if (!counts)
         ANOC_FATAL("flag --", name, " expects a non-negative integer, got '",
                    *s, "'");
-    if (static_cast<unsigned long>(*v) > max)
+    if (static_cast<unsigned long>(*v) > hi)
         ANOC_FATAL("flag --", name,
-                   " expects a non-negative integer no larger than ", max,
+                   " expects a non-negative integer no larger than ", hi,
                    ", got '", *s, "'");
     return static_cast<unsigned long>(*v);
 }

@@ -67,7 +67,16 @@ class CliArgs
     template <std::unsigned_integral T = unsigned long>
     T getCount(const std::string &name, std::type_identity_t<T> def) const
     {
-        return static_cast<T>(count(name, def, std::numeric_limits<T>::max()));
+        return static_cast<T>(
+            count(name, def, 0, std::numeric_limits<T>::max()));
+    }
+    /** getCount limited to [@p lo, @p hi]: any other value is fatal,
+     *  naming the flag, the range and the value. */
+    template <std::unsigned_integral T>
+    T getCount(const std::string &name, std::type_identity_t<T> def,
+               std::type_identity_t<T> lo, std::type_identity_t<T> hi) const
+    {
+        return static_cast<T>(count(name, def, lo, hi));
     }
     /** Bare --name, or --name=true|1|yes|on. */
     bool getBool(const std::string &name, bool def) const;
@@ -82,7 +91,7 @@ class CliArgs
     /** The value of --name, nullptr when absent; fatal when bare. */
     const std::string *value(const std::string &name) const;
     unsigned long count(const std::string &name, unsigned long def,
-                        unsigned long max) const;
+                        unsigned long lo, unsigned long hi) const;
 
     std::string program_;
     /** Flag name -> value; nullopt for a bare flag. */

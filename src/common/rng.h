@@ -6,14 +6,98 @@
 #ifndef APPROXNOC_COMMON_RNG_H
 #define APPROXNOC_COMMON_RNG_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace approxnoc {
 
 /**
- * Thin wrapper over a 64-bit Mersenne twister with convenience draws.
- * Not thread safe; use one instance per simulated component.
+ * The 64-bit Mersenne twister, MT19937-64: for every seed it yields
+ * std::mt19937_64's stream, bit for bit. The twist is branch-free
+ * (the random low bit selects the matrix by a mask, not a jump), so a
+ * draw costs the same whatever the bits are.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    explicit Mt19937_64(result_type s = 5489u) { seed(s); }
+
+    void
+    seed(result_type s)
+    {
+        x_[0] = s;
+        for (std::size_t i = 1; i < kN; ++i)
+            x_[i] = 6364136223846793005ull * (x_[i - 1] ^ (x_[i - 1] >> 62)) +
+                    i;
+        p_ = kN;
+    }
+
+    result_type
+    operator()()
+    {
+        if (p_ >= kN)
+            twist();
+        result_type z = x_[p_++];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+        z ^= (z << 37) & 0xFFF7EEE000000000ull;
+        return z ^ (z >> 43);
+    }
+
+  private:
+    static constexpr std::size_t kN = 312;
+    static constexpr std::size_t kM = 156;
+
+    /** One twist step: x_[k] from x_[k], x_[k + 1] and x_[k + kM]. */
+    static result_type
+    mix(result_type xk, result_type xk1, result_type xkm)
+    {
+        constexpr result_type kUpper = ~result_type{0} << 31;
+        const result_type y = (xk & kUpper) | (xk1 & ~kUpper);
+        return xkm ^ (y >> 1) ^ (0xB5026F5AA96619E9ull & (0 - (y & 1)));
+    }
+
+    void
+    twist()
+    {
+        for (std::size_t k = 0; k < kN - kM; ++k)
+            x_[k] = mix(x_[k], x_[k + 1], x_[k + kM]);
+        for (std::size_t k = kN - kM; k < kN - 1; ++k)
+            x_[k] = mix(x_[k], x_[k + 1], x_[k + kM - kN]);
+        x_[kN - 1] = mix(x_[kN - 1], x_[0], x_[kM - 1]);
+        p_ = 0;
+    }
+
+    std::array<result_type, kN> x_{};
+    std::size_t p_ = kN;
+};
+
+/**
+ * @p x / 2^64 rounded to double and held below 1: the value
+ * std::generate_canonical<double, 53> makes of one 64-bit draw. The
+ * two 32-bit halves convert exactly and their sum rounds once, as the
+ * direct conversion does, without its branch on the top bit.
+ */
+inline double
+canonical_double(std::uint64_t x)
+{
+    const double v = static_cast<double>(static_cast<std::uint32_t>(x >> 32)) *
+                         0x1p32 +
+                     static_cast<double>(static_cast<std::uint32_t>(x));
+    const double u = v * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+}
+
+/**
+ * Convenience draws over Mt19937_64. Not thread safe; use one instance
+ * per simulated component.
  */
 class Rng
 {
@@ -37,18 +121,16 @@ class Rng
         return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
     }
 
-    /** Uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-    }
+    /** Uniform double in [0, 1): std::uniform_real_distribution's
+     *  value for (0, 1). */
+    double uniform() { return canonical_double(engine_()); }
 
-    /** Uniform double in [lo, hi). */
+    /** Uniform double in [lo, hi), computed as
+     *  std::uniform_real_distribution computes it. */
     double
     uniform(double lo, double hi)
     {
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        return uniform() * (hi - lo) + lo;
     }
 
     /** Normal draw. */
@@ -68,11 +150,8 @@ class Rng
     /** Raw 64 random bits. */
     std::uint64_t bits() { return engine_(); }
 
-    /** The underlying engine, for std::shuffle etc. */
-    std::mt19937_64 &engine() { return engine_; }
-
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
 };
 
 } // namespace approxnoc

@@ -73,24 +73,15 @@ run_replay_point(const CommTrace &trace, const ExperimentPoint &pt,
             sim.add(ptel->sampler());
     }
 
-    // Cap the replayed portion of the trace for bounded runtime.
-    CommTrace capped;
-    if (trace.size() > cfg.max_records) {
-        // Rebuild the prefix (block indices are preserved by copying
-        // the pool wholesale).
-        for (const auto &b : trace.blocks())
-            capped.addBlock(b);
-        for (std::size_t i = 0; i < cfg.max_records; ++i)
-            capped.add(trace.records()[i]);
-    }
-    const CommTrace &use = trace.size() > cfg.max_records ? capped : trace;
-
-    // Normalize the offered load of the *replayed* portion.
-    double natural = TraceLibrary::naturalLoad(use, ncfg.nodes());
+    // Replay at most the first max_records records, for bounded
+    // runtime, and normalize the offered load of that portion.
+    double natural =
+        TraceLibrary::naturalLoad(trace, ncfg.nodes(), cfg.max_records);
     double time_scale =
         natural > 0 && pt.load > 0 ? natural / pt.load : 1.0;
 
-    TraceReplay replay(net, use, time_scale, pt.approx_ratio);
+    TraceReplay replay(net, trace, time_scale, pt.approx_ratio,
+                       cfg.max_records);
     sim.add(&replay);
 
     bool done = sim.runUntil(

@@ -53,15 +53,18 @@ TraceLibrary::prefetch(const std::vector<std::string> &benchmarks,
 }
 
 double
-TraceLibrary::naturalLoad(const CommTrace &t, unsigned n_nodes)
+TraceLibrary::naturalLoad(const CommTrace &t, unsigned n_nodes,
+                          std::size_t records)
 {
-    if (t.duration() == 0)
+    const std::size_t n = std::min(records, t.size());
+    const Cycle duration = n == 0 ? 0 : t.records()[n - 1].t;
+    if (duration == 0)
         return 0.0;
     std::uint64_t flits = 0;
-    for (const auto &r : t.records())
-        flits += r.cls == PacketClass::Data ? 9 : 1;
+    for (std::size_t i = 0; i < n; ++i)
+        flits += t.records()[i].cls == PacketClass::Data ? 9 : 1;
     return static_cast<double>(flits) /
-           (static_cast<double>(t.duration()) * n_nodes);
+           (static_cast<double>(duration) * n_nodes);
 }
 
 } // namespace approxnoc::harness

@@ -41,8 +41,10 @@ class TraceLibrary
     void prefetch(const std::vector<std::string> &benchmarks,
                   ExperimentRunner &runner);
 
-    /** Natural offered load of a trace in data-flits/cycle/node. */
-    static double naturalLoad(const CommTrace &t, unsigned n_nodes);
+    /** Natural offered load in data-flits/cycle/node of the first
+     *  @p records records of @p t (default: all of them). */
+    static double naturalLoad(const CommTrace &t, unsigned n_nodes,
+                              std::size_t records = CommTrace::kWholeTrace);
 
   private:
     unsigned scale_;

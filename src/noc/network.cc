@@ -102,7 +102,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec)
     // NIs: one per endpoint, on its router's local port.
     nis_.reserve(cfg_.nodes());
     for (NodeId n = 0; n < cfg_.nodes(); ++n) {
-        auto ni = std::make_unique<NetworkInterface>(n, cfg_, codec_);
+        auto ni =
+            std::make_unique<NetworkInterface>(n, cfg_, codec_, &in_flight_);
         RouterId r = cfg_.routerOf(n);
         unsigned port = kLocalBase + cfg_.localPortOf(n);
         ni->connectInjection(routers_[r].get(), port);

@@ -159,6 +159,9 @@ class Network : public Clocked
     NocConfig cfg_;
     CodecSystem *codec_;
 
+    /** Owns each packet whose tail flit is in the network; declared
+     *  before the routers and NIs, so it outlives their flits. */
+    InFlightTable in_flight_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
 

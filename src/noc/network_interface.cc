@@ -6,11 +6,13 @@
 namespace approxnoc {
 
 NetworkInterface::NetworkInterface(NodeId id, const NocConfig &cfg,
-                                   CodecSystem *codec)
+                                   CodecSystem *codec,
+                                   InFlightTable *in_flight)
     : Clocked("ni" + std::to_string(id)), id_(id), cfg_(cfg), codec_(codec),
-      credits_(cfg.vcs, cfg.vc_depth)
+      in_flight_(in_flight), credits_(cfg.vcs, cfg.vc_depth)
 {
     ANOC_ASSERT(codec != nullptr, "NI requires a codec (use BaselineCodec)");
+    ANOC_ASSERT(in_flight != nullptr, "NI requires an in-flight table");
     ANOC_ASSERT(cfg_.vcs <= Router::kMaxVcs, "NI ", id_, ": ", cfg_.vcs,
                 " VCs do not fit its VC mask");
 }
@@ -20,7 +22,7 @@ NetworkInterface::connectInjection(Router *r, unsigned router_in_port)
 {
     router_ = r;
     router_port_ = router_in_port;
-    r->connectInput(router_in_port, this, 0);
+    r->connectInput(router_in_port, this);
 }
 
 void
@@ -46,7 +48,7 @@ NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
 }
 
 void
-NetworkInterface::creditReturn(unsigned, unsigned vc)
+NetworkInterface::creditReturn(unsigned vc)
 {
     ANOC_ASSERT(vc < cfg_.vcs, "credit return vc out of range");
     ANOC_ASSERT(credits_[vc] < cfg_.vc_depth, "NI credit overflow");
@@ -109,13 +111,14 @@ NetworkInterface::sendFlit(Cycle now)
     }
 
     Flit f;
+    f.pkt = current_.get();
     f.seq = next_seq_;
     f.is_tail = tail;
     f.arrival = now + 1;
-    // The tail flit takes over this NI's reference to the packet.
-    f.pkt = tail ? std::move(current_) : current_;
+    if (tail)
+        in_flight_->adopt(std::move(current_));
     --credits_[vc];
-    router_->acceptFlit(router_port_, vc, std::move(f));
+    router_->acceptFlit(router_port_, vc, f);
 
     if (tail) {
         vc_busy_ &= ~(1u << vc);
@@ -127,15 +130,16 @@ NetworkInterface::sendFlit(Cycle now)
 }
 
 void
-NetworkInterface::acceptEjectedFlit(Flit f, Cycle now)
+NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
 {
-    PacketPtr pkt = std::move(f.pkt);
-    ++pkt->ejected_flits;
-    if (pkt->ejected_flits < pkt->n_flits)
+    ANOC_ASSERT(f.pkt->ejected_flits < f.pkt->n_flits,
+                "packet over-ejected: duplicate flits");
+    if (++f.pkt->ejected_flits < f.pkt->n_flits)
         return;
 
-    ANOC_ASSERT(pkt->ejected_flits == pkt->n_flits,
-                "packet over-ejected: duplicate flits");
+    ANOC_ASSERT(f.is_tail, "packet ", f.pkt->id,
+                " reassembled before its tail flit ejected");
+    const PacketPtr pkt = in_flight_->release(*f.pkt);
     pkt->eject_done = now;
     if (tracer_)
         tracer_->instant(telemetry::PacketTracer::nodeTrack(id_), "eject",

@@ -27,12 +27,16 @@
 namespace approxnoc {
 
 /** One node's NI. */
-class NetworkInterface : public Clocked, public FlitSource
+class NetworkInterface : public Clocked
 {
   public:
     using DeliveryFn = std::function<void(const PacketPtr &, Cycle)>;
 
-    NetworkInterface(NodeId id, const NocConfig &cfg, CodecSystem *codec);
+    /** @p in_flight is the network's: it takes each packet over when
+     *  the packet's tail flit leaves this NI, and hands it back to the
+     *  destination NI when the tail ejects. */
+    NetworkInterface(NodeId id, const NocConfig &cfg, CodecSystem *codec,
+                     InFlightTable *in_flight);
 
     NodeId nodeId() const { return id_; }
 
@@ -50,11 +54,13 @@ class NetworkInterface : public Clocked, public FlitSource
      */
     void enqueue(const PacketPtr &pkt, Cycle now);
 
-    /** Ejection-side link interface, called by the router's advance;
-     *  the flit and its packet reference are moved in. */
-    void acceptEjectedFlit(Flit f, Cycle now);
+    /** Ejection-side link interface, called by the router's advance.
+     *  At the tail flit the in-flight table hands the packet over for
+     *  delivery, and keeps no reference to it. */
+    void acceptEjectedFlit(const Flit &f, Cycle now);
 
-    void creditReturn(unsigned out_port, unsigned vc) override;
+    /** The router returns one credit for injection VC @p vc. */
+    void creditReturn(unsigned vc);
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
@@ -101,11 +107,12 @@ class NetworkInterface : public Clocked, public FlitSource
     NodeId id_;
     NocConfig cfg_;
     CodecSystem *codec_; ///< shared by every NI of the network
+    InFlightTable *in_flight_; ///< the network's
     Router *router_ = nullptr;
     unsigned router_port_ = 0;
 
     std::deque<QueuedPacket> inj_q_;
-    PacketPtr current_;       ///< packet mid-injection
+    PacketPtr current_;       ///< packet mid-injection; owned until its tail leaves
     unsigned next_seq_ = 0;   ///< next flit of current_
     int alloc_vc_ = -1;       ///< VC allocated for current_
     std::uint32_t vc_busy_ = 0; ///< bit v: VC v carries current_

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <vector>
 
 #include "common/data_block.h"
 #include "common/types.h"
@@ -51,19 +53,46 @@ struct Packet {
     Cycle decodeLatency() const { return decode_done - eject_done; }
     /** Total packet latency (the paper's Fig. 9 metric). */
     Cycle totalLatency() const { return decode_done - created; }
+
+    /** Its slot in the network's InFlightTable while that owns it. */
+    std::uint32_t in_flight_slot = 0;
 };
 
 using PacketPtr = std::shared_ptr<Packet>;
 
-/** One flit of a packet. */
+/**
+ * One flit of a packet. It points at its packet without owning it:
+ * the source NI owns the packet until the tail flit leaves it, then
+ * the network's InFlightTable does until the tail ejects, so the
+ * packet outlives every one of its flits.
+ */
 struct Flit {
-    PacketPtr pkt;
-    unsigned seq = 0; ///< 0 = head
-    bool is_tail = false;
+    Packet *pkt = nullptr;
     /** Cycle this flit entered the buffer it currently occupies. */
     Cycle arrival = 0;
+    unsigned seq = 0; ///< 0 = head
+    bool is_tail = false;
 
     bool isHead() const { return seq == 0; }
+};
+static_assert(std::is_trivially_copyable_v<Flit>);
+
+/**
+ * Owns each packet of one network from its tail flit's injection to
+ * its tail flit's ejection. Before that the source NI owns it, because
+ * a head flit can eject before its tail leaves the NI.
+ */
+class InFlightTable
+{
+  public:
+    /** Take @p p over as its tail flit enters the network. */
+    void adopt(PacketPtr p);
+    /** Hand back @p p, whose tail flit has just ejected. */
+    PacketPtr release(Packet &p);
+
+  private:
+    std::vector<PacketPtr> slots_;
+    std::vector<std::uint32_t> free_; ///< empty slots of slots_
 };
 
 /** Flits a payload of @p bits occupies at @p flit_bits per flit. */

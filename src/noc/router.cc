@@ -42,13 +42,20 @@ nextWrapped(unsigned i, unsigned n)
 
 Router::Router(RouterId id, const NocConfig &cfg, const RouteFn &route)
     : Clocked("router" + std::to_string(id)), id_(id), cfg_(cfg),
-      n_ports_(kLocalBase + cfg.concentration)
+      n_ports_(kLocalBase + cfg.concentration),
+      pipe_(cfg.router_stages - Cycle{1})
 {
     ANOC_ASSERT(n_ports_ <= kMaxPorts && cfg_.vcs >= 1 &&
                     cfg_.vcs <= kMaxVcs,
                 "router ", id_, ": ", n_ports_, " ports x ", cfg_.vcs,
                 " VCs do not fit its ", kMaxPorts, " x ", kMaxVcs,
                 " state masks");
+    ANOC_ASSERT(cfg_.vc_depth >= 1 && cfg_.vc_depth <= kMaxVcDepth,
+                "router ", id_, ": VC depth ", cfg_.vc_depth,
+                " outside [1, ", kMaxVcDepth, "]");
+    ANOC_ASSERT(cfg_.router_stages >= 1 && cfg_.router_stages <= kMaxStages,
+                "router ", id_, ": ", cfg_.router_stages,
+                " pipeline stages outside [1, ", kMaxStages, "]");
 
     routes_.resize(cfg_.nodes());
     for (NodeId dst = 0; dst < cfg_.nodes(); ++dst) {
@@ -64,21 +71,15 @@ Router::Router(RouterId id, const NocConfig &cfg, const RouteFn &route)
         }
     }
 
-    slots_.resize(std::size_t{n_ports_} * cfg_.vcs * cfg_.vc_depth);
+    const std::size_t n_vcs = std::size_t{n_ports_} * cfg_.vcs;
+    ring_.resize(n_vcs * cfg_.vc_depth);
+    vc_.resize(n_vcs);
+    credits_.assign(n_vcs, static_cast<std::uint8_t>(cfg_.vc_depth));
+    nonempty_.resize(n_ports_);
+    rr_vc_.resize(n_ports_);
     in_.resize(n_ports_);
     out_.resize(n_ports_);
     grants_.resize(n_ports_);
-    rr_vc_.resize(n_ports_, 0);
-    Flit *ring = slots_.data();
-    for (auto &ip : in_) {
-        ip.vcs.resize(cfg_.vcs);
-        for (auto &vb : ip.vcs) {
-            vb.ring = ring;
-            ring += cfg_.vc_depth;
-        }
-    }
-    for (auto &op : out_)
-        op.credits.assign(cfg_.vcs, cfg_.vc_depth);
 }
 
 void
@@ -87,6 +88,7 @@ Router::connectOutput(unsigned out_port, Router *peer, unsigned peer_in_port)
     ANOC_ASSERT(out_port < n_ports_, "output port out of range");
     out_[out_port].peer = peer;
     out_[out_port].peer_port = peer_in_port;
+    connected_ |= 1u << out_port;
     peer->connectInput(peer_in_port, this, out_port);
 }
 
@@ -95,14 +97,23 @@ Router::connectEjection(unsigned out_port, NetworkInterface *ni)
 {
     ANOC_ASSERT(out_port < n_ports_, "output port out of range");
     out_[out_port].ni = ni;
+    connected_ |= 1u << out_port;
+    ejection_ |= 1u << out_port;
 }
 
 void
-Router::connectInput(unsigned in_port, FlitSource *up, unsigned up_port)
+Router::connectInput(unsigned in_port, Router *up, unsigned up_port)
 {
     ANOC_ASSERT(in_port < n_ports_, "input port out of range");
     in_[in_port].up = up;
     in_[in_port].up_port = up_port;
+}
+
+void
+Router::connectInput(unsigned in_port, NetworkInterface *ni)
+{
+    ANOC_ASSERT(in_port < n_ports_, "input port out of range");
+    in_[in_port].up_ni = ni;
 }
 
 void
@@ -125,7 +136,7 @@ int
 Router::allowedVcClass(const InPort &in, unsigned in_vc,
                        const OutPort &out) const
 {
-    if (!class_aware_ || out.isEjection())
+    if (!class_aware_)
         return -1; // unrestricted
     unsigned half = cfg_.vcs / 2;
     unsigned in_class = in_vc / half;
@@ -149,8 +160,8 @@ Router::selectRoute(NodeId dst) const
     // order.
     auto free_credits = [this](unsigned port) {
         unsigned n = 0;
-        for (unsigned c : out_[port].credits)
-            n += c;
+        for (unsigned v = 0; v < cfg_.vcs; ++v)
+            n += credits_[port * cfg_.vcs + v];
         return n;
     };
     unsigned best = r.port[0];
@@ -166,39 +177,42 @@ Router::selectRoute(NodeId dst) const
 }
 
 void
-Router::acceptFlit(unsigned in_port, unsigned vc, Flit f)
+Router::acceptFlit(unsigned in_port, unsigned vc, const Flit &f)
 {
     ANOC_ASSERT(in_port < n_ports_ && vc < cfg_.vcs,
                 "acceptFlit port/vc out of range");
-    InPort &port = in_[in_port];
-    VcBuf &buf = port.vcs[vc];
-    ANOC_ASSERT(buf.size < cfg_.vc_depth,
+    const unsigned vi = in_port * cfg_.vcs + vc;
+    VcState &s = vc_[vi];
+    ANOC_ASSERT(s.size < cfg_.vc_depth,
                 "buffer overflow at router ", id_, " port ", in_port,
                 " vc ", vc, " — credit protocol violated");
-    unsigned slot = buf.head + buf.size;
+    unsigned slot = s.head + s.size;
     if (slot >= cfg_.vc_depth)
         slot -= cfg_.vc_depth;
-    buf.ring[slot] = std::move(f);
-    ++buf.size;
-    port.nonempty |= 1u << vc;
+    ring_[std::size_t{vi} * cfg_.vc_depth + slot] = f;
+    if (s.size++ == 0)
+        s.ready = f.arrival + pipe_;
+    nonempty_[in_port] |= 1u << vc;
     busy_in_ |= 1u << in_port;
-    ++buffered_;
-    ++buffer_writes_;
-    wake();
+    if (buffered_++ == 0)
+        wake(); // a router holding flits never sleeps
 }
 
 Flit
 Router::popFlit(unsigned in_port, unsigned vc)
 {
-    InPort &port = in_[in_port];
-    VcBuf &buf = port.vcs[vc];
-    ANOC_ASSERT(buf.size > 0, "granted VC drained unexpectedly");
-    Flit f = std::move(buf.ring[buf.head]);
-    buf.head = nextWrapped(buf.head, cfg_.vc_depth);
-    if (--buf.size == 0) {
-        port.nonempty &= ~(1u << vc);
-        if (port.nonempty == 0)
+    const unsigned vi = in_port * cfg_.vcs + vc;
+    VcState &s = vc_[vi];
+    ANOC_ASSERT(s.size > 0, "granted VC drained unexpectedly");
+    const Flit *ring = &ring_[std::size_t{vi} * cfg_.vc_depth];
+    const Flit f = ring[s.head];
+    s.head = static_cast<std::uint8_t>(nextWrapped(s.head, cfg_.vc_depth));
+    if (--s.size == 0) {
+        nonempty_[in_port] &= ~(1u << vc);
+        if (nonempty_[in_port] == 0)
             busy_in_ &= ~(1u << in_port);
+    } else {
+        s.ready = ring[s.head].arrival + pipe_;
     }
     --buffered_;
     return f;
@@ -209,10 +223,50 @@ Router::creditReturn(unsigned out_port, unsigned vc)
 {
     ANOC_ASSERT(out_port < n_ports_ && vc < cfg_.vcs,
                 "creditReturn port/vc out of range");
-    auto &c = out_[out_port].credits[vc];
+    std::uint8_t &c = credits_[out_port * cfg_.vcs + vc];
     ANOC_ASSERT(c < cfg_.vc_depth, "credit overflow at router ", id_,
                 " port ", out_port, " vc ", vc);
     ++c;
+}
+
+void
+Router::trace(const char *what, Cycle now, std::uint64_t pkt,
+              const char *key, unsigned value) const
+{
+    tracer_->instant(telemetry::PacketTracer::routerTrack(id_), what, now,
+                     "{\"pkt\": " + std::to_string(pkt) + ", \"" + key +
+                         "\": " + std::to_string(value) + "}");
+}
+
+bool
+Router::allocateVc(unsigned in_port, unsigned vc, unsigned op_idx, Cycle now)
+{
+    // Claim a free downstream VC within the class the dateline
+    // discipline permits.
+    OutPort &op = out_[op_idx];
+    const unsigned vi = in_port * cfg_.vcs + vc;
+    unsigned lo = 0, hi = cfg_.vcs;
+    const int cls = allowedVcClass(in_[in_port], vc, op);
+    if (cls >= 0) {
+        const unsigned half = cfg_.vcs / 2;
+        lo = static_cast<unsigned>(cls) * half;
+        hi = lo + half;
+    }
+    const std::uint8_t *credits = &credits_[op_idx * cfg_.vcs];
+    for (unsigned dvc = lo; dvc < hi; ++dvc) {
+        if (!(op.vc_busy & (1u << dvc)) && credits[dvc] > 0) {
+            op.vc_busy |= 1u << dvc;
+            vc_[vi].out_vc = static_cast<std::int8_t>(dvc);
+            ++vc_allocs_;
+            if (tracer_)
+                trace("vc_alloc", now,
+                      ring_[std::size_t{vi} * cfg_.vc_depth + vc_[vi].head]
+                          .pkt->id,
+                      "vc", dvc);
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -222,7 +276,7 @@ Router::evaluate(Cycle now)
     if (buffered_ == 0)
         return;
 
-    const Cycle pipe = cfg_.router_stages - 1;
+    const unsigned n_vcs = cfg_.vcs;
     const auto rr_in = static_cast<unsigned>(now % n_ports_);
 
     // Non-empty input ports in round-robin order from rr_in, and in
@@ -231,63 +285,41 @@ Router::evaluate(Cycle now)
     for (std::uint64_t ports = rotated(busy_in_, rr_in, n_ports_); ports;
          ports &= ports - 1) {
         const unsigned ip = lowestIndex(ports, rr_in, n_ports_);
-        InPort &port = in_[ip];
         const unsigned vc0 = rr_vc_[ip];
-        for (std::uint64_t vcs = rotated(port.nonempty, vc0, cfg_.vcs); vcs;
+        const unsigned base = ip * n_vcs;
+        for (std::uint64_t vcs = rotated(nonempty_[ip], vc0, n_vcs); vcs;
              vcs &= vcs - 1) {
-            const unsigned vc = lowestIndex(vcs, vc0, cfg_.vcs);
-            VcBuf &buf = port.vcs[vc];
-            Flit &f = buf.ring[buf.head];
-            if (f.arrival + pipe > now)
+            const unsigned vc = lowestIndex(vcs, vc0, n_vcs);
+            const unsigned vi = base + vc;
+            VcState &s = vc_[vi];
+            if (s.ready > now)
                 continue; // still in BW/RC/VA stages
 
-            if (f.isHead() && buf.route < 0)
-                buf.route = static_cast<int>(selectRoute(f.pkt->dst));
-            const unsigned op_idx = static_cast<unsigned>(buf.route);
-            OutPort &op = out_[op_idx];
-            ANOC_ASSERT(op.connected(), "route to unconnected port ", op_idx,
-                        " at router ", id_);
+            // No route means a head flit is at the front.
+            if (s.route < 0)
+                s.route = static_cast<std::int8_t>(selectRoute(
+                    ring_[std::size_t{vi} * cfg_.vc_depth + s.head]
+                        .pkt->dst));
+            const auto op_idx = static_cast<unsigned>(s.route);
             const std::uint32_t op_bit = 1u << op_idx;
+            ANOC_ASSERT(connected_ & op_bit, "route to unconnected port ",
+                        op_idx, " at router ", id_);
             if (granted_ & op_bit)
                 continue; // output already claimed this cycle
 
-            if (op.isEjection()) {
+            if (ejection_ & op_bit) {
                 grants_[op_idx] = Grant{ip, vc};
                 granted_ |= op_bit;
                 break; // one flit per input port per cycle
             }
 
-            if (f.isHead() && buf.out_vc < 0) {
-                // VC allocation: claim a free downstream VC within the
-                // class the dateline discipline permits.
-                unsigned lo = 0, hi = cfg_.vcs;
-                int cls = allowedVcClass(port, vc, op);
-                if (cls >= 0) {
-                    unsigned half = cfg_.vcs / 2;
-                    lo = static_cast<unsigned>(cls) * half;
-                    hi = lo + half;
-                }
-                for (unsigned dvc = lo; dvc < hi; ++dvc) {
-                    if (!(op.vc_busy & (1u << dvc)) && op.credits[dvc] > 0) {
-                        op.vc_busy |= 1u << dvc;
-                        buf.out_vc = static_cast<int>(dvc);
-                        ++vc_allocs_;
-                        if (tracer_)
-                            tracer_->instant(
-                                telemetry::PacketTracer::routerTrack(id_),
-                                "vc_alloc", now,
-                                "{\"pkt\": " + std::to_string(f.pkt->id) +
-                                    ", \"vc\": " + std::to_string(dvc) + "}");
-                        break;
-                    }
-                }
-                if (buf.out_vc < 0) {
-                    ++vc_stalls_;
-                    continue; // no VC available; try another VC/input
-                }
+            // No downstream VC means a head flit is at the front.
+            if (s.out_vc < 0 && !allocateVc(ip, vc, op_idx, now)) {
+                ++vc_stalls_;
+                continue; // no VC available; try another VC/input
             }
-            if (buf.out_vc >= 0 &&
-                op.credits[static_cast<unsigned>(buf.out_vc)] > 0) {
+            if (credits_[op_idx * n_vcs +
+                         static_cast<unsigned>(s.out_vc)] > 0) {
                 grants_[op_idx] = Grant{ip, vc};
                 granted_ |= op_bit;
                 break;
@@ -303,40 +335,38 @@ Router::advance(Cycle now)
         const unsigned op_idx =
             static_cast<unsigned>(std::countr_zero(pending));
         const Grant g = grants_[op_idx];
-        InPort &port = in_[g.in_port];
-        VcBuf &buf = port.vcs[g.vc];
         Flit f = popFlit(g.in_port, g.vc);
         ++flits_forwarded_;
 
         // Return the freed buffer slot upstream.
-        if (port.up)
-            port.up->creditReturn(port.up_port, g.vc);
+        const InPort &in = in_[g.in_port];
+        if (in.up)
+            in.up->creditReturn(in.up_port, g.vc);
+        else if (in.up_ni)
+            in.up_ni->creditReturn(g.vc);
 
         OutPort &op = out_[op_idx];
+        VcState &s = vc_[g.in_port * cfg_.vcs + g.vc];
         const bool tail = f.is_tail;
-        if (op.isEjection()) {
-            op.ni->acceptEjectedFlit(std::move(f), now);
+        if (ejection_ & (1u << op_idx)) {
+            // The NI may release the packet: f.pkt is not read after.
+            op.ni->acceptEjectedFlit(f, now);
         } else {
-            unsigned dvc = static_cast<unsigned>(buf.out_vc);
-            ANOC_ASSERT(op.credits[dvc] > 0, "forwarding without credit");
-            --op.credits[dvc];
+            const auto dvc = static_cast<unsigned>(s.out_vc);
+            std::uint8_t &c = credits_[op_idx * cfg_.vcs + dvc];
+            ANOC_ASSERT(c > 0, "forwarding without credit");
+            --c;
             f.arrival = now + 1;
-            bool head = f.isHead();
-            std::uint64_t pkt_id = f.pkt->id;
-            op.peer->acceptFlit(op.peer_port, dvc, std::move(f));
+            op.peer->acceptFlit(op.peer_port, dvc, f);
             ++link_traversals_;
-            if (tracer_ && head)
-                tracer_->instant(telemetry::PacketTracer::routerTrack(id_),
-                                 "hop", now,
-                                 "{\"pkt\": " + std::to_string(pkt_id) +
-                                     ", \"to\": " +
-                                     std::to_string(op.peer->id()) + "}");
+            if (tracer_ && f.isHead())
+                trace("hop", now, f.pkt->id, "to", op.peer->id());
             if (tail)
                 op.vc_busy &= ~(1u << dvc);
         }
         if (tail) {
-            buf.route = -1;
-            buf.out_vc = -1;
+            s.route = -1;
+            s.out_vc = -1;
         }
         rr_vc_[g.in_port] = nextWrapped(g.vc, cfg_.vcs);
     }

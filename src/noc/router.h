@@ -17,6 +17,13 @@
  * wakes it. The input-port scan starts at port `now % ports`, so
  * arbitration depends on the cycle number alone, however long the
  * router slept.
+ *
+ * Its state is flat: every VC's ring position, route, downstream VC
+ * and front-flit ready cycle sit in one array, every credit in
+ * another, and the ejection and wired output ports in two masks. So a
+ * visit to a VC reads a flit only to compute a route (and the packet
+ * ids the tracer prints), and an output port's links only to allocate
+ * a VC or to send.
  */
 #ifndef APPROXNOC_NOC_ROUTER_H
 #define APPROXNOC_NOC_ROUTER_H
@@ -35,17 +42,8 @@ namespace approxnoc {
 
 class NetworkInterface;
 
-/** Anything that owns an output link and its credits (router or NI). */
-class FlitSource
-{
-  public:
-    virtual ~FlitSource() = default;
-    /** Downstream returns one credit for (our output port, vc). */
-    virtual void creditReturn(unsigned out_port, unsigned vc) = 0;
-};
-
 /** The router proper. */
-class Router : public Clocked, public FlitSource
+class Router : public Clocked
 {
   public:
     /**
@@ -65,9 +63,15 @@ class Router : public Clocked, public FlitSource
     /** Ports, and VCs per port, are tracked in 32-bit masks. */
     static constexpr unsigned kMaxPorts = 32;
     static constexpr unsigned kMaxVcs = 32;
+    /** Ring positions and credits are 8-bit counts. */
+    static constexpr unsigned kMaxVcDepth = 255;
+    /** A flit waits router_stages - 1 cycles per hop; this keeps that
+     *  wait far inside the network's 50k-cycle deadlock window. */
+    static constexpr unsigned kMaxStages = 1024;
 
-    /** Panics unless @p route gives every endpoint 1 to
-     *  kMaxRouteCandidates in-range output ports. */
+    /** Panics unless @p cfg fits the limits above, with at least one
+     *  VC, one buffer slot and one pipeline stage, and @p route gives
+     *  every endpoint 1 to kMaxRouteCandidates in-range output ports. */
     Router(RouterId id, const NocConfig &cfg, const RouteFn &route);
 
     RouterId id() const { return id_; }
@@ -78,8 +82,10 @@ class Router : public Clocked, public FlitSource
     void connectOutput(unsigned out_port, Router *peer, unsigned peer_in_port);
     /** Make output @p out_port an ejection port into @p ni. */
     void connectEjection(unsigned out_port, NetworkInterface *ni);
-    /** Record who feeds input @p in_port (for credit returns). */
-    void connectInput(unsigned in_port, FlitSource *up, unsigned up_port);
+    /** Record who feeds input @p in_port (for credit returns): output
+     *  @p up_port of router @p up, or the injection link of @p ni. */
+    void connectInput(unsigned in_port, Router *up, unsigned up_port);
+    void connectInput(unsigned in_port, NetworkInterface *ni);
 
     /**
      * Tag a link for dateline VC management (torus): @p out_port
@@ -94,8 +100,9 @@ class Router : public Clocked, public FlitSource
     ///@{
     /** Deposit a flit into input buffer (in_port, vc) and wake the
      *  router. Must have space. */
-    void acceptFlit(unsigned in_port, unsigned vc, Flit f);
-    void creditReturn(unsigned out_port, unsigned vc) override;
+    void acceptFlit(unsigned in_port, unsigned vc, const Flit &f);
+    /** Downstream returns one credit for (our output port, vc). */
+    void creditReturn(unsigned out_port, unsigned vc);
     ///@}
 
     void evaluate(Cycle now) override;
@@ -107,7 +114,8 @@ class Router : public Clocked, public FlitSource
     /** @name Activity counters (power model / watchdog) */
     ///@{
     std::uint64_t flitsForwarded() const { return flits_forwarded_; }
-    std::uint64_t bufferWrites() const { return buffer_writes_; }
+    /** Every flit written into a buffer is forwarded or still there. */
+    std::uint64_t bufferWrites() const { return flits_forwarded_ + buffered_; }
     std::uint64_t vcAllocations() const { return vc_allocs_; }
     std::uint64_t linkTraversals() const { return link_traversals_; }
     /** Cycles a head flit wanted a downstream VC and none was free. */
@@ -122,21 +130,22 @@ class Router : public Clocked, public FlitSource
     void bindTracer(telemetry::PacketTracer *t) { tracer_ = t; }
 
   private:
-    /** One VC's input buffer: a fixed ring of vc_depth slots. */
-    struct VcBuf {
-        Flit *ring = nullptr; ///< vc_depth slots inside slots_
-        unsigned head = 0;    ///< slot of the front flit
-        unsigned size = 0;    ///< flits buffered
-        int route = -1;  ///< output port of the packet at the head
-        int out_vc = -1; ///< downstream VC allocated to that packet
+    /** One input VC, indexed in_port * vcs + vc. Its flits sit in
+     *  ring_[index * vc_depth, (index + 1) * vc_depth). */
+    struct VcState {
+        Cycle ready = 0;          ///< front flit may leave from this cycle
+        std::uint8_t head = 0;    ///< ring slot of the front flit
+        std::uint8_t size = 0;    ///< flits buffered
+        std::int8_t route = -1;   ///< output port of the packet at the front
+        std::int8_t out_vc = -1;  ///< downstream VC allocated to that packet
     };
     /** Dimension tag for local/injection ports. */
     static constexpr unsigned kDimLocal = 0xFF;
 
+    /** Who feeds an input: a router's output port, or an NI. */
     struct InPort {
-        std::vector<VcBuf> vcs;
-        std::uint32_t nonempty = 0; ///< bit v: vcs[v] holds a flit
-        FlitSource *up = nullptr;
+        Router *up = nullptr;
+        NetworkInterface *up_ni = nullptr;
         unsigned up_port = 0;
         unsigned dim = kDimLocal;
     };
@@ -145,12 +154,8 @@ class Router : public Clocked, public FlitSource
         unsigned peer_port = 0;
         NetworkInterface *ni = nullptr;
         std::uint32_t vc_busy = 0; ///< bit v: downstream VC v allocated
-        std::vector<unsigned> credits;
         unsigned dim = kDimLocal;
         bool wrap = false;
-
-        bool isEjection() const { return ni != nullptr; }
-        bool connected() const { return peer != nullptr || ni != nullptr; }
     };
     struct Grant {
         unsigned in_port = 0;
@@ -165,16 +170,23 @@ class Router : public Clocked, public FlitSource
     RouterId id_;
     NocConfig cfg_;
     unsigned n_ports_;
+    Cycle pipe_; ///< cycles a flit spends in BW/RC/VA before ST
     /** Route candidates per destination endpoint, built once. */
     std::vector<Route> routes_;
 
-    std::vector<Flit> slots_; ///< every VC ring; never resized
+    std::vector<Flit> ring_;      ///< every VC's ring; never resized
+    std::vector<VcState> vc_;     ///< per input VC
+    std::vector<std::uint8_t> credits_; ///< per output port * vcs + VC
+    std::vector<std::uint32_t> nonempty_; ///< per input port: bit v: VC v holds a flit
+    std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
     std::vector<InPort> in_;
     std::vector<OutPort> out_;
     std::vector<Grant> grants_; ///< per output port
-    std::uint32_t granted_ = 0; ///< bit p: grants_[p] is this cycle's
-    std::uint32_t busy_in_ = 0; ///< bit p: in_[p] holds a flit
-    std::size_t buffered_ = 0;  ///< flits in all input buffers
+    std::uint32_t granted_ = 0;   ///< bit p: grants_[p] is this cycle's
+    std::uint32_t busy_in_ = 0;   ///< bit p: input p holds a flit
+    std::uint32_t ejection_ = 0;  ///< bit p: output p feeds an NI
+    std::uint32_t connected_ = 0; ///< bit p: output p is wired
+    std::size_t buffered_ = 0;    ///< flits in all input buffers
 
     /** Downstream VC class a flit may allocate (dateline discipline). */
     int allowedVcClass(const InPort &in, unsigned in_vc,
@@ -183,14 +195,22 @@ class Router : public Clocked, public FlitSource
     /** Resolve the route candidates towards @p dst to one output port. */
     unsigned selectRoute(NodeId dst) const;
 
+    /** Claim a free downstream VC of output @p op for the head flit at
+     *  the front of input buffer (in_port, vc); false when none is
+     *  free. */
+    bool allocateVc(unsigned in_port, unsigned vc, unsigned op, Cycle now);
+
     /** Remove and return the front flit of input buffer (in_port, vc). */
     Flit popFlit(unsigned in_port, unsigned vc);
 
-    std::vector<unsigned> rr_vc_; ///< per-input round-robin over VCs
+    /** Emit instant @p what with args {"pkt": pkt, "<key>": value} on
+     *  this router's track; kept out of the hop path. */
+    void trace(const char *what, Cycle now, std::uint64_t pkt,
+               const char *key, unsigned value) const;
+
     bool class_aware_ = false; ///< any link tagged => dateline VCs on
 
     std::uint64_t flits_forwarded_ = 0;
-    std::uint64_t buffer_writes_ = 0;
     std::uint64_t vc_allocs_ = 0;
     std::uint64_t link_traversals_ = 0;
     std::uint64_t vc_stalls_ = 0;

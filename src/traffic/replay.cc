@@ -1,5 +1,6 @@
 #include "traffic/replay.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -22,15 +23,17 @@ mix(std::uint32_t x)
 } // namespace
 
 TraceReplay::TraceReplay(Network &net, const CommTrace &trace,
-                         double time_scale, double approx_ratio)
+                         double time_scale, double approx_ratio,
+                         std::size_t records)
     : Clocked("trace-replay"), net_(net), trace_(trace),
-      time_scale_(time_scale), approx_ratio_(approx_ratio)
+      time_scale_(time_scale), approx_ratio_(approx_ratio),
+      end_(std::min(records, trace.size()))
 {
     ANOC_ASSERT(time_scale > 0.0, "time scale must be positive");
     const unsigned n_nodes = net_.config().nodes();
     const std::string &name =
         trace.origin().empty() ? std::string("trace") : trace.origin();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
+    for (std::size_t i = 0; i < end_; ++i) {
         const TraceRecord &r = trace.records()[i];
         if (r.src >= n_nodes || r.dst >= n_nodes)
             ANOC_FATAL(name, ": record ", i, " (t=", r.t, ") sends ", r.src,
@@ -47,7 +50,7 @@ TraceReplay::evaluate(Cycle)
 void
 TraceReplay::advance(Cycle now)
 {
-    while (cursor_ < trace_.size()) {
+    while (cursor_ < end_) {
         const TraceRecord &r = trace_.records()[cursor_];
         Cycle when = static_cast<Cycle>(
             std::llround(static_cast<double>(r.t) * time_scale_));

@@ -27,15 +27,18 @@ class TraceReplay : public Clocked
      *        densifies traffic).
      * @param approx_ratio fraction of annotated-approximable data
      *        packets that keep the annotation (default 0.75 per Table 1).
+     * @param records replay only the first this many records (default:
+     *        the whole trace).
      */
     TraceReplay(Network &net, const CommTrace &trace, double time_scale = 1.0,
-                double approx_ratio = 0.75);
+                double approx_ratio = 0.75,
+                std::size_t records = CommTrace::kWholeTrace);
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
 
-    /** True when every record has been injected. */
-    bool done() const { return cursor_ >= trace_.size(); }
+    /** True when every record to replay has been injected. */
+    bool done() const { return cursor_ >= end_; }
 
     std::uint64_t injected() const { return injected_; }
 
@@ -44,6 +47,7 @@ class TraceReplay : public Clocked
     const CommTrace &trace_;
     double time_scale_;
     double approx_ratio_;
+    std::size_t end_; ///< records replayed: [0, end_)
     std::size_t cursor_ = 0;
     std::uint64_t injected_ = 0;
 };

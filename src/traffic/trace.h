@@ -8,6 +8,7 @@
 #define APPROXNOC_TRAFFIC_TRACE_H
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,10 @@ struct TraceRecord {
 class CommTrace
 {
   public:
+    /** A record count that stands for every record of a trace. */
+    static constexpr std::size_t kWholeTrace =
+        std::numeric_limits<std::size_t>::max();
+
     /** Register a payload block; returns its index. */
     std::uint32_t addBlock(DataBlock b);
 

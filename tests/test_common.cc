@@ -1,6 +1,7 @@
 /** Tests for stats, table, CLI parsing, DataBlock and quality. */
 #include <cmath>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <sys/wait.h>
 
@@ -158,6 +159,26 @@ TEST(CliArgs, CountFlagsRejectNegativeAndMalformedValues)
                 ::testing::ExitedWithCode(1),
                 "fatal: flag --jobs expects a non-negative integer no "
                 "larger than 4294967295, got '4294967296'");
+}
+
+/** A count flag with a range exits 1 naming the flag, the range and
+ *  the value for anything outside it, malformed or negative included. */
+TEST(CliArgs, RangedCountFlagsNameTheirRange)
+{
+    for (const std::string v : {"0", "33", "-1", "2x", ""}) {
+        const std::string arg = "--vcs=" + v;
+        const char *argv[] = {"prog", arg.c_str()};
+        const CliArgs args(2, const_cast<char **>(argv));
+        EXPECT_EXIT(args.getCount<unsigned>("vcs", 4, 1, 32),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: flag --vcs expects an integer in \\[1, 32\\], "
+                    "got '" + v + "'")
+            << "--vcs=" << v;
+    }
+    const char *argv[] = {"prog", "--vcs=32"};
+    const CliArgs args(2, const_cast<char **>(argv));
+    EXPECT_EQ(args.getCount<unsigned>("vcs", 4, 1, 32), 32u);
+    EXPECT_EQ(args.getCount<unsigned>("rows", 4, 1, 32), 4u); // absent
 }
 
 /** A valued flag given bare (no '=') exits 1 naming it, instead of
@@ -458,4 +479,114 @@ TEST(Quality, TracksFractionsAndRatio)
     EXPECT_NEAR(q.meanRelativeError(), 0.05 / 4.0, 1e-12);
     EXPECT_NEAR(q.compressionRatio(), 128.0 / 56.0, 1e-12);
     EXPECT_GT(q.dataQuality(), 0.98);
+}
+
+// Rng is MT19937-64 bit for bit: std::mt19937_64 and the std
+// distributions it drives are the oracle.
+
+TEST(Rng, EngineStreamEqualsStdMt19937_64)
+{
+    for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1},
+                               std::uint64_t{42}, std::uint64_t{5489},
+                               std::uint64_t{0xA9C0FFEE},
+                               ~std::uint64_t{0}}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 ref(seed);
+        for (int i = 0; i < 12 * 312; ++i) // twelve twists
+            ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+    }
+    Mt19937_64 ours;
+    std::mt19937_64 ref;
+    EXPECT_EQ(ours(), ref()); // the default seed, 5489
+    ours.seed(7);
+    ref.seed(7);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(ours(), ref()) << "reseeded, draw " << i;
+}
+
+TEST(Rng, DrawsEqualStdDistributionsOverStdMt19937_64)
+{
+    for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{0xA9C0FFEE}}) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        auto ref_uniform = [&](double lo, double hi) {
+            return std::uniform_real_distribution<double>(lo, hi)(ref);
+        };
+        // Interleaved, so each draw must also use as many engine
+        // outputs as its std counterpart.
+        for (int i = 0; i < 4000; ++i) {
+            ASSERT_EQ(rng.uniform(), ref_uniform(0.0, 1.0)) << i;
+            ASSERT_EQ(rng.uniform(-5.0, 100.0), ref_uniform(-5.0, 100.0))
+                << i;
+            ASSERT_EQ(rng.uniform(-1e6, 1e6), ref_uniform(-1e6, 1e6)) << i;
+            ASSERT_EQ(rng.chance(0.3), ref_uniform(0.0, 1.0) < 0.3) << i;
+            const std::uint64_t bound = 1 + static_cast<std::uint64_t>(i) * 7919;
+            ASSERT_EQ(rng.next(bound),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          0, bound - 1)(ref))
+                << i;
+            ASSERT_EQ(rng.next(~std::uint64_t{0}),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          0, ~std::uint64_t{0} - 1)(ref))
+                << i;
+            ASSERT_EQ(rng.range(-50000, 50000),
+                      std::uniform_int_distribution<std::int64_t>(
+                          -50000, 50000)(ref))
+                << i;
+            ASSERT_EQ(rng.gaussian(2.0, 0.5),
+                      std::normal_distribution<double>(2.0, 0.5)(ref))
+                << i;
+            ASSERT_EQ(rng.bits(), ref()) << i;
+        }
+    }
+}
+
+namespace {
+
+/** A generator that returns one fixed value: feeds chosen inputs to
+ *  std::generate_canonical. */
+struct FixedUrbg {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type value = 0;
+    result_type operator()() { return value; }
+};
+
+} // namespace
+
+TEST(Rng, CanonicalConversionMatchesGenerateCanonicalAtBoundaries)
+{
+    constexpr std::uint64_t kTop = ~std::uint64_t{0};
+    const std::uint64_t inputs[] = {
+        0,
+        1,
+        0xFFFFFFFFull,
+        0x100000000ull,
+        std::uint64_t{1} << 53,
+        (std::uint64_t{1} << 53) + 1, // tie: rounds down to even
+        (std::uint64_t{1} << 53) + 3, // tie: rounds up to even
+        std::uint64_t{1} << 63,
+        (std::uint64_t{1} << 63) + (1u << 10),     // tie, down to even
+        (std::uint64_t{1} << 63) + (3u << 10),     // tie, up to even
+        (std::uint64_t{1} << 63) + (1u << 10) + 1, // just above a tie
+        kTop - (std::uint64_t{1} << 11),           // largest double < 2^64
+        kTop - (std::uint64_t{1} << 10),           // tie with 2^64: clamped
+        kTop - (std::uint64_t{1} << 10) + 1,       // rounds to 2^64
+        kTop - (std::uint64_t{1} << 10) - 1,       // rounds below 2^64
+        kTop,                                      // rounds to 2^64
+    };
+    for (std::uint64_t x : inputs) {
+        FixedUrbg g{x};
+        const double ref = std::generate_canonical<double, 53>(g);
+        EXPECT_EQ(canonical_double(x), ref) << std::hex << x;
+        EXPECT_LT(canonical_double(x), 1.0) << std::hex << x;
+    }
+    Mt19937_64 e(11);
+    for (int i = 0; i < 100000; ++i) {
+        FixedUrbg g{e()};
+        ASSERT_EQ(canonical_double(g.value),
+                  (std::generate_canonical<double, 53>(g)))
+            << std::hex << g.value;
+    }
 }

@@ -3,6 +3,9 @@
  * wormhole integrity, credits, drain, concentration, all schemes
  * end to end.
  */
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -345,4 +348,66 @@ TEST(Network, CompressionLatencyHiddenByQueueing)
     }
     // Only the first packet pays the pipeline fill.
     EXPECT_EQ(pkts[0]->queueLatency(), kCompressionLatency);
+}
+
+// Packet lifetime: the source NI owns a packet until its tail flit
+// leaves, the network's in-flight table until the tail ejects; flits
+// only point at it. A leak or an early free would hide there.
+
+TEST(Network, DeliveredPacketsAreReleased)
+{
+    Bench b;
+    DataBlock blk(std::vector<Word>(16, 0x12345678), DataType::Raw, false);
+    std::vector<PacketPtr> held;
+    for (NodeId src = 0; src < b.cfg.nodes(); ++src) {
+        held.push_back(
+            b.net->makeDataPacket(src, (src + 7) % b.cfg.nodes(), blk));
+        held.push_back(
+            b.net->makeControlPacket(src, (src + 1) % b.cfg.nodes()));
+    }
+    for (const PacketPtr &p : held)
+        b.net->inject(p, 0);
+    ASSERT_TRUE(b.sim.runUntil([&] { return b.net->drained(); }, 10000));
+    ASSERT_EQ(b.net->stats().packets_delivered.value(), held.size());
+
+    // The caller's references are the last ones.
+    std::vector<std::weak_ptr<Packet>> seen(held.begin(), held.end());
+    for (const PacketPtr &p : held)
+        EXPECT_EQ(p.use_count(), 1) << "packet " << p->id;
+    held.clear();
+    for (const auto &w : seen)
+        EXPECT_TRUE(w.expired());
+}
+
+TEST(Network, DestroyedMidFlightReleasesPackets)
+{
+    std::vector<std::weak_ptr<Packet>> seen;
+    {
+        Bench b;
+        DataBlock blk(std::vector<Word>(16, 0x9ABCDEF0), DataType::Raw,
+                      false);
+        // Three 9-flit packets per source, across the mesh; the caller
+        // keeps none of them.
+        for (NodeId src = 0; src < b.cfg.nodes(); ++src) {
+            for (int k = 0; k < 3; ++k) {
+                PacketPtr p = b.net->makeDataPacket(
+                    src, b.cfg.nodes() - 1 - src, blk);
+                b.net->inject(p, 0);
+                seen.push_back(p);
+            }
+        }
+        b.sim.run(20);
+        // Flits in the routers, a packet mid-injection and another
+        // queued at the NIs, and tails already in flight.
+        EXPECT_GT(b.net->routerOccupancy(), 0u);
+        std::size_t queued = 0;
+        for (NodeId n = 0; n < b.cfg.nodes(); ++n)
+            queued += b.net->ni(n).queueDepth();
+        EXPECT_GT(queued, 0u);
+        EXPECT_LT(b.net->stats().packets_delivered.value(), seen.size());
+        for (const auto &w : seen)
+            EXPECT_FALSE(w.expired());
+    }
+    for (const auto &w : seen)
+        EXPECT_TRUE(w.expired());
 }

@@ -2,6 +2,8 @@
  * Router microarchitecture and topology edge cases: routing variants,
  * VC exhaustion, credit conservation, odd mesh shapes, concentration.
  */
+#include <optional>
+#include <ostream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "core/codec_factory.h"
 #include "noc/network.h"
 #include "sim/simulator.h"
+#include "traffic/closed_loop.h"
 #include "traffic/data_provider.h"
 #include "traffic/synthetic.h"
 
@@ -365,4 +368,128 @@ TEST(Routing, WestFirstAdaptsAroundCongestion)
         return sum / probes.size();
     };
     EXPECT_LT(run(RoutingAlgo::WestFirst), run(RoutingAlgo::XY));
+}
+
+namespace {
+
+/** A run's results that move if any grant moves. */
+struct GoldenResult {
+    double mean_latency = 0.0; ///< total latency, compared exactly
+    std::uint64_t delivered = 0;
+    std::uint64_t data_flits = 0;
+    std::uint64_t vc_stalls = 0;       ///< summed over routers
+    std::uint64_t flits_forwarded = 0; ///< summed over routers
+
+    bool operator==(const GoldenResult &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const GoldenResult &g)
+{
+    return os << "{" << std::hexfloat << g.mean_latency << std::defaultfloat
+              << ", " << g.delivered << ", " << g.data_flits << ", "
+              << g.vc_stalls << ", " << g.flits_forwarded << "}";
+}
+
+/** 4,000 cycles of traffic on @p cfg, then a drain. Synthetic traffic
+ *  offers @p rate with @p pattern; @p closed_loop replaces it with
+ *  request/reply traffic. */
+GoldenResult
+golden_run(const NocConfig &cfg, TrafficPattern pattern, double rate,
+           bool closed_loop = false)
+{
+    Rig r(cfg);
+    SyntheticDataProvider provider(DataType::Int32);
+    std::optional<SyntheticTraffic> gen;
+    std::optional<ClosedLoopTraffic> loop;
+    if (closed_loop) {
+        loop.emplace(*r.net, ClosedLoopConfig{}, provider);
+        r.sim.add(&*loop);
+    } else {
+        SyntheticConfig tc;
+        tc.injection_rate = rate;
+        tc.pattern = pattern;
+        gen.emplace(*r.net, tc, provider);
+        r.sim.add(&*gen);
+    }
+    r.sim.run(4000);
+    if (gen)
+        gen->setEnabled(false);
+    if (loop)
+        loop->setEnabled(false);
+    EXPECT_TRUE(r.sim.runUntil(
+        [&] { return r.net->drained() && (!loop || loop->quiesced()); },
+        200000));
+
+    GoldenResult g;
+    g.mean_latency = r.net->stats().total_lat.mean();
+    g.delivered = r.net->stats().packets_delivered.value();
+    g.data_flits = r.net->dataFlitsInjected();
+    for (RouterId id = 0; id < cfg.routers(); ++id) {
+        g.vc_stalls += r.net->router(id).vcStalls();
+        g.flits_forwarded += r.net->router(id).flitsForwarded();
+    }
+    return g;
+}
+
+} // namespace
+
+// Exact results of the configurations no committed table and no
+// benchmark workload covers, recorded from the router before its VC
+// state went into flat arrays. Any change to route choice, VC
+// allocation or the grant order moves at least one of them.
+TEST(Router, ArbitrationMatchesGoldenResults)
+{
+    NocConfig torus;
+    torus.topology = Topology::Torus;
+    EXPECT_EQ(golden_run(torus, TrafficPattern::UniformRandom, 0.25),
+              (GoldenResult{0x1.23fa685091f96p+4, 10803, 23526, 3343, 97541}))
+        << "torus, dateline VCs";
+
+    NocConfig west; // 16 nodes: a square, so transpose is no fallback
+    west.routing = RoutingAlgo::WestFirst;
+    west.concentration = 1;
+    EXPECT_EQ(golden_run(west, TrafficPattern::Transpose, 0.3),
+              (GoldenResult{0x1.bc3a57d47aac9p+4, 6494, 14805, 1688, 81268}))
+        << "west-first, transpose";
+
+    NocConfig yx;
+    yx.routing = RoutingAlgo::YX;
+    yx.rows = 8;
+    yx.cols = 8;
+    EXPECT_EQ(golden_run(yx, TrafficPattern::UniformRandom, 0.15),
+              (GoldenResult{0x1.057c719066447p+5, 25554, 56538, 4172, 475065}))
+        << "YX, 8x8 mesh";
+
+    NocConfig one_vc;
+    one_vc.vcs = 1;
+    EXPECT_EQ(golden_run(one_vc, TrafficPattern::UniformRandom, 0.12),
+              (GoldenResult{0x1.0395a6f95a6f2p+4, 5084, 11160, 3335, 54066}))
+        << "1 VC";
+
+    NocConfig odd;
+    odd.rows = 3;
+    odd.cols = 5;
+    odd.vcs = 2;
+    odd.router_stages = 2;
+    EXPECT_EQ(golden_run(odd, TrafficPattern::UniformRandom, 0.25),
+              (GoldenResult{0x1.64a241fe2f06p+4, 10148, 22185, 8798, 106566}))
+        << "3x5 mesh, 2 VCs, 2-stage routers";
+
+    NocConfig shallow;
+    shallow.vc_depth = 2;
+    EXPECT_EQ(golden_run(shallow, TrafficPattern::UniformRandom, 0.25),
+              (GoldenResult{0x1.b57ade9c5a846p+4, 10803, 23526, 887, 113539}))
+        << "VC depth 2";
+
+    NocConfig conc;
+    conc.concentration = 4;
+    EXPECT_EQ(golden_run(conc, TrafficPattern::UniformRandom, 0.15),
+              (GoldenResult{0x1.6c406071cdf65p+4, 12741, 27747, 1921, 132573}))
+        << "concentration 4";
+
+    EXPECT_EQ(golden_run(NocConfig{}, TrafficPattern::UniformRandom, 0.0,
+                         /*closed_loop=*/true),
+              (GoldenResult{0x1.04e565ea948efp+5, 7410, 33345, 156, 128580}))
+        << "closed loop";
 }

@@ -22,6 +22,7 @@
  */
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "common/cli.h"
@@ -52,6 +53,10 @@ usage()
         "  --rows=4 --cols=4 --concentration=2\n"
         "  --topology=mesh|torus --routing=xy|yx|westfirst\n"
         "  --vcs=4 --vc-depth=4 --flit-bits=64 --stages=3\n"
+        "  shape:  --rows, --cols, --flit-bits >= 1; --concentration in\n"
+        "          [1, 28]; --vcs in [1, 32], even on a torus; --vc-depth\n"
+        "          in [1, 255]; --stages in [1, 1024]; at least 2 nodes;\n"
+        "          westfirst routing only on a mesh\n"
         "  --scheme=FP-VAXX --threshold=10 --approx-ratio=0.75\n"
         "  --traffic=uniform --rate=0.1 --data-ratio=0.25 --type=float\n"
         "  --trace=<file> [--load=0.04]   (replaces synthetic traffic)\n"
@@ -72,17 +77,33 @@ usage()
         "  --quiet              (suppress the stats dump; print summary)\n");
 }
 
+/**
+ * The NoC shape flags, read once in main(): a shape the router cannot
+ * run is fatal before any simulation or --compare worker starts, with
+ * a fatal: line naming the flag and its allowed range.
+ */
 NocConfig
 parse_noc_config(const CliArgs &args)
 {
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
     NocConfig ncfg;
-    ncfg.rows = args.getCount<unsigned>("rows", 4);
-    ncfg.cols = args.getCount<unsigned>("cols", 4);
-    ncfg.concentration = args.getCount<unsigned>("concentration", 2);
-    ncfg.vcs = args.getCount<unsigned>("vcs", 4);
-    ncfg.vc_depth = args.getCount<unsigned>("vc-depth", 4);
-    ncfg.flit_bits = args.getCount<unsigned>("flit-bits", 64);
-    ncfg.router_stages = args.getCount<unsigned>("stages", 3);
+    ncfg.rows = args.getCount<unsigned>("rows", 4, 1, kMax);
+    ncfg.cols = args.getCount<unsigned>("cols", 4, 1, kMax);
+    ncfg.concentration = args.getCount<unsigned>(
+        "concentration", 2, 1, Router::kMaxPorts - kLocalBase);
+    ncfg.vcs = args.getCount<unsigned>("vcs", 4, 1, Router::kMaxVcs);
+    ncfg.vc_depth =
+        args.getCount<unsigned>("vc-depth", 4, 1, Router::kMaxVcDepth);
+    ncfg.flit_bits = args.getCount<unsigned>("flit-bits", 64, 1, kMax);
+    ncfg.router_stages =
+        args.getCount<unsigned>("stages", 3, 1, Router::kMaxStages);
+
+    // Every endpoint has a NodeId, and traffic needs two of them.
+    const std::uint64_t endpoints = std::uint64_t{ncfg.rows} * ncfg.cols *
+                                    ncfg.concentration;
+    if (endpoints < 2 || endpoints >= kInvalidNode)
+        ANOC_FATAL("flags --rows x --cols x --concentration must give 2 to ",
+                   kInvalidNode - 1, " endpoints, got ", endpoints);
 
     std::string topo = args.getString("topology", "mesh");
     if (topo == "torus")
@@ -97,6 +118,17 @@ parse_noc_config(const CliArgs &args)
         ncfg.routing = RoutingAlgo::WestFirst;
     else if (routing != "xy")
         ANOC_FATAL("unknown routing '", routing, "'");
+
+    if (ncfg.topology == Topology::Torus) {
+        // The dateline splits the VCs into two equal classes.
+        if (ncfg.vcs % 2 != 0)
+            ANOC_FATAL("flag --vcs expects an even integer in [2, ",
+                       Router::kMaxVcs, "] with --topology=torus, got '",
+                       ncfg.vcs, "'");
+        if (ncfg.routing == RoutingAlgo::WestFirst)
+            ANOC_FATAL("flag --routing=westfirst needs --topology=mesh: "
+                       "the turn model is not deadlock-free on a torus");
+    }
     return ncfg;
 }
 
@@ -150,10 +182,9 @@ struct SimSummary {
  *        smoke checks for.
  */
 SimSummary
-run_sim(const CliArgs &args, const RealFlags &real, Scheme scheme, bool dump,
-        bool labeled = false)
+run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
+        Scheme scheme, bool dump, bool labeled = false)
 {
-    NocConfig ncfg = parse_noc_config(args);
     CodecConfig cc;
     cc.n_nodes = ncfg.nodes();
     cc.error_threshold_pct = real.threshold;
@@ -330,14 +361,14 @@ run_sim(const CliArgs &args, const RealFlags &real, Scheme scheme, bool dump,
 
 /** `--compare` mode: one simulation per scheme, `--jobs` at a time. */
 int
-run_compare(const CliArgs &args, const RealFlags &real)
+run_compare(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real)
 {
     std::vector<Scheme> schemes =
         harness::parse_scheme_list(args.getString("compare", "all"));
 
     harness::ExperimentRunner runner(args.getCount<unsigned>("jobs", 1));
     auto out = runner.map(schemes.size(), [&](std::size_t i) {
-        return run_sim(args, real, schemes[i], /*dump=*/false,
+        return run_sim(args, ncfg, real, schemes[i], /*dump=*/false,
                        /*labeled=*/true);
     });
 
@@ -387,14 +418,15 @@ main(int argc, char **argv)
                  "qos-target", "compare", "jobs", "metrics-out",
                  "trace-out", "sample-interval", "profile", "quiet"});
 
+    const NocConfig ncfg = parse_noc_config(args);
     const RealFlags real = parse_real_flags(args);
     if (args.has("compare"))
-        return run_compare(args, real);
+        return run_compare(args, ncfg, real);
 
     Scheme scheme =
         scheme_from_string(args.getString("scheme", "FP-VAXX"));
     bool quiet = args.getBool("quiet", false);
-    SimSummary s = run_sim(args, real, scheme, /*dump=*/!quiet);
+    SimSummary s = run_sim(args, ncfg, real, scheme, /*dump=*/!quiet);
     if (quiet)
         std::printf("%s: latency %.2f, delivered %llu, data flits %llu, "
                     "quality %.4f (%s)\n",
