@@ -242,11 +242,13 @@ class CodecSystem
     virtual void bindCounters(const CodecCounters &c) { counters_ = c; }
 
     /**
-     * Bind the self-profiler. The base registers the shared
-     * `codec.apply_pending` phase that the dictionary schemes time
-     * their deferred-update merge under; wrappers forward.
+     * Bind the self-profiler: the dictionary schemes time their
+     * deferred-update merge as `codec.apply_pending`; wrappers forward.
      */
-    virtual void bindProfiler(telemetry::PhaseProfiler *prof);
+    virtual void bindProfiler(telemetry::PhaseProfiler *prof)
+    {
+        profiler_ = prof;
+    }
 
   protected:
     /** Bump the consistency-mismatch counter (decoders call this). */
@@ -287,8 +289,6 @@ class CodecSystem
 
     /** The bound self-profiler (null when profiling is off). */
     telemetry::PhaseProfiler *profiler() const { return profiler_; }
-    /** Phase id for the dictionary deferred-update merge. */
-    std::size_t applyPendingPhase() const { return apply_pending_phase_; }
 
   private:
     /** Bookkeeping shared by every source (encode side) and every
@@ -299,7 +299,6 @@ class CodecSystem
     /** Bind-time handles (null until bound). */
     CodecCounters counters_;
     telemetry::PhaseProfiler *profiler_ = nullptr;
-    std::size_t apply_pending_phase_ = 0;
 };
 
 /**

@@ -216,7 +216,8 @@ DictionaryCodecBase::applyPending(NodeId enc, Cycle now)
         return;
     // Timed only when updates are in flight: the empty-queue early-out
     // above stays a single check per encode.
-    telemetry::PhaseProfiler::Scope prof(profiler(), applyPendingPhase());
+    telemetry::PhaseProfiler::Scope prof(profiler(),
+                                         telemetry::Phase::CodecApplyPending);
     while (!queue.empty() && queue.front().apply <= now) {
         Update u = queue.front();
         queue.pop_front();

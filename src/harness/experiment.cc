@@ -45,6 +45,18 @@ parse_benchmark_list(const std::string &s)
     return out;
 }
 
+void
+require_metrics_out(bool profile, Cycle sample_interval,
+                     const std::string &metrics_dir)
+{
+    if (!metrics_dir.empty())
+        return;
+    if (profile)
+        ANOC_FATAL("flag --profile needs --metrics-out=<dir>");
+    if (sample_interval > 0)
+        ANOC_FATAL("flag --sample-interval needs --metrics-out=<dir>");
+}
+
 bool
 PointQuery::matches(const ExperimentPoint &p) const
 {
@@ -166,20 +178,6 @@ ExperimentSpec::Builder::maxRecords(std::size_t n)
 }
 
 ExperimentSpec::Builder &
-ExperimentSpec::Builder::cycles(Cycle n)
-{
-    cfg_.cycles = n;
-    return *this;
-}
-
-ExperimentSpec::Builder &
-ExperimentSpec::Builder::scale(unsigned n)
-{
-    cfg_.scale = n;
-    return *this;
-}
-
-ExperimentSpec::Builder &
 ExperimentSpec::Builder::csvDir(std::string dir)
 {
     cfg_.csv_dir = std::move(dir);
@@ -215,20 +213,6 @@ ExperimentSpec::Builder::profile(bool v)
 }
 
 ExperimentSpec::Builder &
-ExperimentSpec::Builder::verbose(bool v)
-{
-    cfg_.verbose = v;
-    return *this;
-}
-
-ExperimentSpec::Builder &
-ExperimentSpec::Builder::progress(bool v)
-{
-    cfg_.progress = v;
-    return *this;
-}
-
-ExperimentSpec::Builder &
 ExperimentSpec::Builder::filter(std::function<bool(const ExperimentPoint &)> keep)
 {
     keep_ = std::move(keep);
@@ -258,8 +242,9 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what,
         {"json-dir", "=<dir>", "JSON output dir (csv-dir)"},
         {"metrics-out", "=<dir>", "per-point + merged metrics JSON"},
         {"trace-out", "=<dir>", "Chrome trace-event JSON per point"},
-        {"sample-interval", "=<cycles>", "time-series epoch, 0=off (0)"},
-        {"profile", "", "phase self-profiling + profile.json"},
+        {"sample-interval", "=<cycles>",
+         "time-series epoch, 0=off (0); needs --metrics-out"},
+        {"profile", "", "phase self-time profile.json; needs --metrics-out"},
         {"progress", "", "live progress on stderr"},
         {"verbose", "", "chatty logging"},
     };
@@ -324,8 +309,10 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what,
         args.getCount<Cycle>("sample-interval", cfg_.sample_interval);
     cfg_.profile = args.getBool("profile", cfg_.profile);
     cfg_.progress = args.getBool("progress", cfg_.progress);
-    cfg_.verbose = args.getBool("verbose", cfg_.verbose);
-    set_verbose(cfg_.verbose);
+    require_metrics_out(cfg_.profile, cfg_.sample_interval,
+                        cfg_.metrics_dir);
+    set_verbose(args.getBool("verbose", false));
+    cli_flags_ = flags;
     return *this;
 }
 
@@ -346,6 +333,7 @@ ExperimentSpec::Builder::build() const
     spec.loads_ = loads_;
     spec.flit_bits_ = flit_bits_;
     spec.pmt_entries_ = pmt_entries_;
+    spec.cli_flags_ = cli_flags_;
 
     // Benchmark-major nesting mirrors the original per-figure loops,
     // so tables read in the familiar order. The hardware coordinates

@@ -41,10 +41,10 @@ struct ExperimentConfig {
     ///@}
 
     /** Self-profiling (`--profile`): per-point phase timers plus, with
-     * metrics enabled, per-point and merged profile.json artifacts. */
+     * metrics enabled, per-point and merged profile.json artifacts.
+     * fromCli() requires --metrics-out with it. */
     bool profile = false;
 
-    bool verbose = false;
     bool progress = false; ///< per-point progress lines on stderr
 };
 
@@ -98,15 +98,11 @@ class ExperimentSpec
         Builder &jobs(unsigned n);
         Builder &seed(std::uint64_t s);
         Builder &maxRecords(std::size_t n);
-        Builder &cycles(Cycle n);
-        Builder &scale(unsigned n);
         Builder &csvDir(std::string dir);
         Builder &metricsDir(std::string dir);
         Builder &traceDir(std::string dir);
         Builder &sampleInterval(Cycle n);
         Builder &profile(bool v);
-        Builder &verbose(bool v);
-        Builder &progress(bool v);
 
         /** Drop grid points @p keep rejects (applied at build()). */
         Builder &filter(std::function<bool(const ExperimentPoint &)> keep);
@@ -117,10 +113,12 @@ class ExperimentSpec
          * --max-records, --cycles, --scale, --jobs, --seed,
          * --metrics-out, --trace-out, --sample-interval, --profile and
          * --progress) plus --csv-dir, --json-dir and --verbose; any
-         * other flag is fatal. Prints @p what and those flags on
-         * --help, then exits. A flag that is given replaces the value
-         * set before fromCli(), so a harness sets its own defaults
-         * first; calls made after fromCli() override the CLI values.
+         * other flag is fatal, and so is --profile or
+         * --sample-interval without --metrics-out. Prints @p what and
+         * those flags on --help, then exits. A flag that is given
+         * replaces the value set before fromCli(), so a harness sets
+         * its own defaults first; calls made after fromCli() override
+         * the CLI values. The spec keeps @p flags (cliFlags()).
          */
         Builder &fromCli(int argc, char **argv, const std::string &what,
                          const std::vector<std::string> &flags);
@@ -138,6 +136,7 @@ class ExperimentSpec
         std::vector<unsigned> flit_bits_;
         std::vector<std::size_t> pmt_entries_;
         std::function<bool(const ExperimentPoint &)> keep_;
+        std::optional<std::vector<std::string>> cli_flags_;
     };
 
     const ExperimentConfig &config() const { return cfg_; }
@@ -153,6 +152,11 @@ class ExperimentSpec
     const std::vector<std::size_t> &pmtEntries() const
     {
         return pmt_entries_;
+    }
+    /** The harness flags given to fromCli(); unset without fromCli(). */
+    const std::optional<std::vector<std::string>> &cliFlags() const
+    {
+        return cli_flags_;
     }
 
     /** Indices of every point matching @p q, in spec order. */
@@ -170,6 +174,7 @@ class ExperimentSpec
     std::vector<double> loads_;
     std::vector<unsigned> flit_bits_;
     std::vector<std::size_t> pmt_entries_;
+    std::optional<std::vector<std::string>> cli_flags_;
     std::vector<ExperimentPoint> points_;
 };
 
@@ -238,6 +243,14 @@ class Experiment
  */
 ProgressFn make_progress(const ExperimentConfig &cfg,
                          const char *unit = "points");
+
+/**
+ * --profile and --sample-interval write only under --metrics-out: when
+ * @p profile or a nonzero @p sample_interval comes without a
+ * @p metrics_dir, fatal, naming --metrics-out.
+ */
+void require_metrics_out(bool profile, Cycle sample_interval,
+                         const std::string &metrics_dir);
 
 /** Scheme list parsing ("all" or comma-separated names). */
 std::vector<Scheme> parse_scheme_list(const std::string &s);

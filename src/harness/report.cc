@@ -1,5 +1,6 @@
 #include "harness/report.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -48,11 +49,20 @@ print_banner(const std::string &figure, const ExperimentSpec &spec,
         "config: 4x4 concentrated 2D mesh (32 nodes), 3-stage routers, "
         "4 VCs x 4 flits, %s-bit flits, XY wormhole\n",
         values(spec.flitBits()).c_str());
-    std::printf("        error threshold %.0f%%, approximable ratio %.0f%%, "
-                "%s-entry PMTs\n",
-                spec.thresholds().front(),
-                spec.approxRatios().front() * 100.0,
-                values(spec.pmtEntries()).c_str());
+    // A harness that parses its command line shows the threshold and
+    // the ratio only when it reads their flags.
+    auto reads = [&](const std::string &flag) {
+        const auto &flags = spec.cliFlags();
+        return !flags ||
+               std::find(flags->begin(), flags->end(), flag) != flags->end();
+    };
+    std::printf("        ");
+    if (reads("threshold"))
+        std::printf("error threshold %.0f%%, ", spec.thresholds().front());
+    if (reads("approx-ratio"))
+        std::printf("approximable ratio %.0f%%, ",
+                    spec.approxRatios().front() * 100.0);
+    std::printf("%s-entry PMTs\n", values(spec.pmtEntries()).c_str());
     if (runs) {
         const unsigned jobs = resolve_jobs(spec.config().jobs);
         std::printf("        %zu %s, %u worker thread%s\n", runs, unit, jobs,

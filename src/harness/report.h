@@ -30,9 +30,10 @@ void emit_table(const Table &t, const ExperimentConfig &cfg,
 
 /**
  * Print the Table-1 style banner every harness binary emits, at the
- * flit widths and PMT sizes of @p spec. @p runs counts what the
- * harness runs, in @p unit; a harness that runs no simulation passes
- * no count.
+ * flit widths and PMT sizes of @p spec, with its error threshold and
+ * approximable ratio unless the flags it was given to fromCli() omit
+ * `threshold` or `approx-ratio`. @p runs counts what the harness runs,
+ * in @p unit; a harness that runs no simulation passes no count.
  */
 void print_banner(const std::string &figure, const ExperimentSpec &spec,
                   std::size_t runs = 0, const char *unit = "grid points");

@@ -35,7 +35,8 @@ NetworkInterface::enqueue(const PacketPtr &pkt, Cycle now)
         // (compression/codec.h): this NI encodes only as its own.
         ANOC_ASSERT(pkt->src == id_,
                     "NI must encode only as its own source endpoint");
-        telemetry::PhaseProfiler::Scope prof(profiler_, ph_encode_);
+        telemetry::PhaseProfiler::Scope prof(profiler_,
+                                             telemetry::Phase::NiEncode);
         pkt->enc = codec_->encode(pkt->precise, pkt->src, pkt->dst, now);
         pkt->n_flits =
             1 + payload_flits(pkt->enc.bits(), cfg_.flit_bits);
@@ -151,7 +152,8 @@ NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
         // decodes only as its own.
         ANOC_ASSERT(pkt->dst == id_,
                     "NI must decode only as its own destination endpoint");
-        telemetry::PhaseProfiler::Scope prof(profiler_, ph_decode_);
+        telemetry::PhaseProfiler::Scope prof(profiler_,
+                                             telemetry::Phase::NiDecode);
         pkt->delivered = codec_->decode(pkt->enc, pkt->src, pkt->dst, now);
         pkt->decode_done = now + codec_->decompressionLatency();
     } else {
@@ -160,16 +162,6 @@ NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
     ++packets_delivered_;
     if (on_delivery_)
         on_delivery_(pkt, now);
-}
-
-void
-NetworkInterface::bindProfiler(telemetry::PhaseProfiler *p)
-{
-    profiler_ = p;
-    if (profiler_) {
-        ph_encode_ = profiler_->definePhase("ni.encode");
-        ph_decode_ = profiler_->definePhase("ni.decode");
-    }
 }
 
 bool

@@ -84,7 +84,7 @@ class NetworkInterface : public Clocked
      * the injection ("ni.encode") and ejection ("ni.decode") paths
      * are timed. Disabled, each site costs one null check.
      */
-    void bindProfiler(telemetry::PhaseProfiler *p);
+    void bindProfiler(telemetry::PhaseProfiler *p) { profiler_ = p; }
 
     /** @name Activity counters */
     ///@{
@@ -122,8 +122,6 @@ class NetworkInterface : public Clocked
     DeliveryFn on_delivery_;
     telemetry::PacketTracer *tracer_ = nullptr;
     telemetry::PhaseProfiler *profiler_ = nullptr;
-    std::size_t ph_encode_ = 0;
-    std::size_t ph_decode_ = 0;
 
     std::uint64_t flits_injected_ = 0;
     std::uint64_t data_flits_injected_ = 0;

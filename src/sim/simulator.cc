@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "common/log.h"
 #include "telemetry/phase_profiler.h"
@@ -11,17 +10,20 @@ namespace approxnoc {
 
 namespace {
 
-constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
-
-/** Call @p f on the index of each set bit of @p bits, in ascending
- *  order. */
-template <typename F>
-void
-for_each_bit(const std::vector<std::uint64_t> &bits, F &&f)
+/** The `sim.*` phase of a component named @p name. */
+telemetry::Phase
+phase_of(const std::string &name)
 {
-    for (std::size_t w = 0; w < bits.size(); ++w)
-        for (std::uint64_t b = bits[w]; b; b &= b - 1)
-            f(w * 64 + static_cast<std::size_t>(std::countr_zero(b)));
+    using telemetry::Phase;
+    if (name.starts_with("router"))
+        return Phase::SimRouter;
+    if (name.starts_with("ni"))
+        return Phase::SimNi;
+    if (name.starts_with("network"))
+        return Phase::SimNetwork;
+    if (name.starts_with("sampler"))
+        return Phase::SimSampler;
+    return Phase::SimOther;
 }
 
 } // namespace
@@ -33,11 +35,7 @@ Simulator::add(Clocked *c)
                 " is already registered with a simulator");
     const std::size_t slot = components_.size();
     components_.push_back(c);
-    // Explicit cache maintenance instead of the old lazy size-check:
-    // the new component starts unclassified while every existing
-    // classification survives, so registering mid-run can never
-    // silently re-derive (and reshuffle) the phase table.
-    phase_of_.push_back(kNoPhase);
+    phases_.push_back(phase_of(c->name()));
     if (slot % 64 == 0) {
         next_.push_back(0);
         cur_.push_back(0);
@@ -47,98 +45,39 @@ Simulator::add(Clocked *c)
     c->wake();
 }
 
+template <bool Profiled, bool Advance>
+void
+Simulator::sweep()
+{
+    for (std::size_t w = 0; w < cur_.size(); ++w)
+        for (std::uint64_t b = cur_[w]; b; b &= b - 1) {
+            const std::size_t i =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(b));
+            if constexpr (Profiled) {
+                profiler_->enter(phases_[i]);
+                profiler_->count(phases_[i]);
+            }
+            if constexpr (Advance)
+                components_[i]->advance(now_);
+            else
+                components_[i]->evaluate(now_);
+        }
+    if constexpr (Profiled)
+        profiler_->stop();
+}
+
 void
 Simulator::step()
 {
     cur_ = next_;
     if (profiler_) {
-        profiledSweep(/*advance=*/false);
-        profiledSweep(/*advance=*/true);
+        sweep<true, false>();
+        sweep<true, true>();
     } else {
-        for_each_bit(cur_, [this](std::size_t i) {
-            components_[i]->evaluate(now_);
-        });
-        for_each_bit(cur_, [this](std::size_t i) {
-            components_[i]->advance(now_);
-        });
+        sweep<false, false>();
+        sweep<false, true>();
     }
     ++now_;
-}
-
-void
-Simulator::bindProfiler(telemetry::PhaseProfiler *profiler)
-{
-    profiler_ = profiler;
-    phase_of_.assign(components_.size(), kNoPhase);
-    if (profiler_) {
-        ph_other_ = profiler_->definePhase("sim.other");
-        // Pre-register the classification targets so phaseOf never
-        // defines a phase mid-run (definePhase is setup-time only).
-        profiler_->definePhase("sim.router");
-        profiler_->definePhase("sim.ni");
-        profiler_->definePhase("sim.network");
-        profiler_->definePhase("sim.sampler");
-    }
-}
-
-std::size_t
-Simulator::phaseOf(std::size_t i)
-{
-    ANOC_ASSERT(phase_of_.size() == components_.size(),
-                "phase cache out of sync with component registry");
-    std::size_t &ph = phase_of_[i];
-    if (ph == kNoPhase) {
-        const std::string &n = components_[i]->name();
-        if (n.rfind("router", 0) == 0)
-            ph = profiler_->definePhase("sim.router");
-        else if (n.rfind("ni", 0) == 0)
-            ph = profiler_->definePhase("sim.ni");
-        else if (n.rfind("network", 0) == 0)
-            ph = profiler_->definePhase("sim.network");
-        else if (n.rfind("sampler", 0) == 0)
-            ph = profiler_->definePhase("sim.sampler");
-        else
-            ph = ph_other_;
-    }
-    return ph;
-}
-
-void
-Simulator::profiledSweep(bool advance)
-{
-    // Time contiguous same-phase runs of the active set, not
-    // individual components: the network registers its routers and NIs
-    // in blocks, so one cycle costs a handful of clock reads instead of
-    // one per component. The read that closes a run opens the next.
-    // anoc-lint: allow(D1) -- profiled-sweep wall clock; feeds only the profile artifact, outside the byte-identical contract
-    using clock = std::chrono::steady_clock;
-    std::size_t ph = kNoPhase; // phase of the open run
-    std::uint64_t calls = 0;   // components stepped in the open run
-    clock::time_point t0;
-    auto close_run = [&](clock::time_point t) {
-        if (calls > 0)
-            profiler_->add(ph,
-                           static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(t - t0)
-                                   .count()),
-                           calls);
-        calls = 0;
-        t0 = t;
-    };
-    for_each_bit(cur_, [&](std::size_t i) {
-        const std::size_t p = phaseOf(i);
-        if (p != ph) {
-            close_run(clock::now());
-            ph = p;
-        }
-        if (advance)
-            components_[i]->advance(now_);
-        else
-            components_[i]->evaluate(now_);
-        ++calls;
-    });
-    close_run(clock::now());
 }
 
 void

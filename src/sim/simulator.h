@@ -19,6 +19,7 @@ namespace approxnoc {
 
 namespace telemetry {
 class PhaseProfiler;
+enum class Phase : std::uint8_t;
 } // namespace telemetry
 
 /**
@@ -46,6 +47,8 @@ class Simulator
 
     /**
      * Register a component, in the active set from the next cycle on.
+     * Its profile phase follows from its Clocked name prefix ("router",
+     * "ni", "network", "sampler"; `sim.other` otherwise).
      * Panics if @p c is already registered, here or elsewhere.
      */
     void add(Clocked *c);
@@ -72,21 +75,20 @@ class Simulator
     void step();
 
     /**
-     * Attach a self-profiler. Subsequent cycles are stepped through a
-     * phase-timed path over the same active set: each contiguous run
-     * of same-kind components stepped (routers, NIs, the network, the
-     * sampler) is timed under a `sim.*` phase, with one call counted
-     * per evaluate or advance. Components are classified once, lazily,
-     * by their Clocked name prefix. Null (the default) restores the
-     * untimed fast path — `step()` pays one pointer test.
+     * Attach a self-profiler: from the next cycle on, the clock runs in
+     * each stepped component's `sim.*` phase and one call is counted
+     * per evaluate or advance. Null (the default) restores the untimed
+     * sweep — `step()` pays one pointer test.
      */
-    void bindProfiler(telemetry::PhaseProfiler *profiler);
+    void bindProfiler(telemetry::PhaseProfiler *profiler)
+    {
+        profiler_ = profiler;
+    }
 
   private:
-    /** One timed evaluate-or-advance sweep over this cycle's set. */
-    void profiledSweep(bool advance);
-    /** Phase id for component @p i, classified on first use. */
-    std::size_t phaseOf(std::size_t i);
+    /** One evaluate (or advance) pass over this cycle's set, in slot
+     *  order; the profiled instantiation also switches phases. */
+    template <bool Profiled, bool Advance> void sweep();
 
     Cycle now_ = 0;
     std::vector<Clocked *> components_;
@@ -95,12 +97,9 @@ class Simulator
     std::vector<std::uint64_t> next_;
     /** This cycle's set: next_ as it stood when the cycle began. */
     std::vector<std::uint64_t> cur_;
+    /** Profile phase of components_[i], set by add(). */
+    std::vector<telemetry::Phase> phases_;
     telemetry::PhaseProfiler *profiler_ = nullptr;
-    std::size_t ph_other_ = 0;
-    /** Cached phase per component index; kNoPhase = not classified.
-     *  Invariant: same length as components_ (add() appends a
-     *  kNoPhase slot, so registration never reclassifies the rest). */
-    std::vector<std::size_t> phase_of_;
 };
 
 } // namespace approxnoc

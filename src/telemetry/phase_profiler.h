@@ -1,21 +1,27 @@
 /**
  * @file
- * Lightweight self-profiling for the simulator: named phases, scoped
- * steady-clock timers, plain per-phase sums. Header-only (no
- * dependencies beyond the standard library) so that `src/sim` — which
+ * Self-profiling for the simulator: one phase clock over the fixed
+ * table of phases `profile.json` reports. Header-only (no dependencies
+ * beyond the standard library) so that `src/sim` — which
  * `approxnoc_telemetry` itself links against — can be instrumented
  * without creating a library cycle.
  *
+ * The clock runs in at most one phase at a time. Each switch reads it
+ * once and charges the time since the previous switch to the phase it
+ * leaves, so every phase holds self time: a `Scope` opened inside
+ * another phase takes its time out of that phase and hands the clock
+ * back when it closes. The phases add up to `totalNs()`, the profiled
+ * time. While no phase runs (between simulator sweeps, in the harness)
+ * the clock is stopped and nothing is charged.
+ *
  * Cost model: every instrumentation site holds a possibly-null
- * `PhaseProfiler *`. A `Scope` constructed from a null profiler is a
- * single branch and no clock read — the disabled overhead the perf
- * gate bounds at <1%. When enabled, a scope is two `steady_clock`
- * reads and two adds.
+ * `PhaseProfiler *`. A `Scope` from a null profiler is one branch and
+ * no clock read. When enabled, a scope is two clock reads, and the
+ * simulator reads the clock once per change of phase in a sweep.
  *
  * A profiler belongs to one simulation and is used by one thread;
- * the harness gives every grid point its own and merges them by name
- * afterwards. Define every phase during setup (binding time), then
- * profile freely.
+ * the harness gives every grid point its own and merges them
+ * afterwards.
  *
  * Reported numbers are wall-clock and therefore inherently
  * non-deterministic; `profile.json` is a tuning artifact, explicitly
@@ -25,80 +31,91 @@
 #ifndef APPROXNOC_TELEMETRY_PHASE_PROFILER_H
 #define APPROXNOC_TELEMETRY_PHASE_PROFILER_H
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace approxnoc::telemetry {
 
-/** Accumulates (ns, calls) per named phase; merge folds by name. */
+/** The profiled phases, in name (and report key) order. */
+enum class Phase : std::uint8_t {
+    CodecApplyPending, ///< dictionary deferred-update merge
+    NiDecode,          ///< codec decode at ejection
+    NiEncode,          ///< codec encode at injection
+    SimNetwork,        ///< the network's own step
+    SimNi,             ///< NI steps
+    SimOther,          ///< other components (traffic sources, ...)
+    SimRouter,         ///< router steps
+    SimSampler,        ///< time-series sampler
+};
+
+inline constexpr std::size_t kPhaseCount = 8;
+
+/** `profile.json` key of each Phase, indexed by its value. */
+inline constexpr std::array<std::string_view, kPhaseCount> kPhaseNames = {
+    "codec.apply_pending", "ni.decode",  "ni.encode", "sim.network",
+    "sim.ni",              "sim.other", "sim.router", "sim.sampler"};
+
+/** Accumulates (self ns, calls) per phase; merge adds phase by phase. */
 class PhaseProfiler
 {
   public:
-    using PhaseId = std::size_t;
-
     /** Snapshot row for reporting. */
-    struct Phase {
+    struct Row {
         std::string name;
         std::uint64_t ns = 0;
         std::uint64_t calls = 0;
     };
 
-    PhaseProfiler() = default;
+    /**
+     * Run the clock in @p p, charging the time since the last switch
+     * to the phase it leaves. Entering the running phase does nothing.
+     */
+    void enter(Phase p) { switchTo(index(p)); }
 
-    /** Register (or look up) a phase by name. Setup-time only. */
-    PhaseId
-    definePhase(const std::string &name)
-    {
-        auto it = by_name_.find(name);
-        if (it != by_name_.end())
-            return it->second;
-        PhaseId id = names_.size();
-        names_.push_back(name);
-        cells_.emplace_back(); // deque: no reference invalidation
-        by_name_.emplace(name, id);
-        return id;
-    }
+    /** Charge the running phase and stop the clock. */
+    void stop() { switchTo(kStopped); }
 
-    /** Record @p ns nanoseconds / @p calls invocations against @p id. */
+    /** Count one call of @p p. */
+    void count(Phase p) { ++cells_[index(p)].calls; }
+
+    /** Record @p ns nanoseconds and @p calls calls against @p p. */
     void
-    add(PhaseId id, std::uint64_t ns, std::uint64_t calls = 1)
+    add(Phase p, std::uint64_t ns, std::uint64_t calls = 1)
     {
-        Cell &c = cells_[id];
+        Cell &c = cells_[index(p)];
         c.ns += ns;
         c.calls += calls;
     }
 
     /**
-     * RAII phase timer. `Scope(nullptr, id)` is inert: the null check
-     * is the only work, which is what keeps disabled profiling off the
-     * hot-path cost profile.
+     * Counts one call of its phase and runs the clock in it until it
+     * closes, then returns the clock to the phase it found running.
+     * `Scope(nullptr, p)` is inert: the null check is the only work,
+     * which is what keeps disabled profiling off the hot-path cost
+     * profile.
      */
     class Scope
     {
       public:
-        Scope(PhaseProfiler *p, PhaseId id) : p_(p), id_(id)
+        Scope(PhaseProfiler *p, Phase ph) : p_(p)
         {
-            if (p_)
-                // anoc-lint: allow(D1) -- the PhaseProfiler IS the sanctioned wall-clock boundary; its output never enters deterministic artifacts
-                start_ = std::chrono::steady_clock::now();
+            if (p_) {
+                outer_ = p_->running_;
+                p_->enter(ph);
+                p_->count(ph);
+            }
         }
 
         ~Scope()
         {
-            if (p_) {
-                // anoc-lint: allow(D1) -- the PhaseProfiler IS the sanctioned wall-clock boundary; its output never enters deterministic artifacts
-                auto end = std::chrono::steady_clock::now();
-                p_->add(id_, static_cast<std::uint64_t>(
-                                 std::chrono::duration_cast<
-                                     std::chrono::nanoseconds>(end - start_)
-                                     .count()));
-            }
+            if (p_)
+                p_->switchTo(outer_);
         }
 
         Scope(const Scope &) = delete;
@@ -106,24 +123,20 @@ class PhaseProfiler
 
       private:
         PhaseProfiler *p_;
-        PhaseId id_;
-        std::chrono::steady_clock::time_point start_; // anoc-lint: allow(D1) -- profiler-internal timestamp type, wall-clock boundary
+        std::size_t outer_ = kStopped;
     };
 
-    /** Fold @p o into this profiler, matching phases by name. */
+    /** Fold @p o into this profiler, phase by phase. */
     void
     merge(const PhaseProfiler &o)
     {
         if (&o == this)
             return;
-        for (PhaseId i = 0; i < o.names_.size(); ++i) {
-            PhaseId id = definePhase(o.names_[i]);
-            add(id, o.cells_[i].ns, o.cells_[i].calls);
-        }
+        for (std::size_t i = 0; i < kPhaseCount; ++i)
+            add(static_cast<Phase>(i), o.cells_[i].ns, o.cells_[i].calls);
     }
 
-    std::size_t phases() const { return names_.size(); }
-
+    /** The profiled time: the sum of every phase's self time. */
     std::uint64_t
     totalNs() const
     {
@@ -133,35 +146,32 @@ class PhaseProfiler
         return t;
     }
 
-    /** Rows sorted by name (deterministic key order for reports). */
-    std::vector<Phase>
+    /** One row per phase, sorted by name. */
+    std::vector<Row>
     snapshot() const
     {
-        std::map<std::string, Phase> sorted;
-        for (PhaseId i = 0; i < names_.size(); ++i)
-            sorted[names_[i]] =
-                Phase{names_[i], cells_[i].ns, cells_[i].calls};
-        std::vector<Phase> out;
-        out.reserve(sorted.size());
-        for (auto &[name, ph] : sorted)
-            out.push_back(ph);
+        std::vector<Row> out;
+        out.reserve(kPhaseCount);
+        for (std::size_t i = 0; i < kPhaseCount; ++i)
+            out.push_back(Row{std::string(kPhaseNames[i]), cells_[i].ns,
+                              cells_[i].calls});
         return out;
     }
 
     /**
      * JSON summary: per-phase ns/calls/avg plus the share of the
-     * summed phase time. Keys sorted; values are timings and thus not
+     * profiled time. Keys sorted; values are timings and thus not
      * byte-stable across runs.
      */
     void
     writeJson(std::ostream &os) const
     {
-        const std::vector<Phase> rows = snapshot();
+        const std::vector<Row> rows = snapshot();
         const std::uint64_t total = totalNs();
         os << "{\n  \"schema\": \"approxnoc-phase-profile-v1\",\n";
         os << "  \"total_ns\": " << total << ",\n  \"phases\": {";
         bool first = true;
-        for (const Phase &ph : rows) {
+        for (const Row &ph : rows) {
             if (!first)
                 os << ",";
             first = false;
@@ -181,18 +191,42 @@ class PhaseProfiler
             std::snprintf(buf, sizeof(buf), "%.4f", share);
             os << buf << "}";
         }
-        os << (rows.empty() ? "" : "\n  ") << "}\n}\n";
+        os << "\n  }\n}\n";
     }
 
   private:
+    // anoc-lint: allow(D1) -- the PhaseProfiler IS the sanctioned wall-clock boundary; its output never enters deterministic artifacts
+    using Clock = std::chrono::steady_clock;
+
     struct Cell {
         std::uint64_t ns = 0;
         std::uint64_t calls = 0;
     };
 
-    std::vector<std::string> names_;
-    std::map<std::string, PhaseId> by_name_;
-    std::deque<Cell> cells_;
+    /** running_ while the clock is stopped. */
+    static constexpr std::size_t kStopped = kPhaseCount;
+
+    static constexpr std::size_t index(Phase p) { return std::size_t(p); }
+
+    /** The one clock read: charge the running phase, run @p next. */
+    void
+    switchTo(std::size_t next)
+    {
+        if (next == running_)
+            return;
+        const Clock::time_point t = Clock::now();
+        if (running_ != kStopped)
+            cells_[running_].ns += static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t - since_)
+                    .count());
+        since_ = t;
+        running_ = next;
+    }
+
+    std::array<Cell, kPhaseCount> cells_{};
+    std::size_t running_ = kStopped;
+    Clock::time_point since_{};
 };
 
 } // namespace approxnoc::telemetry

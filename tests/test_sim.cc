@@ -79,10 +79,10 @@ TEST(Simulator, RunUntilCheckIntervalBurstsAndOvershoots)
 
 TEST(Simulator, ProfilerSurvivesLateRegistration)
 {
-    // Regression test: the per-component phase cache used to be built
-    // lazily from a stale size, so registering a component after the
-    // first profiled step indexed out of bounds. add() now grows the
-    // cache eagerly, keeping it in lockstep with the component list.
+    // Regression test: a lazily filled per-component phase cache once
+    // indexed out of bounds for a component registered after the first
+    // profiled step. That cache is gone: add() derives each
+    // component's phase once, at registration.
     Simulator sim;
     telemetry::PhaseProfiler prof;
     std::vector<std::string> log;

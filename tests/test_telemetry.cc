@@ -6,6 +6,7 @@
  * JSON parser, no external dependency), end-to-end replay artifacts and
  * the jobs-count independence of every dumped byte.
  */
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -513,30 +515,32 @@ TEST(ErrorProfile, ViolationsCountBeyondArmedLimit)
 TEST(PhaseProfiler, ScopesAccumulateAndMergeByName)
 {
     PhaseProfiler p;
-    auto a = p.definePhase("sim.router");
-    auto b = p.definePhase("sim.ni");
-    EXPECT_EQ(p.definePhase("sim.router"), a); // idempotent
-    p.add(a, 100, 2);
-    p.add(b, 50);
+    p.add(Phase::SimRouter, 100, 2);
+    p.add(Phase::SimNi, 50);
     {
-        PhaseProfiler::Scope s(&p, a); // live scope: adds >= 0 ns
+        PhaseProfiler::Scope s(&p, Phase::SimRouter); // live: adds >= 0 ns
     }
     {
-        PhaseProfiler::Scope off(nullptr, a); // inert: must not count
+        PhaseProfiler::Scope off(nullptr, Phase::SimRouter); // inert
     }
-    EXPECT_EQ(p.phases(), 2u);
 
     PhaseProfiler q;
-    q.add(q.definePhase("sim.ni"), 25, 1);
+    q.add(Phase::SimNi, 25, 1);
     q.merge(p);
     auto rows = q.snapshot();
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0].name, "sim.ni"); // sorted by name
-    EXPECT_EQ(rows[0].ns, 75u);
-    EXPECT_EQ(rows[0].calls, 2u);
-    EXPECT_EQ(rows[1].name, "sim.router");
-    EXPECT_GE(rows[1].ns, 100u);
-    EXPECT_EQ(rows[1].calls, 3u);
+    ASSERT_EQ(rows.size(), kPhaseCount); // every phase, sorted by name
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i].name, kPhaseNames[i]);
+    for (std::size_t i = 1; i < rows.size(); ++i)
+        EXPECT_LT(rows[i - 1].name, rows[i].name);
+    const auto &ni = rows[static_cast<std::size_t>(Phase::SimNi)];
+    EXPECT_EQ(ni.name, "sim.ni");
+    EXPECT_EQ(ni.ns, 75u);
+    EXPECT_EQ(ni.calls, 2u);
+    const auto &router = rows[static_cast<std::size_t>(Phase::SimRouter)];
+    EXPECT_EQ(router.name, "sim.router");
+    EXPECT_GE(router.ns, 100u);
+    EXPECT_EQ(router.calls, 3u);
 
     std::ostringstream os;
     q.writeJson(os);
@@ -544,6 +548,39 @@ TEST(PhaseProfiler, ScopesAccumulateAndMergeByName)
     EXPECT_EQ(root.at("schema").str, "approxnoc-phase-profile-v1");
     EXPECT_TRUE(root.at("phases").has("sim.router"));
     EXPECT_EQ(root.at("phases").at("sim.ni").at("calls").num, 2.0);
+}
+
+TEST(PhaseProfiler, NestedScopeTimeIsChargedOnce)
+{
+    // 2 ms in an outer phase, 4 ms in a scope nested inside it, then
+    // 2 ms more in the outer phase: 8 ms of wall time, charged once.
+    using namespace std::chrono;
+    using namespace std::chrono_literals;
+    PhaseProfiler p;
+    const auto t0 = steady_clock::now();
+    {
+        PhaseProfiler::Scope outer(&p, Phase::SimOther);
+        std::this_thread::sleep_for(2ms);
+        {
+            PhaseProfiler::Scope inner(&p, Phase::NiEncode);
+            std::this_thread::sleep_for(4ms);
+        }
+        std::this_thread::sleep_for(2ms);
+    }
+    const auto wall = static_cast<std::uint64_t>(
+        duration_cast<nanoseconds>(steady_clock::now() - t0).count());
+
+    const auto rows = p.snapshot();
+    const auto &outer = rows[static_cast<std::size_t>(Phase::SimOther)];
+    const auto &inner = rows[static_cast<std::size_t>(Phase::NiEncode)];
+    EXPECT_EQ(outer.calls, 1u);
+    EXPECT_EQ(inner.calls, 1u);
+    EXPECT_EQ(p.totalNs(), outer.ns + inner.ns);
+    EXPECT_LE(p.totalNs(), wall);
+    EXPECT_GE(inner.ns, 4'000'000u);
+    // The outer phase keeps its own 4 ms and gives up the nested time.
+    EXPECT_GE(outer.ns, 4'000'000u);
+    EXPECT_LE(outer.ns, wall - inner.ns);
 }
 
 // ------------------------------------------------------------- Telemetry
@@ -765,4 +802,53 @@ TEST(TelemetryEndToEnd, MetricsAreBitIdenticalAcrossJobCounts)
         EXPECT_FALSE(slurp(d1 + "/" + label + ".profile.json").empty())
             << label;
     }
+}
+
+TEST(TelemetryEndToEnd, ProfilingLeavesArtifactsUnchanged)
+{
+    using namespace harness;
+    auto spec = [](bool profile, const std::string &dir) {
+        return ExperimentSpec::Builder()
+            .benchmarks({"blackscholes"})
+            .schemes({Scheme::Baseline, Scheme::DiVaxx, Scheme::FpVaxx})
+            .maxRecords(300)
+            .metricsDir(dir)
+            .traceDir(dir)
+            .sampleInterval(200)
+            .profile(profile)
+            .build();
+    };
+    const std::string off = ::testing::TempDir() + "telemetry_prof_off";
+    const std::string on = ::testing::TempDir() + "telemetry_prof_on";
+
+    Experiment plain(spec(false, off));
+    plain.run();
+    Experiment profiled(spec(true, on));
+    profiled.run();
+
+    for (const char *f : {"/metrics.json", "/qor.json"}) {
+        const std::string bytes = slurp(off + f);
+        EXPECT_FALSE(bytes.empty()) << f;
+        EXPECT_EQ(bytes, slurp(on + f)) << f;
+    }
+    for (const auto &pt : plain.spec().points()) {
+        const std::string label = PointTelemetry::pointLabel(
+            pt.index, pt.benchmark, to_string(pt.scheme));
+        for (const char *ext : {".metrics.json", ".timeseries.csv",
+                                ".timeseries.json", ".qor.json",
+                                ".trace.json"}) {
+            const std::string bytes = slurp(off + "/" + label + ext);
+            EXPECT_FALSE(bytes.empty()) << label << ext;
+            EXPECT_EQ(bytes, slurp(on + "/" + label + ext)) << label << ext;
+        }
+        EXPECT_FALSE(std::ifstream(off + "/" + label + ".profile.json"));
+    }
+
+    // The merged phases are self time: they add up to total_ns.
+    Json merged = parse_json(slurp(on + "/profile.json")).at("merged");
+    double sum = 0;
+    for (const auto &[name, ph] : merged.at("phases").obj)
+        sum += ph.at("ns").num;
+    EXPECT_EQ(sum, merged.at("total_ns").num);
+    EXPECT_GT(sum, 0.0);
 }

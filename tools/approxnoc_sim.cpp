@@ -71,9 +71,10 @@ usage()
         "  --metrics-out=<dir>  (hierarchical metrics JSON per run)\n"
         "  --trace-out=<dir>    (Chrome trace-event JSON per run; open in\n"
         "                        Perfetto or chrome://tracing)\n"
-        "  --sample-interval=<cycles>  (time-series sampling epoch, 0=off)\n"
+        "  --sample-interval=<cycles>  (time-series sampling epoch, 0=off;\n"
+        "                        needs --metrics-out)\n"
         "  --profile            (simulator self-profiling: phase timings to\n"
-        "                        profile.json in the metrics dir, or '.')\n"
+        "                        profile.json; needs --metrics-out)\n"
         "  --quiet              (suppress the stats dump; print summary)\n");
 }
 
@@ -330,25 +331,17 @@ run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
         pt->write();
     }
 
-    // qor.json always accompanies the metrics; profile.json needs
-    // --profile and falls back to the working directory so `--profile`
-    // alone still leaves an artifact behind.
+    // qor.json always accompanies the metrics, and profile.json does
+    // under --profile (main() requires --metrics-out with it).
     const std::string stem = labeled ? topts.label + "." : std::string();
     if (topts.metricsEnabled())
         telemetry::write_json_artifact(
             topts.metrics_dir, stem + "qor.json",
             [&](std::ostream &os) { qor.writeJson(os); });
-    if (prof) {
-        const std::string dir =
-            topts.metricsEnabled() ? topts.metrics_dir : std::string(".");
+    if (prof)
         telemetry::write_json_artifact(
-            dir, stem + "profile.json",
+            topts.metrics_dir, stem + "profile.json",
             [&](std::ostream &os) { prof->writeJson(os); });
-        if (!topts.metricsEnabled())
-            telemetry::write_json_artifact(
-                dir, stem + "qor.json",
-                [&](std::ostream &os) { qor.writeJson(os); });
-    }
 
     SimSummary s;
     s.latency = net.stats().total_lat.mean();
@@ -417,6 +410,9 @@ main(int argc, char **argv)
                  "window", "think", "cycles", "warmup", "seed",
                  "qos-target", "compare", "jobs", "metrics-out",
                  "trace-out", "sample-interval", "profile", "quiet"});
+    harness::require_metrics_out(args.getBool("profile", false),
+                                 args.getCount<Cycle>("sample-interval", 0),
+                                 args.getString("metrics-out", ""));
 
     const NocConfig ncfg = parse_noc_config(args);
     const RealFlags real = parse_real_flags(args);
