@@ -25,26 +25,36 @@ ApproxCacheSystem::ApproxCacheSystem(const CacheConfig &cfg,
     ANOC_ASSERT(cfg.line_bytes % 4 == 0, "line size must be word multiple");
     ANOC_ASSERT(cfg.n_nodes == 2 * cfg.n_cores,
                 "interleaved core/home mapping needs one home per core");
-    sets_ = static_cast<unsigned>(cfg.l1_bytes / (cfg.line_bytes * cfg.assoc));
-    ANOC_ASSERT(sets_ > 0, "L1 too small for one set");
+    const unsigned wpl = cfg.wordsPerLine();
+    ANOC_ASSERT(std::has_single_bit(wpl), "line_bytes ", cfg.line_bytes,
+                " holds ", wpl, " words, not a power of two");
+    const std::size_t sets = cfg.l1_bytes / (cfg.line_bytes * cfg.assoc);
+    ANOC_ASSERT(sets > 0, "L1 too small for one set");
+    ANOC_ASSERT(std::has_single_bit(sets), "l1_bytes ", cfg.l1_bytes,
+                " gives ", sets, " L1 sets, not a power of two");
+    const std::size_t l2_sets =
+        cfg.l2_bytes / (cfg.line_bytes * cfg.l2_assoc);
+    ANOC_ASSERT(l2_sets > 0, "L2 too small for one set");
+    ANOC_ASSERT(std::has_single_bit(l2_sets), "l2_bytes ", cfg.l2_bytes,
+                " gives ", l2_sets, " L2 sets, not a power of two");
+    word_bits_ = static_cast<unsigned>(std::countr_zero(wpl));
+    word_mask_ = wpl - 1;
+    set_mask_ = sets - 1;
+    l2_set_mask_ = l2_sets - 1;
+
     l1_.resize(cfg.n_cores);
     for (auto &c : l1_) {
-        c.lines.resize(static_cast<std::size_t>(sets_) * cfg.assoc);
-        for (auto &l : c.lines)
-            l.data.resize(cfg.wordsPerLine(), 0);
+        c.ways.resize(sets * cfg.assoc);
+        c.words.resize(c.ways.size() << word_bits_, 0);
     }
     core_time_.resize(cfg.n_cores, 0);
-
-    l2_sets_ = static_cast<unsigned>(cfg.l2_bytes /
-                                     (cfg.line_bytes * cfg.l2_assoc));
-    ANOC_ASSERT(l2_sets_ > 0, "L2 too small for one set");
-    l2_.resize(static_cast<std::size_t>(l2_sets_) * cfg.l2_assoc);
+    l2_.resize(l2_sets * cfg.l2_assoc);
 }
 
 bool
 ApproxCacheSystem::l2Access(std::size_t line_idx)
 {
-    std::size_t set = line_idx % l2_sets_;
+    std::size_t set = line_idx & l2_set_mask_;
     L2Way *victim = &l2_[set * cfg_.l2_assoc];
     for (unsigned w = 0; w < cfg_.l2_assoc; ++w) {
         L2Way &way = l2_[set * cfg_.l2_assoc + w];
@@ -163,63 +173,62 @@ ApproxCacheSystem::lineApproximable(std::size_t line_idx, DataType &type) const
     return true;
 }
 
-ApproxCacheSystem::Line &
-ApproxCacheSystem::lookup(unsigned core, std::size_t line_idx, bool &hit)
+std::size_t
+ApproxCacheSystem::miss(unsigned core, std::size_t line_idx)
 {
-    L1 &c = l1_[core];
-    std::size_t set = line_idx % sets_;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        Line &l = c.lines[set * cfg_.assoc + w];
-        if (l.valid && l.tag == line_idx) {
-            hit = true;
-            l.lru = ++c.tick;
-            return l;
-        }
-    }
-    hit = false;
+    const std::vector<Way> &ways = l1_[core].ways;
+    const std::size_t first = (line_idx & set_mask_) * cfg_.assoc;
     // Victim: an invalid way if any, else the LRU way.
-    Line *victim = &c.lines[set * cfg_.assoc];
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        Line &l = c.lines[set * cfg_.assoc + w];
-        if (!l.valid)
-            return l;
-        if (l.lru < victim->lru)
-            victim = &l;
+    std::size_t victim = first;
+    for (std::size_t w = first; w < first + cfg_.assoc; ++w) {
+        if (!ways[w].valid) {
+            victim = w;
+            break;
+        }
+        if (ways[w].lru < ways[victim].lru)
+            victim = w;
     }
-    return *victim;
+    fill(core, victim, line_idx);
+    return victim;
 }
 
 void
-ApproxCacheSystem::writeback(unsigned core, const Line &way)
+ApproxCacheSystem::writeback(unsigned core, std::size_t way)
 {
     ++writebacks_;
-    unsigned wpl = cfg_.wordsPerLine();
-    std::size_t base = way.tag * wpl;
-    std::copy(way.data.begin(), way.data.end(), mem_.begin() + base);
+    const std::size_t tag = l1_[core].ways[way].tag;
+    const Word *line = &l1_[core].words[way << word_bits_];
+    const unsigned wpl = cfg_.wordsPerLine();
+    std::copy_n(line, wpl, &mem_[tag << word_bits_]);
     if (trace_) {
-        DataBlock b(way.data, DataType::Raw, false);
+        DataBlock b(std::vector<Word>(line, line + wpl), DataType::Raw, false);
         DataType t;
-        if (lineApproximable(way.tag, t))
+        if (lineApproximable(tag, t))
             b.setType(t); // written-back data rides precise
         std::uint32_t blk = trace_->addBlock(std::move(b));
-        trace_->add(TraceRecord{time_, nodeOfCore(core), homeOf(way.tag),
+        trace_->add(TraceRecord{time_, nodeOfCore(core), homeOf(tag),
                                 PacketClass::Data, blk});
     }
 }
 
 void
-ApproxCacheSystem::fill(unsigned core, Line &way, std::size_t line_idx)
+ApproxCacheSystem::fill(unsigned core, std::size_t way, std::size_t line_idx)
 {
     ++misses_;
-    ++miss_seq_;
-    if (way.valid && way.dirty)
+    L1 &c = l1_[core];
+    if (c.ways[way].valid && c.ways[way].dirty)
         writeback(core, way);
 
-    DataBlock precise = lineBlock(line_idx);
+    // The memory line goes to the trace; the home slice sends its
+    // canonical form when Doppelganger dedup is on.
+    DataBlock line = lineBlock(line_idx);
+    DataBlock canonical;
     if (dedup_)
-        precise = dedup_->canonicalize(precise);
+        canonical = dedup_->canonicalize(line);
+    const DataBlock &precise = dedup_ ? canonical : line;
     NodeId home = homeOf(line_idx);
     NodeId core_node = nodeOfCore(core);
+    Word *words = &c.words[way << word_bits_];
 
     Cycle penalty = cfg_.miss_base_cycles;
     if (!l2Access(line_idx))
@@ -230,100 +239,48 @@ ApproxCacheSystem::fill(unsigned core, Line &way, std::size_t line_idx)
         // (compression/codec.h).
         EncodedBlock enc = codec_->encode(precise, home, core_node, time_);
         DataBlock delivered = codec_->decode(enc, home, core_node, time_);
+        ANOC_ASSERT(delivered.size() == precise.size(),
+                    "codec delivered ", delivered.size(), " words for a ",
+                    precise.size(), "-word line");
         unsigned flits = 1 + static_cast<unsigned>((enc.bits() + 63) / 64);
         penalty += static_cast<Cycle>(flits) * cfg_.per_flit_cycles +
                    codec_->compressionLatency() +
                    codec_->decompressionLatency();
-        way.data = delivered.words();
+        std::copy(delivered.words().begin(), delivered.words().end(), words);
     } else {
         unsigned flits =
             1 + static_cast<unsigned>((precise.sizeBits() + 63) / 64);
         penalty += static_cast<Cycle>(flits) * cfg_.per_flit_cycles;
-        way.data = precise.words();
+        std::copy(precise.words().begin(), precise.words().end(), words);
     }
 
     if (trace_) {
         trace_->add(TraceRecord{time_, core_node, home, PacketClass::Control,
                                 TraceRecord::kNoBlock});
-        std::uint32_t blk = trace_->addBlock(lineBlock(line_idx));
+        std::uint32_t blk = trace_->addBlock(std::move(line));
         trace_->add(
             TraceRecord{time_ + 1, home, core_node, PacketClass::Data, blk});
     }
 
-    way.valid = true;
-    way.dirty = false;
-    way.tag = line_idx;
-    way.lru = ++l1_[core].tick;
+    Way &w = c.ways[way];
+    w.valid = true;
+    w.dirty = false;
+    w.tag = line_idx;
+    w.lru = ++c.tick;
     core_time_[core] += penalty;
     time_ += 1;
-}
-
-Word
-ApproxCacheSystem::load(unsigned core, std::size_t addr)
-{
-    ANOC_ASSERT(core < cfg_.n_cores && addr < mem_.size(),
-                "load out of range");
-    ++accesses_;
-    core_time_[core] += cfg_.hit_cycles;
-    time_ += 1;
-    std::size_t line_idx = addr / cfg_.wordsPerLine();
-    bool hit;
-    Line &way = lookup(core, line_idx, hit);
-    if (!hit)
-        fill(core, way, line_idx);
-    return way.data[addr % cfg_.wordsPerLine()];
-}
-
-void
-ApproxCacheSystem::store(unsigned core, std::size_t addr, Word w)
-{
-    ANOC_ASSERT(core < cfg_.n_cores && addr < mem_.size(),
-                "store out of range");
-    ++accesses_;
-    core_time_[core] += cfg_.hit_cycles;
-    time_ += 1;
-    std::size_t line_idx = addr / cfg_.wordsPerLine();
-    bool hit;
-    Line &way = lookup(core, line_idx, hit);
-    if (!hit)
-        fill(core, way, line_idx); // write-allocate
-    way.data[addr % cfg_.wordsPerLine()] = w;
-    way.dirty = true;
-}
-
-float
-ApproxCacheSystem::loadFloat(unsigned core, std::size_t addr)
-{
-    return std::bit_cast<float>(load(core, addr));
-}
-
-void
-ApproxCacheSystem::storeFloat(unsigned core, std::size_t addr, float v)
-{
-    store(core, addr, std::bit_cast<Word>(v));
-}
-
-std::int32_t
-ApproxCacheSystem::loadInt(unsigned core, std::size_t addr)
-{
-    return static_cast<std::int32_t>(load(core, addr));
-}
-
-void
-ApproxCacheSystem::storeInt(unsigned core, std::size_t addr, std::int32_t v)
-{
-    store(core, addr, static_cast<Word>(v));
 }
 
 void
 ApproxCacheSystem::barrier()
 {
     for (unsigned core = 0; core < cfg_.n_cores; ++core) {
-        for (auto &l : l1_[core].lines) {
-            if (l.valid && l.dirty)
-                writeback(core, l);
-            l.valid = false;
-            l.dirty = false;
+        for (std::size_t w = 0; w < l1_[core].ways.size(); ++w) {
+            Way &way = l1_[core].ways[w];
+            if (way.valid && way.dirty)
+                writeback(core, w);
+            way.valid = false;
+            way.dirty = false;
         }
     }
     // Barrier cost: cores synchronize to the slowest.

@@ -17,21 +17,27 @@
 #ifndef APPROXNOC_CACHE_APPROX_CACHE_H
 #define APPROXNOC_CACHE_APPROX_CACHE_H
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "cache/doppelganger.h"
 #include "common/data_block.h"
+#include "common/log.h"
 #include "common/types.h"
 #include "compression/codec.h"
 #include "traffic/trace.h"
 
 namespace approxnoc {
 
-/** Cache-system parameters (paper Sec. 5.4: 16 cores, 64 KB 2-way). */
+/**
+ * Cache-system parameters (paper Sec. 5.4: 16 cores, 64 KB 2-way).
+ * Words per line and the L1 and L2 set counts must be powers of two:
+ * the model addresses with shifts and masks, and its constructor
+ * panics on any other geometry.
+ */
 struct CacheConfig {
     unsigned n_cores = 16;
     unsigned n_nodes = 32;      ///< network endpoints (cores + homes)
@@ -82,12 +88,38 @@ class ApproxCacheSystem
 
     /** @name Simulated per-core accesses */
     ///@{
-    Word load(unsigned core, std::size_t addr);
-    void store(unsigned core, std::size_t addr, Word w);
-    float loadFloat(unsigned core, std::size_t addr);
-    void storeFloat(unsigned core, std::size_t addr, float v);
-    std::int32_t loadInt(unsigned core, std::size_t addr);
-    void storeInt(unsigned core, std::size_t addr, std::int32_t v);
+    Word load(unsigned core, std::size_t addr)
+    {
+        ANOC_ASSERT(core < cfg_.n_cores && addr < mem_.size(),
+                    "load out of range");
+        const std::size_t way = access(core, addr);
+        return l1_[core].words[(way << word_bits_) | (addr & word_mask_)];
+    }
+    void store(unsigned core, std::size_t addr, Word w)
+    {
+        ANOC_ASSERT(core < cfg_.n_cores && addr < mem_.size(),
+                    "store out of range");
+        const std::size_t way = access(core, addr); // write-allocate
+        L1 &c = l1_[core];
+        c.words[(way << word_bits_) | (addr & word_mask_)] = w;
+        c.ways[way].dirty = true;
+    }
+    float loadFloat(unsigned core, std::size_t addr)
+    {
+        return std::bit_cast<float>(load(core, addr));
+    }
+    void storeFloat(unsigned core, std::size_t addr, float v)
+    {
+        store(core, addr, std::bit_cast<Word>(v));
+    }
+    std::int32_t loadInt(unsigned core, std::size_t addr)
+    {
+        return static_cast<std::int32_t>(load(core, addr));
+    }
+    void storeInt(unsigned core, std::size_t addr, std::int32_t v)
+    {
+        store(core, addr, static_cast<Word>(v));
+    }
     ///@}
 
     /** Write back every dirty line and invalidate all L1s. */
@@ -128,23 +160,46 @@ class ApproxCacheSystem
     NodeId nodeOfHome(unsigned h) const { return 2 * h + 1; }
 
   private:
-    struct Line {
-        bool valid = false;
-        bool dirty = false;
+    /** One L1 way's tag state; its words are a line of L1::words. */
+    struct Way {
         std::size_t tag = 0; ///< line index in memory
         std::uint64_t lru = 0;
-        std::vector<Word> data;
+        bool valid = false;
+        bool dirty = false;
     };
     struct L1 {
-        std::vector<Line> lines; ///< sets * assoc, way-major within set
+        std::vector<Way> ways;   ///< sets * assoc, way-major within set
+        std::vector<Word> words; ///< way w's line at w << word_bits_
         std::uint64_t tick = 0;
     };
 
-    Line &lookup(unsigned core, std::size_t line_idx, bool &hit);
-    void fill(unsigned core, Line &way, std::size_t line_idx);
+    /**
+     * Count an access by @p core to word @p addr and return the index
+     * of the L1 way that holds its line, filling the way on a miss.
+     */
+    std::size_t access(unsigned core, std::size_t addr)
+    {
+        ++accesses_;
+        core_time_[core] += cfg_.hit_cycles;
+        time_ += 1;
+        const std::size_t line_idx = addr >> word_bits_;
+        L1 &c = l1_[core];
+        const std::size_t first = (line_idx & set_mask_) * cfg_.assoc;
+        for (std::size_t w = first; w < first + cfg_.assoc; ++w) {
+            Way &way = c.ways[w];
+            if (way.valid && way.tag == line_idx) {
+                way.lru = ++c.tick;
+                return w;
+            }
+        }
+        return miss(core, line_idx);
+    }
+    /** The miss path of access(): pick a victim way and fill it. */
+    std::size_t miss(unsigned core, std::size_t line_idx);
+    void fill(unsigned core, std::size_t way, std::size_t line_idx);
     /** Tag-only lookup+fill at the home slice; true on L2 hit. */
     bool l2Access(std::size_t line_idx);
-    void writeback(unsigned core, const Line &way);
+    void writeback(unsigned core, std::size_t way);
     DataBlock lineBlock(std::size_t line_idx) const;
     NodeId homeOf(std::size_t line_idx) const;
     bool lineApproximable(std::size_t line_idx, DataType &type) const;
@@ -155,11 +210,12 @@ class ApproxCacheSystem
     std::vector<DataType> wtype_; ///< per-word annotation (Raw = none)
     std::vector<L1> l1_;
     std::vector<Cycle> core_time_;
-    unsigned sets_;
+    unsigned word_bits_ = 0;    ///< log2(words per line)
+    std::size_t word_mask_ = 0; ///< words per line - 1
+    std::size_t set_mask_ = 0;  ///< L1 sets - 1
     Cycle time_ = 0; ///< global logical time for codec/trace
     CommTrace *trace_ = nullptr;
     std::unique_ptr<DoppelgangerTable> dedup_;
-    std::uint64_t miss_seq_ = 0;
 
     /**
      * Shared-L2 home slices, tag-only (data always comes from the
@@ -171,7 +227,7 @@ class ApproxCacheSystem
         std::uint64_t lru = 0;
     };
     std::vector<L2Way> l2_;
-    unsigned l2_sets_ = 0;
+    std::size_t l2_set_mask_ = 0; ///< L2 sets - 1
     std::uint64_t l2_tick_ = 0;
 
     std::uint64_t accesses_ = 0;

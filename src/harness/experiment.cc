@@ -9,6 +9,7 @@
 #include "common/log.h"
 #include "core/codec_factory.h"
 #include "harness/report.h"
+#include "telemetry/phase_profiler.h"
 #include "workloads/workload.h"
 
 namespace approxnoc::harness {
@@ -400,11 +401,19 @@ Experiment::run()
     for (const auto &p : spec_.points())
         needed.push_back(p.benchmark);
     ExperimentRunner runner(spec_.config().jobs);
-    traces_.prefetch(needed, runner);
-    run([this](const ExperimentPoint &pt) {
-        return run_replay_point(traces_.get(pt.benchmark), pt,
-                                spec_.config());
-    });
+    telemetry::PhaseProfiler harness;
+    {
+        telemetry::PhaseProfiler::Scope gen(
+            spec_.config().profile ? &harness : nullptr,
+            telemetry::Phase::HarnessTraceGen);
+        traces_.prefetch(needed, runner);
+    }
+    runPoints(
+        [this](const ExperimentPoint &pt) {
+            return run_replay_point(traces_.get(pt.benchmark), pt,
+                                    spec_.config());
+        },
+        harness);
 }
 
 ProgressFn
@@ -422,6 +431,13 @@ make_progress(const ExperimentConfig &cfg, const char *unit)
 
 void
 Experiment::run(const PointFn &fn)
+{
+    runPoints(fn, telemetry::PhaseProfiler{});
+}
+
+void
+Experiment::runPoints(const PointFn &fn,
+                      const telemetry::PhaseProfiler &harness)
 {
     const ExperimentConfig &cfg = spec_.config();
     const auto &points = spec_.points();
@@ -467,7 +483,7 @@ Experiment::run(const PointFn &fn)
         }
         write_report(cfg.metrics_dir, "qor", qor);
         if (cfg.profile)
-            write_report(cfg.metrics_dir, "profile", prof);
+            write_report(cfg.metrics_dir, "profile", prof, &harness);
     }
 }
 

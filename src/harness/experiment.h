@@ -231,6 +231,11 @@ class Experiment
     const PointResult &resultAt(std::size_t index) const;
 
   private:
+    /** run(fn)'s body; @p harness holds the phases timed before the
+     *  points (trace generation) for profile.json's `merged`. */
+    void runPoints(const PointFn &fn,
+                   const telemetry::PhaseProfiler &harness);
+
     ExperimentSpec spec_;
     TraceLibrary traces_;
     std::vector<PointResult> results_; ///< by point index, after run()

@@ -111,9 +111,11 @@ points_table(const Experiment &ex)
 template <typename Profile>
 bool
 write_report(const std::string &dir, const std::string &name,
-             const ReportParts<Profile> &parts)
+             const ReportParts<Profile> &parts, const Profile *harness)
 {
     Profile merged;
+    if (harness)
+        merged.merge(*harness);
     for (const auto &[label, p] : parts)
         if (p)
             merged.merge(*p);
@@ -138,8 +140,10 @@ write_report(const std::string &dir, const std::string &name,
 }
 
 template bool write_report(const std::string &, const std::string &,
-                           const ReportParts<telemetry::ErrorProfile> &);
+                           const ReportParts<telemetry::ErrorProfile> &,
+                           const telemetry::ErrorProfile *);
 template bool write_report(const std::string &, const std::string &,
-                           const ReportParts<telemetry::PhaseProfiler> &);
+                           const ReportParts<telemetry::PhaseProfiler> &,
+                           const telemetry::PhaseProfiler *);
 
 } // namespace approxnoc::harness

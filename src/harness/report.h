@@ -48,7 +48,9 @@ Table points_table(const Experiment &ex);
 /**
  * Write `<dir>/<name>.json` (schema `approxnoc-<name>-report-v1`):
  * every point's profile plus the spec-order merge of all of them. Null
- * profiles (failed points) are skipped. Best effort like the other
+ * profiles (failed points) are skipped. A non-null @p harness, work
+ * done for no one point (trace generation), is folded into the merge
+ * first and listed under no point. Best effort like the other
  * telemetry artifacts; returns false when the file cannot be written.
  *
  * Defined for the two sweep-level reports:
@@ -60,7 +62,8 @@ Table points_table(const Experiment &ex);
  */
 template <typename Profile>
 bool write_report(const std::string &dir, const std::string &name,
-                  const ReportParts<Profile> &parts);
+                  const ReportParts<Profile> &parts,
+                  const Profile *harness = nullptr);
 
 } // namespace approxnoc::harness
 

@@ -11,8 +11,9 @@
  * leaves, so every phase holds self time: a `Scope` opened inside
  * another phase takes its time out of that phase and hands the clock
  * back when it closes. The phases add up to `totalNs()`, the profiled
- * time. While no phase runs (between simulator sweeps, in the harness)
- * the clock is stopped and nothing is charged.
+ * time. While no phase runs (between simulator sweeps, in the harness
+ * outside trace generation) the clock is stopped and nothing is
+ * charged.
  *
  * Cost model: every instrumentation site holds a possibly-null
  * `PhaseProfiler *`. A `Scope` from a null profiler is one branch and
@@ -45,6 +46,7 @@ namespace approxnoc::telemetry {
 /** The profiled phases, in name (and report key) order. */
 enum class Phase : std::uint8_t {
     CodecApplyPending, ///< dictionary deferred-update merge
+    HarnessTraceGen,   ///< trace generation before a grid's replays
     NiDecode,          ///< codec decode at ejection
     NiEncode,          ///< codec encode at injection
     SimNetwork,        ///< the network's own step
@@ -54,12 +56,13 @@ enum class Phase : std::uint8_t {
     SimSampler,        ///< time-series sampler
 };
 
-inline constexpr std::size_t kPhaseCount = 8;
+inline constexpr std::size_t kPhaseCount = 9;
 
 /** `profile.json` key of each Phase, indexed by its value. */
 inline constexpr std::array<std::string_view, kPhaseCount> kPhaseNames = {
-    "codec.apply_pending", "ni.decode",  "ni.encode", "sim.network",
-    "sim.ni",              "sim.other", "sim.router", "sim.sampler"};
+    "codec.apply_pending", "harness.trace_gen", "ni.decode",
+    "ni.encode",           "sim.network",       "sim.ni",
+    "sim.other",           "sim.router",        "sim.sampler"};
 
 /** Accumulates (self ns, calls) per phase; merge adds phase by phase. */
 class PhaseProfiler

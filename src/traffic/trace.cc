@@ -28,23 +28,6 @@ parse_unsigned(const std::string &tok, int base, std::uint64_t max)
 
 } // namespace
 
-std::uint32_t
-CommTrace::addBlock(DataBlock b)
-{
-    blocks_.push_back(std::move(b));
-    return static_cast<std::uint32_t>(blocks_.size() - 1);
-}
-
-void
-CommTrace::add(const TraceRecord &r)
-{
-    ANOC_ASSERT(records_.empty() || records_.back().t <= r.t,
-                "trace records must be time-ordered");
-    ANOC_ASSERT(r.block == TraceRecord::kNoBlock || r.block < blocks_.size(),
-                "trace record references unknown block");
-    records_.push_back(r);
-}
-
 Cycle
 CommTrace::duration() const
 {

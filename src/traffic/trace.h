@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/data_block.h"
+#include "common/log.h"
 #include "common/types.h"
 
 namespace approxnoc {
@@ -29,7 +31,13 @@ struct TraceRecord {
     static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
 };
 
-/** A full trace: deduplicated block pool + time-ordered records. */
+/**
+ * A full trace: time-ordered records plus the pool of blocks they
+ * carry. The pool is not deduplicated: addBlock() appends every block
+ * it is given, and the cache model adds one per data record, in record
+ * order. fig12_throughput replays blocks() in that order as its
+ * payload stream.
+ */
 class CommTrace
 {
   public:
@@ -38,10 +46,22 @@ class CommTrace
         std::numeric_limits<std::size_t>::max();
 
     /** Register a payload block; returns its index. */
-    std::uint32_t addBlock(DataBlock b);
+    std::uint32_t addBlock(DataBlock b)
+    {
+        blocks_.push_back(std::move(b));
+        return static_cast<std::uint32_t>(blocks_.size() - 1);
+    }
 
     /** Append a record (timestamps must be non-decreasing). */
-    void add(const TraceRecord &r);
+    void add(const TraceRecord &r)
+    {
+        ANOC_ASSERT(records_.empty() || records_.back().t <= r.t,
+                    "trace records must be time-ordered");
+        ANOC_ASSERT(r.block == TraceRecord::kNoBlock ||
+                        r.block < blocks_.size(),
+                    "trace record references unknown block");
+        records_.push_back(r);
+    }
 
     const std::vector<TraceRecord> &records() const { return records_; }
     const std::vector<DataBlock> &blocks() const { return blocks_; }

@@ -246,6 +246,24 @@ TEST(Cache, L2CapacityEviction)
     EXPECT_EQ(mem.l2Misses(), 4u);
 }
 
+TEST(Cache, NonPowerOfTwoGeometryIsRejected)
+{
+    // The model addresses lines and sets with shifts and masks; any
+    // other geometry must fail loudly, naming the field and its value.
+    CacheConfig l1;
+    l1.l1_bytes = 3 * 64 * 2 * 64; // 192 sets
+    EXPECT_DEATH({ ApproxCacheSystem mem(l1, nullptr); },
+                 "l1_bytes 24576 gives 192 L1 sets, not a power of two");
+    CacheConfig line;
+    line.line_bytes = 48; // 12 words
+    EXPECT_DEATH({ ApproxCacheSystem mem(line, nullptr); },
+                 "line_bytes 48 holds 12 words, not a power of two");
+    CacheConfig l2;
+    l2.l2_bytes = 3 * 64 * 8; // 3 sets of 8 ways
+    EXPECT_DEATH({ ApproxCacheSystem mem(l2, nullptr); },
+                 "l2_bytes 1536 gives 3 L2 sets, not a power of two");
+}
+
 TEST(Doppelganger, DedupsSimilarBlocks)
 {
     DoppelgangerConfig dcfg;

@@ -852,3 +852,36 @@ TEST(TelemetryEndToEnd, ProfilingLeavesArtifactsUnchanged)
     EXPECT_EQ(sum, merged.at("total_ns").num);
     EXPECT_GT(sum, 0.0);
 }
+
+TEST(TelemetryEndToEnd, ProfileTimesTraceGeneration)
+{
+    // Experiment::run() generates the grid's traces before any point
+    // replays; under --profile that stage is the harness.trace_gen
+    // phase of the merged profile, timed once per run.
+    using namespace harness;
+    const std::string dir = ::testing::TempDir() + "telemetry_prof_gen";
+    Experiment ex(ExperimentSpec::Builder()
+                      .benchmarks({"swaptions"})
+                      .schemes({Scheme::Baseline})
+                      .maxRecords(200)
+                      .metricsDir(dir)
+                      .profile(true)
+                      .build());
+    ex.run();
+    ASSERT_EQ(ex.failures(), 0u);
+
+    Json root = parse_json(slurp(dir + "/profile.json"));
+    const Json &merged = root.at("merged");
+    const Json &gen = merged.at("phases").at("harness.trace_gen");
+    EXPECT_EQ(gen.at("calls").num, 1.0);
+    EXPECT_GT(gen.at("ns").num, 0.0);
+    double sum = 0;
+    for (const auto &[name, ph] : merged.at("phases").obj)
+        sum += ph.at("ns").num;
+    EXPECT_EQ(sum, merged.at("total_ns").num);
+    // No point generates a trace: the phase is only in the merge.
+    for (const auto &[label, pt] : root.at("points").obj)
+        EXPECT_EQ(pt.at("phases").at("harness.trace_gen").at("calls").num,
+                  0.0)
+            << label;
+}

@@ -2,7 +2,9 @@
  * Workload kernel tests: determinism, precise-vs-approximate output
  * error bounds, and kernel-specific sanity checks.
  */
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <gtest/gtest.h>
 
 #include "core/codec_factory.h"
@@ -33,10 +35,106 @@ run_with(const std::string &name, Scheme scheme, double threshold)
     return wl->run(mem);
 }
 
+/** Fold the @p bytes low bytes of @p v, little end first, into the
+ * 64-bit FNV-1a hash @p h. */
+void
+fnv1a(std::uint64_t &h, std::uint64_t v, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 0x100000001b3ull;
+    }
+}
+
+/** FNV-1a over every record (t, src, dst, cls, block), then every
+ * block (size, type, approximable, words). */
+std::uint64_t
+trace_hash(const CommTrace &t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const TraceRecord &r : t.records()) {
+        fnv1a(h, r.t, 8);
+        fnv1a(h, r.src, 4);
+        fnv1a(h, r.dst, 4);
+        fnv1a(h, static_cast<std::uint64_t>(r.cls), 1);
+        fnv1a(h, r.block, 4);
+    }
+    for (const DataBlock &b : t.blocks()) {
+        fnv1a(h, b.size(), 8);
+        fnv1a(h, static_cast<std::uint64_t>(b.type()), 1);
+        fnv1a(h, b.approximable() ? 1 : 0, 1);
+        for (Word w : b.words())
+            fnv1a(h, w, 4);
+    }
+    return h;
+}
+
+/** A kernel's trace and cache counters at seed 12345, default cache. */
+struct GoldenTrace {
+    const char *benchmark;
+    std::size_t records;
+    std::size_t blocks;
+    std::uint64_t hash;
+    std::uint64_t accesses, misses, writebacks, l2_hits, l2_misses;
+    Cycle exec_cycles;
+};
+
+/**
+ * Recorded from the per-line-vector cache model that preceded the flat
+ * L1 arrays. Every table replays these traces, so a change to the
+ * cache model or to CommTrace must reproduce them bit for bit: the
+ * same ways, LRU ticks and victims, and the same records and blocks in
+ * the same order.
+ */
+constexpr GoldenTrace kGoldenTraces[] = {
+    {"blackscholes", 61440, 32768, 0xe094bfccbe8a3634ull, 28672, 28672,
+     4096, 26880, 1792, 240128},
+    {"bodytrack", 756, 378, 0xaf81fc389cb66fc7ull, 3528, 378, 0, 0, 378,
+     5124},
+    {"canneal", 345466, 206464, 0xe3e6abfa073e7a42ull, 2580472, 139002,
+     67462, 138618, 384, 460730},
+    {"fluidanimate", 21504, 13312, 0x42d67fa43dcba030ull, 1074864, 8192,
+     5120, 8112, 80, 92126},
+    {"streamcluster", 25648, 14880, 0x806dfd56d1533fb6ull, 565504, 10768,
+     4112, 10188, 580, 177328},
+    {"swaptions", 2128, 1072, 0x5b575522d0d2feebull, 16464, 1056, 16, 27,
+     1029, 9807},
+    {"x264", 5504, 2752, 0x59110a8c5746be19ull, 1168280, 2752, 0, 1600,
+     1152, 111724},
+    {"ssca2", 99105, 57618, 0x7466befc1bbb808full, 5215002, 41487, 16131,
+     39930, 1557, 549045},
+};
+
 } // namespace
 
 class WorkloadSuite : public ::testing::TestWithParam<std::string>
 {};
+
+TEST_P(WorkloadSuite, TraceMatchesParent)
+{
+    const auto golden =
+        std::find_if(std::begin(kGoldenTraces), std::end(kGoldenTraces),
+                     [](const GoldenTrace &g) {
+                         return GetParam() == g.benchmark;
+                     });
+    ASSERT_NE(golden, std::end(kGoldenTraces)) << GetParam();
+
+    // TraceLibrary::prefetch's generation step.
+    ApproxCacheSystem mem(CacheConfig{}, nullptr);
+    CommTrace trace;
+    mem.setTraceSink(&trace);
+    make_workload(GetParam(), 1, 12345)->run(mem);
+
+    EXPECT_EQ(trace.records().size(), golden->records);
+    EXPECT_EQ(trace.blocks().size(), golden->blocks);
+    EXPECT_EQ(trace_hash(trace), golden->hash);
+    EXPECT_EQ(mem.accesses(), golden->accesses);
+    EXPECT_EQ(mem.misses(), golden->misses);
+    EXPECT_EQ(mem.writebacks(), golden->writebacks);
+    EXPECT_EQ(mem.l2Hits(), golden->l2_hits);
+    EXPECT_EQ(mem.l2Misses(), golden->l2_misses);
+    EXPECT_EQ(mem.executionCycles(), golden->exec_cycles);
+}
 
 TEST_P(WorkloadSuite, PreciseRunIsDeterministic)
 {
