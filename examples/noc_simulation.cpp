@@ -30,9 +30,7 @@ main(int argc, char **argv)
     TrafficPattern pattern =
         pattern_from_string(args.getString("pattern", "uniform"));
     auto cycles = args.getCount<Cycle>("cycles", 20000);
-    DataType type = args.getString("type", "float") == "int"
-                        ? DataType::Int32
-                        : DataType::Float32;
+    DataType type = synthetic_data_type(args);
     bool want_stats = args.getBool("stats", false);
 
     std::printf("%s, %s traffic, value-local %s payloads\n\n",

@@ -15,12 +15,8 @@ WindowVaxxCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
                            block.type() != DataType::Raw &&
                            model_.enabled();
     last_spent_ = 0.0;
-    if (!approx_ok) {
-        EncodedBlock enc =
-            fpc_encode_block(block, [](std::size_t) { return 0u; });
-        noteBlockEncoded(enc);
-        return enc;
-    }
+    if (!approx_ok)
+        return fpc_encode_block(block, [](std::size_t) { return 0u; });
 
     // Cumulative budget in "percent-words": each word nominally
     // contributes thresholdPct; exact matches return theirs to the
@@ -63,11 +59,8 @@ WindowVaxxCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
         ks[i] = d.dont_care_bits;
     }
 
-    EncodedBlock enc =
-        fpc_encode_block(block, [&](std::size_t i) { return ks[i]; });
     last_spent_ = spent;
-    noteBlockEncoded(enc);
-    return enc;
+    return fpc_encode_block(block, [&](std::size_t i) { return ks[i]; });
 }
 
 } // namespace approxnoc

@@ -145,7 +145,12 @@ CliArgs::getBool(const std::string &name, bool def) const
     if (!it->second)
         return true;
     const std::string &v = *it->second;
-    return v == "true" || v == "1" || v == "yes" || v == "on";
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    ANOC_FATAL("flag --", name, " expects true, 1, yes, on, false, 0, no ",
+               "or off, got '", v, "'");
 }
 
 } // namespace approxnoc

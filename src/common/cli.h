@@ -78,7 +78,9 @@ class CliArgs
     {
         return static_cast<T>(count(name, def, lo, hi));
     }
-    /** Bare --name, or --name=true|1|yes|on. */
+    /** True for a bare --name or --name=true|1|yes|on, false for
+     *  --name=false|0|no|off, @p def when absent; any other value is
+     *  fatal, naming the flag and the accepted words. */
     bool getBool(const std::string &name, bool def) const;
 
     /** Positional (non-flag) arguments. */

@@ -49,9 +49,7 @@ AdaptiveCodec::encode(const DataBlock &block, NodeId src, NodeId dst,
         } else {
             ++bypassed_;
             // Raw-block flag rides in the head flit, hence 32 bits/word.
-            EncodedBlock raw = raw_encoded_block(block, inner_->rawKind());
-            noteBlockEncoded(raw);
-            return raw;
+            return raw_encoded_block(block, inner_->rawKind());
         }
     }
 
@@ -64,13 +62,6 @@ AdaptiveCodec::encode(const DataBlock &block, NodeId src, NodeId dst,
     if (s.window_count >= window)
         evaluateWindow(s);
     return enc;
-}
-
-void
-AdaptiveCodec::bindProfiler(telemetry::PhaseProfiler *prof)
-{
-    CodecSystem::bindProfiler(prof);
-    inner_->bindProfiler(prof);
 }
 
 bool

@@ -79,17 +79,13 @@ class AdaptiveCodec : public CodecSystem
         return inner_->setErrorThreshold(pct);
     }
 
-    /** Bind both layers: bypassed raw blocks record here, the rest in
-     * the inner codec. A delegated block is recorded exactly once. */
+    /** The inner codec owns the apply-pending phase; the wrapper
+     * times nothing itself. */
     void
-    bindCounters(const CodecCounters &c) override
+    bindProfiler(telemetry::PhaseProfiler *prof) override
     {
-        CodecSystem::bindCounters(c);
-        inner_->bindCounters(c);
+        inner_->bindProfiler(prof);
     }
-
-    /** Both layers: the inner codec owns the apply-pending phase. */
-    void bindProfiler(telemetry::PhaseProfiler *prof) override;
 
     CodecSystem &inner() { return *inner_; }
 

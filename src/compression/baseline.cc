@@ -15,16 +15,13 @@ EncodedBlock
 BaselineCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
 {
     noteEncoded(block.size());
-    EncodedBlock enc = raw_encoded_block(block, 0);
-    noteBlockEncoded(enc);
-    return enc;
+    return raw_encoded_block(block, 0);
 }
 
 DataBlock
 BaselineCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
 {
     noteDecoded(enc.wordCount());
-    noteBlockDecoded();
     std::vector<Word> ws;
     ws.reserve(enc.wordCount());
     for (const auto &w : enc.words())

@@ -62,11 +62,11 @@ struct CodecActivity {
 };
 
 /**
- * Telemetry counter handles a codec records into, all null by default
- * (telemetry off). The pointed-to counters live in a per-point
- * MetricRegistry owned by the harness; the codec only increments.
- * Recording happens once per block off the aggregate EncodedBlock
- * accessors, so the per-word encode loop is never touched.
+ * Telemetry counter handles for the per-block codec counts, all null
+ * by default (telemetry off). Network::bindTelemetry points them into
+ * the run's MetricRegistry; the network counts each data block its NI
+ * encodes (Network::inject) and decodes (delivery), off the aggregate
+ * EncodedBlock accessors. Codecs count no telemetry.
  */
 struct CodecCounters {
     Counter *blocks_encoded = nullptr;
@@ -136,7 +136,8 @@ class CodecSystem
      * forwarding codec (perfbench/tracing.h) overrides them. No scheme
      * overrides them and nothing in the simulator calls them. The four
      * coding forwarders return exactly what encode()/decode() return,
-     * with the same side effects; bindErrorProfile does nothing.
+     * with the same side effects; bindErrorProfile and bindCounters do
+     * nothing.
      * @{
      */
     virtual EncodedBlock
@@ -169,6 +170,10 @@ class CodecSystem
      * (QualityTracker::record) does, at delivery, and
      * Network::bindErrorProfile binds the profile there. */
     virtual void bindErrorProfile(telemetry::ErrorProfile *) {}
+
+    /** Codecs count no telemetry: the network counts the blocks its
+     * NIs encode and decode (see CodecCounters). */
+    virtual void bindCounters(const CodecCounters &) {}
     /** @} */
 
     /** Cycles the encoder adds before the first body flit is ready. */
@@ -235,13 +240,6 @@ class CodecSystem
     virtual bool setErrorThreshold(double) { return false; }
 
     /**
-     * Bind telemetry counter handles (harness, per experiment point).
-     * Unbound (the default) recording costs one predicted branch per
-     * block — nothing per word. Wrappers forward to their inner codec.
-     */
-    virtual void bindCounters(const CodecCounters &c) { counters_ = c; }
-
-    /**
      * Bind the self-profiler: the dictionary schemes time their
      * deferred-update merge as `codec.apply_pending`; wrappers forward.
      */
@@ -261,32 +259,6 @@ class CodecSystem
     void noteEncoded(std::uint64_t n) { words_encoded_ += n; }
     void noteDecoded(std::uint64_t n) { words_decoded_ += n; }
 
-    /**
-     * Per-block telemetry record, called once at the end of every
-     * derived encode(). Derives hit/miss/approx splits from the block's
-     * aggregate accessors; a no-op when counters are unbound.
-     */
-    void
-    noteBlockEncoded(const EncodedBlock &enc)
-    {
-        if (!counters_.bound())
-            return;
-        counters_.blocks_encoded->inc();
-        counters_.hit_exact->inc(enc.exactCompressedWords());
-        counters_.hit_approx->inc(enc.approximatedWords());
-        counters_.miss_raw->inc(enc.uncompressedWords());
-        counters_.bits_out->inc(enc.bits());
-    }
-
-    /** Decode-side telemetry record; no-op when counters are unbound. */
-    void
-    noteBlockDecoded()
-    {
-        if (!counters_.bound())
-            return;
-        counters_.blocks_decoded->inc();
-    }
-
     /** The bound self-profiler (null when profiling is off). */
     telemetry::PhaseProfiler *profiler() const { return profiler_; }
 
@@ -296,8 +268,7 @@ class CodecSystem
     std::uint64_t mismatches_ = 0;
     std::uint64_t words_encoded_ = 0;
     std::uint64_t words_decoded_ = 0;
-    /** Bind-time handles (null until bound). */
-    CodecCounters counters_;
+    /** Bind-time handle (null until bound). */
     telemetry::PhaseProfiler *profiler_ = nullptr;
 };
 

@@ -58,21 +58,6 @@ DictionaryCodecBase::preloadEncoders()
 }
 
 EncodedBlock
-DictionaryCodecBase::finishEncoded(EncodedBlock enc, const DataBlock &block)
-{
-    enc.setMeta(block.type(), block.approximable());
-
-    // Incompressible-block fallback (after Das et al. [12]): when the
-    // per-word encoding would expand the block, send it raw; the
-    // compressed/raw flag rides in the (uncompressed) head flit.
-    if (enc.bits() > block.sizeBits() && block.size() > 0)
-        enc = raw_encoded_block(block,
-                                static_cast<std::uint8_t>(DiWordKind::Raw));
-    noteBlockEncoded(enc);
-    return enc;
-}
-
-EncodedBlock
 DictionaryCodecBase::encode(const DataBlock &block, NodeId src, NodeId dst,
                             Cycle now)
 {
@@ -82,7 +67,15 @@ DictionaryCodecBase::encode(const DataBlock &block, NodeId src, NodeId dst,
     noteEncoded(block.size());
     EncodedBlock enc;
     encodeWords(block, src, dst, enc);
-    return finishEncoded(std::move(enc), block);
+    enc.setMeta(block.type(), block.approximable());
+
+    // Incompressible-block fallback (after Das et al. [12]): when the
+    // per-word encoding would expand the block, send it raw; the
+    // compressed/raw flag rides in the (uncompressed) head flit.
+    if (enc.bits() > block.sizeBits() && block.size() > 0)
+        return raw_encoded_block(block,
+                                 static_cast<std::uint8_t>(DiWordKind::Raw));
+    return enc;
 }
 
 DataBlock
@@ -92,7 +85,6 @@ DictionaryCodecBase::decode(const EncodedBlock &enc, NodeId src, NodeId dst,
     ANOC_ASSERT(src < cfg_.n_nodes && dst < cfg_.n_nodes,
                 "node id out of range in dictionary decode");
     noteDecoded(enc.wordCount());
-    noteBlockDecoded();
     std::vector<Word> ws(enc.wordCount());
     Word *out = ws.data();
     DecoderState &d = decoders_[dst];

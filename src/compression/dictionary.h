@@ -72,8 +72,8 @@ class DictionaryCodecBase : public CodecSystem
   public:
     explicit DictionaryCodecBase(const DictionaryConfig &cfg);
 
-    /** Apply due updates, run the subclass's encodeWords(), then the
-     * shared tail (meta, incompressible-block fallback, telemetry). */
+    /** Apply due updates, run the subclass's encodeWords(), then set
+     * the block's meta and fall back to raw if encoding expanded it. */
     EncodedBlock encode(const DataBlock &block, NodeId src, NodeId dst,
                         Cycle now) override;
     /** Decoder-side reconstruction, learning and consistency check;
@@ -194,10 +194,6 @@ class DictionaryCodecBase : public CodecSystem
     unsigned index_bits_;
 
   private:
-    /** Shared encode tail: meta, incompressible-block fallback (after
-     * Das et al. [12]) and per-block telemetry. */
-    EncodedBlock finishEncoded(EncodedBlock enc, const DataBlock &block);
-
     /** Decoder-side learning on an uncompressed word from @p src. */
     void learn(Word w, DataType type, NodeId src, NodeId dst, Cycle now);
 

@@ -176,9 +176,7 @@ EncodedBlock
 FpcCodec::encode(const DataBlock &block, NodeId, NodeId, Cycle)
 {
     noteEncoded(block.size());
-    EncodedBlock enc = fpc_encode_block(block, [](std::size_t) { return 0u; });
-    noteBlockEncoded(enc);
-    return enc;
+    return fpc_encode_block(block, [](std::size_t) { return 0u; });
 }
 
 std::uint64_t
@@ -201,7 +199,6 @@ DataBlock
 FpcCodec::decode(const EncodedBlock &enc, NodeId, NodeId, Cycle)
 {
     noteDecoded(enc.wordCount());
-    noteBlockDecoded();
     std::vector<Word> ws(enc.wordCount());
     noteMismatches(fpc_decode_block(enc, ws.data()));
     return DataBlock(std::move(ws), enc.type(), enc.approximable());

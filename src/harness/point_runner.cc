@@ -1,6 +1,5 @@
 #include "harness/point_runner.h"
 
-#include <optional>
 #include <stdexcept>
 
 #include "core/codec_factory.h"
@@ -14,6 +13,72 @@
 #include "traffic/replay.h"
 
 namespace approxnoc::harness {
+
+RunInstruments::RunInstruments(Simulator &sim, Network &net,
+                               double threshold_pct,
+                               const telemetry::TelemetryOptions &topt,
+                               bool profile)
+    : sim_(sim), net_(net),
+      qor_(std::make_shared<telemetry::ErrorProfile>())
+{
+    // QoR error telemetry is always on: the error ledger walks every
+    // delivered block anyway, and the figure executors need the
+    // mean/worst-case relative error even without --metrics-out.
+    // The debug limit arms the ErrorProfile assertion: no recorded
+    // relative error may exceed the configured threshold by more than
+    // the codec overshoot slack (WindowVaxx's per-word budget cap and
+    // the TCAM don't-care rounding both legitimately land above e%).
+    if (threshold_pct > 0)
+        qor_->setDebugLimit(threshold_pct / 100.0 *
+                            telemetry::ErrorProfile::kDebugSlack);
+    net_.bindErrorProfile(qor_.get());
+
+    if (profile) {
+        prof_ = std::make_shared<telemetry::PhaseProfiler>();
+        sim_.bindProfiler(prof_.get());
+        net_.bindProfiler(prof_.get());
+    }
+
+    if (topt.enabled()) {
+        ptel_.emplace(topt);
+        net_.bindTelemetry(*ptel_);
+        if (ptel_->tracer())
+            ptel_->tracer()->setProcessName(topt.label);
+        if (ptel_->sampler())
+            sim_.add(ptel_->sampler());
+    }
+}
+
+void
+RunInstruments::finish(const std::string &stem)
+{
+    if (!ptel_)
+        return;
+    const Cycle now = sim_.now();
+    if (telemetry::Sampler *smp = ptel_->sampler()) {
+        // Final snapshot, unless the last epoch already landed on the
+        // end cycle.
+        if (smp->sampleCycles().empty() || smp->sampleCycles().back() != now)
+            smp->sample(now);
+    }
+    telemetry::MetricRegistry &reg = *ptel_->metrics();
+    net_.collectTelemetry(reg);
+    reg.counter("sim.elapsed_cycles").inc(now);
+    const std::string scheme = to_string(net_.codec().scheme());
+    qor_->exportTo(reg, "qor." + telemetry::sanitize_component(scheme));
+    ptel_->write();
+
+    const telemetry::TelemetryOptions &topt = ptel_->options();
+    if (!topt.metricsEnabled())
+        return;
+    telemetry::write_json_artifact(
+        topt.metrics_dir, stem + "qor.json",
+        [&](std::ostream &os) { qor_->writeJson(os); });
+    if (prof_)
+        telemetry::write_json_artifact(
+            topt.metrics_dir, stem + "profile.json",
+            [&](std::ostream &os) { prof_->writeJson(os); });
+}
 
 ReplayResult
 run_replay_point(const CommTrace &trace, const ExperimentPoint &pt,
@@ -31,31 +96,8 @@ run_replay_point(const CommTrace &trace, const ExperimentPoint &pt,
     Simulator sim;
     net.attach(sim);
 
-    // QoR error telemetry is always on: the error ledger walks every
-    // delivered block anyway, and the figure executors need the
-    // mean/worst-case relative error even without --metrics-out.
-    // The debug limit arms the ErrorProfile assertion: no recorded
-    // relative error may exceed the configured threshold by more than
-    // the codec overshoot slack (WindowVaxx's per-word budget cap and
-    // the TCAM don't-care rounding both legitimately land above e%).
-    auto qor = std::make_shared<telemetry::ErrorProfile>();
-    if (pt.threshold > 0)
-        qor->setDebugLimit(pt.threshold / 100.0 *
-                           telemetry::ErrorProfile::kDebugSlack);
-    net.bindErrorProfile(qor.get());
-
-    std::shared_ptr<telemetry::PhaseProfiler> prof;
-    if (cfg.profile) {
-        prof = std::make_shared<telemetry::PhaseProfiler>();
-        sim.bindProfiler(prof.get());
-        net.bindProfiler(prof.get());
-    }
-
-    // Telemetry bundle, owned by this point alone (lock-free). Its
-    // artifact identity derives from the spec coordinates, never from
-    // which worker ran the point, so --jobs=N runs produce identical
-    // file sets. The sampler joins the simulator after the network
-    // components so each row reads the committed state of its cycle.
+    // Named by spec coordinates, never by the worker that runs the
+    // point, so any --jobs writes the same files.
     telemetry::TelemetryOptions topt;
     topt.metrics_dir = cfg.metrics_dir;
     topt.trace_dir = cfg.trace_dir;
@@ -63,15 +105,7 @@ run_replay_point(const CommTrace &trace, const ExperimentPoint &pt,
     topt.label = telemetry::PointTelemetry::pointLabel(
         pt.index, pt.benchmark, to_string(pt.scheme));
     topt.pid = static_cast<std::uint32_t>(pt.index);
-    std::optional<telemetry::PointTelemetry> ptel;
-    if (topt.enabled()) {
-        ptel.emplace(topt);
-        net.bindTelemetry(*ptel);
-        if (ptel->tracer())
-            ptel->tracer()->setProcessName(topt.label);
-        if (ptel->sampler())
-            sim.add(ptel->sampler());
-    }
+    RunInstruments inst(sim, net, pt.threshold, topt, cfg.profile);
 
     // Replay at most the first max_records records, for bounded
     // runtime, and normalize the offered load of that portion.
@@ -108,33 +142,10 @@ run_replay_point(const CommTrace &trace, const ExperimentPoint &pt,
     PowerModel pm;
     r.dynamic_power_mw = pm.dynamicPowerMw(net, sim.now());
 
-    if (ptel) {
-        if (telemetry::Sampler *smp = ptel->sampler()) {
-            // Final snapshot, unless the last epoch already landed on
-            // the end cycle.
-            if (smp->sampleCycles().empty() ||
-                smp->sampleCycles().back() != sim.now())
-                smp->sample(sim.now());
-        }
-        net.collectTelemetry(*ptel->metrics());
-        ptel->metrics()->counter("sim.elapsed_cycles").inc(sim.now());
-        qor->exportTo(*ptel->metrics(),
-                      "qor." + telemetry::sanitize_component(
-                                   to_string(pt.scheme)));
-        ptel->write();
-        r.metrics = ptel->metrics();
-        if (topt.metricsEnabled()) {
-            telemetry::write_json_artifact(
-                topt.metrics_dir, topt.label + ".qor.json",
-                [&](std::ostream &os) { qor->writeJson(os); });
-            if (prof)
-                telemetry::write_json_artifact(
-                    topt.metrics_dir, topt.label + ".profile.json",
-                    [&](std::ostream &os) { prof->writeJson(os); });
-        }
-    }
-    r.qor = qor;
-    r.profile = prof;
+    inst.finish(topt.label + ".");
+    r.metrics = inst.metrics();
+    r.qor = inst.qor();
+    r.profile = inst.profile();
     return r;
 }
 

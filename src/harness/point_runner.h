@@ -11,10 +11,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "common/types.h"
 #include "telemetry/telemetry.h"
 #include "traffic/trace.h"
+
+namespace approxnoc {
+class Network;
+class Simulator;
+} // namespace approxnoc
 
 namespace approxnoc::telemetry {
 class ErrorProfile;
@@ -62,6 +69,55 @@ struct ReplayResult {
     /** Phase timings, null unless the job ran with profile = true.
      * Wall-clock — outside the byte-identical determinism contract. */
     std::shared_ptr<const telemetry::PhaseProfiler> profile;
+};
+
+/**
+ * One run's instruments, armed, bound and written in one place for
+ * every grid point and every approxnoc_sim run. Borrows @p sim and
+ * @p net, which must outlive it.
+ */
+class RunInstruments
+{
+  public:
+    /**
+     * Arm the error profile at @p threshold_pct x kDebugSlack and bind
+     * it, bind a PhaseProfiler under @p profile, then bind the bundle
+     * @p topt enables (its trace process named topt.label) and add its
+     * sampler. The profile binds first so the sampler gets live `qor.*`
+     * probes. Call after net.attach(sim) and before any traffic source
+     * joins @p sim, so each sample row reads its cycle's committed state.
+     */
+    RunInstruments(Simulator &sim, Network &net, double threshold_pct,
+                   const telemetry::TelemetryOptions &topt, bool profile);
+
+    /**
+     * With telemetry on: take the last time-series row, collect the
+     * network's metrics, `sim.elapsed_cycles` and `qor.<scheme>.*`, and
+     * write the bundle's `<label>.*` files plus `<stem>qor.json` and,
+     * when profiling, `<stem>profile.json`. Grid points and --compare
+     * lanes pass `<label>.`; a single approxnoc_sim run passes "".
+     */
+    void finish(const std::string &stem);
+
+    /** Always present. */
+    std::shared_ptr<const telemetry::ErrorProfile> qor() const { return qor_; }
+    /** Null unless profiling. */
+    std::shared_ptr<const telemetry::PhaseProfiler> profile() const
+    {
+        return prof_;
+    }
+    /** Null unless telemetry is on. */
+    std::shared_ptr<const telemetry::MetricRegistry> metrics() const
+    {
+        return ptel_ ? ptel_->metrics() : nullptr;
+    }
+
+  private:
+    Simulator &sim_;
+    Network &net_;
+    std::shared_ptr<telemetry::ErrorProfile> qor_;
+    std::shared_ptr<telemetry::PhaseProfiler> prof_;
+    std::optional<telemetry::PointTelemetry> ptel_;
 };
 
 /**

@@ -206,6 +206,14 @@ Network::inject(const PacketPtr &pkt, Cycle now)
     ANOC_ASSERT(pkt->src != pkt->dst,
                 "self-addressed packets never enter the network");
     nis_[pkt->src]->enqueue(pkt, now);
+    if (pkt->cls == PacketClass::Data && codec_counts_.bound()) {
+        const EncodedBlock &enc = pkt->enc;
+        codec_counts_.blocks_encoded->inc();
+        codec_counts_.hit_exact->inc(enc.exactCompressedWords());
+        codec_counts_.hit_approx->inc(enc.approximatedWords());
+        codec_counts_.miss_raw->inc(enc.uncompressedWords());
+        codec_counts_.bits_out->inc(enc.bits());
+    }
 }
 
 void
@@ -243,6 +251,8 @@ Network::onDelivery(const PacketPtr &pkt, Cycle now)
     stats_.packets_delivered.inc();
     if (pkt->cls == PacketClass::Data) {
         stats_.data_packets_delivered.inc();
+        if (codec_counts_.bound())
+            codec_counts_.blocks_decoded->inc();
         const double err = stats_.quality.record(
             pkt->precise, pkt->enc, pkt->delivered, pkt->src, pkt->dst);
         if (err_hist_)
@@ -293,7 +303,7 @@ Network::bindTelemetry(telemetry::PointTelemetry &pt)
 
     const std::string scheme =
         telemetry::sanitize_component(to_string(codec_->scheme()));
-    CodecCounters cc;
+    CodecCounters &cc = codec_counts_;
     telemetry::MetricScope cs = reg.scope("codec." + scheme);
     cc.blocks_encoded = &cs.counter("blocks_encoded");
     cc.blocks_decoded = &cs.counter("blocks_decoded");
@@ -301,7 +311,6 @@ Network::bindTelemetry(telemetry::PointTelemetry &pt)
     cc.hit_approx = &cs.counter("hit_approx");
     cc.miss_raw = &cs.counter("miss_raw");
     cc.bits_out = &cs.counter("bits_out");
-    codec_->bindCounters(cc);
 
     if (telemetry::Sampler *s = pt.sampler()) {
         s->addProbe("net.router_occupancy",

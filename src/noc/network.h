@@ -79,7 +79,9 @@ class Network : public Clocked
     /** Build a data packet carrying @p block (encoded at enqueue). */
     PacketPtr makeDataPacket(NodeId src, NodeId dst, DataBlock block);
 
-    /** Enqueue at the source NI (convenience). */
+    /** Enqueue at the source NI, which encodes a data packet's block
+     * there; with telemetry bound, count that block under
+     * `codec.<scheme>.*`. */
     void inject(const PacketPtr &pkt, Cycle now);
 
     /**
@@ -117,10 +119,11 @@ class Network : public Clocked
 
     /**
      * Attach a telemetry bundle: routers and NIs get the tracer, the
-     * codec gets its counters, the delivery path records the
-     * approximation-error distribution, and (when sampling) the
-     * network's occupancy/utilization/codec probes are registered.
-     * Call before the run; everything stays null/off otherwise.
+     * network counts the blocks its NIs encode and decode, the
+     * delivery path records the approximation-error distribution, and
+     * (when sampling) the network's occupancy/utilization/codec probes
+     * are registered. Call before the run; everything stays null/off
+     * otherwise.
      */
     void bindTelemetry(telemetry::PointTelemetry &pt);
 
@@ -168,9 +171,11 @@ class Network : public Clocked
     NetworkStats stats_;
     NetworkInterface::DeliveryFn user_delivery_;
 
-    /** Lifecycle tracer + error histogram, null unless bound. */
+    /** Lifecycle tracer, error histogram and per-block codec counts,
+     *  null unless bound. */
     telemetry::PacketTracer *tracer_ = nullptr;
     Histogram *err_hist_ = nullptr;
+    CodecCounters codec_counts_;
 
     std::uint64_t next_packet_id_ = 1;
 

@@ -102,8 +102,8 @@ bool write_merged_metrics(
 /**
  * Create @p dir as needed and stream @p writer into `<dir>/<file>`.
  * Best-effort like PointTelemetry::write(): failures are reported on
- * stderr and return false, never throw. Shared by the qor.json /
- * profile.json emitters in the harness and the tools.
+ * stderr and return false, never throw. Writes a run's qor.json and
+ * profile.json (harness::RunInstruments).
  */
 bool write_json_artifact(const std::string &dir, const std::string &file,
                          const std::function<void(std::ostream &)> &writer);

@@ -4,12 +4,24 @@
 #include <cmath>
 
 #include "common/bits.h"
+#include "common/cli.h"
 #include "common/log.h"
 
 namespace approxnoc {
 
-TraceDataProvider::TraceDataProvider(std::vector<DataBlock> blocks)
-    : blocks_(std::move(blocks))
+DataType
+synthetic_data_type(const CliArgs &args)
+{
+    const std::string type = args.getString("type", "float");
+    if (type == "int")
+        return DataType::Int32;
+    if (type != "float")
+        ANOC_FATAL("flag --type expects int or float, got '", type, "'");
+    return DataType::Float32;
+}
+
+TraceDataProvider::TraceDataProvider(const std::vector<DataBlock> &blocks)
+    : blocks_(blocks)
 {
     ANOC_ASSERT(!blocks_.empty(), "trace data provider needs blocks");
 }

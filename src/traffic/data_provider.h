@@ -18,6 +18,12 @@
 
 namespace approxnoc {
 
+class CliArgs;
+
+/** The payload type named by --type: `int` or `float` (the default);
+ *  any other value is fatal, naming the flag. */
+DataType synthetic_data_type(const CliArgs &args);
+
 /** Supplies the data block for the next data packet at node @p src. */
 class DataProvider
 {
@@ -26,15 +32,18 @@ class DataProvider
     virtual DataBlock next(NodeId src) = 0;
 };
 
-/** Replays a recorded pool of blocks, round-robin per node. */
+/** Replays a recorded pool of blocks, round-robin per node. Borrows
+ *  the pool (a trace's blocks()), which must outlive the provider. */
 class TraceDataProvider : public DataProvider
 {
   public:
-    explicit TraceDataProvider(std::vector<DataBlock> blocks);
+    explicit TraceDataProvider(const std::vector<DataBlock> &blocks);
+    /** A temporary pool would dangle. */
+    explicit TraceDataProvider(std::vector<DataBlock> &&) = delete;
     DataBlock next(NodeId src) override;
 
   private:
-    std::vector<DataBlock> blocks_;
+    const std::vector<DataBlock> &blocks_;
     std::vector<std::size_t> cursor_;
 };
 

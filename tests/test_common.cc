@@ -200,6 +200,37 @@ TEST(CliArgs, BareValuedFlagIsFatal)
     EXPECT_TRUE(args.getBool("on", false));
 }
 
+/** A boolean flag reads true|1|yes|on and false|0|no|off; any other
+ *  word exits 1 naming the flag and the accepted words, instead of
+ *  reading as false (--profile=ture used to switch profiling off). */
+TEST(CliArgs, BooleanFlagsRejectUnknownWords)
+{
+    for (const std::string v : {"true", "1", "yes", "on"}) {
+        const std::string arg = "--profile=" + v;
+        const char *argv[] = {"prog", arg.c_str()};
+        EXPECT_TRUE(CliArgs(2, const_cast<char **>(argv))
+                        .getBool("profile", false))
+            << v;
+    }
+    for (const std::string v : {"false", "0", "no", "off"}) {
+        const std::string arg = "--profile=" + v;
+        const char *argv[] = {"prog", arg.c_str()};
+        EXPECT_FALSE(CliArgs(2, const_cast<char **>(argv))
+                         .getBool("profile", true))
+            << v;
+    }
+    for (const std::string v : {"ture", "banana", "", "TRUE", "2"}) {
+        const std::string arg = "--quiet=" + v;
+        const char *argv[] = {"prog", arg.c_str()};
+        const CliArgs args(2, const_cast<char **>(argv));
+        EXPECT_EXIT(args.getBool("quiet", false),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: flag --quiet expects true, 1, yes, on, false, "
+                    "0, no or off, got '" + v + "'")
+            << v;
+    }
+}
+
 /** expect() exits 1 on the first flag outside its list and accepts a
  *  command line that uses only listed flags. */
 TEST(CliArgs, ExpectRejectsUnknownFlags)

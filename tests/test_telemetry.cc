@@ -698,6 +698,37 @@ TEST(TelemetryEndToEnd, DisabledTelemetryLeavesNoTrace)
     EXPECT_EQ(replay_point(Scheme::Baseline, cfg).metrics, nullptr);
 }
 
+/** The network counts each data block once where its NI encodes it
+ * and once where it is delivered, and every encoded word lands in
+ * exactly one of the hit/approx/raw counts, under every scheme. */
+TEST(TelemetryEndToEnd, CodecCountersMatchDeliveries)
+{
+    for (Scheme scheme : kAllSchemes) {
+        harness::ExperimentConfig cfg;
+        cfg.max_records = 1000;
+        cfg.metrics_dir = ::testing::TempDir() + "telemetry_codec_counts";
+        harness::ReplayResult r = replay_point(scheme, cfg);
+        ASSERT_NE(r.metrics, nullptr);
+        const auto &c = r.metrics->counters();
+        const std::string cs =
+            "codec." + sanitize_component(to_string(scheme));
+        auto value = [&](const std::string &path) {
+            auto it = c.find(path);
+            EXPECT_NE(it, c.end()) << path;
+            return it == c.end() ? 0 : it->second.value();
+        };
+        const std::uint64_t delivered = value("net.data_packets_delivered");
+        EXPECT_GT(delivered, 0u) << cs;
+        EXPECT_EQ(value(cs + ".blocks_encoded"), delivered) << cs;
+        EXPECT_EQ(value(cs + ".blocks_decoded"), delivered) << cs;
+        EXPECT_EQ(value(cs + ".hit_exact") + value(cs + ".hit_approx") +
+                      value(cs + ".miss_raw"),
+                  value(cs + ".words_encoded"))
+            << cs;
+        EXPECT_GT(value(cs + ".bits_out"), 0u) << cs;
+    }
+}
+
 TEST(TelemetryEndToEnd, CompareRunTraceValidates)
 {
     if (!std::ifstream(APPROXNOC_SIM_TOOL).good())

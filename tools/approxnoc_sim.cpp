@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <iostream>
 #include <limits>
-#include <optional>
 
 #include "common/cli.h"
 #include "common/log.h"
@@ -31,8 +30,6 @@
 #include "core/codec_factory.h"
 #include "harness/experiment.h"
 #include "harness/trace_library.h"
-#include "telemetry/error_profile.h"
-#include "telemetry/phase_profiler.h"
 #include "noc/network.h"
 #include "noc/qos_loop.h"
 #include "sim/simulator.h"
@@ -175,8 +172,7 @@ struct SimSummary {
  * One fully isolated simulation of @p scheme under the CLI-selected
  * traffic. When @p dump is set, ends with the gem5-style stats dump on
  * stdout (single-scheme mode only — compare mode keeps workers quiet).
- */
-/**
+ *
  * @param labeled prefix the qor.json/profile.json artifacts with the
  *        scheme label (compare mode — keeps workers from clobbering
  *        each other); single-scheme runs use the plain names the CI
@@ -203,33 +199,8 @@ run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
     topts.sample_interval = args.getCount<Cycle>("sample-interval", 0);
     topts.label = telemetry::sanitize_component(to_string(scheme));
     topts.pid = static_cast<std::uint32_t>(scheme);
-    // QoR error telemetry is always on (the error ledger walks every
-    // delivered block anyway); the self-profiler only under
-    // --profile. Bind before bindTelemetry so the sampler also
-    // carries live qor.* probes.
-    telemetry::ErrorProfile qor;
-    if (cc.error_threshold_pct > 0)
-        qor.setDebugLimit(cc.error_threshold_pct / 100.0 *
-                          telemetry::ErrorProfile::kDebugSlack);
-    net.bindErrorProfile(&qor);
-
-    const bool profile = args.getBool("profile", false);
-    std::unique_ptr<telemetry::PhaseProfiler> prof;
-    if (profile) {
-        prof = std::make_unique<telemetry::PhaseProfiler>();
-        sim.bindProfiler(prof.get());
-        net.bindProfiler(prof.get());
-    }
-
-    std::optional<telemetry::PointTelemetry> pt;
-    if (topts.enabled()) {
-        pt.emplace(topts);
-        net.bindTelemetry(*pt);
-        if (pt->tracer())
-            pt->tracer()->setProcessName(to_string(scheme));
-        if (pt->sampler())
-            sim.add(pt->sampler());
-    }
+    harness::RunInstruments inst(sim, net, cc.error_threshold_pct, topts,
+                                 args.getBool("profile", false));
 
     auto cycles = args.getCount<Cycle>("cycles", 100000);
     auto warmup = args.getCount<Cycle>("warmup", 0);
@@ -242,11 +213,8 @@ run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
     std::unique_ptr<CommTrace> trace;
     std::unique_ptr<TraceReplay> replay;
 
-    DataType type = args.getString("type", "float") == "int"
-                        ? DataType::Int32
-                        : DataType::Float32;
-    provider = std::make_unique<SyntheticDataProvider>(type, 16, 0.9, 3.0,
-                                                       seed, 0.7, 8);
+    provider = std::make_unique<SyntheticDataProvider>(
+        synthetic_data_type(args), 16, 0.9, 3.0, seed, 0.7, 8);
 
     if (args.has("trace")) {
         trace = std::make_unique<CommTrace>(
@@ -317,31 +285,7 @@ run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
                             qos->controller().violations()));
     }
 
-    if (pt) {
-        if (telemetry::Sampler *smp = pt->sampler()) {
-            if (smp->sampleCycles().empty() ||
-                smp->sampleCycles().back() != sim.now())
-                smp->sample(sim.now());
-        }
-        net.collectTelemetry(*pt->metrics());
-        pt->metrics()->counter("sim.elapsed_cycles").inc(sim.now());
-        qor.exportTo(*pt->metrics(),
-                     "qor." + telemetry::sanitize_component(
-                                  to_string(scheme)));
-        pt->write();
-    }
-
-    // qor.json always accompanies the metrics, and profile.json does
-    // under --profile (main() requires --metrics-out with it).
-    const std::string stem = labeled ? topts.label + "." : std::string();
-    if (topts.metricsEnabled())
-        telemetry::write_json_artifact(
-            topts.metrics_dir, stem + "qor.json",
-            [&](std::ostream &os) { qor.writeJson(os); });
-    if (prof)
-        telemetry::write_json_artifact(
-            topts.metrics_dir, stem + "profile.json",
-            [&](std::ostream &os) { prof->writeJson(os); });
+    inst.finish(labeled ? topts.label + "." : std::string());
 
     SimSummary s;
     s.latency = net.stats().total_lat.mean();
