@@ -43,10 +43,10 @@ measure_point(Scheme scheme, TrafficPattern pattern, double rate,
     SyntheticTraffic gen(net, tc, provider);
     sim.add(&gen);
 
-    // BookSim-style methodology: warm up, reset the series, measure.
+    // BookSim-style methodology: warm up, open the window, measure.
     Cycle warmup = cfg.cycles / 5;
     sim.run(warmup);
-    net.stats().reset();
+    net.startWindow(sim.now());
     std::uint64_t offered0 = gen.packetsOffered();
     sim.run(cfg.cycles - warmup);
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/data_block.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 #include "compression/encoded.h"
@@ -46,6 +45,9 @@ struct DecodedSpan {
     }
 };
 
+/** The parameter of the no-op bindCounters() forwarder; empty. */
+struct CodecCounters {};
+
 /** Default codec pipeline latencies (paper Sec. 4.3, after [12]). */
 inline constexpr Cycle kCompressionLatency = 3;   ///< 2 match + 1 encode
 inline constexpr Cycle kDecompressionLatency = 2;
@@ -59,24 +61,6 @@ struct CodecActivity {
     std::uint64_t tcam_searches = 0;
     std::uint64_t tcam_writes = 0;
     std::uint64_t avcl_ops = 0;
-};
-
-/**
- * Telemetry counter handles for the per-block codec counts, all null
- * by default (telemetry off). Network::bindTelemetry points them into
- * the run's MetricRegistry; the network counts each data block its NI
- * encodes (Network::inject) and decodes (delivery), off the aggregate
- * EncodedBlock accessors. Codecs count no telemetry.
- */
-struct CodecCounters {
-    Counter *blocks_encoded = nullptr;
-    Counter *blocks_decoded = nullptr;
-    Counter *hit_exact = nullptr;  ///< words compressed exactly
-    Counter *hit_approx = nullptr; ///< words changed by approximation
-    Counter *miss_raw = nullptr;   ///< words emitted uncompressed
-    Counter *bits_out = nullptr;   ///< total NR bits emitted
-
-    bool bound() const { return blocks_encoded != nullptr; }
 };
 
 /**
@@ -172,7 +156,7 @@ class CodecSystem
     virtual void bindErrorProfile(telemetry::ErrorProfile *) {}
 
     /** Codecs count no telemetry: the network counts the blocks its
-     * NIs encode and decode (see CodecCounters). */
+     * NIs encode and decode (CodecBlockCounts, noc/network.h). */
     virtual void bindCounters(const CodecCounters &) {}
     /** @} */
 

@@ -165,13 +165,6 @@ ExperimentSpec::Builder::jobs(unsigned n)
 }
 
 ExperimentSpec::Builder &
-ExperimentSpec::Builder::seed(std::uint64_t s)
-{
-    cfg_.base_seed = s;
-    return *this;
-}
-
-ExperimentSpec::Builder &
 ExperimentSpec::Builder::maxRecords(std::size_t n)
 {
     cfg_.max_records = n;
@@ -238,7 +231,7 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what,
         {"cycles", "=<n>", "synthetic run length (50000)"},
         {"scale", "=<n>", "workload size multiplier (1)"},
         {"jobs", "=<n>", "worker threads, 0=auto (1)"},
-        {"seed", "=<n>", "experiment base seed"},
+        {"seed", "=<n>", "kernel seed of every trace (12345)"},
         {"csv-dir", "=<dir>", "CSV output dir (results)"},
         {"json-dir", "=<dir>", "JSON output dir (csv-dir)"},
         {"metrics-out", "=<dir>", "per-point + merged metrics JSON"},
@@ -300,8 +293,7 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what,
     cfg_.cycles = args.getCount<Cycle>("cycles", cfg_.cycles);
     cfg_.scale = args.getCount<unsigned>("scale", cfg_.scale);
     cfg_.jobs = args.getCount<unsigned>("jobs", cfg_.jobs);
-    cfg_.base_seed = static_cast<std::uint64_t>(
-        args.getInt("seed", static_cast<long>(cfg_.base_seed)));
+    cfg_.seed = args.getCount<std::uint64_t>("seed", cfg_.seed);
     cfg_.csv_dir = args.getString("csv-dir", cfg_.csv_dir);
     cfg_.json_dir = args.getString("json-dir", cfg_.json_dir);
     cfg_.metrics_dir = args.getString("metrics-out", cfg_.metrics_dir);
@@ -358,8 +350,6 @@ ExperimentSpec::Builder::build() const
                                 if (keep_ && !keep_(p))
                                     continue;
                                 p.index = spec.points_.size();
-                                p.seed =
-                                    derive_seed(cfg_.base_seed, p.index);
                                 spec.points_.push_back(std::move(p));
                             }
     ANOC_ASSERT(!spec.points_.empty(), "experiment grid is empty");
@@ -389,7 +379,8 @@ ExperimentSpec::indexOf(const PointQuery &q) const
 // ------------------------------------------------------------- Experiment
 
 Experiment::Experiment(ExperimentSpec spec)
-    : spec_(std::move(spec)), traces_(spec_.config().scale)
+    : spec_(std::move(spec)),
+      traces_(spec_.config().scale, spec_.config().seed)
 {}
 
 void

@@ -5,8 +5,8 @@
  * PMT size) grid plus the shared run configuration; its fluent Builder
  * parses the harness flags a binary reads. An Experiment executes the
  * grid on `--jobs` lanes, one isolated Simulator + Network +
- * CodecSystem per point, with deterministic per-point seeds —
- * `--jobs=1` and `--jobs=N` produce bit-identical result tables.
+ * CodecSystem per point; every point is deterministic, so `--jobs=1`
+ * and `--jobs=N` produce bit-identical result tables.
  */
 #ifndef APPROXNOC_HARNESS_EXPERIMENT_H
 #define APPROXNOC_HARNESS_EXPERIMENT_H
@@ -28,8 +28,8 @@ struct ExperimentConfig {
     std::size_t max_records = 20000; ///< trace replay cap
     Cycle cycles = 50000;            ///< synthetic run length
     unsigned scale = 1;              ///< workload problem-size multiplier
+    std::uint64_t seed = 12345;      ///< kernel seed of every trace
     unsigned jobs = 1;               ///< worker threads (0 = hardware)
-    std::uint64_t base_seed = 0xA9C0FFEEull; ///< per-point seed root
     std::string csv_dir = "results";
     std::string json_dir; ///< empty = alongside the CSV in csv_dir
 
@@ -58,7 +58,6 @@ struct ExperimentPoint {
     double load = 0.04;         ///< offered data flits/cycle/node
     unsigned flit_bits = 64;    ///< flit width (Table 1)
     std::size_t pmt_entries = 8; ///< dictionary PMT size (Table 1)
-    std::uint64_t seed = 0;     ///< derived from (base_seed, index)
 };
 
 /** Grid coordinates with wildcards; unset fields match anything. */
@@ -96,7 +95,6 @@ class ExperimentSpec
         Builder &pmtEntries(std::vector<std::size_t> v);
 
         Builder &jobs(unsigned n);
-        Builder &seed(std::uint64_t s);
         Builder &maxRecords(std::size_t n);
         Builder &csvDir(std::string dir);
         Builder &metricsDir(std::string dir);

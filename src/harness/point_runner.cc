@@ -63,7 +63,7 @@ RunInstruments::finish(const std::string &stem)
     }
     telemetry::MetricRegistry &reg = *ptel_->metrics();
     net_.collectTelemetry(reg);
-    reg.counter("sim.elapsed_cycles").inc(now);
+    reg.counter("sim.elapsed_cycles").inc(now - net_.windowStart());
     const std::string scheme = to_string(net_.codec().scheme());
     qor_->exportTo(reg, "qor." + telemetry::sanitize_component(scheme));
     ptel_->write();

@@ -92,7 +92,8 @@ class RunInstruments
 
     /**
      * With telemetry on: take the last time-series row, collect the
-     * network's metrics, `sim.elapsed_cycles` and `qor.<scheme>.*`, and
+     * network's window (its counts, `sim.elapsed_cycles` since
+     * Network::startWindow) and `qor.<scheme>.*`, and
      * write the bundle's `<label>.*` files plus `<stem>qor.json` and,
      * when profiling, `<stem>profile.json`. Grid points and --compare
      * lanes pass `<label>.`; a single approxnoc_sim run passes "".

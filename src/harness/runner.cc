@@ -17,18 +17,6 @@ resolve_jobs(unsigned jobs)
     return hw ? hw : 1;
 }
 
-std::uint64_t
-derive_seed(std::uint64_t base_seed, std::size_t index)
-{
-    // splitmix64 finalizer over the (base, index) pair. Index + 1 so
-    // point 0 does not collapse onto the bare base seed.
-    std::uint64_t z = base_seed + 0x9E3779B97F4A7C15ull *
-                                      (static_cast<std::uint64_t>(index) + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
 ExperimentRunner::ExperimentRunner(unsigned jobs, ProgressFn progress)
     : jobs_(resolve_jobs(jobs)), progress_(std::move(progress))
 {}

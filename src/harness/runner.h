@@ -90,13 +90,6 @@ class ExperimentRunner
 /** `jobs == 0` -> hardware concurrency (at least 1). */
 unsigned resolve_jobs(unsigned jobs);
 
-/**
- * Derive the RNG seed of grid point @p index from the experiment base
- * seed (splitmix64 finalizer): well-decorrelated streams per point,
- * and identical whether the point runs on 1 or N workers.
- */
-std::uint64_t derive_seed(std::uint64_t base_seed, std::size_t index);
-
 } // namespace approxnoc::harness
 
 #endif // APPROXNOC_HARNESS_RUNNER_H

@@ -36,7 +36,7 @@ TraceLibrary::prefetch(const std::vector<std::string> &benchmarks,
         ApproxCacheSystem mem(ccfg, nullptr);
         CommTrace trace;
         mem.setTraceSink(&trace);
-        make_workload(missing[i], scale_)->run(mem);
+        make_workload(missing[i], scale_, seed_)->run(mem);
         return trace;
     });
     // The lanes have joined: the map is written on this thread only.

@@ -19,13 +19,16 @@ namespace approxnoc::harness {
 class ExperimentRunner;
 
 /**
- * Per-benchmark trace store. prefetch() is its only writer and runs
- * before any lane reads, so get() takes no lock.
+ * Per-benchmark trace store, every trace generated at one kernel scale
+ * and seed. prefetch() is its only writer and runs before any lane
+ * reads, so get() takes no lock.
  */
 class TraceLibrary
 {
   public:
-    explicit TraceLibrary(unsigned scale = 1) : scale_(scale) {}
+    explicit TraceLibrary(unsigned scale = 1, std::uint64_t seed = 12345)
+        : scale_(scale), seed_(seed)
+    {}
 
     /**
      * The trace of @p benchmark; fatal unless prefetch() generated it.
@@ -48,6 +51,7 @@ class TraceLibrary
 
   private:
     unsigned scale_;
+    std::uint64_t seed_;
     std::map<std::string, CommTrace> traces_;
 };
 

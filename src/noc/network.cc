@@ -15,6 +15,17 @@ constexpr Cycle kWatchdogPeriod = 1024;
  *  whole number of sample periods, so the panic comes within one
  *  period of the window closing. */
 constexpr Cycle kDeadlockWindow = 49 * kWatchdogPeriod;
+
+/** Field @p f summed over every slot of @p slots. */
+template <typename Slot>
+std::uint64_t
+total(const std::vector<Slot> &slots, std::uint64_t Slot::*f)
+{
+    std::uint64_t n = 0;
+    for (const Slot &s : slots)
+        n += s.*f;
+    return n;
+}
 } // namespace
 
 void
@@ -34,7 +45,8 @@ NetworkStats::reset()
 }
 
 Network::Network(const NocConfig &cfg, CodecSystem *codec)
-    : Clocked("network"), cfg_(cfg), codec_(codec)
+    : Clocked("network"), cfg_(cfg), codec_(codec),
+      router_counts_(cfg.routers()), ni_counts_(cfg.nodes())
 {
     ANOC_ASSERT(codec != nullptr, "Network requires a codec");
     ANOC_ASSERT(cfg_.routing != RoutingAlgo::WestFirst ||
@@ -47,7 +59,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec)
 
     routers_.reserve(cfg_.routers());
     for (RouterId r = 0; r < cfg_.routers(); ++r)
-        routers_.push_back(std::make_unique<Router>(r, cfg_, route));
+        routers_.push_back(
+            std::make_unique<Router>(r, cfg_, route, &router_counts_[r]));
 
     // Mesh links: both directions of every edge.
     for (RouterId r = 0; r < cfg_.routers(); ++r) {
@@ -102,8 +115,8 @@ Network::Network(const NocConfig &cfg, CodecSystem *codec)
     // NIs: one per endpoint, on its router's local port.
     nis_.reserve(cfg_.nodes());
     for (NodeId n = 0; n < cfg_.nodes(); ++n) {
-        auto ni =
-            std::make_unique<NetworkInterface>(n, cfg_, codec_, &in_flight_);
+        auto ni = std::make_unique<NetworkInterface>(
+            n, cfg_, codec_, &in_flight_, &ni_counts_[n]);
         RouterId r = cfg_.routerOf(n);
         unsigned port = kLocalBase + cfg_.localPortOf(n);
         ni->connectInjection(routers_[r].get(), port);
@@ -206,14 +219,43 @@ Network::inject(const PacketPtr &pkt, Cycle now)
     ANOC_ASSERT(pkt->src != pkt->dst,
                 "self-addressed packets never enter the network");
     nis_[pkt->src]->enqueue(pkt, now);
-    if (pkt->cls == PacketClass::Data && codec_counts_.bound()) {
+    if (pkt->cls == PacketClass::Data) {
         const EncodedBlock &enc = pkt->enc;
-        codec_counts_.blocks_encoded->inc();
-        codec_counts_.hit_exact->inc(enc.exactCompressedWords());
-        codec_counts_.hit_approx->inc(enc.approximatedWords());
-        codec_counts_.miss_raw->inc(enc.uncompressedWords());
-        codec_counts_.bits_out->inc(enc.bits());
+        ++codec_counts_.blocks_encoded;
+        codec_counts_.hit_exact += enc.exactCompressedWords();
+        codec_counts_.hit_approx += enc.approximatedWords();
+        codec_counts_.miss_raw += enc.uncompressedWords();
+        codec_counts_.bits_out += enc.bits();
     }
+}
+
+void
+Network::startWindow(Cycle now)
+{
+    std::fill(router_counts_.begin(), router_counts_.end(), RouterCounts{});
+    std::fill(ni_counts_.begin(), ni_counts_.end(), NiCounts{});
+    stats_.reset();
+    codec_counts_ = {};
+    approx_error_.reset();
+    activity_base_ = codec_->activity();
+    window_start_ = now;
+    if (telemetry::ErrorProfile *q = stats_.quality.errorProfile())
+        q->clearSamples();
+}
+
+CodecActivity
+Network::codecActivity() const
+{
+    CodecActivity a = codec_->activity();
+    const CodecActivity &b = activity_base_;
+    a.words_encoded -= b.words_encoded;
+    a.words_decoded -= b.words_decoded;
+    a.cam_searches -= b.cam_searches;
+    a.cam_writes -= b.cam_writes;
+    a.tcam_searches -= b.tcam_searches;
+    a.tcam_writes -= b.tcam_writes;
+    a.avcl_ops -= b.avcl_ops;
+    return a;
 }
 
 void
@@ -251,12 +293,8 @@ Network::onDelivery(const PacketPtr &pkt, Cycle now)
     stats_.packets_delivered.inc();
     if (pkt->cls == PacketClass::Data) {
         stats_.data_packets_delivered.inc();
-        if (codec_counts_.bound())
-            codec_counts_.blocks_decoded->inc();
-        const double err = stats_.quality.record(
-            pkt->precise, pkt->enc, pkt->delivered, pkt->src, pkt->dst);
-        if (err_hist_)
-            err_hist_->add(err);
+        approx_error_.add(stats_.quality.record(
+            pkt->precise, pkt->enc, pkt->delivered, pkt->src, pkt->dst));
     }
     if (tracer_) {
         // Reconstruct the packet's lifecycle spans from its timestamps:
@@ -298,20 +336,6 @@ Network::bindTelemetry(telemetry::PointTelemetry &pt)
         }
     }
 
-    telemetry::MetricRegistry &reg = *pt.metrics();
-    err_hist_ = &reg.histogram("net.approx_error", 0.001, 64);
-
-    const std::string scheme =
-        telemetry::sanitize_component(to_string(codec_->scheme()));
-    CodecCounters &cc = codec_counts_;
-    telemetry::MetricScope cs = reg.scope("codec." + scheme);
-    cc.blocks_encoded = &cs.counter("blocks_encoded");
-    cc.blocks_decoded = &cs.counter("blocks_decoded");
-    cc.hit_exact = &cs.counter("hit_exact");
-    cc.hit_approx = &cs.counter("hit_approx");
-    cc.miss_raw = &cs.counter("miss_raw");
-    cc.bits_out = &cs.counter("bits_out");
-
     if (telemetry::Sampler *s = pt.sampler()) {
         s->addProbe("net.router_occupancy",
                     [this] { return static_cast<double>(routerOccupancy()); });
@@ -327,16 +351,16 @@ Network::bindTelemetry(telemetry::PointTelemetry &pt)
         s->addProbe("net.mean_total_latency",
                     [this] { return stats_.total_lat.mean(); });
         s->addProbe("codec.words_encoded", [this] {
-            return static_cast<double>(codec_->activity().words_encoded);
+            return static_cast<double>(codecActivity().words_encoded);
         });
-        s->addProbe("codec.hit_exact", [cc] {
-            return static_cast<double>(cc.hit_exact->value());
+        s->addProbe("codec.hit_exact", [this] {
+            return static_cast<double>(codec_counts_.hit_exact);
         });
-        s->addProbe("codec.hit_approx", [cc] {
-            return static_cast<double>(cc.hit_approx->value());
+        s->addProbe("codec.hit_approx", [this] {
+            return static_cast<double>(codec_counts_.hit_approx);
         });
-        s->addProbe("codec.miss_raw", [cc] {
-            return static_cast<double>(cc.miss_raw->value());
+        s->addProbe("codec.miss_raw", [this] {
+            return static_cast<double>(codec_counts_.miss_raw);
         });
         s->addProbe("quality.mean_rel_error",
                     [this] { return stats_.quality.meanRelativeError(); });
@@ -374,22 +398,22 @@ Network::bindProfiler(telemetry::PhaseProfiler *prof)
 void
 Network::collectTelemetry(telemetry::MetricRegistry &reg) const
 {
-    for (const auto &r : routers_) {
-        telemetry::MetricScope rs =
-            reg.scope("router." + std::to_string(r->id()));
-        rs.counter("buffer_writes").inc(r->bufferWrites());
-        rs.counter("vc_allocs").inc(r->vcAllocations());
-        rs.counter("vc_stalls").inc(r->vcStalls());
-        rs.counter("flits_forwarded").inc(r->flitsForwarded());
-        rs.counter("link_traversals").inc(r->linkTraversals());
+    for (RouterId r = 0; r < router_counts_.size(); ++r) {
+        const RouterCounts &c = router_counts_[r];
+        telemetry::MetricScope rs = reg.scope("router." + std::to_string(r));
+        rs.counter("buffer_writes").inc(c.buffer_writes);
+        rs.counter("vc_allocs").inc(c.vc_allocs);
+        rs.counter("vc_stalls").inc(c.vc_stalls);
+        rs.counter("flits_forwarded").inc(c.flits_forwarded);
+        rs.counter("link_traversals").inc(c.link_traversals);
     }
-    for (const auto &ni : nis_) {
-        telemetry::MetricScope ns =
-            reg.scope("ni." + std::to_string(ni->nodeId()));
-        ns.counter("packets_injected").inc(ni->packetsInjected());
-        ns.counter("packets_delivered").inc(ni->packetsDelivered());
-        ns.counter("flits_injected").inc(ni->flitsInjected());
-        ns.counter("data_flits_injected").inc(ni->dataFlitsInjected());
+    for (NodeId n = 0; n < ni_counts_.size(); ++n) {
+        const NiCounts &c = ni_counts_[n];
+        telemetry::MetricScope ns = reg.scope("ni." + std::to_string(n));
+        ns.counter("packets_injected").inc(c.packets_injected);
+        ns.counter("packets_delivered").inc(c.packets_delivered);
+        ns.counter("flits_injected").inc(c.flits_injected);
+        ns.counter("data_flits_injected").inc(c.data_flits_injected);
     }
 
     telemetry::MetricScope net = reg.scope("net");
@@ -405,11 +429,18 @@ Network::collectTelemetry(telemetry::MetricRegistry &reg) const
     net.stat("hops").merge(stats_.hops);
     reg.histogram("net.total_latency_hist", 4.0, 128)
         .merge(stats_.total_lat_hist);
+    reg.histogram("net.approx_error", 0.001, 64).merge(approx_error_);
 
     const std::string scheme =
         telemetry::sanitize_component(to_string(codec_->scheme()));
     telemetry::MetricScope cs = reg.scope("codec." + scheme);
-    const CodecActivity a = codec_->activity();
+    cs.counter("blocks_encoded").inc(codec_counts_.blocks_encoded);
+    cs.counter("blocks_decoded").inc(stats_.data_packets_delivered.value());
+    cs.counter("hit_exact").inc(codec_counts_.hit_exact);
+    cs.counter("hit_approx").inc(codec_counts_.hit_approx);
+    cs.counter("miss_raw").inc(codec_counts_.miss_raw);
+    cs.counter("bits_out").inc(codec_counts_.bits_out);
+    const CodecActivity a = codecActivity();
     cs.counter("words_encoded").inc(a.words_encoded);
     cs.counter("words_decoded").inc(a.words_decoded);
     cs.counter("cam_searches").inc(a.cam_searches);
@@ -429,19 +460,13 @@ Network::collectTelemetry(telemetry::MetricRegistry &reg) const
 std::uint64_t
 Network::flitsInjected() const
 {
-    std::uint64_t n = 0;
-    for (const auto &ni : nis_)
-        n += ni->flitsInjected();
-    return n;
+    return total(ni_counts_, &NiCounts::flits_injected);
 }
 
 std::uint64_t
 Network::dataFlitsInjected() const
 {
-    std::uint64_t n = 0;
-    for (const auto &ni : nis_)
-        n += ni->dataFlitsInjected();
-    return n;
+    return total(ni_counts_, &NiCounts::data_flits_injected);
 }
 
 std::size_t
@@ -456,34 +481,26 @@ Network::routerOccupancy() const
 std::uint64_t
 Network::routerBufferWrites() const
 {
-    std::uint64_t n = 0;
-    for (const auto &r : routers_)
-        n += r->bufferWrites();
-    return n;
+    return total(router_counts_, &RouterCounts::buffer_writes);
 }
 
 std::uint64_t
 Network::routerLinkTraversals() const
 {
-    std::uint64_t n = 0;
-    for (const auto &r : routers_)
-        n += r->linkTraversals();
-    return n;
+    return total(router_counts_, &RouterCounts::link_traversals);
 }
 
 std::uint64_t
 Network::routerFlitsForwarded() const
 {
-    std::uint64_t n = 0;
-    for (const auto &r : routers_)
-        n += r->flitsForwarded();
-    return n;
+    return total(router_counts_, &RouterCounts::flits_forwarded);
 }
 
 void
-Network::dumpStats(std::ostream &os, Cycle elapsed) const
+Network::dumpStats(std::ostream &os, Cycle now) const
 {
     const NetworkStats &s = stats_;
+    const Cycle elapsed = now - window_start_;
     os << "---------- network stats (" << elapsed << " cycles) ----------\n";
     os << "packets.delivered        " << s.packets_delivered.value() << "\n";
     os << "packets.data             " << s.data_packets_delivered.value()
@@ -516,16 +533,17 @@ Network::dumpStats(std::ostream &os, Cycle elapsed) const
     os << "codec.mismatches         " << codec_->consistencyMismatches()
        << "\n";
 
-    const CodecActivity a = codec_->activity();
+    const CodecActivity a = codecActivity();
     os << "codec.words_encoded      " << a.words_encoded << "\n";
     os << "codec.cam_searches       " << a.cam_searches << "\n";
     os << "codec.tcam_searches      " << a.tcam_searches << "\n";
     os << "codec.avcl_ops           " << a.avcl_ops << "\n";
 
     os << "--- per router (buffer writes / switch traversals / links) ---\n";
-    for (const auto &r : routers_) {
-        os << "router" << r->id() << "  " << r->bufferWrites() << " / "
-           << r->flitsForwarded() << " / " << r->linkTraversals() << "\n";
+    for (RouterId r = 0; r < router_counts_.size(); ++r) {
+        const RouterCounts &c = router_counts_[r];
+        os << "router" << r << "  " << c.buffer_writes << " / "
+           << c.flits_forwarded << " / " << c.link_traversals << "\n";
     }
     os << "--- per NI (packets injected / delivered / queue depth) ---\n";
     for (const auto &ni : nis_) {

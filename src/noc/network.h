@@ -43,9 +43,20 @@ struct NetworkStats {
     /** Latency below which 99% of packets completed. */
     double p99Latency() const { return total_lat_hist.percentile(0.99); }
 
-    /** Clear every series/counter: starts a fresh measurement window
-     * (BookSim-style warmup/measure methodology). */
+    /** Clear these series and counters only; Network::startWindow
+     * restarts every count a run reports. */
     void reset();
+};
+
+/** The per-block codec counts (`codec.<scheme>.*`): each data block
+ *  an NI encodes, tallied off its EncodedBlock at Network::inject.
+ *  Its decodes are NetworkStats::data_packets_delivered. */
+struct CodecBlockCounts {
+    std::uint64_t blocks_encoded = 0;
+    std::uint64_t hit_exact = 0;  ///< words compressed exactly
+    std::uint64_t hit_approx = 0; ///< words changed by approximation
+    std::uint64_t miss_raw = 0;   ///< words emitted uncompressed
+    std::uint64_t bits_out = 0;   ///< total NR bits emitted
 };
 
 /** The network. Owns routers and NIs; the codec is borrowed. */
@@ -68,8 +79,19 @@ class Network : public Clocked
     CodecSystem &codec() { return *codec_; }
     const CodecSystem &codec() const { return *codec_; }
 
-    /** The codec's hardware activity counters (power model input). */
-    CodecActivity codecActivity() const { return codec_->activity(); }
+    /**
+     * Open a measurement window at cycle @p now: restart every count
+     * the network reports (router and NI slots, NetworkStats, the
+     * codec block counts, `net.approx_error`, the codec activity and
+     * the bound ErrorProfile's samples). Fault counts
+     * (consistencyMismatches(), ErrorProfile::violations()) keep
+     * covering the whole run. A network starts with a window at 0.
+     */
+    void startWindow(Cycle now);
+    Cycle windowStart() const { return window_start_; }
+
+    /** The codec's hardware activity in the window (power model). */
+    CodecActivity codecActivity() const;
 
     NetworkInterface &ni(NodeId n) { return *nis_[n]; }
     Router &router(RouterId r) { return *routers_[r]; }
@@ -80,8 +102,7 @@ class Network : public Clocked
     PacketPtr makeDataPacket(NodeId src, NodeId dst, DataBlock block);
 
     /** Enqueue at the source NI, which encodes a data packet's block
-     * there; with telemetry bound, count that block under
-     * `codec.<scheme>.*`. */
+     * there, and count that block (CodecBlockCounts). */
     void inject(const PacketPtr &pkt, Cycle now);
 
     /**
@@ -99,7 +120,7 @@ class Network : public Clocked
     std::uint64_t dataFlitsInjected() const;
     /** Sum of router buffered flits. */
     std::size_t routerOccupancy() const;
-    /** Aggregate router activity, for the power model. */
+    /** Aggregate router activity in the window, for the power model. */
     std::uint64_t routerBufferWrites() const;
     std::uint64_t routerLinkTraversals() const;
     std::uint64_t routerFlitsForwarded() const;
@@ -108,22 +129,21 @@ class Network : public Clocked
     bool drained() const;
 
     /**
-     * Full simulation report: end-to-end latencies (with p50/p99),
-     * per-router activity, per-NI injection counts, codec activity and
-     * quality — the gem5-style end-of-run stats dump.
+     * Full report of the window that ends at @p now: end-to-end
+     * latencies (with p50/p99), per-router activity, per-NI injection
+     * counts, codec activity and quality — the gem5-style end-of-run
+     * stats dump.
      */
-    void dumpStats(std::ostream &os, Cycle elapsed) const;
+    void dumpStats(std::ostream &os, Cycle now) const;
 
     void evaluate(Cycle now) override;
     void advance(Cycle now) override;
 
     /**
-     * Attach a telemetry bundle: routers and NIs get the tracer, the
-     * network counts the blocks its NIs encode and decode, the
-     * delivery path records the approximation-error distribution, and
+     * Attach a telemetry bundle: routers and NIs get the tracer, and
      * (when sampling) the network's occupancy/utilization/codec probes
      * are registered. Call before the run; everything stays null/off
-     * otherwise.
+     * otherwise. Every count is kept with or without it.
      */
     void bindTelemetry(telemetry::PointTelemetry &pt);
 
@@ -131,7 +151,8 @@ class Network : public Clocked
      * Attach the QoR error profile to the error ledger
      * (NetworkStats::quality), which records one signed relative error
      * per delivered word that differs from its precise word, on the
-     * packet's src -> dst flow, at delivery. Survives stats().reset().
+     * packet's src -> dst flow, at delivery. Survives startWindow(),
+     * which clears its samples.
      * Call before bindTelemetry so the sampler (when enabled) also gets
      * live `qor.*` probes. Null detaches.
      */
@@ -145,9 +166,8 @@ class Network : public Clocked
     void bindProfiler(telemetry::PhaseProfiler *prof);
 
     /**
-     * Export end-of-run state into @p reg: per-router and per-NI
-     * activity counters, latency stats, codec activity and quality.
-     * Pure pull — costs nothing during the run.
+     * Export the window's counts into @p reg: per-router and per-NI
+     * activity, latency stats, codec counts and activity, and quality.
      */
     void collectTelemetry(telemetry::MetricRegistry &reg) const;
 
@@ -165,17 +185,23 @@ class Network : public Clocked
     /** Owns each packet whose tail flit is in the network; declared
      *  before the routers and NIs, so it outlives their flits. */
     InFlightTable in_flight_;
+    /** The slot each router and NI counts into; never resized, and
+     *  declared before the components that point at them. */
+    std::vector<RouterCounts> router_counts_;
+    std::vector<NiCounts> ni_counts_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
 
+    /** The window's other counts; startWindow() restarts them all,
+     *  with the slots. */
     NetworkStats stats_;
-    NetworkInterface::DeliveryFn user_delivery_;
+    CodecBlockCounts codec_counts_;
+    Histogram approx_error_{0.001, 64}; ///< per-block mean |error|
+    CodecActivity activity_base_; ///< codec_->activity() at window start
+    Cycle window_start_ = 0;
 
-    /** Lifecycle tracer, error histogram and per-block codec counts,
-     *  null unless bound. */
-    telemetry::PacketTracer *tracer_ = nullptr;
-    Histogram *err_hist_ = nullptr;
-    CodecCounters codec_counts_;
+    NetworkInterface::DeliveryFn user_delivery_;
+    telemetry::PacketTracer *tracer_ = nullptr; ///< null unless bound
 
     std::uint64_t next_packet_id_ = 1;
 

@@ -7,9 +7,9 @@ namespace approxnoc {
 
 NetworkInterface::NetworkInterface(NodeId id, const NocConfig &cfg,
                                    CodecSystem *codec,
-                                   InFlightTable *in_flight)
+                                   InFlightTable *in_flight, NiCounts *counts)
     : Clocked("ni" + std::to_string(id)), id_(id), cfg_(cfg), codec_(codec),
-      in_flight_(in_flight), credits_(cfg.vcs, cfg.vc_depth)
+      in_flight_(in_flight), credits_(cfg.vcs, cfg.vc_depth), counts_(counts)
 {
     ANOC_ASSERT(codec != nullptr, "NI requires a codec (use BaselineCodec)");
     ANOC_ASSERT(in_flight != nullptr, "NI requires an in-flight table");
@@ -97,12 +97,12 @@ NetworkInterface::sendFlit(Cycle now)
     const unsigned vc = static_cast<unsigned>(alloc_vc_);
     const bool tail = next_seq_ + 1 == current_->n_flits;
 
-    ++flits_injected_;
+    ++counts_->flits_injected;
     if (current_->cls == PacketClass::Data)
-        ++data_flits_injected_;
+        ++counts_->data_flits_injected;
     if (next_seq_ == 0) {
         current_->inject_start = now;
-        ++packets_injected_;
+        ++counts_->packets_injected;
         if (tracer_)
             tracer_->instant(telemetry::PacketTracer::nodeTrack(id_),
                              "inject", now,
@@ -159,7 +159,7 @@ NetworkInterface::acceptEjectedFlit(const Flit &f, Cycle now)
     } else {
         pkt->decode_done = now;
     }
-    ++packets_delivered_;
+    ++counts_->packets_delivered;
     if (on_delivery_)
         on_delivery_(pkt, now);
 }

@@ -26,6 +26,15 @@
 
 namespace approxnoc {
 
+/** One NI's counts, in a slot its Network owns and restarts with each
+ *  measurement window. */
+struct NiCounts {
+    std::uint64_t packets_injected = 0;  ///< head flits sent
+    std::uint64_t packets_delivered = 0; ///< tails ejected here
+    std::uint64_t flits_injected = 0;
+    std::uint64_t data_flits_injected = 0; ///< Fig. 11
+};
+
 /** One node's NI. */
 class NetworkInterface : public Clocked
 {
@@ -34,9 +43,10 @@ class NetworkInterface : public Clocked
 
     /** @p in_flight is the network's: it takes each packet over when
      *  the packet's tail flit leaves this NI, and hands it back to the
-     *  destination NI when the tail ejects. */
+     *  destination NI when the tail ejects. The NI counts into
+     *  @p counts, which must outlive it. */
     NetworkInterface(NodeId id, const NocConfig &cfg, CodecSystem *codec,
-                     InFlightTable *in_flight);
+                     InFlightTable *in_flight, NiCounts *counts);
 
     NodeId nodeId() const { return id_; }
 
@@ -86,12 +96,14 @@ class NetworkInterface : public Clocked
      */
     void bindProfiler(telemetry::PhaseProfiler *p) { profiler_ = p; }
 
-    /** @name Activity counters */
+    /** @name Counts of the current window (see NiCounts) */
     ///@{
-    std::uint64_t flitsInjected() const { return flits_injected_; }
-    std::uint64_t dataFlitsInjected() const { return data_flits_injected_; }
-    std::uint64_t packetsInjected() const { return packets_injected_; }
-    std::uint64_t packetsDelivered() const { return packets_delivered_; }
+    std::uint64_t flitsInjected() const { return counts_->flits_injected; }
+    std::uint64_t packetsInjected() const { return counts_->packets_injected; }
+    std::uint64_t packetsDelivered() const
+    {
+        return counts_->packets_delivered;
+    }
     ///@}
 
   private:
@@ -122,11 +134,7 @@ class NetworkInterface : public Clocked
     DeliveryFn on_delivery_;
     telemetry::PacketTracer *tracer_ = nullptr;
     telemetry::PhaseProfiler *profiler_ = nullptr;
-
-    std::uint64_t flits_injected_ = 0;
-    std::uint64_t data_flits_injected_ = 0;
-    std::uint64_t packets_injected_ = 0;
-    std::uint64_t packets_delivered_ = 0;
+    NiCounts *counts_; ///< the network's slot for this NI
 };
 
 } // namespace approxnoc

@@ -40,10 +40,11 @@ nextWrapped(unsigned i, unsigned n)
 
 } // namespace
 
-Router::Router(RouterId id, const NocConfig &cfg, const RouteFn &route)
+Router::Router(RouterId id, const NocConfig &cfg, const RouteFn &route,
+               RouterCounts *counts)
     : Clocked("router" + std::to_string(id)), id_(id), cfg_(cfg),
       n_ports_(kLocalBase + cfg.concentration),
-      pipe_(cfg.router_stages - Cycle{1})
+      pipe_(cfg.router_stages - Cycle{1}), counts_(counts)
 {
     ANOC_ASSERT(n_ports_ <= kMaxPorts && cfg_.vcs >= 1 &&
                     cfg_.vcs <= kMaxVcs,
@@ -194,6 +195,7 @@ Router::acceptFlit(unsigned in_port, unsigned vc, const Flit &f)
         s.ready = f.arrival + pipe_;
     nonempty_[in_port] |= 1u << vc;
     busy_in_ |= 1u << in_port;
+    ++counts_->buffer_writes;
     if (buffered_++ == 0)
         wake(); // a router holding flits never sleeps
 }
@@ -257,7 +259,7 @@ Router::allocateVc(unsigned in_port, unsigned vc, unsigned op_idx, Cycle now)
         if (!(op.vc_busy & (1u << dvc)) && credits[dvc] > 0) {
             op.vc_busy |= 1u << dvc;
             vc_[vi].out_vc = static_cast<std::int8_t>(dvc);
-            ++vc_allocs_;
+            ++counts_->vc_allocs;
             if (tracer_)
                 trace("vc_alloc", now,
                       ring_[std::size_t{vi} * cfg_.vc_depth + vc_[vi].head]
@@ -315,7 +317,7 @@ Router::evaluate(Cycle now)
 
             // No downstream VC means a head flit is at the front.
             if (s.out_vc < 0 && !allocateVc(ip, vc, op_idx, now)) {
-                ++vc_stalls_;
+                ++counts_->vc_stalls;
                 continue; // no VC available; try another VC/input
             }
             if (credits_[op_idx * n_vcs +
@@ -336,7 +338,7 @@ Router::advance(Cycle now)
             static_cast<unsigned>(std::countr_zero(pending));
         const Grant g = grants_[op_idx];
         Flit f = popFlit(g.in_port, g.vc);
-        ++flits_forwarded_;
+        ++counts_->flits_forwarded;
 
         // Return the freed buffer slot upstream.
         const InPort &in = in_[g.in_port];
@@ -358,7 +360,7 @@ Router::advance(Cycle now)
             --c;
             f.arrival = now + 1;
             op.peer->acceptFlit(op.peer_port, dvc, f);
-            ++link_traversals_;
+            ++counts_->link_traversals;
             if (tracer_ && f.isHead())
                 trace("hop", now, f.pkt->id, "to", op.peer->id());
             if (tail)

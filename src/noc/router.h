@@ -42,6 +42,17 @@ namespace approxnoc {
 
 class NetworkInterface;
 
+/** One router's activity counts (power model, watchdog, telemetry), in
+ *  a slot its Network owns and restarts with each measurement window. */
+struct RouterCounts {
+    std::uint64_t buffer_writes = 0;   ///< flits written into an input VC
+    std::uint64_t vc_allocs = 0;
+    /** Cycles a head flit wanted a downstream VC and none was free. */
+    std::uint64_t vc_stalls = 0;
+    std::uint64_t flits_forwarded = 0; ///< switch traversals
+    std::uint64_t link_traversals = 0; ///< to a router, not an NI
+};
+
 /** The router proper. */
 class Router : public Clocked
 {
@@ -71,8 +82,10 @@ class Router : public Clocked
 
     /** Panics unless @p cfg fits the limits above, with at least one
      *  VC, one buffer slot and one pipeline stage, and @p route gives
-     *  every endpoint 1 to kMaxRouteCandidates in-range output ports. */
-    Router(RouterId id, const NocConfig &cfg, const RouteFn &route);
+     *  every endpoint 1 to kMaxRouteCandidates in-range output ports.
+     *  The router counts into @p counts, which must outlive it. */
+    Router(RouterId id, const NocConfig &cfg, const RouteFn &route,
+           RouterCounts *counts);
 
     RouterId id() const { return id_; }
 
@@ -111,15 +124,10 @@ class Router : public Clocked
     /** Total buffered flits (drain detection); O(1). */
     std::size_t occupancy() const { return buffered_; }
 
-    /** @name Activity counters (power model / watchdog) */
+    /** @name Counts of the current window (see RouterCounts) */
     ///@{
-    std::uint64_t flitsForwarded() const { return flits_forwarded_; }
-    /** Every flit written into a buffer is forwarded or still there. */
-    std::uint64_t bufferWrites() const { return flits_forwarded_ + buffered_; }
-    std::uint64_t vcAllocations() const { return vc_allocs_; }
-    std::uint64_t linkTraversals() const { return link_traversals_; }
-    /** Cycles a head flit wanted a downstream VC and none was free. */
-    std::uint64_t vcStalls() const { return vc_stalls_; }
+    std::uint64_t flitsForwarded() const { return counts_->flits_forwarded; }
+    std::uint64_t vcStalls() const { return counts_->vc_stalls; }
     ///@}
 
     /**
@@ -210,11 +218,7 @@ class Router : public Clocked
 
     bool class_aware_ = false; ///< any link tagged => dateline VCs on
 
-    std::uint64_t flits_forwarded_ = 0;
-    std::uint64_t vc_allocs_ = 0;
-    std::uint64_t link_traversals_ = 0;
-    std::uint64_t vc_stalls_ = 0;
-
+    RouterCounts *counts_; ///< the network's slot for this router
     telemetry::PacketTracer *tracer_ = nullptr;
 };
 

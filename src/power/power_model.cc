@@ -10,7 +10,7 @@ PowerModel::dynamicEnergy(const Network &net) const
     // Router datapath: every accepted flit is one buffer write and one
     // crossbar traversal (when forwarded); inter-router hops add a link
     // traversal. NI injections also write the first router buffer —
-    // already counted via Router::bufferWrites().
+    // already counted in RouterCounts::buffer_writes.
     b.router_pj = static_cast<double>(net.routerBufferWrites()) *
                       p_.e_buffer_write_pj +
                   static_cast<double>(net.routerFlitsForwarded()) *
@@ -30,8 +30,9 @@ PowerModel::dynamicEnergy(const Network &net) const
 }
 
 double
-PowerModel::dynamicPowerMw(const Network &net, Cycle elapsed) const
+PowerModel::dynamicPowerMw(const Network &net, Cycle now) const
 {
+    const Cycle elapsed = now - net.windowStart();
     if (elapsed == 0)
         return 0.0;
     double pj = dynamicEnergy(net).total_pj();

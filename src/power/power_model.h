@@ -51,11 +51,11 @@ class PowerModel
 
     const PowerParams &params() const { return p_; }
 
-    /** Dynamic energy consumed so far by @p net and its codec. */
+    /** Dynamic energy of @p net and its codec in its window. */
     PowerBreakdown dynamicEnergy(const Network &net) const;
 
-    /** Mean dynamic power in mW over @p elapsed cycles. */
-    double dynamicPowerMw(const Network &net, Cycle elapsed) const;
+    /** Mean dynamic power in mW over the window that ends at @p now. */
+    double dynamicPowerMw(const Network &net, Cycle now) const;
 
     /** Static power of the whole NoC in mW (scheme-independent). */
     double staticPowerMw(const Network &net) const;

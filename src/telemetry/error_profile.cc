@@ -125,6 +125,14 @@ ErrorProfile::merge(const ErrorProfile &o)
     violations_ += o.violations_;
 }
 
+void
+ErrorProfile::clearSamples()
+{
+    total_ = {};
+    buckets_ = {};
+    flows_.clear();
+}
+
 std::uint64_t
 ErrorProfile::samples() const
 {

@@ -60,6 +60,10 @@ class ErrorProfile
     /** Fold @p o into this profile (commutative, associative). */
     void merge(const ErrorProfile &o);
 
+    /** Forget every recorded error (a new measurement window); the
+     * armed limit and violations() are kept. */
+    void clearSamples();
+
     std::uint64_t samples() const;
     std::uint64_t zeroCount() const;
     /** Recorded errors whose |e| exceeded the debug limit (0 if no

@@ -120,15 +120,4 @@ MetricRegistry::writeCsv(std::ostream &os) const
            << ",0," << num(h.percentile(1.0)) << "\n";
 }
 
-void
-MetricRegistry::reset()
-{
-    for (auto &[path, c] : counters_)
-        c.reset();
-    for (auto &[path, s] : stats_)
-        s.reset();
-    for (auto &[path, h] : histograms_)
-        h.reset();
-}
-
 } // namespace approxnoc::telemetry

@@ -106,8 +106,6 @@ class MetricRegistry
     /** Flat CSV: `path,kind,count,value,min,max` one metric per row. */
     void writeCsv(std::ostream &os) const;
 
-    void reset();
-
   private:
     std::map<std::string, Counter> counters_;
     std::map<std::string, RunningStat> stats_;

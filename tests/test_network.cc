@@ -13,6 +13,8 @@
 #include "core/codec_factory.h"
 #include "noc/network.h"
 #include "sim/simulator.h"
+#include "telemetry/error_profile.h"
+#include "telemetry/metric_registry.h"
 #include "traffic/data_provider.h"
 #include "traffic/synthetic.h"
 
@@ -145,6 +147,67 @@ TEST(Network, FlitConservationUnderLoad)
     EXPECT_EQ(injected_pkts, delivered_pkts);
     EXPECT_EQ(b.net->routerOccupancy(), 0u);
     EXPECT_EQ(b.net->codec().consistencyMismatches(), 0u);
+}
+
+/** A window opened mid-run, with flits buffered and packets queued and
+ *  in flight, restarts every count the network reports at once. After
+ *  the drain each delivery is counted once in every view, and the
+ *  window's buffer writes plus the flits buffered when it opened are
+ *  the flits it forwarded. */
+TEST(Network, WindowRestartsEveryCount)
+{
+    Bench b(Scheme::DiVaxx);
+    telemetry::ErrorProfile qor;
+    b.net->bindErrorProfile(&qor);
+    SyntheticConfig tc;
+    tc.injection_rate = 0.2;
+    tc.data_packet_ratio = 0.5;
+    tc.approx_ratio = 1.0;
+    SyntheticDataProvider provider(DataType::Float32);
+    SyntheticTraffic gen(*b.net, tc, provider);
+    b.sim.add(&gen);
+
+    b.sim.run(3000);
+    const std::size_t buffered = b.net->routerOccupancy();
+    std::size_t queued = 0;
+    for (NodeId n = 0; n < b.cfg.nodes(); ++n)
+        queued += b.net->ni(n).queueDepth();
+    ASSERT_GT(buffered, 0u);
+    ASSERT_GT(queued, 0u);
+    ASSERT_GT(qor.samples(), 0u);
+    const std::uint64_t words0 = b.net->codec().activity().words_encoded;
+
+    b.net->startWindow(b.sim.now());
+    EXPECT_EQ(b.net->windowStart(), 3000u);
+    EXPECT_EQ(b.net->flitsInjected() + b.net->routerFlitsForwarded() +
+                  b.net->stats().packets_delivered.value() + qor.samples(),
+              0u);
+    b.sim.run(2000);
+    gen.setEnabled(false);
+    ASSERT_TRUE(b.sim.runUntil([&] { return b.net->drained(); }, 100000));
+
+    telemetry::MetricRegistry reg;
+    b.net->collectTelemetry(reg);
+    auto count = [&](const std::string &path) {
+        return reg.counter(path).value();
+    };
+    std::uint64_t ni_delivered = 0;
+    for (NodeId n = 0; n < b.cfg.nodes(); ++n)
+        ni_delivered += count("ni." + std::to_string(n) +
+                              ".packets_delivered");
+    EXPECT_EQ(ni_delivered, count("net.packets_delivered"));
+    const std::uint64_t data = count("net.data_packets_delivered");
+    EXPECT_GT(data, 0u);
+    EXPECT_EQ(count("codec.di_vaxx.blocks_decoded"), data);
+    EXPECT_EQ(reg.histograms().at("net.approx_error").count(), data);
+    EXPECT_EQ(b.net->routerBufferWrites() + buffered,
+              b.net->routerFlitsForwarded());
+    EXPECT_EQ(count("codec.di_vaxx.words_encoded") + words0,
+              b.net->codec().activity().words_encoded);
+    EXPECT_EQ(count("codec.di_vaxx.hit_exact") +
+                  count("codec.di_vaxx.hit_approx") +
+                  count("codec.di_vaxx.miss_raw"),
+              count("codec.di_vaxx.words_encoded"));
 }
 
 TEST(Network, AllSchemesDeliverCorrectly)

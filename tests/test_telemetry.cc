@@ -508,6 +508,30 @@ TEST(ErrorProfile, ViolationsCountBeyondArmedLimit)
     p.record(0, 1, 0.02);
     EXPECT_EQ(p.violations(), 1u);
 }
+
+/** A new measurement window forgets the samples, every flow's among
+ * them, but a fault before it stays counted and the limit stays armed. */
+TEST(ErrorProfile, ClearSamplesKeepsLimitAndViolations)
+{
+    ErrorProfile p;
+    p.setDebugLimit(0.01);
+    p.record(0, 1, 0.005);
+    p.record(2, 3, -0.02); // a violation before the window
+    p.clearSamples();
+    EXPECT_EQ(p.samples(), 0u);
+    EXPECT_EQ(p.maxAbs(), 0.0);
+    EXPECT_EQ(p.percentileAbs(1.0), 0.0);
+    EXPECT_EQ(p.violations(), 1u);
+
+    p.record(0, 1, 0.03); // still beyond the armed limit
+    EXPECT_EQ(p.violations(), 2u);
+    EXPECT_EQ(p.samples(), 1u);
+    EXPECT_NEAR(p.mean(), 0.03, 1.0 / 4294967296.0);
+    std::ostringstream os;
+    p.writeJson(os);
+    EXPECT_NE(os.str().find("\"0->1\""), std::string::npos);
+    EXPECT_EQ(os.str().find("\"2->3\""), std::string::npos);
+}
 #endif
 
 // ---------------------------------------------------------- PhaseProfiler

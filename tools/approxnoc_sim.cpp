@@ -204,7 +204,7 @@ run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
 
     auto cycles = args.getCount<Cycle>("cycles", 100000);
     auto warmup = args.getCount<Cycle>("warmup", 0);
-    auto seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
+    auto seed = args.getCount<std::uint64_t>("seed", 42);
 
     // Traffic source (exactly one).
     std::unique_ptr<SyntheticDataProvider> provider;
@@ -256,7 +256,7 @@ run_sim(const CliArgs &args, const NocConfig &ncfg, const RealFlags &real,
 
     if (warmup > 0) {
         sim.run(warmup);
-        net.stats().reset();
+        net.startWindow(sim.now());
     }
     sim.run(cycles);
 
