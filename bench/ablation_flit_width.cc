@@ -40,7 +40,7 @@ main(int argc, char **argv)
         std::uint64_t data_pkts = 0;
         for (std::size_t i = 0;
              i < std::min(trace.size(), spec.config().max_records); ++i)
-            data_pkts += trace.records()[i].cls == PacketClass::Data ? 1 : 0;
+            data_pkts += trace.records()[i].isData() ? 1 : 0;
         for (unsigned width : spec.flitBits()) {
             // Baseline flit count at this width, analytically: every
             // data packet is 1 head + ceil(512 / width) payload flits.

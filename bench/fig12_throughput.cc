@@ -21,7 +21,7 @@ namespace {
 /** Latency at one offered load; negative when saturated. */
 double
 measure_point(Scheme scheme, TrafficPattern pattern, double rate,
-              const std::vector<DataBlock> &blocks,
+              const CommTrace &payloads,
               const ExperimentConfig &cfg, double threshold,
               double approx_ratio)
 {
@@ -39,7 +39,7 @@ measure_point(Scheme scheme, TrafficPattern pattern, double rate,
     tc.data_packet_ratio = 0.25; // paper Fig. 12: 25:75
     tc.pattern = pattern;
     tc.approx_ratio = approx_ratio;
-    TraceDataProvider provider(blocks);
+    TraceDataProvider provider(payloads);
     SyntheticTraffic gen(net, tc, provider);
     sim.add(&gen);
 
@@ -113,7 +113,7 @@ main(int argc, char **argv)
             try {
                 const double lat = measure_point(
                     sr.scheme, sr.pattern, rates[r],
-                    traces.get(sr.bm).blocks(), cfg,
+                    traces.get(sr.bm), cfg,
                     spec.thresholds().front(), spec.approxRatios().front());
                 if (lat < 0)
                     break;

@@ -40,7 +40,7 @@ cmd_record(const CliArgs &args)
     trace.save(out);
     std::printf("recorded %zu records (%zu blocks, %llu cycles) from %s "
                 "-> %s\n",
-                trace.size(), trace.blocks().size(),
+                trace.size(), trace.blockCount(),
                 static_cast<unsigned long long>(trace.duration()),
                 bm.c_str(), out.c_str());
     return 0;
@@ -57,9 +57,10 @@ cmd_info(const CliArgs &args)
     CommTrace trace = CommTrace::load(in);
     std::map<DataType, std::size_t> type_blocks;
     std::size_t approximable = 0;
-    for (const auto &b : trace.blocks()) {
-        ++type_blocks[b.type()];
-        approximable += b.approximable() ? 1 : 0;
+    for (std::uint32_t i = 0; i < trace.blockCount(); ++i) {
+        const CommTrace::BlockView b = trace.block(i);
+        ++type_blocks[b.type];
+        approximable += b.approximable ? 1 : 0;
     }
     std::printf("%s:\n", in.c_str());
     std::printf("  records        : %zu (%.1f%% data)\n", trace.size(),
@@ -67,10 +68,10 @@ cmd_info(const CliArgs &args)
     std::printf("  duration       : %llu cycles\n",
                 static_cast<unsigned long long>(trace.duration()));
     std::printf("  blocks         : %zu (%.1f%% annotated approximable)\n",
-                trace.blocks().size(),
-                trace.blocks().empty()
+                trace.blockCount(),
+                trace.blockCount() == 0
                     ? 0.0
-                    : 100.0 * approximable / trace.blocks().size());
+                    : 100.0 * approximable / trace.blockCount());
     for (auto [t, n] : type_blocks)
         std::printf("    %-8s : %zu\n", to_string(t).c_str(), n);
     return 0;

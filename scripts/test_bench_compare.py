@@ -3,8 +3,11 @@
 
 Exercises the exit-code contract the CI perf gate relies on:
 exit 0 when within threshold, exit 1 on a regression, exit 0 under
---report-only even with a regression, exit 2 on malformed input.
-Registered as a ctest (bench_compare_selftest).
+--report-only even with a regression, exit 2 on malformed input. For
+two directories of perfbench results it checks pairing by seed, the
+--claim rule (ten pairs, 9/10 wins, a median gap beyond the parent's
+IQR, in the metric's better direction) and exit 2 naming a malformed
+file. Registered as a ctest (bench_compare_selftest).
 """
 
 import json
@@ -25,6 +28,25 @@ def bench_json(path, **words_per_sec):
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f)
+
+
+SPEC = {"end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    {"name": "packets_per_s", "unit": "packets/s", "better": "higher",
+     "bound": 0.25},
+]}
+
+
+def result_dir(path, workload, runs):
+    """One perfbench result.json per seed: runs maps seed -> metrics."""
+    os.makedirs(path)
+    for seed, metrics in runs.items():
+        with open(os.path.join(path, f"result_{seed}.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump({"workload": workload, "seed": seed, "attempted": 80,
+                       "failed": 0, "metrics": metrics}, f)
+    return path
 
 
 def run(*argv):
@@ -119,11 +141,107 @@ def main():
                 f"results-missing: want a message listing the present "
                 f"sections, no traceback\n{out}")
 
+        paired_cases(d, check, failures)
+
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
     print("all bench_compare self-tests passed")
     return 0
+
+
+def paired_cases(d, check, failures):
+    spec = os.path.join(d, "BENCHMARK.json")
+    with open(spec, "w", encoding="utf-8") as f:
+        json.dump(SPEC, f)
+    with open(spec, "rb") as f:
+        spec_bytes = f.read()
+    seeds = range(1001, 1011)
+    # Parent: RSS 58.0-58.9 MB (IQR about 0.45), wall 1.70-1.79 s.
+    parent = result_dir(os.path.join(d, "parent"), "paper_grid", {
+        s: {"wall_s": 1.70 + (s % 10) / 100, "peak_rss_mb": 58.0 + (s % 10) / 10,
+            "packets_per_s": 1e5} for s in seeds})
+    # Change: RSS 34 MB in every run; wall unchanged; rate 9/10 higher.
+    change = result_dir(os.path.join(d, "change"), "paper_grid", {
+        s: {"wall_s": 1.70 + (s % 10) / 100, "peak_rss_mb": 34.0,
+            "packets_per_s": 1e5 if s == 1001 else 2e5} for s in seeds})
+
+    rc, out = run(parent, change, "--spec", spec)
+    check("paired-table", rc, 0, out)
+    for want in ("paper_grid: 10 pairs", "peak_rss_mb", "10/10", "MB"):
+        if want not in out:
+            failures.append(f"paired-table: '{want}' not printed\n{out}")
+
+    rc, out = run(parent, change, "--spec", spec, "--claim", "peak_rss_mb")
+    check("claim-holds", rc, 0, out)
+
+    # 9/10 wins on a higher-is-better metric is enough.
+    rc, out = run(parent, change, "--spec", spec, "--claim", "packets_per_s")
+    check("claim-higher-better", rc, 0, out)
+
+    # Equal medians: no wins, no gap.
+    rc, out = run(parent, change, "--spec", spec, "--claim", "wall_s")
+    check("claim-no-gain", rc, 1, out)
+
+    # The claimed direction counts: the parent is lower than the change.
+    rc, out = run(change, parent, "--spec", spec, "--claim", "peak_rss_mb")
+    check("claim-wrong-direction", rc, 1, out)
+
+    # 8/10 wins fails the rule even with a wide median gap.
+    eight = result_dir(os.path.join(d, "eight"), "paper_grid", {
+        s: {"peak_rss_mb": 60.0 if s in (1001, 1002) else 34.0}
+        for s in seeds})
+    rc, out = run(parent, eight, "--spec", spec, "--claim", "peak_rss_mb")
+    check("claim-eight-wins", rc, 1, out)
+
+    # 10/10 wins inside the parent's IQR is no claim.
+    close = result_dir(os.path.join(d, "close"), "paper_grid", {
+        s: {"peak_rss_mb": 58.0 + (s % 10) / 10 - 0.05} for s in seeds})
+    rc, out = run(parent, close, "--spec", spec, "--claim", "peak_rss_mb")
+    check("claim-inside-iqr", rc, 1, out)
+
+    # Fewer than ten pairs cannot carry a claim.
+    few = result_dir(os.path.join(d, "few"), "paper_grid", {
+        s: {"peak_rss_mb": 34.0} for s in range(1001, 1006)})
+    rc, out = run(parent, few, "--spec", spec, "--claim", "peak_rss_mb")
+    check("claim-few-pairs", rc, 1, out)
+    if "5 pairs" not in out or "unpaired: 1006" not in out:
+        failures.append(f"claim-few-pairs: want 5 pairs and the "
+                        f"unpaired seeds listed\n{out}")
+
+    # No seed on both sides, and an unknown metric: malformed input.
+    other = result_dir(os.path.join(d, "other"), "paper_grid", {
+        7: {"peak_rss_mb": 34.0}})
+    rc, out = run(parent, other, "--spec", spec)
+    check("no-pairs", rc, 2, out)
+    rc, out = run(parent, change, "--spec", spec, "--claim", "rss")
+    check("claim-unknown-metric", rc, 2, out)
+
+    # A malformed result file exits 2 naming it.
+    broken = result_dir(os.path.join(d, "broken"), "paper_grid", {
+        s: {"peak_rss_mb": 34.0} for s in seeds})
+    bad = os.path.join(broken, "result_1004.json")
+    with open(bad, "w", encoding="utf-8") as f:
+        f.write("{\"workload\": \"paper_grid\", \"seed\":")
+    rc, out = run(parent, broken, "--spec", spec)
+    check("malformed-result", rc, 2, out)
+    if "result_1004.json" not in out or "Traceback" in out:
+        failures.append(f"malformed-result: want the file named, no "
+                        f"traceback\n{out}")
+    with open(bad, "w", encoding="utf-8") as f:
+        json.dump({"workload": "paper_grid", "metrics": {}}, f)
+    rc, out = run(parent, broken, "--spec", spec)
+    check("result-without-seed", rc, 2, out)
+    if "result_1004.json" not in out:
+        failures.append(f"result-without-seed: file not named\n{out}")
+
+    # A directory beside a file is neither mode.
+    rc, out = run(parent, spec, "--spec", spec)
+    check("dir-and-file", rc, 2, out)
+
+    with open(spec, "rb") as f:
+        if f.read() != spec_bytes:
+            failures.append("bench_compare wrote to the benchmark spec")
 
 
 if __name__ == "__main__":

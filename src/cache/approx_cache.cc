@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "common/log.h"
 
@@ -15,6 +16,13 @@ mix(std::uint64_t x)
     x *= 0xFF51AFD7ED558CCDull;
     x ^= x >> 33;
     return static_cast<std::uint32_t>(x);
+}
+
+TraceRecord
+record(Cycle t, NodeId src, NodeId dst, std::uint32_t block)
+{
+    return {t, static_cast<std::uint16_t>(src),
+            static_cast<std::uint16_t>(dst), block};
 }
 } // namespace
 
@@ -84,6 +92,7 @@ ApproxCacheSystem::alloc(std::size_t words, const std::string &)
     std::size_t padded = (words + wpl - 1) / wpl * wpl;
     mem_.resize(base + padded, 0);
     wtype_.resize(mem_.size(), DataType::Raw);
+    line_block_.resize(mem_.size() >> word_bits_, TraceRecord::kNoBlock);
     return base;
 }
 
@@ -100,6 +109,7 @@ ApproxCacheSystem::initWord(std::size_t addr, Word w)
 {
     ANOC_ASSERT(addr < mem_.size(), "initWord out of range");
     mem_[addr] = w;
+    line_block_[addr >> word_bits_] = TraceRecord::kNoBlock;
 }
 
 void
@@ -140,24 +150,6 @@ ApproxCacheSystem::homeOf(std::size_t line_idx) const
     return nodeOfHome(static_cast<unsigned>(line_idx % homes));
 }
 
-DataBlock
-ApproxCacheSystem::lineBlock(std::size_t line_idx) const
-{
-    unsigned wpl = cfg_.wordsPerLine();
-    std::size_t base = line_idx * wpl;
-    std::vector<Word> ws(mem_.begin() + base, mem_.begin() + base + wpl);
-    DataType type;
-    DataBlock b(std::move(ws), DataType::Raw, false);
-    if (lineApproximable(line_idx, type)) {
-        b.setType(type);
-        // The approximable-packet-ratio knob: a deterministic draw per
-        // line keeps behaviour reproducible across schemes.
-        bool approx = (mix(line_idx) % 10000) < cfg_.approx_ratio * 10000.0;
-        b.setApproximable(approx);
-    }
-    return b;
-}
-
 bool
 ApproxCacheSystem::lineApproximable(std::size_t line_idx, DataType &type) const
 {
@@ -193,6 +185,16 @@ ApproxCacheSystem::miss(unsigned core, std::size_t line_idx)
 }
 
 void
+ApproxCacheSystem::setTraceSink(CommTrace *trace)
+{
+    ANOC_ASSERT(!trace || cfg_.n_nodes - 1 <= TraceRecord::kMaxNode,
+                "a trace records node ids up to ", TraceRecord::kMaxNode,
+                ", not ", cfg_.n_nodes - 1);
+    trace_ = trace;
+    std::fill(line_block_.begin(), line_block_.end(), TraceRecord::kNoBlock);
+}
+
+void
 ApproxCacheSystem::writeback(unsigned core, std::size_t way)
 {
     ++writebacks_;
@@ -201,13 +203,12 @@ ApproxCacheSystem::writeback(unsigned core, std::size_t way)
     const unsigned wpl = cfg_.wordsPerLine();
     std::copy_n(line, wpl, &mem_[tag << word_bits_]);
     if (trace_) {
-        DataBlock b(std::vector<Word>(line, line + wpl), DataType::Raw, false);
-        DataType t;
-        if (lineApproximable(tag, t))
-            b.setType(t); // written-back data rides precise
-        std::uint32_t blk = trace_->addBlock(std::move(b));
-        trace_->add(TraceRecord{time_, nodeOfCore(core), homeOf(tag),
-                                PacketClass::Data, blk});
+        DataType t = DataType::Raw;
+        lineApproximable(tag, t); // written-back data rides precise
+        // Memory now holds these words, so a later fill shares them.
+        const std::uint32_t blk = trace_->addBlock({line, wpl}, t, false);
+        line_block_[tag] = blk;
+        trace_->add(record(time_, nodeOfCore(core), homeOf(tag), blk));
     }
 }
 
@@ -219,16 +220,31 @@ ApproxCacheSystem::fill(unsigned core, std::size_t way, std::size_t line_idx)
     if (c.ways[way].valid && c.ways[way].dirty)
         writeback(core, way);
 
-    // The memory line goes to the trace; the home slice sends its
-    // canonical form when Doppelganger dedup is on.
-    DataBlock line = lineBlock(line_idx);
-    DataBlock canonical;
-    if (dedup_)
-        canonical = dedup_->canonicalize(line);
-    const DataBlock &precise = dedup_ ? canonical : line;
+    const unsigned wpl = cfg_.wordsPerLine();
+    const Word *line = &mem_[line_idx << word_bits_];
+    DataType type = DataType::Raw;
+    // The approximable-packet-ratio knob: a deterministic draw per
+    // line keeps behaviour reproducible across schemes.
+    const bool approx =
+        lineApproximable(line_idx, type) &&
+        (mix(line_idx) % 10000) < cfg_.approx_ratio * 10000.0;
     NodeId home = homeOf(line_idx);
     NodeId core_node = nodeOfCore(core);
     Word *words = &c.words[way << word_bits_];
+
+    // The home slice sends the memory line, or its canonical form when
+    // Doppelganger dedup is on. Only the codec and the dedup table
+    // read it as a DataBlock.
+    std::span<const Word> sent(line, wpl);
+    DataBlock precise;
+    if (codec_ || dedup_) {
+        precise = DataBlock(std::vector<Word>(sent.begin(), sent.end()),
+                            type, approx);
+        if (dedup_) {
+            precise = dedup_->canonicalize(precise);
+            sent = precise.words();
+        }
+    }
 
     Cycle penalty = cfg_.miss_base_cycles;
     if (!l2Access(line_idx))
@@ -249,17 +265,23 @@ ApproxCacheSystem::fill(unsigned core, std::size_t way, std::size_t line_idx)
         std::copy(delivered.words().begin(), delivered.words().end(), words);
     } else {
         unsigned flits =
-            1 + static_cast<unsigned>((precise.sizeBits() + 63) / 64);
+            1 + static_cast<unsigned>((sent.size() * 32 + 63) / 64);
         penalty += static_cast<Cycle>(flits) * cfg_.per_flit_cycles;
-        std::copy(precise.words().begin(), precise.words().end(), words);
+        std::copy(sent.begin(), sent.end(), words);
     }
 
     if (trace_) {
-        trace_->add(TraceRecord{time_, core_node, home, PacketClass::Control,
-                                TraceRecord::kNoBlock});
-        std::uint32_t blk = trace_->addBlock(std::move(line));
+        // The trace carries the memory line, before canonicalization.
+        // A line unchanged since its last recorded block shares that
+        // block's words.
         trace_->add(
-            TraceRecord{time_ + 1, home, core_node, PacketClass::Data, blk});
+            record(time_, core_node, home, TraceRecord::kNoBlock));
+        std::uint32_t &same = line_block_[line_idx];
+        const std::uint32_t blk =
+            same != TraceRecord::kNoBlock
+                ? trace_->shareBlock(same, type, approx)
+                : (same = trace_->addBlock({line, wpl}, type, approx));
+        trace_->add(record(time_ + 1, home, core_node, blk));
     }
 
     Way &w = c.ways[way];

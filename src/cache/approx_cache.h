@@ -125,8 +125,13 @@ class ApproxCacheSystem
     /** Write back every dirty line and invalidate all L1s. */
     void barrier();
 
-    /** Attach a trace sink; misses/writebacks are recorded into it. */
-    void setTraceSink(CommTrace *trace) { trace_ = trace; }
+    /**
+     * Attach a trace sink (nullptr detaches); misses and writebacks are
+     * recorded into it. A fill of a line whose memory has not changed
+     * since the line was last recorded shares that block's words
+     * (CommTrace::shareBlock) instead of copying them.
+     */
+    void setTraceSink(CommTrace *trace);
 
     /**
      * Enable Doppelganger-style approximate dedup at the home slices
@@ -200,7 +205,6 @@ class ApproxCacheSystem
     /** Tag-only lookup+fill at the home slice; true on L2 hit. */
     bool l2Access(std::size_t line_idx);
     void writeback(unsigned core, std::size_t way);
-    DataBlock lineBlock(std::size_t line_idx) const;
     NodeId homeOf(std::size_t line_idx) const;
     bool lineApproximable(std::size_t line_idx, DataType &type) const;
 
@@ -215,6 +219,12 @@ class ApproxCacheSystem
     std::size_t set_mask_ = 0;  ///< L1 sets - 1
     Cycle time_ = 0; ///< global logical time for codec/trace
     CommTrace *trace_ = nullptr;
+    /**
+     * Per memory line, the trace_ block whose words equal the line's
+     * memory, or TraceRecord::kNoBlock. A writeback sets it; initWord,
+     * alloc and setTraceSink clear it.
+     */
+    std::vector<std::uint32_t> line_block_;
     std::unique_ptr<DoppelgangerTable> dedup_;
 
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 
@@ -21,6 +22,25 @@ whole_long(const std::string &s)
     long v = std::strtol(s.c_str(), &end, 0);
     if (end == s.c_str() || *end != '\0' || errno == ERANGE)
         return std::nullopt;
+    return v;
+}
+
+/** @p s as one whole non-negative integer (decimal, or 0x/0 prefixed),
+ *  if it is one. A value above 2^64 - 1 sets @p too_large. */
+std::optional<std::uint64_t>
+whole_count(const std::string &s, bool &too_large)
+{
+    too_large = false;
+    // strtoull accepts a sign after leading spaces and wraps negatives.
+    const std::size_t first = s.find_first_not_of(" \t\n\v\f\r");
+    if (first == std::string::npos || s[first] == '-')
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+    if (end == s.c_str() || *end != '\0')
+        return std::nullopt;
+    too_large = errno == ERANGE;
     return v;
 }
 
@@ -113,27 +133,26 @@ CliArgs::getDouble(const std::string &name, double def, RealRange range) const
     return v;
 }
 
-unsigned long
-CliArgs::count(const std::string &name, unsigned long def, unsigned long lo,
-               unsigned long hi) const
+std::uint64_t
+CliArgs::count(const std::string &name, std::uint64_t def, std::uint64_t lo,
+               std::uint64_t hi) const
 {
     const std::string *s = value(name);
     if (!s)
         return def;
-    std::optional<long> v = whole_long(*s);
-    const bool counts = v && *v >= 0;
-    if (lo > 0 && !(counts && static_cast<unsigned long>(*v) >= lo &&
-                    static_cast<unsigned long>(*v) <= hi))
+    bool too_large = false;
+    std::optional<std::uint64_t> v = whole_count(*s, too_large);
+    if (lo > 0 && !(v && !too_large && *v >= lo && *v <= hi))
         ANOC_FATAL("flag --", name, " expects an integer in [", lo, ", ", hi,
                    "], got '", *s, "'");
-    if (!counts)
+    if (!v)
         ANOC_FATAL("flag --", name, " expects a non-negative integer, got '",
                    *s, "'");
-    if (static_cast<unsigned long>(*v) > hi)
+    if (too_large || *v > hi)
         ANOC_FATAL("flag --", name,
                    " expects a non-negative integer no larger than ", hi,
                    ", got '", *s, "'");
-    return static_cast<unsigned long>(*v);
+    return *v;
 }
 
 bool

@@ -9,6 +9,7 @@
 #define APPROXNOC_COMMON_CLI_H
 
 #include <concepts>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
@@ -62,8 +63,9 @@ class CliArgs
      *  fatal, naming the flag, the range and the value. */
     double getDouble(const std::string &name, double def,
                      RealRange range = {}) const;
-    /** getInt for counts (jobs, cycles, sizes) of type @p T: a negative
-     *  value, or one above T's maximum, is fatal too, so it never wraps. */
+    /** A count (jobs, cycles, sizes, seeds) of type @p T, parsed as an
+     *  unsigned 64-bit number in getInt's bases: a negative value, or
+     *  one above T's maximum, is fatal too, so it never wraps. */
     template <std::unsigned_integral T = unsigned long>
     T getCount(const std::string &name, std::type_identity_t<T> def) const
     {
@@ -92,8 +94,8 @@ class CliArgs
   private:
     /** The value of --name, nullptr when absent; fatal when bare. */
     const std::string *value(const std::string &name) const;
-    unsigned long count(const std::string &name, unsigned long def,
-                        unsigned long lo, unsigned long hi) const;
+    std::uint64_t count(const std::string &name, std::uint64_t def,
+                        std::uint64_t lo, std::uint64_t hi) const;
 
     std::string program_;
     /** Flag name -> value; nullopt for a bare flag. */

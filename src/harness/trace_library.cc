@@ -62,7 +62,7 @@ TraceLibrary::naturalLoad(const CommTrace &t, unsigned n_nodes,
         return 0.0;
     std::uint64_t flits = 0;
     for (std::size_t i = 0; i < n; ++i)
-        flits += t.records()[i].cls == PacketClass::Data ? 9 : 1;
+        flits += t.records()[i].isData() ? 9 : 1;
     return static_cast<double>(flits) /
            (static_cast<double>(duration) * n_nodes);
 }

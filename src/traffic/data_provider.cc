@@ -20,10 +20,9 @@ synthetic_data_type(const CliArgs &args)
     return DataType::Float32;
 }
 
-TraceDataProvider::TraceDataProvider(const std::vector<DataBlock> &blocks)
-    : blocks_(blocks)
+TraceDataProvider::TraceDataProvider(const CommTrace &trace) : trace_(trace)
 {
-    ANOC_ASSERT(!blocks_.empty(), "trace data provider needs blocks");
+    ANOC_ASSERT(trace_.blockCount() > 0, "trace data provider needs blocks");
 }
 
 DataBlock
@@ -32,9 +31,9 @@ TraceDataProvider::next(NodeId src)
     if (cursor_.size() <= src)
         cursor_.resize(src + 1, static_cast<std::size_t>(src));
     std::size_t &c = cursor_[src];
-    DataBlock b = blocks_[c % blocks_.size()];
+    const std::size_t i = c % trace_.blockCount();
     c += 1;
-    return b;
+    return trace_.block(static_cast<std::uint32_t>(i)).copy();
 }
 
 SyntheticDataProvider::SyntheticDataProvider(DataType type,

@@ -15,6 +15,7 @@
 #include "common/data_block.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "traffic/trace.h"
 
 namespace approxnoc {
 
@@ -32,18 +33,18 @@ class DataProvider
     virtual DataBlock next(NodeId src) = 0;
 };
 
-/** Replays a recorded pool of blocks, round-robin per node. Borrows
- *  the pool (a trace's blocks()), which must outlive the provider. */
+/** Replays a trace's blocks in index order, round-robin per node.
+ *  Borrows the trace, which must outlive the provider. */
 class TraceDataProvider : public DataProvider
 {
   public:
-    explicit TraceDataProvider(const std::vector<DataBlock> &blocks);
-    /** A temporary pool would dangle. */
-    explicit TraceDataProvider(std::vector<DataBlock> &&) = delete;
+    explicit TraceDataProvider(const CommTrace &trace);
+    /** A temporary trace would dangle. */
+    explicit TraceDataProvider(CommTrace &&) = delete;
     DataBlock next(NodeId src) override;
 
   private:
-    const std::vector<DataBlock> &blocks_;
+    const CommTrace &trace_;
     std::vector<std::size_t> cursor_;
 };
 

@@ -61,9 +61,9 @@ TraceReplay::advance(Cycle now)
         const NodeId dst = r.dst;
         if (src != dst) {
             PacketPtr p;
-            if (r.cls == PacketClass::Data &&
-                r.block != TraceRecord::kNoBlock) {
-                DataBlock b = trace_.block(r.block);
+            if (r.isData()) {
+                // The packet's one copy of the block's words.
+                DataBlock b = trace_.block(r.block).copy();
                 if (b.approximable()) {
                     bool keep = (mix(static_cast<std::uint32_t>(cursor_)) %
                                  10000) < approx_ratio_ * 10000.0;

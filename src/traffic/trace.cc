@@ -41,8 +41,18 @@ CommTrace::dataPacketRatio() const
         return 0.0;
     std::size_t n = 0;
     for (const auto &r : records_)
-        n += r.cls == PacketClass::Data ? 1 : 0;
+        n += r.isData() ? 1 : 0;
     return static_cast<double>(n) / static_cast<double>(records_.size());
+}
+
+std::vector<DataBlock>
+CommTrace::blocks() const
+{
+    std::vector<DataBlock> out;
+    out.reserve(blocks_.size());
+    for (std::uint32_t i = 0; i < blocks_.size(); ++i)
+        out.push_back(block(i).copy());
+    return out;
 }
 
 void
@@ -52,25 +62,28 @@ CommTrace::save(const std::string &path) const
     if (!f)
         ANOC_FATAL("cannot open trace file for writing: ", path);
     f << "# approxnoc trace v1\n";
-    for (const auto &b : blocks_) {
-        f << "B " << to_string(b.type()) << " " << (b.approximable() ? 1 : 0)
-          << " " << b.size();
+    for (const BlockHeader &h : blocks_) {
+        f << "B " << to_string(h.type) << " " << (h.approximable ? 1 : 0)
+          << " " << h.size;
         char buf[16];
-        for (std::size_t i = 0; i < b.size(); ++i) {
-            std::snprintf(buf, sizeof(buf), " %08x", b.word(i));
+        for (std::size_t i = h.offset; i < h.offset + h.size; ++i) {
+            std::snprintf(buf, sizeof(buf), " %08x", words_[i]);
             f << buf;
         }
         f << "\n";
     }
     for (const auto &r : records_) {
         f << "R " << r.t << " " << r.src << " " << r.dst << " "
-          << (r.cls == PacketClass::Data ? 'D' : 'C') << " ";
-        if (r.block == TraceRecord::kNoBlock)
-            f << "-";
-        else
+          << (r.isData() ? 'D' : 'C') << " ";
+        if (r.isData())
             f << r.block;
+        else
+            f << "-";
         f << "\n";
     }
+    f.close();
+    if (!f)
+        ANOC_FATAL("cannot write trace file: ", path);
 }
 
 CommTrace
@@ -93,6 +106,7 @@ CommTrace::load(const std::string &path)
             fail(field, " '", tok, "' is not a number in [0, ", max, "]");
         return *v;
     };
+    std::vector<Word> ws;
     while (std::getline(f, line)) {
         ++line_no;
         if (line.empty() || line[0] == '#')
@@ -123,7 +137,7 @@ CommTrace::load(const std::string &path)
             if (tok.size() != 4 + n)
                 fail("block declares ", n, " words but has ",
                      tok.size() - 4);
-            std::vector<Word> ws(n);
+            ws.resize(n);
             for (std::size_t i = 0; i < n; ++i) {
                 auto w = parse_unsigned(tok[4 + i], 16,
                                         std::numeric_limits<Word>::max());
@@ -132,7 +146,7 @@ CommTrace::load(const std::string &path)
                          "' is not a 32-bit hex number");
                 ws[i] = static_cast<Word>(*w);
             }
-            t.addBlock(DataBlock(std::move(ws), type, tok[2] == "1"));
+            t.addBlock(ws, type, tok[2] == "1");
         } else if (tok[0] == "R") {
             // R <t> <src> <dst> <D|C> <block index or ->
             if (tok.size() != 6)
@@ -140,20 +154,17 @@ CommTrace::load(const std::string &path)
             TraceRecord r;
             r.t = number(tok[1], "time", 10,
                          std::numeric_limits<Cycle>::max());
-            r.src = static_cast<NodeId>(number(
-                tok[2], "source", 10, std::numeric_limits<NodeId>::max()));
-            r.dst = static_cast<NodeId>(
-                number(tok[3], "destination", 10,
-                       std::numeric_limits<NodeId>::max()));
+            r.src = static_cast<std::uint16_t>(
+                number(tok[2], "source", 10, TraceRecord::kMaxNode));
+            r.dst = static_cast<std::uint16_t>(
+                number(tok[3], "destination", 10, TraceRecord::kMaxNode));
             if (tok[4] != "D" && tok[4] != "C")
                 fail("packet class '", tok[4], "' is not D or C");
-            r.cls = tok[4] == "D" ? PacketClass::Data : PacketClass::Control;
-            // save() writes a block for every data record and none for
-            // a control record; the other two forms would replay as
-            // the wrong packet class or drop the block.
-            if (r.cls == PacketClass::Data && tok[5] == "-")
+            // A record is data exactly when it names a block, so the
+            // other two forms would replay as the wrong packet class.
+            if (tok[4] == "D" && tok[5] == "-")
                 fail("data record has no block");
-            if (r.cls == PacketClass::Control && tok[5] != "-")
+            if (tok[4] == "C" && tok[5] != "-")
                 fail("control record names block '", tok[5], "'");
             if (tok[5] != "-") {
                 r.block = static_cast<std::uint32_t>(

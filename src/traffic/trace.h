@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/data_block.h"
@@ -19,24 +19,32 @@
 
 namespace approxnoc {
 
-/** One packet in a trace. */
+/** One packet in a trace: 16 bytes. */
 struct TraceRecord {
     Cycle t = 0;
-    NodeId src = 0;
-    NodeId dst = 0;
-    PacketClass cls = PacketClass::Control;
-    /** Index into CommTrace::blocks(), or kNoBlock for control. */
+    std::uint16_t src = 0;
+    std::uint16_t dst = 0;
+    /** Index of the block a data record carries; kNoBlock for a
+     * control record. */
     std::uint32_t block = kNoBlock;
 
     static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
+    /** Largest node id a record holds. */
+    static constexpr NodeId kMaxNode =
+        std::numeric_limits<std::uint16_t>::max();
+
+    bool isData() const { return block != kNoBlock; }
 };
+static_assert(sizeof(TraceRecord) == 16);
 
 /**
- * A full trace: time-ordered records plus the pool of blocks they
- * carry. The pool is not deduplicated: addBlock() appends every block
- * it is given, and the cache model adds one per data record, in record
- * order. fig12_throughput replays blocks() in that order as its
- * payload stream.
+ * A full trace: time-ordered records plus the blocks they carry. Every
+ * block keeps its own index, in the order it was added, but blocks
+ * with equal words may share them: a block is an 8-byte header (offset
+ * and size in one word pool, type, approximable flag). addBlock()
+ * appends its words; shareBlock() points a new header at an earlier
+ * block's words. The cache model shares the words of a line whose
+ * memory has not changed since it was last recorded.
  */
 class CommTrace
 {
@@ -45,10 +53,54 @@ class CommTrace
     static constexpr std::size_t kWholeTrace =
         std::numeric_limits<std::size_t>::max();
 
-    /** Register a payload block; returns its index. */
-    std::uint32_t addBlock(DataBlock b)
+    /** Largest block a trace holds; cache blocks are 16 words. */
+    static constexpr std::size_t kMaxBlockWords = 4096;
+
+    /** Block i: its words in the pool and its metadata. The view is
+     * valid until the next addBlock(). */
+    struct BlockView {
+        std::span<const Word> words;
+        DataType type = DataType::Raw;
+        bool approximable = false;
+
+        /** An owning copy, as a packet carries it. */
+        DataBlock copy() const
+        {
+            return DataBlock(std::vector<Word>(words.begin(), words.end()),
+                             type, approximable);
+        }
+    };
+
+    /** Append a block with its own copy of @p words; returns its index.
+     * Panics past kMaxBlockWords words or a pool offset of 2^32. */
+    std::uint32_t addBlock(std::span<const Word> words, DataType type,
+                           bool approximable)
     {
-        blocks_.push_back(std::move(b));
+        ANOC_ASSERT(words.size() <= kMaxBlockWords, "a ", words.size(),
+                    "-word block exceeds ", kMaxBlockWords, " words");
+        ANOC_ASSERT(words_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                    "trace word pool outgrows 32-bit offsets");
+        blocks_.push_back({static_cast<std::uint32_t>(words_.size()),
+                           static_cast<std::uint16_t>(words.size()), type,
+                           approximable});
+        words_.insert(words_.end(), words.begin(), words.end());
+        return static_cast<std::uint32_t>(blocks_.size() - 1);
+    }
+    std::uint32_t addBlock(const DataBlock &b)
+    {
+        return addBlock(b.words(), b.type(), b.approximable());
+    }
+
+    /** Append a block that shares block @p of's words and carries its
+     * own @p type and @p approximable flag; returns its index. */
+    std::uint32_t shareBlock(std::uint32_t of, DataType type,
+                             bool approximable)
+    {
+        ANOC_ASSERT(of < blocks_.size(), "shared block ", of, " is unknown");
+        BlockHeader h = blocks_[of];
+        h.type = type;
+        h.approximable = approximable;
+        blocks_.push_back(h);
         return static_cast<std::uint32_t>(blocks_.size() - 1);
     }
 
@@ -64,8 +116,22 @@ class CommTrace
     }
 
     const std::vector<TraceRecord> &records() const { return records_; }
-    const std::vector<DataBlock> &blocks() const { return blocks_; }
-    const DataBlock &block(std::uint32_t i) const { return blocks_[i]; }
+
+    std::size_t blockCount() const { return blocks_.size(); }
+    BlockView block(std::uint32_t i) const
+    {
+        const BlockHeader &h = blocks_[i];
+        return {{words_.data() + h.offset, h.size}, h.type, h.approximable};
+    }
+    /** Words the pool stores; a shared block adds none. */
+    std::size_t wordCount() const { return words_.size(); }
+
+    /**
+     * Every block as an owning copy, in index order. Kept only as an
+     * adapter for the repository benchmark's `traced_replay`, which
+     * iterates it; everything else reads blockCount() and block(i).
+     */
+    std::vector<DataBlock> blocks() const;
 
     bool empty() const { return records_.empty(); }
     std::size_t size() const { return records_.size(); }
@@ -76,27 +142,36 @@ class CommTrace
     /** Fraction of records that are data packets. */
     double dataPacketRatio() const;
 
-    /** Serialize to the textual trace format. */
+    /** Serialize to the textual trace format, every block in full.
+     * Fatal when the file cannot be opened or written in full. */
     void save(const std::string &path) const;
 
     /**
      * Parse the textual trace format. A malformed file is a fatal
      * error naming the file and line: an unknown tag, type or packet
      * class, a missing, extra or non-numeric field, a block of more
-     * than kMaxBlockWords words, a record naming a block no earlier
-     * line defined, or a timestamp below its predecessor's.
+     * than kMaxBlockWords words, a node id above TraceRecord::kMaxNode,
+     * a record naming a block no earlier line defined, or a timestamp
+     * below its predecessor's.
      */
     static CommTrace load(const std::string &path);
-
-    /** Largest block load() accepts; cache blocks are 16 words. */
-    static constexpr std::size_t kMaxBlockWords = 4096;
 
     /** The file load() read this trace from; empty when built in
      * memory. Error messages about the trace name it. */
     const std::string &origin() const { return origin_; }
 
   private:
-    std::vector<DataBlock> blocks_;
+    /** Where a block's words sit in words_, and its metadata. */
+    struct BlockHeader {
+        std::uint32_t offset = 0;
+        std::uint16_t size = 0;
+        DataType type = DataType::Raw;
+        bool approximable = false;
+    };
+    static_assert(sizeof(BlockHeader) == 8);
+
+    std::vector<Word> words_;
+    std::vector<BlockHeader> blocks_;
     std::vector<TraceRecord> records_;
     std::string origin_;
 };

@@ -202,8 +202,10 @@ TEST(ActiveSet, TraceReplayMatchesDenseUnderEveryScheme)
     lib.prefetch({"blackscholes"}, runner);
     const CommTrace &full = lib.get("blackscholes");
     CommTrace trace;
-    for (const auto &b : full.blocks())
-        trace.addBlock(b);
+    for (std::uint32_t i = 0; i < full.blockCount(); ++i) {
+        const CommTrace::BlockView b = full.block(i);
+        trace.addBlock(b.words, b.type, b.approximable);
+    }
     for (std::size_t i = 0; i < 1500 && i < full.size(); ++i)
         trace.add(full.records()[i]);
     const NocConfig ncfg;

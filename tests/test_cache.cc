@@ -1,5 +1,6 @@
 /** ApproxCacheSystem tests: caching behaviour, approximation path. */
 #include <cmath>
+#include <cstdio>
 #include <gtest/gtest.h>
 
 #include "cache/approx_cache.h"
@@ -172,7 +173,7 @@ TEST(Cache, TraceSinkRecordsMissTraffic)
     ASSERT_GE(trace.size(), 4u); // 2 misses: request + response each
     unsigned data = 0, ctrl = 0;
     for (const auto &r : trace.records()) {
-        if (r.cls == PacketClass::Data) {
+        if (r.isData()) {
             ++data;
             EXPECT_NE(r.block, TraceRecord::kNoBlock);
         } else {
@@ -183,6 +184,159 @@ TEST(Cache, TraceSinkRecordsMissTraffic)
     }
     EXPECT_EQ(data, 2u);
     EXPECT_EQ(ctrl, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Trace recording shares the words of a line whose memory has not
+// changed since it was last recorded; every block still reads as the
+// line's memory at the time of its packet.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** A traced small cache over three lines of one L1 set (set 0 of 8). */
+struct TracedSet {
+    ApproxCacheSystem mem{small_cache(), nullptr};
+    CommTrace trace;
+    std::size_t a = 0; ///< the set's first line; a + 128k is the k-th
+
+    TracedSet(const TracedSet &) = delete; // mem records into trace
+    TracedSet &operator=(const TracedSet &) = delete;
+    TracedSet()
+    {
+        mem.setTraceSink(&trace);
+        a = mem.alloc(16 * 8 * 3, "a");
+        mem.annotate(a, 16 * 8 * 3, DataType::Int32);
+        for (std::size_t i = 0; i < 16; ++i)
+            mem.initWord(a + i, static_cast<Word>(100 + i));
+    }
+
+    /** The block the latest record carries: a fill's response. */
+    std::uint32_t lastBlock() const { return trace.records().back().block; }
+
+    /** Evict line a from core 0's two ways by filling the set's others. */
+    void evictA()
+    {
+        mem.load(0, a + 16 * 8);
+        mem.load(0, a + 16 * 8 * 2);
+    }
+};
+
+} // namespace
+
+TEST(CacheTrace, CleanRefillSharesTheLinesWords)
+{
+    TracedSet s;
+    s.mem.load(0, s.a);
+    const std::uint32_t first = s.lastBlock();
+    s.evictA(); // clean: memory keeps the words the first fill sent
+    s.mem.load(0, s.a);
+    const std::uint32_t again = s.lastBlock();
+
+    EXPECT_EQ(s.mem.writebacks(), 0u);
+    EXPECT_NE(again, first) << "every fill keeps its own block index";
+    EXPECT_EQ(s.trace.block(again).words.data(),
+              s.trace.block(first).words.data());
+    EXPECT_EQ(s.trace.block(again).type, DataType::Int32);
+    EXPECT_TRUE(s.trace.block(again).approximable);
+    EXPECT_EQ(s.trace.blockCount(), 4u);
+    EXPECT_EQ(s.trace.wordCount(), 3u * 16) << "three lines, stored once";
+}
+
+TEST(CacheTrace, WrittenBackWordsFeedTheNextFill)
+{
+    TracedSet s;
+    s.mem.load(0, s.a);
+    const std::uint32_t before = s.lastBlock();
+    s.mem.store(0, s.a + 5, 555);
+    s.evictA(); // dirty: the writeback puts 555 in memory
+    ASSERT_EQ(s.mem.writebacks(), 1u);
+    std::uint32_t written = TraceRecord::kNoBlock;
+    for (const TraceRecord &r : s.trace.records())
+        if (r.isData() && r.src == s.mem.nodeOfCore(0))
+            written = r.block;
+    ASSERT_NE(written, TraceRecord::kNoBlock);
+
+    s.mem.load(1, s.a);
+    const CommTrace::BlockView refill = s.trace.block(s.lastBlock());
+    EXPECT_EQ(refill.words.data(), s.trace.block(written).words.data());
+    EXPECT_NE(refill.words.data(), s.trace.block(before).words.data());
+    EXPECT_EQ(refill.words[5], 555u);
+    EXPECT_EQ(refill.words[4], 104u);
+    // The shared words carry each packet's own metadata: the writeback
+    // rides precise, the fill keeps its approximable draw.
+    EXPECT_FALSE(s.trace.block(written).approximable);
+    EXPECT_TRUE(refill.approximable);
+    EXPECT_EQ(refill.type, DataType::Int32);
+}
+
+TEST(CacheTrace, InitWordEndsSharing)
+{
+    TracedSet s;
+    s.mem.load(0, s.a);
+    const std::uint32_t first = s.lastBlock();
+    s.evictA();
+    s.mem.initWord(s.a + 3, 0xBEEF);
+    s.mem.load(0, s.a);
+    const CommTrace::BlockView refill = s.trace.block(s.lastBlock());
+
+    EXPECT_NE(refill.words.data(), s.trace.block(first).words.data());
+    EXPECT_EQ(refill.words[3], 0xBEEFu);
+    EXPECT_EQ(s.trace.block(first).words[3], 103u);
+    EXPECT_EQ(s.trace.wordCount(), 4u * 16);
+}
+
+TEST(CacheTrace, BlocksEqualAPerBlockCopy)
+{
+    // Random loads, stores, initWords and barriers on four cores. Each
+    // fill's block must hold its line's memory, as a copy made at the
+    // fill would; saving writes every block in full, so the loaded
+    // trace is that per-block copy, block for block.
+    CacheConfig cfg = small_cache();
+    ApproxCacheSystem mem(cfg, nullptr);
+    CommTrace trace;
+    mem.setTraceSink(&trace);
+    const std::size_t words = 64 * 16;
+    const std::size_t a = mem.alloc(words, "a");
+    mem.annotate(a, words / 2, DataType::Float32);
+    Rng rng(20170624);
+    for (int op = 0; op < 4000; ++op) {
+        const unsigned core = static_cast<unsigned>(rng.next(cfg.n_cores));
+        const std::size_t addr = a + rng.next(words);
+        const std::size_t records = trace.size();
+        const std::uint64_t kind = rng.next(10);
+        if (kind == 0) {
+            mem.initWord(addr, static_cast<Word>(rng.next(1u << 20)));
+            continue;
+        }
+        if (kind == 1) {
+            mem.barrier();
+            continue;
+        }
+        if (kind < 5)
+            mem.store(core, addr, static_cast<Word>(rng.next(1u << 20)));
+        else
+            mem.load(core, addr);
+        if (trace.size() == records)
+            continue; // a hit records nothing
+        const CommTrace::BlockView b =
+            trace.block(trace.records().back().block);
+        const std::size_t line = addr & ~std::size_t{15};
+        ASSERT_EQ(b.words.size(), 16u);
+        for (std::size_t i = 0; i < 16; ++i)
+            ASSERT_EQ(b.words[i], mem.peekWord(line + i))
+                << "op " << op << " word " << i;
+    }
+
+    const std::string path = ::testing::TempDir() + "per_block_copy.trace";
+    trace.save(path);
+    const CommTrace copy = CommTrace::load(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(copy.blockCount(), trace.blockCount());
+    for (std::uint32_t i = 0; i < trace.blockCount(); ++i)
+        ASSERT_EQ(copy.block(i).copy(), trace.block(i).copy()) << i;
+    EXPECT_EQ(copy.wordCount(), 16 * trace.blockCount());
+    EXPECT_LT(trace.wordCount(), copy.wordCount());
 }
 
 TEST(Cache, DeterministicAcrossRuns)

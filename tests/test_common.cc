@@ -161,6 +161,34 @@ TEST(CliArgs, CountFlagsRejectNegativeAndMalformedValues)
                 "larger than 4294967295, got '4294967296'");
 }
 
+/** Counts parse as unsigned 64-bit numbers in getInt's bases: all of
+ *  [2^63, 2^64) is a count, a minus sign never is, and 2^64 is too
+ *  large rather than malformed. */
+TEST(CliArgs, CountFlagsSpanSixtyFourBits)
+{
+    const char *argv[] = {"prog", "--a=18446744073709551615",
+                          "--b=0xffffffffffffffff", "--c=9223372036854775808",
+                          "--d=-0", "--e= -1", "--f=18446744073709551616"};
+    const CliArgs args(7, const_cast<char **>(argv));
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(args.getCount<std::uint64_t>("a", 0), kMax);
+    EXPECT_EQ(args.getCount<std::uint64_t>("b", 0), kMax);
+    EXPECT_EQ(args.getCount<std::uint64_t>("c", 0), std::uint64_t{1} << 63);
+    EXPECT_EXIT(args.getCount<std::uint64_t>("d", 0),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --d expects a non-negative integer, got '-0'");
+    EXPECT_EXIT(args.getCount<std::uint64_t>("e", 0),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --e expects a non-negative integer, got ' -1'");
+    EXPECT_EXIT(args.getCount<std::uint64_t>("f", 0),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --f expects a non-negative integer no larger "
+                "than 18446744073709551615, got '18446744073709551616'");
+    EXPECT_EXIT(args.getCount<unsigned>("a", 0, 1, 32),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --a expects an integer in \\[1, 32\\]");
+}
+
 /** A count flag with a range exits 1 naming the flag, the range and
  *  the value for anything outside it, malformed or negative included. */
 TEST(CliArgs, RangedCountFlagsNameTheirRange)
@@ -405,11 +433,11 @@ TEST(CliFuzz, NumericFlagsReturnInRangeOrFail)
             << "getInt '" << v << "'";
         EXPECT_EXIT(
             {
-                // A negative value wrapped into an unsigned count lands
-                // above LONG_MAX.
-                const bool in = args.getCount("x", 0) <=
-                                static_cast<unsigned long>(
-                                    std::numeric_limits<long>::max());
+                // Counts span all 64 bits, so a wrapped negative value
+                // (-1 as 2^64 - 1) is told by its sign, not its size:
+                // no count may come from a value with a minus in it.
+                args.getCount("x", 0);
+                const bool in = v.find('-') == std::string::npos;
                 std::fputs(in ? "in range\n" : "wrapped\n", stderr);
                 std::exit(in ? 0 : 2);
             },

@@ -62,10 +62,8 @@ TEST(ErrorPaths, TraceLoadRejectsMissingFile)
 TEST(ErrorPaths, TraceRejectsOutOfOrderRecords)
 {
     CommTrace t;
-    t.add(TraceRecord{10, 0, 1, PacketClass::Control,
-                      TraceRecord::kNoBlock});
-    EXPECT_DEATH(t.add(TraceRecord{5, 0, 1, PacketClass::Control,
-                                   TraceRecord::kNoBlock}),
+    t.add(TraceRecord{10, 0, 1, TraceRecord::kNoBlock});
+    EXPECT_DEATH(t.add(TraceRecord{5, 0, 1, TraceRecord::kNoBlock}),
                  "time-ordered");
 }
 

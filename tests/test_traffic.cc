@@ -93,10 +93,10 @@ TEST(DataProvider, SyntheticLocalityIsCompressible)
 
 TEST(DataProvider, TraceProviderRoundRobins)
 {
-    std::vector<DataBlock> blocks;
+    CommTrace t;
     for (Word w = 0; w < 4; ++w)
-        blocks.push_back(DataBlock({w}, DataType::Int32, true));
-    TraceDataProvider p(blocks);
+        t.addBlock(DataBlock({w}, DataType::Int32, true));
+    TraceDataProvider p(t);
     DataBlock a = p.next(0);
     DataBlock b = p.next(0);
     EXPECT_NE(a.word(0), b.word(0));
@@ -109,9 +109,9 @@ TEST(Trace, SaveLoadRoundTrip)
         t.addBlock(DataBlock({1, 2, 3}, DataType::Int32, true));
     std::uint32_t b1 = t.addBlock(
         DataBlock({0xDEADBEEF, 0xFFFFFFFF}, DataType::Float32, false));
-    t.add(TraceRecord{0, 0, 1, PacketClass::Control, TraceRecord::kNoBlock});
-    t.add(TraceRecord{5, 2, 3, PacketClass::Data, b0});
-    t.add(TraceRecord{9, 1, 0, PacketClass::Data, b1});
+    t.add(TraceRecord{0, 0, 1, TraceRecord::kNoBlock});
+    t.add(TraceRecord{5, 2, 3, b0});
+    t.add(TraceRecord{9, 1, 0, b1});
 
     std::string path = ::testing::TempDir() + "/trace_test.txt";
     t.save(path);
@@ -119,14 +119,14 @@ TEST(Trace, SaveLoadRoundTrip)
     std::remove(path.c_str());
 
     ASSERT_EQ(u.size(), 3u);
-    ASSERT_EQ(u.blocks().size(), 2u);
-    EXPECT_EQ(u.records()[0].cls, PacketClass::Control);
+    ASSERT_EQ(u.blockCount(), 2u);
+    EXPECT_FALSE(u.records()[0].isData());
     EXPECT_EQ(u.records()[1].t, 5u);
     EXPECT_EQ(u.records()[1].block, b0);
-    EXPECT_TRUE(u.block(b0).sameBits(t.block(b0)));
-    EXPECT_TRUE(u.block(b1).sameBits(t.block(b1)));
-    EXPECT_EQ(u.block(b1).type(), DataType::Float32);
-    EXPECT_FALSE(u.block(b1).approximable());
+    EXPECT_EQ(u.block(b0).copy(), t.block(b0).copy());
+    EXPECT_EQ(u.block(b1).copy(), t.block(b1).copy());
+    EXPECT_EQ(u.block(b1).type, DataType::Float32);
+    EXPECT_FALSE(u.block(b1).approximable);
     EXPECT_EQ(u.duration(), 9u);
     EXPECT_NEAR(u.dataPacketRatio(), 2.0 / 3.0, 1e-12);
 }
@@ -252,6 +252,18 @@ TEST(TraceErrors, ControlRecordWithBlockIsFatal)
                 "record names block '0'");
 }
 
+TEST(TraceErrors, NodeIdAboveSixteenBitsIsFatal)
+{
+    // A record holds 16-bit node ids: 65,535 loads, 65,536 does not.
+    std::string widest = write_trace("widest.trace", "R 0 65535 1 C -\n");
+    EXPECT_EQ(CommTrace::load(widest).records()[0].src, 65535u);
+    std::string path = write_trace("wide.trace",
+                                   "R 0 1 2 C -\nR 1 3 65536 C -\n");
+    EXPECT_EXIT(CommTrace::load(path), ::testing::ExitedWithCode(1),
+                "fatal: .*wide\\.trace:2: bad trace line: destination "
+                "'65536' is not a number in \\[0, 65535\\]");
+}
+
 namespace {
 
 /** One seeded mutation of @p s: replace, insert or delete a byte, drop
@@ -323,11 +335,11 @@ TEST(TraceFuzz, MutantsLoadOrFailWithFileAndLine)
         DataBlock({0x3f800000, 0xc0490fdb}, DataType::Float32, false));
     std::uint32_t raw =
         t.addBlock(DataBlock({0xDEADBEEF}, DataType::Raw, true));
-    t.add(TraceRecord{0, 0, 1, PacketClass::Control, TraceRecord::kNoBlock});
-    t.add(TraceRecord{3, 2, 31, PacketClass::Data, i32});
-    t.add(TraceRecord{3, 5, 4, PacketClass::Data, f32});
-    t.add(TraceRecord{17, 31, 0, PacketClass::Data, raw});
-    t.add(TraceRecord{40, 7, 6, PacketClass::Control, TraceRecord::kNoBlock});
+    t.add(TraceRecord{0, 0, 1, TraceRecord::kNoBlock});
+    t.add(TraceRecord{3, 2, 31, i32});
+    t.add(TraceRecord{3, 5, 4, f32});
+    t.add(TraceRecord{17, 31, 0, raw});
+    t.add(TraceRecord{40, 7, 6, TraceRecord::kNoBlock});
     const std::string path = ::testing::TempDir() + "trace_fuzz.txt";
     t.save(path);
     std::stringstream text;
@@ -362,10 +374,8 @@ TEST(Replay, InjectsEveryRecordOnce)
         trace.addBlock(DataBlock(std::vector<Word>(16, 7), DataType::Int32,
                                  true));
     for (Cycle t = 0; t < 200; t += 2) {
-        trace.add(TraceRecord{t, static_cast<NodeId>(t % 8),
-                              static_cast<NodeId>((t + 3) % 8),
-                              t % 4 == 0 ? PacketClass::Data
-                                         : PacketClass::Control,
+        trace.add(TraceRecord{t, static_cast<std::uint16_t>(t % 8),
+                              static_cast<std::uint16_t>((t + 3) % 8),
                               t % 4 == 0 ? blk : TraceRecord::kNoBlock});
     }
 
@@ -391,7 +401,7 @@ TEST(Replay, ApproxRatioZeroDisablesApproximation)
     std::uint32_t blk = trace.addBlock(
         DataBlock(std::vector<Word>(16, 0x00770008), DataType::Int32, true));
     for (Cycle t = 0; t < 100; ++t)
-        trace.add(TraceRecord{t, 0, 5, PacketClass::Data, blk});
+        trace.add(TraceRecord{t, 0, 5, blk});
 
     NocConfig cfg;
     CodecConfig cc;
