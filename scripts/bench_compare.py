@@ -3,8 +3,7 @@
 
 Usage:
     bench_compare.py OLD.json NEW.json [--threshold FRAC] [--report-only]
-    bench_compare.py OLD_DIR NEW_DIR [--claim METRIC] [--workload NAME]
-                     [--spec BENCHMARK.json]
+    bench_compare.py OLD_DIR NEW_DIR [--claim METRIC]
 
 Two files: compares results.<scheme>.words_per_sec of two micro_codec
 --bench-out files. A scheme whose new throughput falls below
@@ -25,17 +24,19 @@ docs/perf.md).
 
 Two directories: each holds perfbench `result.json` files (any
 *.json), one per run, for example from alternating
-`perfbench/run.py --seed N` runs of the parent and the change. Runs
-pair by workload and seed. For every end-to-end metric of
-BENCHMARK.json (read, never written; its units and directions) the
-table gives each side's median and quartiles, the change's wins (ties
-count for neither side) and the median of the per-pair new/old
-ratios. --claim METRIC exits 1 unless, on every workload compared, at
-least ten pairs ran, the change wins at least 9 of every 10 and its
-median beats the parent's by more than the parent's interquartile
-range. Quartiles
-interpolate linearly between order statistics. Exit codes: 0 =
-compared (claim holds), 1 = claim not met, 2 = malformed input.
+`perfbench/run.py --workload W --seed N` runs of the parent and the
+change. Runs pair by workload and seed. For every end-to-end metric of
+the repository's BENCHMARK.json (read, never written; its units and
+directions) the table gives each side's median and quartiles, the
+change's wins (ties count for neither side) and the median of the
+per-pair new/old ratios. --claim METRIC exits 1 unless, on every
+workload in the directories, at least ten pairs ran, the change wins
+at least 9 of every 10 and its median beats the parent's by more than
+the parent's interquartile range; so a claim about one workload is
+checked on a parent/change directory pair that holds that workload's
+runs only. Quartiles interpolate linearly between order statistics.
+Exit codes: 0 = compared (claim holds), 1 = claim not met, 2 =
+malformed input.
 """
 
 import argparse
@@ -49,6 +50,7 @@ from pathlib import Path
 METRIC_KEY = "words_per_sec"
 MIN_CLAIM_PAIRS = 10
 SECTION = "results"
+SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def load_results(path):
@@ -213,14 +215,12 @@ def compare_pairs(name, unit, better, pairs):
 
 
 def compare_runs(args):
-    spec = load_spec(args.spec)
+    spec = load_spec(SPEC)
     if args.claim is not None and args.claim not in spec:
         fail_input(f"--claim {args.claim} is not an end-to-end metric of "
-                   f"{args.spec} ({', '.join(spec)})")
+                   f"{SPEC} ({', '.join(spec)})")
     old, new = load_runs(args.old), load_runs(args.new)
     workloads = sorted({w for w, _ in old} | {w for w, _ in new})
-    if args.workload is not None:
-        workloads = [w for w in workloads if w == args.workload]
     claimed = []
     for workload in workloads:
         seeds = sorted({s for w, s in old if w == workload} &
@@ -284,12 +284,6 @@ def main(argv=None):
     ap.add_argument("--claim", metavar="METRIC",
                     help="directories: exit 1 unless METRIC improved by "
                          "the 9/10-wins and beyond-IQR rule")
-    ap.add_argument("--workload",
-                    help="directories: compare this workload only")
-    ap.add_argument("--spec", default=str(Path(__file__).resolve().parent
-                                          .parent / "BENCHMARK.json"),
-                    help="directories: the benchmark declaration "
-                         "(default: the repository's BENCHMARK.json)")
     args = ap.parse_args(argv)
     dirs = [os.path.isdir(p) for p in (args.old, args.new)]
     if all(dirs):

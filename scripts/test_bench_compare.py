@@ -6,7 +6,8 @@ exit 0 when within threshold, exit 1 on a regression, exit 0 under
 --report-only even with a regression, exit 2 on malformed input. For
 two directories of perfbench results it checks pairing by seed, the
 --claim rule (ten pairs, 9/10 wins, a median gap beyond the parent's
-IQR, in the metric's better direction) and exit 2 naming a malformed
+IQR, in the metric's better direction, on every workload present),
+using the repository's BENCHMARK.json, and exit 2 naming a malformed
 file. Registered as a ctest (bench_compare_selftest).
 """
 
@@ -18,6 +19,8 @@ import tempfile
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "bench_compare.py")
+SPEC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCHMARK.json")
 
 
 def bench_json(path, **words_per_sec):
@@ -28,14 +31,6 @@ def bench_json(path, **words_per_sec):
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f)
-
-
-SPEC = {"end_to_end": [
-    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
-    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
-    {"name": "packets_per_s", "unit": "packets/s", "better": "higher",
-     "bound": 0.25},
-]}
 
 
 def result_dir(path, workload, runs):
@@ -151,10 +146,7 @@ def main():
 
 
 def paired_cases(d, check, failures):
-    spec = os.path.join(d, "BENCHMARK.json")
-    with open(spec, "w", encoding="utf-8") as f:
-        json.dump(SPEC, f)
-    with open(spec, "rb") as f:
+    with open(SPEC, "rb") as f:
         spec_bytes = f.read()
     seeds = range(1001, 1011)
     # Parent: RSS 58.0-58.9 MB (IQR about 0.45), wall 1.70-1.79 s.
@@ -166,44 +158,44 @@ def paired_cases(d, check, failures):
         s: {"wall_s": 1.70 + (s % 10) / 100, "peak_rss_mb": 34.0,
             "packets_per_s": 1e5 if s == 1001 else 2e5} for s in seeds})
 
-    rc, out = run(parent, change, "--spec", spec)
+    rc, out = run(parent, change)
     check("paired-table", rc, 0, out)
     for want in ("paper_grid: 10 pairs", "peak_rss_mb", "10/10", "MB"):
         if want not in out:
             failures.append(f"paired-table: '{want}' not printed\n{out}")
 
-    rc, out = run(parent, change, "--spec", spec, "--claim", "peak_rss_mb")
+    rc, out = run(parent, change, "--claim", "peak_rss_mb")
     check("claim-holds", rc, 0, out)
 
     # 9/10 wins on a higher-is-better metric is enough.
-    rc, out = run(parent, change, "--spec", spec, "--claim", "packets_per_s")
+    rc, out = run(parent, change, "--claim", "packets_per_s")
     check("claim-higher-better", rc, 0, out)
 
     # Equal medians: no wins, no gap.
-    rc, out = run(parent, change, "--spec", spec, "--claim", "wall_s")
+    rc, out = run(parent, change, "--claim", "wall_s")
     check("claim-no-gain", rc, 1, out)
 
     # The claimed direction counts: the parent is lower than the change.
-    rc, out = run(change, parent, "--spec", spec, "--claim", "peak_rss_mb")
+    rc, out = run(change, parent, "--claim", "peak_rss_mb")
     check("claim-wrong-direction", rc, 1, out)
 
     # 8/10 wins fails the rule even with a wide median gap.
     eight = result_dir(os.path.join(d, "eight"), "paper_grid", {
         s: {"peak_rss_mb": 60.0 if s in (1001, 1002) else 34.0}
         for s in seeds})
-    rc, out = run(parent, eight, "--spec", spec, "--claim", "peak_rss_mb")
+    rc, out = run(parent, eight, "--claim", "peak_rss_mb")
     check("claim-eight-wins", rc, 1, out)
 
     # 10/10 wins inside the parent's IQR is no claim.
     close = result_dir(os.path.join(d, "close"), "paper_grid", {
         s: {"peak_rss_mb": 58.0 + (s % 10) / 10 - 0.05} for s in seeds})
-    rc, out = run(parent, close, "--spec", spec, "--claim", "peak_rss_mb")
+    rc, out = run(parent, close, "--claim", "peak_rss_mb")
     check("claim-inside-iqr", rc, 1, out)
 
     # Fewer than ten pairs cannot carry a claim.
     few = result_dir(os.path.join(d, "few"), "paper_grid", {
         s: {"peak_rss_mb": 34.0} for s in range(1001, 1006)})
-    rc, out = run(parent, few, "--spec", spec, "--claim", "peak_rss_mb")
+    rc, out = run(parent, few, "--claim", "peak_rss_mb")
     check("claim-few-pairs", rc, 1, out)
     if "5 pairs" not in out or "unpaired: 1006" not in out:
         failures.append(f"claim-few-pairs: want 5 pairs and the "
@@ -212,9 +204,9 @@ def paired_cases(d, check, failures):
     # No seed on both sides, and an unknown metric: malformed input.
     other = result_dir(os.path.join(d, "other"), "paper_grid", {
         7: {"peak_rss_mb": 34.0}})
-    rc, out = run(parent, other, "--spec", spec)
+    rc, out = run(parent, other)
     check("no-pairs", rc, 2, out)
-    rc, out = run(parent, change, "--spec", spec, "--claim", "rss")
+    rc, out = run(parent, change, "--claim", "rss")
     check("claim-unknown-metric", rc, 2, out)
 
     # A malformed result file exits 2 naming it.
@@ -223,23 +215,42 @@ def paired_cases(d, check, failures):
     bad = os.path.join(broken, "result_1004.json")
     with open(bad, "w", encoding="utf-8") as f:
         f.write("{\"workload\": \"paper_grid\", \"seed\":")
-    rc, out = run(parent, broken, "--spec", spec)
+    rc, out = run(parent, broken)
     check("malformed-result", rc, 2, out)
     if "result_1004.json" not in out or "Traceback" in out:
         failures.append(f"malformed-result: want the file named, no "
                         f"traceback\n{out}")
     with open(bad, "w", encoding="utf-8") as f:
         json.dump({"workload": "paper_grid", "metrics": {}}, f)
-    rc, out = run(parent, broken, "--spec", spec)
+    rc, out = run(parent, broken)
     check("result-without-seed", rc, 2, out)
     if "result_1004.json" not in out:
         failures.append(f"result-without-seed: file not named\n{out}")
 
+    # A claim holds only if it holds on every workload in the
+    # directories: mesh_busy's unchanged RSS fails paper_grid's claim.
+    mixed_old = result_dir(os.path.join(d, "mixed_old"), "paper_grid", {
+        s: {"peak_rss_mb": 58.0 + (s % 10) / 10} for s in seeds})
+    mixed_new = result_dir(os.path.join(d, "mixed_new"), "paper_grid", {
+        s: {"peak_rss_mb": 34.0} for s in seeds})
+    for side in (mixed_old, mixed_new):
+        for s in seeds:
+            with open(os.path.join(side, f"mesh_{s}.json"), "w",
+                      encoding="utf-8") as f:
+                json.dump({"workload": "mesh_busy", "seed": s,
+                           "metrics": {"peak_rss_mb": 12.0}}, f)
+    rc, out = run(mixed_old, mixed_new, "--claim", "peak_rss_mb")
+    check("claim-every-workload", rc, 1, out)
+    for want in ("on paper_grid: holds", "on mesh_busy: NOT MET"):
+        if want not in out:
+            failures.append(f"claim-every-workload: '{want}' not "
+                            f"printed\n{out}")
+
     # A directory beside a file is neither mode.
-    rc, out = run(parent, spec, "--spec", spec)
+    rc, out = run(parent, SPEC)
     check("dir-and-file", rc, 2, out)
 
-    with open(spec, "rb") as f:
+    with open(SPEC, "rb") as f:
         if f.read() != spec_bytes:
             failures.append("bench_compare wrote to the benchmark spec")
 

@@ -65,7 +65,9 @@ class CliArgs
                      RealRange range = {}) const;
     /** A count (jobs, cycles, sizes, seeds) of type @p T, parsed as an
      *  unsigned 64-bit number in getInt's bases: a negative value, or
-     *  one above T's maximum, is fatal too, so it never wraps. */
+     *  one above T's maximum, is fatal too, so the parse never wraps.
+     *  Sums of counts (a run's warmup + cycles) are the caller's to
+     *  check. */
     template <std::unsigned_integral T = unsigned long>
     T getCount(const std::string &name, std::type_identity_t<T> def) const
     {

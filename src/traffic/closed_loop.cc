@@ -1,5 +1,7 @@
 #include "traffic/closed_loop.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace approxnoc {
@@ -72,7 +74,10 @@ ClosedLoopTraffic::onDelivery(const PacketPtr &pkt, Cycle now)
             ANOC_ASSERT(state_[i].outstanding > 0,
                         "reply without outstanding request");
             --state_[i].outstanding;
-            state_[i].next_issue = now + cfg_.think_time;
+            // A think time past the last cycle parks the core; the
+            // sum must not wrap round to a cycle already gone.
+            state_[i].next_issue =
+                now + std::min(cfg_.think_time, kNeverCycle - now);
             break;
         }
     }

@@ -446,6 +446,29 @@ TEST(ClosedLoop, RequestReplyRoundTrips)
     EXPECT_LT(gen.roundTrip().mean(), 200.0);
 }
 
+TEST(ClosedLoop, ThinkTimePastTheLastCycleParksTheCore)
+{
+    // next_issue = now + think must not wrap round to a past cycle: a
+    // think time of kNeverCycle lets each core send one window only.
+    NocConfig cfg;
+    CodecConfig cc;
+    cc.n_nodes = cfg.nodes();
+    auto codec = CodecFactory::create(Scheme::Baseline, cc);
+    Network net(cfg, codec.get());
+    Simulator sim;
+    net.attach(sim);
+    ClosedLoopConfig lc;
+    lc.window = 2;
+    lc.think_time = kNeverCycle;
+    SyntheticDataProvider provider(DataType::Int32);
+    ClosedLoopTraffic gen(net, lc, provider);
+    sim.add(&gen);
+    sim.run(5000);
+    ASSERT_TRUE(gen.quiesced());
+    EXPECT_EQ(gen.requestsIssued(), lc.window * (cfg.nodes() / 2));
+    EXPECT_EQ(gen.repliesReceived(), gen.requestsIssued());
+}
+
 TEST(ClosedLoop, WindowBoundsOutstandingLoad)
 {
     // Closed loops self-throttle: even a tiny think time cannot push

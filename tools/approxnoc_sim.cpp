@@ -358,6 +358,12 @@ main(int argc, char **argv)
                                  args.getCount<Cycle>("sample-interval", 0),
                                  args.getString("metrics-out", ""));
 
+    // The run ends at cycle warmup + cycles, which must be a Cycle.
+    const Cycle warmup = args.getCount<Cycle>("warmup", 0);
+    const Cycle cycles = args.getCount<Cycle>("cycles", 100000);
+    if (cycles > kNeverCycle - warmup)
+        ANOC_FATAL("flags --warmup and --cycles add up to more than ",
+                   kNeverCycle, " cycles, got ", warmup, " + ", cycles);
     const NocConfig ncfg = parse_noc_config(args);
     const RealFlags real = parse_real_flags(args);
     if (args.has("compare"))
