@@ -55,7 +55,7 @@ main(int argc, char **argv)
     CliArgs args(argc, argv);
     args.expect({"threshold", "scale"});
     double threshold = args.getDouble("threshold", 10.0, kPercentRange);
-    auto scale = args.getCount<unsigned>("scale", 1);
+    auto scale = args.getCount<unsigned>("scale", 1, 1, kMaxScale);
 
     std::printf("SSCA2 betweenness centrality (R-MAT small world), "
                 "16-core cache model\n\n");

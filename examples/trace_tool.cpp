@@ -36,7 +36,8 @@ cmd_record(const CliArgs &args)
     ApproxCacheSystem mem(ccfg, nullptr);
     CommTrace trace;
     mem.setTraceSink(&trace);
-    make_workload(bm, args.getCount<unsigned>("scale", 1))->run(mem);
+    make_workload(bm, args.getCount<unsigned>("scale", 1, 1, kMaxScale))
+        ->run(mem);
     trace.save(out);
     std::printf("recorded %zu records (%zu blocks, %llu cycles) from %s "
                 "-> %s\n",

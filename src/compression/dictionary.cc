@@ -66,6 +66,7 @@ DictionaryCodecBase::encode(const DataBlock &block, NodeId src, NodeId dst,
     applyPending(src, now);
     noteEncoded(block.size());
     EncodedBlock enc;
+    enc.reserve(block.size()); // at most one unit per word
     encodeWords(block, src, dst, enc);
     enc.setMeta(block.type(), block.approximable());
 

@@ -291,7 +291,7 @@ ExperimentSpec::Builder::fromCli(int argc, char **argv, const std::string &what,
     cfg_.max_records =
         args.getCount<std::size_t>("max-records", cfg_.max_records);
     cfg_.cycles = args.getCount<Cycle>("cycles", cfg_.cycles);
-    cfg_.scale = args.getCount<unsigned>("scale", cfg_.scale);
+    cfg_.scale = args.getCount<unsigned>("scale", cfg_.scale, 1, kMaxScale);
     cfg_.jobs = args.getCount<unsigned>("jobs", cfg_.jobs);
     cfg_.seed = args.getCount<std::uint64_t>("seed", cfg_.seed);
     cfg_.csv_dir = args.getString("csv-dir", cfg_.csv_dir);

@@ -40,6 +40,15 @@ TraceReplay::TraceReplay(Network &net, const CommTrace &trace,
                        " -> ", r.dst, ", outside the ", n_nodes,
                        "-node network");
     }
+    if (end_ > 0)
+        next_at_ = injectionCycle(0);
+}
+
+Cycle
+TraceReplay::injectionCycle(std::size_t i) const
+{
+    return static_cast<Cycle>(std::llround(
+        static_cast<double>(trace_.records()[i].t) * time_scale_));
 }
 
 void
@@ -50,13 +59,8 @@ TraceReplay::evaluate(Cycle)
 void
 TraceReplay::advance(Cycle now)
 {
-    while (cursor_ < end_) {
+    while (cursor_ < end_ && next_at_ <= now) {
         const TraceRecord &r = trace_.records()[cursor_];
-        Cycle when = static_cast<Cycle>(
-            std::llround(static_cast<double>(r.t) * time_scale_));
-        if (when > now)
-            break;
-
         const NodeId src = r.src;
         const NodeId dst = r.dst;
         if (src != dst) {
@@ -76,7 +80,8 @@ TraceReplay::advance(Cycle now)
             net_.inject(p, now);
             ++injected_;
         }
-        ++cursor_;
+        if (++cursor_ < end_)
+            next_at_ = injectionCycle(cursor_);
     }
 }
 

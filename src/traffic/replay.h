@@ -43,12 +43,17 @@ class TraceReplay : public Clocked
     std::uint64_t injected() const { return injected_; }
 
   private:
+    /** Cycle record @p i is injected at: its timestamp, scaled. */
+    Cycle injectionCycle(std::size_t i) const;
+
     Network &net_;
     const CommTrace &trace_;
     double time_scale_;
     double approx_ratio_;
     std::size_t end_; ///< records replayed: [0, end_)
     std::size_t cursor_ = 0;
+    /** injectionCycle(cursor_), while cursor_ < end_. */
+    Cycle next_at_ = 0;
     std::uint64_t injected_ = 0;
 };
 

@@ -1,11 +1,11 @@
 #include "traffic/trace.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
+#include <string_view>
 
 #include "common/log.h"
 
@@ -16,7 +16,7 @@ namespace {
 /** @p tok as a whole unsigned number in @p base, if it is one and is at
  * most @p max. */
 std::optional<std::uint64_t>
-parse_unsigned(const std::string &tok, int base, std::uint64_t max)
+parse_unsigned(std::string_view tok, int base, std::uint64_t max)
 {
     std::uint64_t v = 0;
     const char *end = tok.data() + tok.size();
@@ -24,6 +24,51 @@ parse_unsigned(const std::string &tok, int base, std::uint64_t max)
     if (tok.empty() || ec != std::errc() || ptr != end || v > max)
         return std::nullopt;
     return v;
+}
+
+/** The whitespace-separated tokens of @p line, as `istream >>` splits
+ * them in the C locale, into @p tok (cleared first). */
+void
+split_tokens(std::string_view line, std::vector<std::string_view> &tok)
+{
+    const auto space = [](char c) {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    };
+    tok.clear();
+    const char *p = line.data();
+    const char *end = p + line.size();
+    while (true) {
+        while (p != end && space(*p))
+            ++p;
+        if (p == end)
+            return;
+        const char *b = p;
+        while (p != end && !space(*p))
+            ++p;
+        tok.emplace_back(b, p - b);
+    }
+}
+
+char *
+put(char *p, std::string_view s)
+{
+    return std::copy(s.begin(), s.end(), p);
+}
+
+char *
+put(char *p, std::uint64_t v)
+{
+    return std::to_chars(p, p + 20, v).ptr; // 2^64 - 1 has 20 digits
+}
+
+/** @p w as `%08x` prints it: eight lowercase hex digits. */
+char *
+put_word(char *p, Word w)
+{
+    char digits[8];
+    char *end = std::to_chars(digits, digits + 8, w, 16).ptr;
+    p = std::fill_n(p, 8 - (end - digits), '0');
+    return std::copy(digits, end, p);
 }
 
 } // namespace
@@ -61,26 +106,47 @@ CommTrace::save(const std::string &path) const
     std::ofstream f(path);
     if (!f)
         ANOC_FATAL("cannot open trace file for writing: ", path);
-    f << "# approxnoc trace v1\n";
-    for (const BlockHeader &h : blocks_) {
-        f << "B " << to_string(h.type) << " " << (h.approximable ? 1 : 0)
-          << " " << h.size;
-        char buf[16];
-        for (std::size_t i = h.offset; i < h.offset + h.size; ++i) {
-            std::snprintf(buf, sizeof(buf), " %08x", words_[i]);
-            f << buf;
+    // Lines are formatted into buf, which goes to the file whenever the
+    // longest line (a kMaxBlockWords block) might not fit after them.
+    constexpr std::size_t kLongestLine = 32 + 9 * kMaxBlockWords;
+    std::vector<char> buf(4 * kLongestLine);
+    char *p = buf.data();
+    auto make_room = [&] {
+        if (p + kLongestLine > buf.data() + buf.size()) {
+            f.write(buf.data(), p - buf.data());
+            p = buf.data();
         }
-        f << "\n";
+    };
+    p = put(p, "# approxnoc trace v1\n");
+    for (const BlockHeader &h : blocks_) {
+        make_room();
+        p = put(p, "B ");
+        p = put(p, to_string(h.type));
+        p = put(p, h.approximable ? " 1 " : " 0 ");
+        p = put(p, h.size);
+        for (Word w : words_.run(h.offset, h.size)) {
+            *p++ = ' ';
+            p = put_word(p, w);
+        }
+        *p++ = '\n';
     }
-    for (const auto &r : records_) {
-        f << "R " << r.t << " " << r.src << " " << r.dst << " "
-          << (r.isData() ? 'D' : 'C') << " ";
-        if (r.isData())
-            f << r.block;
-        else
-            f << "-";
-        f << "\n";
+    for (const TraceRecord &r : records_) {
+        make_room();
+        p = put(p, "R ");
+        p = put(p, r.t);
+        *p++ = ' ';
+        p = put(p, r.src);
+        *p++ = ' ';
+        p = put(p, r.dst);
+        if (r.isData()) {
+            p = put(p, " D ");
+            p = put(p, r.block);
+        } else {
+            p = put(p, " C -");
+        }
+        *p++ = '\n';
     }
+    f.write(buf.data(), p - buf.data());
     f.close();
     if (!f)
         ANOC_FATAL("cannot write trace file: ", path);
@@ -99,22 +165,20 @@ CommTrace::load(const std::string &path)
     auto fail = [&](const auto &...what) {
         ANOC_FATAL(path, ":", line_no, ": bad trace line: ", what...);
     };
-    auto number = [&](const std::string &tok, const char *field, int base,
+    auto number = [&](std::string_view tok, const char *field, int base,
                       std::uint64_t max) {
         auto v = parse_unsigned(tok, base, max);
         if (!v)
             fail(field, " '", tok, "' is not a number in [0, ", max, "]");
         return *v;
     };
+    std::vector<std::string_view> tok;
     std::vector<Word> ws;
     while (std::getline(f, line)) {
         ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
-        std::istringstream is(line);
-        std::vector<std::string> tok;
-        for (std::string s; is >> s;)
-            tok.push_back(std::move(s));
+        split_tokens(line, tok);
         if (tok.empty())
             continue;
         if (tok[0] == "B") {

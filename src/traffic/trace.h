@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunked_pool.h"
 #include "common/data_block.h"
 #include "common/log.h"
 #include "common/types.h"
@@ -45,6 +46,10 @@ static_assert(sizeof(TraceRecord) == 16);
  * appends its words; shareBlock() points a new header at an earlier
  * block's words. The cache model shares the words of a line whose
  * memory has not changed since it was last recorded.
+ *
+ * Words, headers and records live in ChunkedPools: recording never
+ * copies or frees a growing buffer, and nothing stored ever moves.
+ * A block's words sit in one chunk. A trace is move-only.
  */
 class CommTrace
 {
@@ -56,8 +61,11 @@ class CommTrace
     /** Largest block a trace holds; cache blocks are 16 words. */
     static constexpr std::size_t kMaxBlockWords = 4096;
 
+    /** The time-ordered records: indexed, sized and iterable. */
+    using Records = ChunkedPool<TraceRecord>;
+
     /** Block i: its words in the pool and its metadata. The view is
-     * valid until the next addBlock(). */
+     * valid as long as the trace, across a move too. */
     struct BlockView {
         std::span<const Word> words;
         DataType type = DataType::Raw;
@@ -78,12 +86,13 @@ class CommTrace
     {
         ANOC_ASSERT(words.size() <= kMaxBlockWords, "a ", words.size(),
                     "-word block exceeds ", kMaxBlockWords, " words");
-        ANOC_ASSERT(words_.size() <= std::numeric_limits<std::uint32_t>::max(),
+        const std::size_t at = words_.append(words);
+        ANOC_ASSERT(at <= std::numeric_limits<std::uint32_t>::max(),
                     "trace word pool outgrows 32-bit offsets");
-        blocks_.push_back({static_cast<std::uint32_t>(words_.size()),
+        stored_words_ += words.size();
+        blocks_.push_back({static_cast<std::uint32_t>(at),
                            static_cast<std::uint16_t>(words.size()), type,
                            approximable});
-        words_.insert(words_.end(), words.begin(), words.end());
         return static_cast<std::uint32_t>(blocks_.size() - 1);
     }
     std::uint32_t addBlock(const DataBlock &b)
@@ -115,16 +124,17 @@ class CommTrace
         records_.push_back(r);
     }
 
-    const std::vector<TraceRecord> &records() const { return records_; }
+    const Records &records() const { return records_; }
 
     std::size_t blockCount() const { return blocks_.size(); }
     BlockView block(std::uint32_t i) const
     {
         const BlockHeader &h = blocks_[i];
-        return {{words_.data() + h.offset, h.size}, h.type, h.approximable};
+        return {words_.run(h.offset, h.size), h.type, h.approximable};
     }
-    /** Words the pool stores; a shared block adds none. */
-    std::size_t wordCount() const { return words_.size(); }
+    /** Words the pool stores; a shared block adds none, and the chunk
+     * ends a block's words skipped are not counted. */
+    std::size_t wordCount() const { return stored_words_; }
 
     /**
      * Every block as an owning copy, in index order. Kept only as an
@@ -170,9 +180,12 @@ class CommTrace
     };
     static_assert(sizeof(BlockHeader) == 8);
 
-    std::vector<Word> words_;
-    std::vector<BlockHeader> blocks_;
-    std::vector<TraceRecord> records_;
+    static_assert(kMaxBlockWords <= ChunkedPool<Word>::kPerChunk);
+
+    ChunkedPool<Word> words_;
+    ChunkedPool<BlockHeader> blocks_;
+    Records records_;
+    std::size_t stored_words_ = 0;
     std::string origin_;
 };
 

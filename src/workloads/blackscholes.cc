@@ -26,7 +26,7 @@ cndf(double x)
 WorkloadResult
 BlackscholesWorkload::run(ApproxCacheSystem &mem)
 {
-    const std::size_t n = 4096 * scale_;
+    const std::size_t n = std::size_t{4096} * scale_;
     const unsigned cores = mem.config().n_cores;
     Rng rng(seed_);
 

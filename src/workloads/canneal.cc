@@ -16,7 +16,7 @@ namespace approxnoc {
 WorkloadResult
 CannealWorkload::run(ApproxCacheSystem &mem)
 {
-    const std::size_t n = 1024 * scale_;
+    const std::size_t n = std::size_t{1024} * scale_;
     const std::size_t fanin = 4;
     const unsigned cores = mem.config().n_cores;
     Rng rng(seed_);

@@ -15,7 +15,7 @@ namespace approxnoc {
 WorkloadResult
 FluidanimateWorkload::run(ApproxCacheSystem &mem)
 {
-    const std::size_t n = 256 * scale_;
+    const std::size_t n = std::size_t{256} * scale_;
     const unsigned steps = 4;
     const unsigned cores = mem.config().n_cores;
     Rng rng(seed_);

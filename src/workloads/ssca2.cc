@@ -19,7 +19,7 @@ namespace approxnoc {
 WorkloadResult
 Ssca2Workload::run(ApproxCacheSystem &mem)
 {
-    const std::size_t n = 256 * scale_;
+    const std::size_t n = std::size_t{256} * scale_;
     const std::size_t m_target = n * 8;
     const unsigned cores = mem.config().n_cores;
     Rng rng(seed_);

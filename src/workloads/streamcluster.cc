@@ -17,7 +17,7 @@ namespace approxnoc {
 WorkloadResult
 StreamclusterWorkload::run(ApproxCacheSystem &mem)
 {
-    const std::size_t n = 1024 * scale_;
+    const std::size_t n = std::size_t{1024} * scale_;
     const std::size_t dim = 8;
     const std::size_t k = 8;
     const unsigned iters = 4;

@@ -18,7 +18,7 @@ namespace approxnoc {
 WorkloadResult
 SwaptionsWorkload::run(ApproxCacheSystem &mem)
 {
-    const std::size_t n_swaptions = 16 * scale_;
+    const std::size_t n_swaptions = std::size_t{16} * scale_;
     const std::size_t n_paths = 128;
     const std::size_t n_steps = 8;
     const unsigned cores = mem.config().n_cores;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cache/approx_cache.h"
+#include "common/log.h"
 #include "common/types.h"
 
 namespace approxnoc {
@@ -32,13 +33,26 @@ struct WorkloadResult {
     double miss_rate = 0.0;
 };
 
+/**
+ * Largest problem-size multiplier a kernel takes (`--scale`, checked
+ * where the flag is read). Kernels size their data as std::size_t
+ * products of the scale. ssca2's trace grows with its square: at 8 it
+ * holds 152 M records, and generating it takes 30 s and peaks near
+ * 4.2 GB (Release, 4-vCPU Xeon VM).
+ */
+inline constexpr unsigned kMaxScale = 8;
+
 /** A benchmark kernel. Deterministic for a fixed (name, scale, seed). */
 class Workload
 {
   public:
+    /** Panics unless 1 <= @p scale <= kMaxScale. */
     explicit Workload(unsigned scale = 1, std::uint64_t seed = 12345)
         : scale_(scale), seed_(seed)
-    {}
+    {
+        ANOC_ASSERT(scale >= 1 && scale <= kMaxScale, "workload scale ",
+                    scale, " is outside [1, ", kMaxScale, "]");
+    }
     virtual ~Workload() = default;
 
     Workload(const Workload &) = delete;
@@ -70,7 +84,7 @@ double mean_relative_output_error(const std::vector<double> &precise,
 /**
  * Build a workload by paper name: blackscholes, bodytrack, canneal,
  * fluidanimate, streamcluster, swaptions, x264, ssca2.
- * @param scale >= 1 multiplies the problem size.
+ * @param scale in [1, kMaxScale] multiplies the problem size.
  */
 std::unique_ptr<Workload> make_workload(const std::string &name,
                                         unsigned scale = 1,

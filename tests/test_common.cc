@@ -1,12 +1,15 @@
 /** Tests for stats, table, CLI parsing, DataBlock and quality. */
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <sstream>
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
+#include "common/chunked_pool.h"
 #include "common/cli.h"
 #include "common/data_block.h"
 #include "common/rng.h"
@@ -16,6 +19,46 @@
 #include "harness/experiment.h"
 
 using namespace approxnoc;
+
+/** A run that does not fit in what is left of a chunk starts the next
+ *  one, and values never move once stored. */
+TEST(ChunkedPool, RunsNeverStraddleAChunk)
+{
+    using Pool = ChunkedPool<std::uint32_t>;
+    constexpr std::size_t kRun = Pool::kPerChunk / 4;
+    std::vector<std::uint32_t> run(kRun);
+    std::iota(run.begin(), run.end(), 1u);
+    Pool pool;
+    const std::uint32_t one = 7;
+    EXPECT_EQ(pool.append({&one, 1}), 0u);
+    const std::uint32_t *first = &pool[0];
+    // Four runs after the one value: the fourth does not fit in the
+    // first chunk's last kRun - 1 positions.
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(pool.append(run), 1 + i * kRun);
+    EXPECT_EQ(pool.append(run), Pool::kPerChunk) << "kRun - 1 skipped";
+    EXPECT_EQ(pool.size(), Pool::kPerChunk + kRun);
+    EXPECT_EQ(pool.append({}), pool.size());
+    EXPECT_TRUE(pool.run(pool.size(), 0).empty());
+    for (std::size_t at : {std::size_t{1}, 1 + 2 * kRun, Pool::kPerChunk}) {
+        const auto r = pool.run(at, kRun);
+        EXPECT_TRUE(std::equal(r.begin(), r.end(), run.begin(), run.end()))
+            << "run at " << at;
+    }
+    EXPECT_EQ(&pool[0], first);
+    EXPECT_EQ(pool[0], one);
+
+    Pool values;
+    const std::uint32_t n = Pool::kPerChunk + 10;
+    for (std::uint32_t v = 0; v < n; ++v)
+        values.push_back(v);
+    const Pool moved = std::move(values);
+    std::uint32_t want = 0;
+    for (std::uint32_t v : moved)
+        ASSERT_EQ(v, want++);
+    EXPECT_EQ(want, n);
+    EXPECT_EQ(moved.back(), n - 1);
+}
 
 TEST(RunningStat, Moments)
 {

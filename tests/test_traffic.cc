@@ -131,6 +131,143 @@ TEST(Trace, SaveLoadRoundTrip)
     EXPECT_NEAR(u.dataPacketRatio(), 2.0 / 3.0, 1e-12);
 }
 
+namespace {
+
+/** @p n words that no other block of a test shares: block @p id's
+ *  number in the high half, the word's index in the low half. */
+std::vector<Word>
+numbered_words(std::size_t n, std::uint32_t id)
+{
+    std::vector<Word> ws(n);
+    for (std::size_t i = 0; i < n; ++i)
+        ws[i] = (id << 16) | static_cast<Word>(i);
+    return ws;
+}
+
+std::vector<Word>
+words_of(const CommTrace::BlockView &b)
+{
+    return {b.words.begin(), b.words.end()};
+}
+
+/** The bytes of the file at @p path. */
+std::string
+file_bytes(const std::string &path)
+{
+    std::stringstream text;
+    text << std::ifstream(path, std::ios::binary).rdbuf();
+    return text.str();
+}
+
+/** 60 blocks of 1, 16 and kMaxBlockWords words in turn (about five
+ *  16,384-word chunks), every fifth one sharing an earlier block's
+ *  words, and a data record for each. @p want gets each block's
+ *  words. */
+CommTrace
+blocks_across_chunks(std::vector<std::vector<Word>> &want)
+{
+    const std::size_t sizes[] = {1, 16, CommTrace::kMaxBlockWords};
+    CommTrace t;
+    for (std::uint32_t i = 0; i < 60; ++i) {
+        const auto type = static_cast<DataType>(i % 3);
+        const bool approx = i % 2 == 0;
+        if (i % 5 == 4) {
+            const std::uint32_t of = i / 2;
+            EXPECT_EQ(t.shareBlock(of, type, approx), i);
+            want.push_back(want[of]);
+        } else {
+            want.push_back(numbered_words(sizes[i % 3], i));
+            EXPECT_EQ(t.addBlock(want.back(), type, approx), i);
+        }
+        t.add(TraceRecord{i, static_cast<std::uint16_t>(i % 32),
+                          static_cast<std::uint16_t>((i + 1) % 32), i});
+    }
+    return t;
+}
+
+} // namespace
+
+/** Blocks of every size, appended across several chunk boundaries and
+ *  shared, read back equal to the words they were given. */
+TEST(TracePool, BlocksAcrossChunksReadBackEqual)
+{
+    std::vector<std::vector<Word>> want;
+    const CommTrace t = blocks_across_chunks(want);
+    ASSERT_EQ(t.blockCount(), want.size());
+    EXPECT_GT(t.wordCount(), 4 * ChunkedPool<Word>::kPerChunk);
+    for (std::uint32_t i = 0; i < t.blockCount(); ++i) {
+        const CommTrace::BlockView b = t.block(i);
+        EXPECT_EQ(words_of(b), want[i]) << "block " << i;
+        EXPECT_EQ(b.type, static_cast<DataType>(i % 3)) << "block " << i;
+        EXPECT_EQ(b.approximable, i % 2 == 0) << "block " << i;
+    }
+    // A shared block reads the very words of the block it shares.
+    EXPECT_EQ(t.block(9).words.data(), t.block(4).words.data());
+}
+
+/** A view stays valid for the trace's whole life: across thousands of
+ *  later appends, which a growing vector would have moved, and across
+ *  a move of the trace. */
+TEST(TracePool, BlockViewOutlivesAppendsAndMoves)
+{
+    CommTrace t;
+    const std::vector<Word> first = numbered_words(16, 1);
+    t.addBlock(first, DataType::Int32, true);
+    t.add(TraceRecord{0, 0, 1, 0});
+    const CommTrace::BlockView view = t.block(0);
+    const TraceRecord *record = &t.records()[0];
+    for (std::uint32_t i = 1; i < 5000; ++i) {
+        t.addBlock(numbered_words(16, i + 1), DataType::Raw, false);
+        t.add(TraceRecord{i, 0, 1, i});
+    }
+    const CommTrace moved = std::move(t);
+    EXPECT_EQ(view.words.data(), moved.block(0).words.data());
+    EXPECT_EQ(words_of(view), first);
+    EXPECT_EQ(record, &moved.records()[0]);
+    EXPECT_EQ(record->t, 0u);
+    EXPECT_EQ(moved.records()[4999].block, 4999u);
+}
+
+/** wordCount() counts the words stored, not the chunk ends skipped: a
+ *  word, then four kMaxBlockWords blocks, the last of which starts the
+ *  second chunk. */
+TEST(TracePool, WordCountExcludesSkippedChunkEnds)
+{
+    CommTrace t;
+    t.addBlock(numbered_words(1, 0), DataType::Raw, false);
+    for (std::uint32_t i = 1; i <= 4; ++i)
+        t.addBlock(numbered_words(CommTrace::kMaxBlockWords, i),
+                   DataType::Raw, false);
+    EXPECT_EQ(t.wordCount(), 1 + 4 * CommTrace::kMaxBlockWords);
+    EXPECT_EQ(words_of(t.block(4)),
+              numbered_words(CommTrace::kMaxBlockWords, 4));
+    t.shareBlock(4, DataType::Int32, true);
+    EXPECT_EQ(t.wordCount(), 1 + 4 * CommTrace::kMaxBlockWords);
+}
+
+/** Saving a loaded trace writes the bytes it was loaded from; shared
+ *  blocks are written in full and load back as copies. */
+TEST(TracePool, SaveLoadSaveIsByteIdentical)
+{
+    std::vector<std::vector<Word>> want;
+    const CommTrace t = blocks_across_chunks(want);
+    const std::string a = ::testing::TempDir() + "pool_a.trace";
+    const std::string b = ::testing::TempDir() + "pool_b.trace";
+    t.save(a);
+    const CommTrace u = CommTrace::load(a);
+    u.save(b);
+    EXPECT_EQ(file_bytes(a), file_bytes(b));
+    ASSERT_EQ(u.blockCount(), want.size());
+    for (std::uint32_t i = 0; i < u.blockCount(); ++i)
+        EXPECT_EQ(words_of(u.block(i)), want[i]) << "block " << i;
+    std::size_t words = 0;
+    for (const auto &w : want)
+        words += w.size();
+    EXPECT_EQ(u.wordCount(), words);
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Malformed traces fail loudly: exit 1 with a fatal: line naming the
 // file (and, for a bad line, its line number), never a silent remap, a
